@@ -5,9 +5,11 @@
 //! Two questions, two sweeps:
 //!
 //! **E14a — what does group commit buy?** W concurrent writers each
-//! commit a stream of small transactions against one WAL. In
-//! per-commit-flush mode every commit pays its own synchronous log
-//! write; in group-commit mode concurrent committers share one. A
+//! commit a stream of small transactions against one WAL. In the
+//! per-commit-flush baseline the writers take turns behind a
+//! bench-side mutex, so every commit pays its own synchronous log
+//! write (one commit per flush by construction); in group-commit mode
+//! concurrent committers share one. A
 //! simulated device latency (2 ms per flush, a fair model of a 1999
 //! disk) makes the flush the bottleneck it historically was, so the ratio
 //! between the modes is the batching factor. Expected shape: ratio ≈ 1
@@ -20,16 +22,16 @@
 //! checkpoint, so replayed-record counts (and recovery wall time) are
 //! bounded by C, not by the total history length.
 
-use relstore::{ColumnType, TableSchema, Value};
+use relstore::{ColumnType, EngineKind, PoolConfig, TableSchema, Value};
 use serde::Serialize;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use wal::{open_durable, recover_bytes, WalOptions};
+use wal::{crash, open_durable_any, recover_bytes_any, WalOptions};
 use wdoc_bench::emit;
 
 fn temp_log(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("e14-{}-{tag}.wal", std::process::id()))
+    std::env::temp_dir().join(format!("e14-{}-{tag}.wal.d", std::process::id()))
 }
 
 fn schema() -> TableSchema {
@@ -49,7 +51,7 @@ fn schema() -> TableSchema {
 struct CommitRow {
     writers: u64,
     txns_per_writer: u64,
-    group_commit: bool,
+    grouped: bool,
     elapsed_s: f64,
     commits_per_s: f64,
     flushes: u64,
@@ -58,14 +60,15 @@ struct CommitRow {
 }
 
 /// One measured cell: `writers` threads each commit `txns` inserts
-/// through a WAL with a 2 ms simulated flush latency.
-fn run_commit_cell(writers: u64, txns: u64, group_commit: bool) -> CommitRow {
-    let path = temp_log(&format!("commit-{writers}-{group_commit}"));
-    let _ = std::fs::remove_file(&path);
-    let (db, wal, _) = open_durable(
+/// through a WAL with a 2 ms simulated flush latency. With
+/// `grouped` off the writers commit one at a time behind a mutex:
+/// the per-commit-flush baseline.
+fn run_commit_cell(writers: u64, txns: u64, grouped: bool) -> CommitRow {
+    let path = temp_log(&format!("commit-{writers}-{grouped}"));
+    let _ = std::fs::remove_dir_all(&path);
+    let (db, wal, _) = open_durable_any(
         &path,
         WalOptions {
-            group_commit,
             simulated_disk_latency: Some(Duration::from_millis(2)),
             ..WalOptions::default()
         },
@@ -74,13 +77,16 @@ fn run_commit_cell(writers: u64, txns: u64, group_commit: bool) -> CommitRow {
     db.create_table(schema()).unwrap();
 
     let db = Arc::new(db);
+    let one_at_a_time = Arc::new(Mutex::new(()));
     let start = Instant::now();
     let handles: Vec<_> = (0..writers)
         .map(|w| {
             let db = Arc::clone(&db);
+            let gate = Arc::clone(&one_at_a_time);
             std::thread::spawn(move || {
                 for i in 0..txns {
                     let id = i64::try_from(w * 1_000_000 + i).unwrap();
+                    let _turn = (!grouped).then(|| gate.lock().unwrap());
                     db.with_txn(|t| {
                         t.insert("d", vec![Value::Int(id), Value::from("x")])?;
                         Ok(())
@@ -96,13 +102,13 @@ fn run_commit_cell(writers: u64, txns: u64, group_commit: bool) -> CommitRow {
     let elapsed = start.elapsed().as_secs_f64();
 
     let stats = wal.stats();
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&path).unwrap();
     let commits = stats.commits;
     assert_eq!(commits, writers * txns);
     CommitRow {
         writers,
         txns_per_writer: txns,
-        group_commit,
+        grouped,
         elapsed_s: elapsed,
         commits_per_s: commits as f64 / elapsed,
         flushes: stats.flushes,
@@ -136,8 +142,8 @@ const WORKING_SET: u64 = 50;
 /// transactions (0 = never); finally recover the log cold and time it.
 fn run_recovery_cell(txns: u64, every: u64) -> RecoveryRow {
     let path = temp_log(&format!("recover-{every}"));
-    let _ = std::fs::remove_file(&path);
-    let (db, wal, _) = open_durable(
+    let _ = std::fs::remove_dir_all(&path);
+    let (db, wal, _) = open_durable_any(
         &path,
         WalOptions {
             // No simulated latency: E14b measures recovery, not commit.
@@ -160,17 +166,23 @@ fn run_recovery_cell(txns: u64, every: u64) -> RecoveryRow {
         db.with_txn(|t| t.update_cols("d", id, &[("v", Value::from(v.clone()))]))
             .unwrap();
         if every > 0 && (i + 1) % every == 0 {
-            wal.checkpoint(&db).unwrap();
+            wal.checkpoint_any(&db).unwrap();
         }
     }
     let checkpoints = wal.stats().checkpoints;
     drop(db);
     drop(wal);
 
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
+    let bytes = crash::read_log(&path);
+    std::fs::remove_dir_all(&path).unwrap();
     let start = Instant::now();
-    let (recovered, report) = recover_bytes(&bytes).unwrap();
+    let (recovered, report) = recover_bytes_any(
+        &bytes,
+        &obs::Registry::disabled(),
+        &PoolConfig::default(),
+        EngineKind::TwoPl,
+    )
+    .unwrap();
     let recover_ms = start.elapsed().as_secs_f64() * 1_000.0;
     let rows = recovered.row_count("d").unwrap();
     assert_eq!(rows as u64, WORKING_SET, "full working set recovered");
@@ -207,7 +219,7 @@ fn main() {
             println!(
                 "{:>7} {:>6} {:>10.3} {:>12.1} {:>8} {:>9.1}",
                 row.writers,
-                if row.group_commit { "group" } else { "each" },
+                if row.grouped { "group" } else { "each" },
                 row.elapsed_s,
                 row.commits_per_s,
                 row.flushes,

@@ -4,14 +4,15 @@
 //! storage" and that "buffer spaces are used only" when data is
 //! actually needed. With the paged heap behind a pinning buffer pool,
 //! both claims become measurable: the pool bounds resident memory to a
-//! configured page budget and spills the remainder to a page file,
+//! configured page budget and spills the remainder to a page store,
 //! while the WAL's flush gate keeps every writeback write-ahead-safe.
 //!
 //! **The sweep.** One table of `N` rows (~120-byte payloads) is loaded
 //! and then hit with a seeded point-get/update workload, once per pool
 //! budget: 1%, 5%, 25%, 50% and 100% of the working-set page count,
-//! each cell file-backed. Reported per cell: hit rate, evictions,
-//! bytes written back to the page file, and the resident-byte peak.
+//! each cell spilling to a log-structured page store. Reported per cell:
+//! hit rate, evictions, bytes written back to the page store, and the
+//! resident-byte peak.
 //!
 //! **The oracle.** The same workload runs against a default
 //! `Database::new()` — the unbounded in-memory pool, i.e. the exact
@@ -31,7 +32,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use relstore::{ColumnType, Database, PoolBackend, PoolConfig, Predicate, TableSchema, Value};
+use relstore::{ColumnType, Database, PoolConfig, Predicate, TableSchema, Value};
 use serde::Serialize;
 use std::path::PathBuf;
 use wdoc_bench::emit;
@@ -40,7 +41,7 @@ const PAGE_SIZE: usize = 4096;
 const SEED: u64 = 16;
 
 fn temp_pages(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("e16-{}-{tag}.pages", std::process::id()))
+    std::env::temp_dir().join(format!("e16-{}-{tag}.pages.d", std::process::id()))
 }
 
 fn schema() -> TableSchema {
@@ -148,9 +149,8 @@ fn main() {
             .max(1);
         let path = temp_pages(&format!("p{pct}"));
         let cfg = PoolConfig {
-            backend: PoolBackend::File(path.clone()),
-            max_pages: Some(max_pages),
             page_size: PAGE_SIZE,
+            ..PoolConfig::log(&path, max_pages)
         };
         let db = Database::with_pool(&cfg).unwrap();
         let outcome = run_workload(&db, n, ops);
@@ -161,7 +161,7 @@ fn main() {
         let s = db.pool().stats();
         let spill = db.pool().store_bytes_stored();
         drop(db);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&path);
 
         let cell = Cell {
             pool_pct: pct,

@@ -22,7 +22,7 @@
 //!    `Compiled::matches_raw`, page-pin batched, decode-on-match)
 //!    versus the pre-overhaul owned-row path (`Table::iter` decoding
 //!    every row + `Compiled::eval`), on both the unbounded in-memory
-//!    pool and a bounded file-backed pool. Matched row sets must be
+//!    pool and a bounded log-backed pool. Matched row sets must be
 //!    identical.
 //!
 //! Every measurement is a median-of-5 with one discarded warmup
@@ -40,8 +40,7 @@ use bytes::Bytes;
 use netsim::{EventQueue, LinkSpec, Network, QueueKind, SimTime};
 use relstore::pagestore::page;
 use relstore::{
-    BufferPool, ColumnType, PoolBackend, PoolConfig, Predicate, Row, RowId, Table, TableSchema,
-    Value,
+    BufferPool, ColumnType, PoolConfig, Predicate, Row, RowId, Table, TableSchema, Value,
 };
 use serde::Serialize;
 use std::path::PathBuf;
@@ -352,16 +351,15 @@ fn scan_family(sizes: &[i64], baseline_only: bool, gate: bool) -> Vec<ScanCell> 
     for &rows in sizes {
         for pooled in [false, true] {
             let path = pooled.then(|| {
-                std::env::temp_dir().join(format!("e17-{}-{rows}.pages", std::process::id()))
+                std::env::temp_dir().join(format!("e17-{}-{rows}.pages.d", std::process::id()))
             });
             let pool = path.as_ref().map(|p| {
-                let cfg = PoolConfig {
-                    backend: PoolBackend::File(p.clone()),
-                    // A quarter of the working set stays resident, so
-                    // pooled scans actually page.
-                    max_pages: Some(((rows as usize * 60) / page::DEFAULT_PAGE_SIZE / 4).max(8)),
-                    page_size: page::DEFAULT_PAGE_SIZE,
-                };
+                // A quarter of the working set stays resident, so
+                // pooled scans actually page.
+                let cfg = PoolConfig::log(
+                    p,
+                    ((rows as usize * 60) / page::DEFAULT_PAGE_SIZE / 4).max(8),
+                );
                 BufferPool::new(&cfg, obs::Registry::new()).unwrap()
             });
             eprintln!("[e17] scan: rows={rows} pooled={pooled} build...");
@@ -420,7 +418,7 @@ fn scan_family(sizes: &[i64], baseline_only: bool, gate: bool) -> Vec<ScanCell> 
             cells.push(cell);
             drop(t);
             if let Some(p) = path {
-                let _ = std::fs::remove_file(p);
+                let _ = std::fs::remove_dir_all(p);
             }
         }
     }

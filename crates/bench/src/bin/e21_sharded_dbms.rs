@@ -3,8 +3,8 @@
 //!
 //! PR 9 routes the *whole* document stack through the shard `Router`:
 //! `WebDocDb` now runs on any [`wdoc_core::DocBackend`], and
-//! [`shard::ShardedStation`] opens it over a hash-partitioned router
-//! loaded with the wdoc routing catalog. Where E19 measured the bare
+//! [`shard::ShardedBackend`] puts a hash-partitioned router loaded
+//! with the wdoc routing catalog behind it. Where E19 measured the bare
 //! router on a synthetic table, this experiment drives the **typed
 //! DBMS verbs** — `add_script`, `add_implementation`,
 //! `update_script`, `add_test_record`, cascading `remove_script` —
@@ -18,8 +18,8 @@
 //! **Parity gate (every mode, smoke included).** A deterministic
 //! typed workload — databases, script families with their HTML and
 //! program files, test records, completion updates, cascading
-//! deletions — is applied to a plain `WebDocDb::with_engine` station
-//! and to `open_sharded(n)` stations at n = 1, 2 and 4. The full
+//! deletions — is applied to a plain `WebDocDb::new()` station and to
+//! `ShardedBackend` stations at n = 1, 2 and 4. The full
 //! station dump (every table, every row, **including allocated row
 //! ids**) must be byte-for-byte identical across all four: a sharded
 //! station is the unsharded system, not an approximation of it, and
@@ -52,7 +52,7 @@ use obs::Registry;
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use relstore::{EngineKind, Predicate};
 use serde::Serialize;
-use shard::{ShardedStation, SimCluster, Write};
+use shard::{ShardedBackend, SimCluster, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -202,15 +202,22 @@ fn station_dump(db: &WebDocDb) -> String {
     out
 }
 
+/// A fresh in-memory 2PL station over `shards` hash partitions whose
+/// router records into `metrics`.
+fn sharded_station(shards: u32, metrics: Registry) -> WebDocDb {
+    let backend = ShardedBackend::new(EngineKind::TwoPl, shards, metrics);
+    WebDocDb::on_backend(Box::new(backend), true).expect("sharded open")
+}
+
 /// The parity gate: the same typed workload through a plain engine
 /// station and through 1-, 2- and 4-shard stations must leave
 /// byte-identical committed state (row ids included).
 fn assert_station_parity(scripts: usize) {
-    let local = WebDocDb::with_engine(EngineKind::TwoPl);
+    let local = WebDocDb::new();
     apply_station_workload(&local, scripts);
     let want = station_dump(&local);
     for shards in [1u32, 2, 4] {
-        let db = WebDocDb::open_sharded(shards, EngineKind::TwoPl).expect("sharded open");
+        let db = sharded_station(shards, Registry::new());
         apply_station_workload(&db, scripts);
         let got = station_dump(&db);
         assert_eq!(
@@ -363,8 +370,7 @@ fn run_station_cell(
     window: Duration,
 ) -> StationCell {
     let metrics = Registry::new();
-    let db = WebDocDb::open_sharded_with(shards, EngineKind::TwoPl, metrics.clone())
-        .expect("sharded open");
+    let db = sharded_station(shards, metrics.clone());
     db.create_database(&DatabaseInfo {
         name: DbName::new("mmu-courses"),
         keywords: vec!["courseware".into()],

@@ -67,28 +67,14 @@ pub struct WebDocDb {
     durable: Option<Durable>,
 }
 
-/// The on-disk attachments of a durably opened station.
+/// The on-disk attachments of a durably opened station. The BLOB
+/// layer is write-through ([`BlobStore::open_logged`]); what remains
+/// is how the relational layer checkpoints.
 struct Durable {
-    rel_sink: RelSink,
-    blobs_sink: BlobSink,
-}
-
-/// How the relational layer checkpoints.
-enum RelSink {
-    /// A single local engine attached to one write-ahead log.
-    Wal(std::sync::Arc<wal::Wal>),
-    /// The backend owns its own log(s) — per-shard WALs behind a
-    /// router — and checkpoints them all via [`DocBackend::checkpoint`].
-    Backend,
-}
-
-/// How the BLOB layer persists at checkpoints.
-enum BlobSink {
-    /// Whole-store JSON snapshot rewritten at every checkpoint.
-    Json(std::path::PathBuf),
-    /// Log-structured store: every mutation is already appended;
-    /// checkpoint only fsyncs the tail.
-    Log,
+    /// The single local engine's write-ahead log, or `None` when the
+    /// backend owns its own log(s) — per-shard WALs behind a router —
+    /// and checkpoints them all via [`DocBackend::checkpoint`].
+    wal: Option<std::sync::Arc<wal::Wal>>,
 }
 
 impl Default for WebDocDb {
@@ -98,20 +84,13 @@ impl Default for WebDocDb {
 }
 
 impl WebDocDb {
-    /// Create a fresh DBMS with the paper's full schema installed, on
-    /// the default (strict-2PL) storage engine.
+    /// Create a fresh in-memory DBMS with the paper's full schema
+    /// installed, on the default (strict-2PL) storage engine. For the
+    /// MVCC engine, or a sharded router, hand the backend to
+    /// [`WebDocDb::on_backend`].
     #[must_use]
     pub fn new() -> Self {
-        Self::with_engine(EngineKind::TwoPl)
-    }
-
-    /// Create a fresh DBMS on the given storage engine. Every facade
-    /// operation goes through the engine-neutral transaction surface,
-    /// so the whole document/database layer runs unchanged on either
-    /// engine.
-    #[must_use]
-    pub fn with_engine(kind: EngineKind) -> Self {
-        Self::on_backend(Box::new(AnyEngine::new(kind)), true)
+        Self::on_backend(Box::new(AnyEngine::new(EngineKind::TwoPl)), true)
             .expect("static schemas install on a fresh engine")
     }
 
@@ -136,33 +115,24 @@ impl WebDocDb {
 
     /// Build a **durable** station on a backend that owns its own
     /// write-ahead log(s) — e.g. a router threading per-shard WALs.
-    /// The BLOB layer persists to `dir/blobs.json` at checkpoints,
-    /// exactly like [`WebDocDb::open_durable`]; the relational layer
-    /// checkpoints through [`DocBackend::checkpoint`].
+    /// The BLOB layer is an append-only compacting log at
+    /// `dir/blobs.d`: every store/retain/release is written through
+    /// immediately, so attached BLOBs survive a crash with no
+    /// checkpoint. The relational layer checkpoints through
+    /// [`DocBackend::checkpoint`].
     pub fn on_durable_backend(
         store: Box<dyn DocBackend>,
         install_schemas: bool,
         dir: &std::path::Path,
+        log_cfg: logstore::LogConfig,
+        metrics: obs::Registry,
     ) -> Result<Self> {
         std::fs::create_dir_all(dir)
             .map_err(|e| CoreError::Durability(format!("create {}: {e}", dir.display())))?;
-        let blobs_path = dir.join("blobs.json");
         let mut db = Self::on_backend(store, install_schemas)?;
-        match std::fs::read_to_string(&blobs_path) {
-            Ok(text) => {
-                let exports: Vec<BlobExport> = serde_json::from_str(&text)
-                    .map_err(|e| CoreError::Durability(format!("blobs.json corrupt: {e}")))?;
-                db.blobs.import(exports);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(CoreError::Durability(format!("read blobs.json: {e}")));
-            }
-        }
-        db.durable = Some(Durable {
-            rel_sink: RelSink::Backend,
-            blobs_sink: BlobSink::Json(blobs_path),
-        });
+        db.blobs = BlobStore::open_logged(&dir.join("blobs.d"), log_cfg, metrics)
+            .map_err(|e| CoreError::Durability(format!("open blob log: {e}")))?;
+        db.durable = Some(Durable { wal: None });
         Ok(db)
     }
 
@@ -183,112 +153,51 @@ impl WebDocDb {
         ]
     }
 
-    /// Open (or create) a **durable** station database rooted at `dir`.
-    ///
-    /// The relational layer is write-ahead logged to `dir/wal.log`:
-    /// opening runs crash recovery over whatever survived the last
-    /// session, installs the paper's schema on a fresh log (so the DDL
+    /// Open (or create) a **durable** station rooted at `dir`, on the
+    /// one on-disk layout: the write-ahead log as a directory of
+    /// segments at `dir/wal.d` (each checkpoint deletes every segment
+    /// it fully covers, so the log's disk footprint is bounded by the
+    /// checkpoint interval) and the BLOB layer as an append-only
+    /// compacting log at `dir/blobs.d`. Opening runs crash recovery
+    /// over whatever survived the last session, installs whichever of
+    /// the paper's tables the recovered catalog lacks (so the DDL
     /// itself is logged), and attaches the log so every subsequent
-    /// transaction is durable. The BLOB layer is persisted to
-    /// `dir/blobs.json` **at checkpoints only** — BLOBs are bulky,
-    /// immutable media whose loss is repairable by re-replication,
-    /// so they ride [`WebDocDb::checkpoint`] rather than the log.
+    /// transaction is durable.
     ///
-    /// The storage engine is selected by [`wal::WalOptions::engine`];
-    /// the log format is engine-agnostic, so an existing station can be
+    /// To bound memory, pass a [`wal::WalOptions::pool`] built with
+    /// `relstore::PoolConfig::log(dir.join("pages.d"), ..)` — all three
+    /// layers then share the same storage discipline. The storage
+    /// engine is selected by [`wal::WalOptions::engine`]; the log
+    /// format is engine-agnostic, so an existing station can be
     /// reopened under either engine.
-    pub fn open_durable(
-        dir: &std::path::Path,
-        opts: wal::WalOptions,
-    ) -> Result<(WebDocDb, wal::RecoveryReport)> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CoreError::Durability(format!("create {}: {e}", dir.display())))?;
-        let log_path = dir.join("wal.log");
-        let blobs_path = dir.join("blobs.json");
-        let (rel, wal, report) = wal::open_durable_any(&log_path, opts)?;
-        if report.records_scanned == 0 {
-            // Fresh log: install the schema through the attached sink
-            // so recovery replays it next time.
-            for schema in Self::station_schemas() {
-                rel.create_table(schema)?;
-            }
-        }
-        let blobs = BlobStore::new();
-        match std::fs::read_to_string(&blobs_path) {
-            Ok(text) => {
-                let exports: Vec<BlobExport> = serde_json::from_str(&text)
-                    .map_err(|e| CoreError::Durability(format!("blobs.json corrupt: {e}")))?;
-                blobs.import(exports);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(CoreError::Durability(format!("read blobs.json: {e}")));
-            }
-        }
-        Ok((
-            WebDocDb {
-                store: Box::new(rel),
-                blobs,
-                diagram: IntegrityDiagram::paper_default(),
-                durable: Some(Durable {
-                    rel_sink: RelSink::Wal(wal),
-                    blobs_sink: BlobSink::Json(blobs_path),
-                }),
-            },
-            report,
-        ))
-    }
-
-    /// Open (or create) a durable station on **log-structured storage**
-    /// end to end: the WAL as a directory of segments at `dir/wal.d`
-    /// (each checkpoint deletes every segment it fully covers, so the
-    /// log's disk footprint is bounded by the checkpoint interval), and
-    /// the BLOB layer as an append-only compacting log at `dir/blobs.d`
-    /// (every store/retain/release is written through immediately;
-    /// checkpoints only fsync, instead of rewriting a JSON snapshot of
-    /// the whole store).
-    ///
-    /// To also place the relational *page store* on the log backend,
-    /// pass a [`wal::WalOptions::pool`] built with
-    /// `relstore::PoolConfig::log(..)` — all three layers then share
-    /// the same storage discipline.
     pub fn open_durable_logged(
         dir: &std::path::Path,
         opts: wal::WalOptions,
         log_cfg: logstore::LogConfig,
     ) -> Result<(WebDocDb, wal::RecoveryReport)> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CoreError::Durability(format!("create {}: {e}", dir.display())))?;
         let opts = wal::WalOptions {
             segment_bytes: Some(opts.segment_bytes.unwrap_or(log_cfg.segment_bytes)),
             ..opts
         };
         let metrics = opts.metrics.clone();
         let (rel, wal, report) = wal::open_durable_any(&dir.join("wal.d"), opts)?;
-        if report.records_scanned == 0 {
-            for schema in Self::station_schemas() {
+        // Every DDL frame is durable on its own, so a crash during the
+        // first open leaves any prefix of the schema behind.
+        let have = rel.table_names();
+        for schema in Self::station_schemas() {
+            if !have.contains(&schema.name) {
                 rel.create_table(schema)?;
             }
         }
-        let blobs = BlobStore::open_logged(&dir.join("blobs.d"), log_cfg, metrics)
-            .map_err(|e| CoreError::Durability(format!("open blob log: {e}")))?;
-        Ok((
-            WebDocDb {
-                store: Box::new(rel),
-                blobs,
-                diagram: IntegrityDiagram::paper_default(),
-                durable: Some(Durable {
-                    rel_sink: RelSink::Wal(wal),
-                    blobs_sink: BlobSink::Log,
-                }),
-            },
-            report,
-        ))
+        let mut db = Self::on_durable_backend(Box::new(rel), false, dir, log_cfg, metrics)?;
+        db.durable = Some(Durable { wal: Some(wal) });
+        Ok((db, report))
     }
 
     /// Checkpoint a durable station: embed a transaction-consistent
-    /// snapshot in the log (bounding future recovery time) and persist
-    /// the BLOB layer beside it. Returns the checkpoint's LSN.
+    /// snapshot in the log (bounding future recovery time and pruning
+    /// the segments it covers) and fsync the BLOB log beside it.
+    /// Returns the checkpoint's LSN.
     ///
     /// Errors with [`CoreError::InvalidInput`] on a non-durable
     /// (in-memory) station.
@@ -298,32 +207,19 @@ impl WebDocDb {
                 "checkpoint on a non-durable station".into(),
             ));
         };
-        let lsn = match &d.rel_sink {
-            RelSink::Wal(wal) => wal.checkpoint_any(
+        let lsn = match &d.wal {
+            Some(wal) => wal.checkpoint_any(
                 self.store
                     .as_engine()
-                    .expect("RelSink::Wal is only attached to a single local engine"),
+                    .expect("a station-owned log is only attached to a single local engine"),
             )?,
-            RelSink::Backend => self.store.checkpoint()?.ok_or_else(|| {
+            None => self.store.checkpoint()?.ok_or_else(|| {
                 CoreError::InvalidInput("backend has no write-ahead log to checkpoint".into())
             })?,
         };
-        match &d.blobs_sink {
-            BlobSink::Json(path) => {
-                let text = serde_json::to_string(&self.blobs.export())
-                    .map_err(|e| CoreError::Durability(format!("serialize blobs: {e}")))?;
-                let tmp = path.with_extension("json.tmp");
-                std::fs::write(&tmp, text)
-                    .map_err(|e| CoreError::Durability(format!("write blobs: {e}")))?;
-                std::fs::rename(&tmp, path)
-                    .map_err(|e| CoreError::Durability(format!("publish blobs: {e}")))?;
-            }
-            BlobSink::Log => {
-                self.blobs
-                    .sync()
-                    .map_err(|e| CoreError::Durability(format!("sync blob log: {e}")))?;
-            }
-        }
+        self.blobs
+            .sync()
+            .map_err(|e| CoreError::Durability(format!("sync blob log: {e}")))?;
         Ok(lsn)
     }
 
@@ -332,10 +228,7 @@ impl WebDocDb {
     /// them through the router).
     #[must_use]
     pub fn wal(&self) -> Option<&std::sync::Arc<wal::Wal>> {
-        self.durable.as_ref().and_then(|d| match &d.rel_sink {
-            RelSink::Wal(wal) => Some(wal),
-            RelSink::Backend => None,
-        })
+        self.durable.as_ref().and_then(|d| d.wal.as_ref())
     }
 
     /// The storage backend the facade runs on.

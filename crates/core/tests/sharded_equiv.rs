@@ -1,7 +1,7 @@
 //! Sharded-vs-local differential equivalence at the **typed DBMS**
 //! level: the same document-operation tapes are replayed against a
 //! plain `WebDocDb::new()` and against full stations running on a
-//! shard Router (`open_sharded(1)`, `(2)`, `(4)`). Every per-op
+//! shard Router (`ShardedBackend` at 1, 2 and 4 shards). Every per-op
 //! outcome — returned values, alerts, *errors* — must match, and the
 //! committed relational state (row ids included: the router burns
 //! global ids so they stay byte-identical at every shard count), the
@@ -13,8 +13,8 @@
 //! invariant the paper's workload has, and the one the shard placement
 //! is designed around.
 
-use relstore::{EngineKind, Predicate};
-use shard::ShardedStation;
+use relstore::{AnyEngine, EngineKind, Predicate};
+use shard::ShardedBackend;
 use wdoc_core::ids::{
     AnnotationName, BugReportName, DbName, ScriptName, StartUrl, TestRecordName, UserId,
 };
@@ -233,11 +233,16 @@ fn dump(db: &WebDocDb) -> String {
     out
 }
 
+fn sharded_station(shards: u32, kind: EngineKind) -> WebDocDb {
+    let backend = ShardedBackend::new(kind, shards, obs::Registry::new());
+    WebDocDb::on_backend(Box::new(backend), true).expect("open sharded")
+}
+
 fn run_tape(decisions: &[(u32, u32, u32, u32)], shard_counts: &[u32], kind: EngineKind) {
-    let base = WebDocDb::with_engine(kind);
+    let base = WebDocDb::on_backend(Box::new(AnyEngine::new(kind)), true).expect("open local");
     let sharded: Vec<(u32, WebDocDb)> = shard_counts
         .iter()
-        .map(|&n| (n, WebDocDb::open_sharded(n, kind).expect("open sharded")))
+        .map(|&n| (n, sharded_station(n, kind)))
         .collect();
     for (i, &op) in decisions.iter().enumerate() {
         let expect = apply(&base, op);
@@ -317,7 +322,7 @@ fn dump_unordered(db: &WebDocDb) -> String {
     out
 }
 
-/// A durable sharded station: per-shard WALs plus `blobs.json`, all
+/// A durable sharded station: per-shard WALs plus the BLOB log, all
 /// threaded through the backend. Reopening recovers every shard and
 /// rebuilds the routing directories; the typed state and a post-reopen
 /// write both survive.
@@ -330,21 +335,28 @@ fn durable_sharded_station_survives_reopen() {
         let x = i.wrapping_mul(2_654_435_761);
         tape.push((x % 10, x >> 3, x >> 7, x >> 11)); // mutators only
     }
-    let before = {
-        let (db, reports) =
-            WebDocDb::open_sharded_durable(&dir, 3, EngineKind::TwoPl, obs::Registry::new())
-                .expect("fresh durable sharded station");
+    let open_durable = || {
+        let (backend, reports) = ShardedBackend::recover(3, &dir, wal::WalOptions::default())
+            .expect("recover durable sharded backend");
         assert_eq!(reports.len(), 3);
+        WebDocDb::on_durable_backend(
+            Box::new(backend),
+            true,
+            &dir,
+            logstore::LogConfig::default(),
+            obs::Registry::new(),
+        )
+        .expect("open durable sharded station")
+    };
+    let before = {
+        let db = open_durable();
         for op in &tape {
             apply(&db, *op);
         }
         db.checkpoint().expect("sharded checkpoint");
         dump_unordered(&db)
     };
-    let (db, reports) =
-        WebDocDb::open_sharded_durable(&dir, 3, EngineKind::TwoPl, obs::Registry::new())
-            .expect("reopen durable sharded station");
-    assert_eq!(reports.len(), 3);
+    let db = open_durable();
     assert_eq!(before, dump_unordered(&db), "state lost across reopen");
     // The recovered station still takes (and routes) writes.
     db.add_script(&script(97, 0)).ok();
@@ -356,7 +368,7 @@ fn durable_sharded_station_survives_reopen() {
 /// cluster width and the single-engine escape hatches refuse.
 #[test]
 fn sharded_station_surface() {
-    let db = WebDocDb::open_sharded(3, EngineKind::TwoPl).unwrap();
+    let db = sharded_station(3, EngineKind::TwoPl);
     assert_eq!(db.shards(), 3);
     assert_eq!(db.engine_kind(), EngineKind::TwoPl);
     assert!(db.wal().is_none());

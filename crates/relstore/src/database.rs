@@ -77,7 +77,7 @@ impl Database {
     }
 
     /// Create an empty database whose tables share one buffer pool
-    /// built from `cfg` — bound `max_pages` and pick the file backend
+    /// built from `cfg` — bound `max_pages` and pick the log backend
     /// to cap resident memory and spill cold pages to disk.
     pub fn with_pool(cfg: &PoolConfig) -> Result<Self> {
         let metrics = Registry::new();

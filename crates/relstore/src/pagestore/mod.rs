@@ -6,8 +6,8 @@
 //! needed — require the engine to *bound* memory, not merely report
 //! it. This module puts every table row behind a fixed-size slotted
 //! page ([`page`]), a [`PageStore`] backend the pages spill to
-//! ([`MemStore`] by default, [`FileStore`] for real disk economy), and
-//! a [`BufferPool`] that keeps at most `max_pages` pages resident,
+//! ([`MemStore`] by default, [`LogPageStore`] for real disk economy),
+//! and a [`BufferPool`] that keeps at most `max_pages` pages resident,
 //! pins pages during access, and evicts least-recently-used unpinned
 //! pages deterministically.
 //!
@@ -37,7 +37,7 @@ pub mod pool;
 pub mod store;
 
 pub use pool::{BufferPool, FlushGate, PageRef, PoolStats, WritebackObserver};
-pub use store::{FileStore, LogPageStore, MemStore, PageId, PageStore};
+pub use store::{LogPageStore, MemStore, PageId, PageStore};
 
 use std::path::PathBuf;
 
@@ -48,12 +48,9 @@ pub enum PoolBackend {
     /// original all-resident behavior when the pool is unbounded).
     #[default]
     Memory,
-    /// Spill evicted pages to a file at this path (created, truncated).
-    File(PathBuf),
     /// Spill evicted pages into a log-structured store rooted at this
     /// directory — append-only segments with merge compaction, so a
-    /// long-lived spill reclaims dead page images instead of growing
-    /// forever like [`File`](PoolBackend::File)'s append-mostly heap.
+    /// long-lived spill reclaims dead page images.
     Log(PathBuf, logstore::LogConfig),
 }
 
@@ -83,16 +80,6 @@ impl Default for PoolConfig {
 }
 
 impl PoolConfig {
-    /// Convenience: a file-backed pool bounded to `max_pages`.
-    #[must_use]
-    pub fn file(path: impl Into<PathBuf>, max_pages: usize) -> Self {
-        PoolConfig {
-            backend: PoolBackend::File(path.into()),
-            max_pages: Some(max_pages),
-            ..PoolConfig::default()
-        }
-    }
-
     /// Convenience: a log-structured pool bounded to `max_pages`, with
     /// the default compaction policy.
     #[must_use]

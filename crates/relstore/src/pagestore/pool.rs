@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use obs::Registry;
 
-use super::store::{self, FileStore, MemStore, PageId, PageStore};
+use super::store::{self, MemStore, PageId, PageStore};
 use super::{page, PoolBackend, PoolConfig};
 use crate::error::Result;
 
@@ -134,7 +134,6 @@ impl BufferPool {
     pub fn new(cfg: &PoolConfig, metrics: Registry) -> Result<Arc<BufferPool>> {
         let store: Arc<dyn PageStore> = match &cfg.backend {
             PoolBackend::Memory => Arc::new(MemStore::default()),
-            PoolBackend::File(path) => Arc::new(FileStore::create(path)?),
             PoolBackend::Log(dir, log_cfg) => Arc::new(store::LogPageStore::open(
                 dir,
                 log_cfg.clone(),

@@ -3,17 +3,15 @@
 //! The store under the buffer pool is a *cache spill*, not a recovery
 //! authority — durability lives entirely in the write-ahead log, which
 //! re-materializes pages from the last checkpoint snapshot plus redo.
-//! That is why [`FileStore`] never syncs: a torn or stale page file is
-//! discarded wholesale on recovery. The WAL flush rule (no dirty page
+//! That is why the pool never syncs its store: a torn or stale spill
+//! is superseded wholesale on recovery. The WAL flush rule (no dirty page
 //! writes back until its first-dirtying record is durable; see
 //! [`super::pool`]) is still enforced so the on-disk state never runs
 //! ahead of the log, which the crash-point suite asserts.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
 use crate::error::{Error, Result};
@@ -48,8 +46,7 @@ pub trait PageStore: Send + Sync + fmt::Debug {
     /// Cumulative bytes ever written to the store (writeback volume).
     fn bytes_written(&self) -> u64;
     /// Reclaim dead space, if the backend supports it. Returns bytes
-    /// reclaimed; the default (memory and plain-file backends) is a
-    /// no-op.
+    /// reclaimed; the default (the memory backend) is a no-op.
     fn compact(&self) -> Result<u64> {
         Ok(0)
     }
@@ -110,145 +107,12 @@ impl PageStore for MemStore {
     }
 }
 
-/// File backend: one append-mostly spill file plus an in-memory page
-/// table mapping [`PageId`] to `(offset, len)`. A rewrite that still
-/// fits its old extent goes in place; a grown page is appended and the
-/// old extent becomes dead space (reclaimed only by deleting the file —
-/// acceptable for a cache spill that recovery discards anyway).
-pub struct FileStore {
-    path: PathBuf,
-    inner: Mutex<FileInner>,
-}
-
-struct FileInner {
-    file: File,
-    /// PageId -> (offset, allocated extent len, live len).
-    table: BTreeMap<PageId, (u64, u32, u32)>,
-    end: u64,
-    bytes_stored: u64,
-    bytes_written: u64,
-}
-
-impl fmt::Debug for FileStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FileStore")
-            .field("path", &self.path)
-            .finish()
-    }
-}
-
-impl FileStore {
-    /// Create (truncating) the spill file at `path`.
-    pub fn create(path: &Path) -> Result<FileStore> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| Error::Page(format!("open {}: {e}", path.display())))?;
-        Ok(FileStore {
-            path: path.to_path_buf(),
-            inner: Mutex::new(FileInner {
-                file,
-                table: BTreeMap::new(),
-                end: 0,
-                bytes_stored: 0,
-                bytes_written: 0,
-            }),
-        })
-    }
-
-    /// The spill file path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn io_err(&self, what: &str, e: std::io::Error) -> Error {
-        Error::Page(format!("{what} {}: {e}", self.path.display()))
-    }
-}
-
-impl PageStore for FileStore {
-    fn load(&self, id: PageId) -> Result<Vec<u8>> {
-        let mut inner = self.inner.lock().unwrap();
-        let (off, _, live) = *inner
-            .table
-            .get(&id)
-            .ok_or_else(|| Error::Page(format!("{id} missing from file store")))?;
-        let mut buf = vec![0u8; live as usize];
-        inner
-            .file
-            .seek(SeekFrom::Start(off))
-            .map_err(|e| self.io_err("seek", e))?;
-        inner
-            .file
-            .read_exact(&mut buf)
-            .map_err(|e| self.io_err("read", e))?;
-        Ok(buf)
-    }
-
-    fn save(&self, id: PageId, bytes: &[u8]) -> Result<()> {
-        let mut inner = self.inner.lock().unwrap();
-        let off = match inner.table.get(&id).copied() {
-            Some((off, extent, live)) if bytes.len() <= extent as usize => {
-                inner.bytes_stored -= u64::from(live);
-                inner.table.insert(id, (off, extent, bytes.len() as u32));
-                off
-            }
-            prior => {
-                if let Some((_, _, live)) = prior {
-                    inner.bytes_stored -= u64::from(live);
-                }
-                let off = inner.end;
-                inner.end += bytes.len() as u64;
-                inner
-                    .table
-                    .insert(id, (off, bytes.len() as u32, bytes.len() as u32));
-                off
-            }
-        };
-        inner
-            .file
-            .seek(SeekFrom::Start(off))
-            .map_err(|e| self.io_err("seek", e))?;
-        inner
-            .file
-            .write_all(bytes)
-            .map_err(|e| self.io_err("write", e))?;
-        inner.bytes_stored += bytes.len() as u64;
-        inner.bytes_written += bytes.len() as u64;
-        Ok(())
-    }
-
-    fn free(&self, id: PageId) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some((_, _, live)) = inner.table.remove(&id) {
-            inner.bytes_stored -= u64::from(live);
-        }
-    }
-
-    fn page_count(&self) -> usize {
-        self.inner.lock().unwrap().table.len()
-    }
-
-    fn bytes_stored(&self) -> u64 {
-        self.inner.lock().unwrap().bytes_stored
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.inner.lock().unwrap().bytes_written
-    }
-}
-
 /// Log-structured backend: pages live in a `logstore::LogStore`
-/// keyed by big-endian page id. Unlike [`FileStore`], whose
-/// append-mostly heap never reclaims a grown page's old extent, this
-/// backend's merge compaction rewrites live page images into fresh
-/// segments and deletes the garbage — the right spill for long-lived,
-/// high-churn pools. [`compact`](PageStore::compact) runs a full
-/// merge; the store also self-compacts by policy as segments seal.
+/// keyed by big-endian page id. Merge compaction rewrites live page
+/// images into fresh segments and deletes the garbage, so a
+/// long-lived, high-churn spill stays bounded by its live pages.
+/// [`compact`](PageStore::compact) runs a full merge; the store also
+/// self-compacts by policy as segments seal.
 pub struct LogPageStore {
     store: logstore::LogStore,
     inner: Mutex<LogPageInner>,
@@ -387,15 +251,6 @@ mod tests {
     #[test]
     fn mem_store_round_trips() {
         exercise(&MemStore::default());
-    }
-
-    #[test]
-    fn file_store_round_trips() {
-        let dir = std::env::temp_dir().join(format!("relstore-fs-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pages.bin");
-        exercise(&FileStore::create(&path).unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -99,8 +99,8 @@ impl Database {
     }
 
     /// Rebuild a database from a snapshot onto a buffer pool built
-    /// from `cfg` — used by WAL recovery so a bounded, file-backed
-    /// database comes back bounded and file-backed.
+    /// from `cfg` — used by WAL recovery so a bounded, log-backed
+    /// database comes back bounded and log-backed.
     pub fn restore_with(
         snapshot: &Snapshot,
         cfg: &crate::pagestore::PoolConfig,

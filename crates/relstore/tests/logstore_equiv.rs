@@ -1,9 +1,9 @@
-//! Three-way backend equivalence: a database on the log-structured
-//! page store — with merge compaction forced mid-workload — must be
-//! observationally identical to one on the in-memory pool and one on
-//! the flat spill file, for any workload. Segment rotation, hint
-//! files, tombstones and compaction are implementation detail — never
-//! behavior.
+//! Backend equivalence: a database on a tiny buffer pool spilling to
+//! the log-structured page store — with merge compaction forced
+//! mid-workload — must be observationally identical to one on the
+//! default unbounded in-memory pool, for any workload. Eviction,
+//! reload, page compaction, segment rotation, hint files, tombstones
+//! and merge are implementation detail — never behavior.
 
 use proptest::prelude::*;
 use relstore::{ColumnType, Database, PoolBackend, PoolConfig, Predicate, TableSchema, Value};
@@ -39,13 +39,10 @@ fn make_table(db: &Database) {
 }
 
 /// Unique scratch location per proptest case (cases run in one process).
-fn scratch(tag: &str) -> std::path::PathBuf {
+fn scratch() -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "relstore-log-equiv-{tag}-{}-{n}",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("relstore-log-equiv-{}-{n}", std::process::id()))
 }
 
 fn apply(db: &Database, ops: &[Op], ids: &mut HashMap<i64, relstore::RowId>) {
@@ -79,31 +76,23 @@ fn snapshot_json(db: &Database) -> String {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Same ops against (a) the unbounded in-memory pool, (b) a 4-page
-    /// flat spill file, and (c) a 4-page log-structured store with
-    /// 2 KiB segments — small enough that every workload rotates
+    /// Same ops against (a) the unbounded in-memory pool and (b) a
+    /// 4-page pool with 256-byte pages over a log-structured store
+    /// with 2 KiB segments — small enough that nearly every access
+    /// evicts and reloads through the spill and every workload rotates
     /// segments — with a merge compaction forced halfway through the
-    /// tape on (c). All observations must agree across the three.
+    /// tape on (b). All observations must agree byte for byte.
     #[test]
-    fn log_backed_pool_equals_memory_and_file(
-        ops in proptest::collection::vec(op_strategy(), 2..60),
+    fn log_backed_tiny_pool_equals_in_memory(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
         probe in "[a-z]{0,3}",
     ) {
         let mem = Database::new();
         make_table(&mem);
 
-        let file_path = scratch("file");
-        let file_cfg = PoolConfig {
-            backend: PoolBackend::File(file_path.clone()),
-            max_pages: Some(4),
-            page_size: 256,
-        };
-        let filed = Database::with_pool(&file_cfg).unwrap();
-        make_table(&filed);
-
-        let log_dir = scratch("log");
+        let log_dir = scratch();
         let log_cfg = PoolConfig {
             backend: PoolBackend::Log(
                 log_dir.clone(),
@@ -122,44 +111,42 @@ proptest! {
 
         let mid = ops.len() / 2;
         let mut mem_ids = HashMap::new();
-        let mut file_ids = HashMap::new();
         let mut log_ids = HashMap::new();
 
         apply(&mem, &ops[..mid], &mut mem_ids);
-        apply(&filed, &ops[..mid], &mut file_ids);
         apply(&logged, &ops[..mid], &mut log_ids);
 
         // Force a merge compaction mid-tape on the log backend; the
-        // other two compact trivially (default no-op returning 0).
+        // memory backend compacts trivially (default no-op returning 0).
         logged.pool().compact_backend().unwrap();
         prop_assert_eq!(mem.pool().compact_backend().unwrap(), 0);
-        prop_assert_eq!(filed.pool().compact_backend().unwrap(), 0);
 
         apply(&mem, &ops[mid..], &mut mem_ids);
-        apply(&filed, &ops[mid..], &mut file_ids);
         apply(&logged, &ops[mid..], &mut log_ids);
 
-        prop_assert_eq!(&mem_ids, &file_ids, "row-id allocation diverged (file)");
-        prop_assert_eq!(&mem_ids, &log_ids, "row-id allocation diverged (log)");
+        prop_assert_eq!(&mem_ids, &log_ids, "row-id allocation diverged");
 
-        // Point/index selects agree three ways.
+        // Point/index selects agree.
         {
             let tm = mem.begin();
-            let tf = filed.begin();
             let tl = logged.begin();
             let by_probe = Predicate::eq("v", probe.clone());
-            let want = tm.select("t", &by_probe).unwrap();
-            prop_assert_eq!(&want, &tf.select("t", &by_probe).unwrap());
-            prop_assert_eq!(&want, &tl.select("t", &by_probe).unwrap());
-            let all = tm.select("t", &Predicate::True).unwrap();
-            prop_assert_eq!(&all, &tf.select("t", &Predicate::True).unwrap());
-            prop_assert_eq!(&all, &tl.select("t", &Predicate::True).unwrap());
+            prop_assert_eq!(
+                tm.select("t", &by_probe).unwrap(),
+                tl.select("t", &by_probe).unwrap()
+            );
+            prop_assert_eq!(
+                tm.select("t", &Predicate::True).unwrap(),
+                tl.select("t", &Predicate::True).unwrap()
+            );
         }
 
         // Whole-database snapshots agree byte for byte.
-        let want = snapshot_json(&mem);
-        prop_assert_eq!(&want, &snapshot_json(&filed), "file snapshot diverged");
-        prop_assert_eq!(&want, &snapshot_json(&logged), "log snapshot diverged");
+        prop_assert_eq!(
+            snapshot_json(&mem),
+            snapshot_json(&logged),
+            "snapshot JSON diverged between backends"
+        );
 
         // Logical accounting is backend-independent.
         prop_assert_eq!(
@@ -167,9 +154,7 @@ proptest! {
             logged.heap_bytes("t").unwrap()
         );
 
-        drop(filed);
         drop(logged);
-        let _ = std::fs::remove_file(&file_path);
         let _ = std::fs::remove_dir_all(&log_dir);
     }
 }

@@ -18,7 +18,7 @@
 //!   decision/ack message flow over `netsim`, replica failover driven
 //!   by `FaultSchedule`, deterministic partition/heal convergence;
 //! * [`wdoc`] — routing specs for the paper's document tables and a
-//!   sharded facade over them.
+//!   sharded storage backend over them.
 
 pub mod cluster;
 pub mod map;
@@ -30,6 +30,4 @@ pub use cluster::{LogEntry, ShardMsg, SimCluster, Write};
 pub use map::{hash_bytes, Placement, ShardMap};
 pub use router::{CommitStage, DistTxn, Router, RoutingSpec, ShardNode, TableRoute};
 pub use twopc::{Coordinator, Decision, Gtid, InDoubt};
-pub use wdoc::{
-    committed_fingerprint, routing_spec_for, ShardedBackend, ShardedStation, ShardedWdoc,
-};
+pub use wdoc::{committed_fingerprint, routing_spec_for, ShardedBackend};

@@ -64,8 +64,8 @@ use crate::twopc::{self, Coordinator};
 use obs::Registry;
 use relstore::schema::PRIMARY_INDEX;
 use relstore::{
-    AnyEngine, AnyTxn, EngineKind, Error, ForeignKey, Key, Predicate, Result, Row, RowId,
-    TableSchema, Value,
+    AnyEngine, AnyTxn, EngineKind, Error, ForeignKey, Key, PoolBackend, Predicate, Result, Row,
+    RowId, TableSchema, Value,
 };
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -274,79 +274,41 @@ impl Router {
         }
     }
 
-    /// Durable router: shard `i`'s engine is recovered from
-    /// `dir/shard-<i>.wal` and logs to it; the coordinator's decision
-    /// log is co-hosted on shard 0's WAL (the paper's root station).
-    pub fn with_wals(
-        kind: EngineKind,
-        map: ShardMap,
-        dir: &Path,
-        metrics: Registry,
-    ) -> std::result::Result<Self, WalError> {
-        std::fs::create_dir_all(dir).map_err(WalError::Io)?;
-        let mut shards = Vec::with_capacity(map.shards());
-        for i in 0..map.shards() {
-            let path = dir.join(format!("shard-{i}.wal"));
-            let opts = WalOptions {
-                engine: kind,
-                metrics: metrics.clone(),
-                ..WalOptions::default()
-            };
-            let (engine, wal, _report) = wal::open_durable_any(&path, opts)?;
-            shards.push(ShardNode {
-                engine,
-                wal: Some(wal),
-            });
-        }
-        let coord_wal = shards[0].wal.clone();
-        let coordinator = Coordinator::new(coord_wal, metrics.clone());
-        Ok(Router {
-            shards,
-            map,
-            routes: Mutex::new(BTreeMap::new()),
-            referrers: Mutex::new(BTreeMap::new()),
-            dirs: Mutex::new(BTreeMap::new()),
-            blooms: Mutex::new(BTreeMap::new()),
-            coordinator,
-            metrics,
-        })
-    }
-
-    /// Reopen a durable router after a crash: rebuild the
-    /// coordinator's decision table from shard 0's log, resolve every
-    /// participant's in-doubt prepared transactions against it
-    /// (presumed abort for unknown gtids), then run ordinary WAL
-    /// recovery per shard. [`Router::with_wals`] plus the 2PC
-    /// resolution step a crashed cluster needs; on a fresh directory
-    /// this degenerates to `with_wals`.
+    /// Open (or reopen after a crash) a durable router rooted at
+    /// `dir`: shard `i`'s engine is recovered from the segment
+    /// directory `dir/shard-<i>.wal.d` and logs to it; the
+    /// coordinator's decision log is co-hosted on shard 0's WAL (the
+    /// paper's root station). The coordinator's decision table is
+    /// rebuilt from shard 0's log, every participant's in-doubt
+    /// prepared transactions are resolved against it (presumed abort
+    /// for unknown gtids), then ordinary WAL recovery runs per shard.
+    /// On a fresh directory every report is empty.
     ///
-    /// The returned router has no tables registered — re-mount each
-    /// table with [`Router::mount_table`] to rebuild the gid and homes
-    /// directories from the recovered rows.
+    /// Every shard opens with a clone of `opts` (engine kind, segment
+    /// size, metrics); a log-backed [`WalOptions::pool`] gets one
+    /// subdirectory per shard.
+    ///
+    /// The returned router has no tables registered — mount each table
+    /// with [`Router::mount_table`], which creates it where missing and
+    /// rebuilds the gid and homes directories from the recovered rows.
     pub fn recover(
-        kind: EngineKind,
         map: ShardMap,
         dir: &Path,
-        metrics: Registry,
+        opts: WalOptions,
     ) -> std::result::Result<(Self, Vec<wal::RecoveryReport>), WalError> {
         std::fs::create_dir_all(dir).map_err(WalError::Io)?;
-        let coord_path = dir.join("shard-0.wal");
-        let decisions = if coord_path.exists() {
-            twopc::read_decisions(&std::fs::read(&coord_path).map_err(WalError::Io)?)?
-        } else {
-            BTreeMap::new()
-        };
+        let log_dir = |i: usize| dir.join(format!("shard-{i}.wal.d"));
+        let decisions = twopc::read_decisions(&log_dir(0))?;
+        let metrics = opts.metrics.clone();
         let mut shards = Vec::with_capacity(map.shards());
         let mut reports = Vec::with_capacity(map.shards());
         for i in 0..map.shards() {
-            let path = dir.join(format!("shard-{i}.wal"));
-            let opts = WalOptions {
-                engine: kind,
-                metrics: metrics.clone(),
-                ..WalOptions::default()
-            };
+            let mut opts = opts.clone();
+            if let PoolBackend::Log(pages, _) = &mut opts.pool.backend {
+                pages.push(format!("shard-{i}"));
+            }
             let (engine, wal, report, _resolved) =
-                twopc::recover_participant(&path, opts, &metrics, |g| {
+                twopc::recover_participant(&log_dir(i), opts, &metrics, |g| {
                     decisions.get(&g).copied().unwrap_or(twopc::Decision::Abort)
                 })?;
             shards.push(ShardNode {
@@ -1747,6 +1709,7 @@ impl<'r> DistTxn<'r> {
             // failure here is a broken participant, surfaced loudly.
             txn.commit()?;
         }
+        self.router.coordinator.resolved(gtid);
         publish(&mut dirs);
         Ok(())
     }

@@ -36,15 +36,22 @@
 //! the log. After the patch, plain [`wal::open_durable_any`] recovery
 //! classifies the transaction as an ordinary winner or loser — no
 //! second redo/undo implementation exists.
+//!
+//! **Decision retention.** The coordinator's log (shard 0's) is pruned
+//! by checkpoints like any other, and a checkpoint snapshot says
+//! nothing about 2PC state. A `CommitDecision` must therefore stay on
+//! disk until every participant has durably logged its own `Commit` —
+//! otherwise a crash in between would find a prepared participant, no
+//! decision, and presume abort. The coordinator tracks each *open*
+//! decision (logged, not yet resolved everywhere) and holds its log's
+//! [prune floor](Wal::set_prune_floor) at the oldest one.
 
 use obs::Registry;
 use relstore::engine::AnyEngine;
 use relstore::lock::TxnId;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
-use wal::record::encode_frame;
 use wal::{Lsn, RecoveryReport, Wal, WalError, WalOptions, WalRecord};
 
 /// Global (distributed) transaction id.
@@ -77,6 +84,9 @@ pub struct Coordinator {
     wal: Option<Arc<Wal>>,
     next_gtid: std::sync::atomic::AtomicU64,
     decisions: std::sync::Mutex<BTreeMap<Gtid, Decision>>,
+    /// Commit decisions some participant has not yet resolved, each
+    /// with an LSN at or below its `CommitDecision` frame.
+    open: std::sync::Mutex<BTreeMap<Gtid, Lsn>>,
     metrics: Registry,
 }
 
@@ -86,16 +96,12 @@ impl Coordinator {
     /// interleave harmlessly with row traffic).
     #[must_use]
     pub fn new(wal: Option<Arc<Wal>>, metrics: Registry) -> Self {
-        Coordinator {
-            wal,
-            next_gtid: std::sync::atomic::AtomicU64::new(1),
-            decisions: std::sync::Mutex::new(BTreeMap::new()),
-            metrics,
-        }
+        Self::resume(wal, BTreeMap::new(), metrics)
     }
 
     /// Restore a coordinator from its recovered decision table
-    /// (`read_decisions` over the log it previously wrote).
+    /// ([`read_decisions`] over the log it previously wrote). No
+    /// decision is open: recovery resolved every participant first.
     #[must_use]
     pub fn resume(
         wal: Option<Arc<Wal>>,
@@ -107,6 +113,7 @@ impl Coordinator {
             wal,
             next_gtid: std::sync::atomic::AtomicU64::new(next),
             decisions: std::sync::Mutex::new(decisions),
+            open: std::sync::Mutex::new(BTreeMap::new()),
             metrics,
         }
     }
@@ -119,13 +126,22 @@ impl Coordinator {
 
     /// Commit point: force the decision durable, then record it. After
     /// this returns, every participant must eventually commit `gtid`,
-    /// crash or no crash.
+    /// crash or no crash — so the decision is *open*, and pinned in
+    /// the log, until [`Coordinator::resolved`] closes it.
     pub fn decide_commit(&self, gtid: Gtid, participants: &[u64]) -> Result<(), WalError> {
         if let Some(wal) = &self.wal {
-            wal.log_dist(&WalRecord::CommitDecision {
+            // Pin before logging: the frame lands at or after today's
+            // end of log, so no checkpoint can prune it in between.
+            self.hold(wal, |open| {
+                open.insert(gtid, wal.end_lsn());
+            });
+            if let Err(e) = wal.log_dist(&WalRecord::CommitDecision {
                 gtid,
                 participants: participants.to_vec(),
-            })?;
+            }) {
+                self.resolved(gtid);
+                return Err(e);
+            }
         }
         self.decisions
             .lock()
@@ -133,6 +149,24 @@ impl Coordinator {
             .insert(gtid, Decision::Commit);
         self.metrics.inc("shard.2pc.commit_decisions");
         Ok(())
+    }
+
+    /// Every participant of `gtid` has durably logged its outcome: the
+    /// decision frame is dead weight a checkpoint may now prune.
+    pub fn resolved(&self, gtid: Gtid) {
+        if let Some(wal) = &self.wal {
+            self.hold(wal, |open| {
+                open.remove(&gtid);
+            });
+        }
+    }
+
+    /// Edit the open set and move the log's prune floor to its oldest
+    /// entry, atomically with respect to other edits.
+    fn hold(&self, wal: &Wal, edit: impl FnOnce(&mut BTreeMap<Gtid, Lsn>)) {
+        let mut open = self.open.lock().unwrap();
+        edit(&mut open);
+        wal.set_prune_floor(open.values().min().copied());
     }
 
     /// Record an abort. Lazy by design: presumed abort means losing
@@ -165,14 +199,26 @@ impl Coordinator {
     }
 }
 
-/// Rebuild a coordinator's decision table from its log bytes: every
-/// durable `CommitDecision`/`AbortDecision` frame, later frames
-/// winning. Torn tails are fine (they are the crash being recovered
-/// from); corruption is not.
-pub fn read_decisions(bytes: &[u8]) -> Result<BTreeMap<Gtid, Decision>, WalError> {
-    let scan = wal::scan(bytes)?;
+/// Every complete record surviving in the log under `dir`, plus the
+/// length of its valid prefix. A missing directory is an empty log;
+/// torn tails are fine (they are the crash being recovered from);
+/// corruption is not.
+fn read_records(dir: &Path) -> Result<(Vec<(Lsn, WalRecord)>, u64), WalError> {
+    let scan = wal::segments::read_segments(dir)?;
+    let raw = wal::record::scan_raw_from(&scan.bytes, scan.base)?;
+    let mut records = Vec::with_capacity(raw.frames.len());
+    for &(lsn, payload) in &raw.frames {
+        records.push((lsn, wal::record::decode(lsn, payload)?));
+    }
+    Ok((records, raw.durable_len))
+}
+
+/// Rebuild a coordinator's decision table from its log directory:
+/// every durable `CommitDecision`/`AbortDecision` frame a checkpoint
+/// has not pruned, later frames winning.
+pub fn read_decisions(dir: &Path) -> Result<BTreeMap<Gtid, Decision>, WalError> {
     let mut out = BTreeMap::new();
-    for (_, rec) in scan.records {
+    for (_, rec) in read_records(dir)?.0 {
         match rec {
             WalRecord::CommitDecision { gtid, .. } => {
                 out.insert(gtid, Decision::Commit);
@@ -195,66 +241,65 @@ pub struct InDoubt {
     pub txn: TxnId,
 }
 
-/// The in-doubt set of a participant log: transactions with a durable
-/// `Prepare` frame but no local `Commit`/`Abort` resolution.
-pub fn in_doubt(bytes: &[u8]) -> Result<Vec<InDoubt>, WalError> {
-    let scan = wal::scan(bytes)?;
+/// The in-doubt set of the participant log under `dir`: transactions
+/// with a durable `Prepare` frame but no local `Commit`/`Abort`
+/// resolution.
+pub fn in_doubt(dir: &Path) -> Result<Vec<InDoubt>, WalError> {
+    Ok(in_doubt_among(&read_records(dir)?.0))
+}
+
+fn in_doubt_among(records: &[(Lsn, WalRecord)]) -> Vec<InDoubt> {
     let mut prepared: BTreeMap<TxnId, Gtid> = BTreeMap::new();
-    let mut resolved: std::collections::BTreeSet<TxnId> = std::collections::BTreeSet::new();
-    for (_, rec) in scan.records {
+    for (_, rec) in records {
         match rec {
             WalRecord::Prepare { gtid, txn } => {
-                prepared.insert(txn, gtid);
+                prepared.insert(*txn, *gtid);
             }
             WalRecord::Commit { txn } | WalRecord::Abort { txn } => {
-                resolved.insert(txn);
+                prepared.remove(txn);
             }
             _ => {}
         }
     }
-    Ok(prepared
+    prepared
         .into_iter()
-        .filter(|(txn, _)| !resolved.contains(txn))
         .map(|(txn, gtid)| InDoubt { gtid, txn })
-        .collect())
+        .collect()
 }
 
 /// Resolve a participant log's in-doubt transactions against a
-/// decision oracle by *patching the log*: truncate the torn tail, then
-/// append the decided `Commit`/`Abort` frame for every in-doubt local
-/// transaction. Returns the resolved set (with the decisions applied).
+/// decision oracle by *appending to the log*: open it as a writer
+/// (which cuts the torn tail off the active segment), then force the
+/// decided `Commit`/`Abort` frame for every in-doubt local transaction
+/// through the log's own append path. Nothing already on disk is
+/// rewritten, so a crash at any byte of the patch loses no committed
+/// transaction and a second pass resolves whatever is still in doubt.
+/// Returns the resolved set (with the decisions applied).
 ///
 /// After this, the log is self-describing — ordinary recovery
 /// classifies each patched transaction as a winner (redo keeps its
 /// effects) or loser (undo reverses them), and a second crash before
 /// the engine even opens needs no second oracle round-trip.
 pub fn resolve_log(
-    path: &Path,
+    dir: &Path,
+    opts: WalOptions,
     decide: impl Fn(Gtid) -> Decision,
 ) -> Result<Vec<(InDoubt, Decision)>, WalError> {
-    let bytes = std::fs::read(path)?;
-    let scan = wal::record::scan_raw(&bytes)?;
-    let doubts = in_doubt(&bytes[..scan.durable_len as usize])?;
+    let (records, durable_len) = read_records(dir)?;
+    let doubts = in_doubt_among(&records);
     if doubts.is_empty() {
         return Ok(Vec::new());
     }
-    let mut patched = bytes[..scan.durable_len as usize].to_vec();
+    let log = Wal::open_at(dir, opts, durable_len)?;
     let mut out = Vec::with_capacity(doubts.len());
     for d in doubts {
         let decision = decide(d.gtid);
-        let frame = match decision {
-            Decision::Commit => encode_frame(&WalRecord::Commit { txn: d.txn })?,
-            Decision::Abort => encode_frame(&WalRecord::Abort { txn: d.txn })?,
-        };
-        patched.extend_from_slice(&frame);
+        log.log_dist(&match decision {
+            Decision::Commit => WalRecord::Commit { txn: d.txn },
+            Decision::Abort => WalRecord::Abort { txn: d.txn },
+        })?;
         out.push((d, decision));
     }
-    let mut f = std::fs::OpenOptions::new()
-        .write(true)
-        .truncate(true)
-        .open(path)?;
-    f.write_all(&patched)?;
-    f.sync_data()?;
     Ok(out)
 }
 
@@ -276,11 +321,7 @@ pub fn recover_participant(
     ),
     WalError,
 > {
-    let resolved = if path.exists() {
-        resolve_log(path, decide)?
-    } else {
-        Vec::new()
-    };
+    let resolved = resolve_log(path, opts.clone(), decide)?;
     for (_, d) in &resolved {
         match d {
             Decision::Commit => metrics.inc("shard.2pc.resolved_commit"),
@@ -294,9 +335,22 @@ pub fn recover_participant(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
+    use wal::record::encode_frame;
 
-    fn tmp(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("shard-2pc-{}-{tag}.wal", std::process::id()))
+    /// A one-segment log directory holding `frames`, then `torn` bytes
+    /// of a frame that never finished.
+    fn write_log(tag: &str, frames: &[WalRecord], torn: &[u8]) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("shard-2pc-{}-{tag}.wal.d", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut seg = wal::segments::create_segment(&dir, 8).unwrap();
+        for f in frames {
+            seg.write_all(&encode_frame(f).unwrap()).unwrap();
+        }
+        seg.write_all(torn).unwrap();
+        dir
     }
 
     #[test]
@@ -310,38 +364,35 @@ mod tests {
 
     #[test]
     fn in_doubt_detection() {
-        let mut log = wal::record::MAGIC.to_vec();
-        let frames = [
-            WalRecord::Begin { txn: 3 },
-            WalRecord::Prepare { gtid: 10, txn: 3 },
-            WalRecord::Begin { txn: 4 },
-            WalRecord::Prepare { gtid: 11, txn: 4 },
-            WalRecord::Commit { txn: 4 },
-        ];
-        for f in &frames {
-            log.extend_from_slice(&encode_frame(f).unwrap());
-        }
-        let doubts = in_doubt(&log).unwrap();
-        assert_eq!(doubts, vec![InDoubt { gtid: 10, txn: 3 }]);
+        let dir = write_log(
+            "doubt",
+            &[
+                WalRecord::Begin { txn: 3 },
+                WalRecord::Prepare { gtid: 10, txn: 3 },
+                WalRecord::Begin { txn: 4 },
+                WalRecord::Prepare { gtid: 11, txn: 4 },
+                WalRecord::Commit { txn: 4 },
+            ],
+            &[],
+        );
+        assert_eq!(in_doubt(&dir).unwrap(), vec![InDoubt { gtid: 10, txn: 3 }]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn resolve_log_patches_commit_and_abort() {
-        let path = tmp("resolve");
-        let _ = std::fs::remove_file(&path);
-        let mut log = wal::record::MAGIC.to_vec();
-        for f in [
-            WalRecord::Begin { txn: 1 },
-            WalRecord::Prepare { gtid: 7, txn: 1 },
-            WalRecord::Begin { txn: 2 },
-            WalRecord::Prepare { gtid: 8, txn: 2 },
-        ] {
-            log.extend_from_slice(&encode_frame(&f).unwrap());
-        }
-        // A torn tail (half a frame) on top: must be truncated away.
-        log.extend_from_slice(&[9, 0, 0, 0]);
-        std::fs::write(&path, &log).unwrap();
-        let resolved = resolve_log(&path, |g| {
+        // A torn tail (half a frame) on top: must be cut away.
+        let dir = write_log(
+            "resolve",
+            &[
+                WalRecord::Begin { txn: 1 },
+                WalRecord::Prepare { gtid: 7, txn: 1 },
+                WalRecord::Begin { txn: 2 },
+                WalRecord::Prepare { gtid: 8, txn: 2 },
+            ],
+            &[9, 0, 0, 0],
+        );
+        let resolved = resolve_log(&dir, WalOptions::default(), |g| {
             if g == 7 {
                 Decision::Commit
             } else {
@@ -350,10 +401,11 @@ mod tests {
         })
         .unwrap();
         assert_eq!(resolved.len(), 2);
-        let patched = std::fs::read(&path).unwrap();
-        let doubts = in_doubt(&patched).unwrap();
-        assert!(doubts.is_empty(), "patched log is self-describing");
-        let scan = wal::scan(&patched).unwrap();
+        assert!(
+            in_doubt(&dir).unwrap().is_empty(),
+            "patched log is self-describing"
+        );
+        let scan = wal::scan(&wal::crash::read_log(&dir)).unwrap();
         assert!(matches!(scan.tail, wal::Tail::Clean));
         assert!(scan
             .records
@@ -363,6 +415,6 @@ mod tests {
             .records
             .iter()
             .any(|(_, r)| matches!(r, WalRecord::Abort { txn: 2 })));
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

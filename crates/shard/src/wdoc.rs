@@ -1,5 +1,5 @@
-//! Routing for the paper's document catalog, and a sharded facade
-//! over it.
+//! Routing for the paper's document catalog, and the sharded storage
+//! backend over it.
 //!
 //! The placement follows the catalog's foreign-key geometry so that
 //! every constraint the engine enforces stays intra-shard:
@@ -19,10 +19,10 @@
 //!   (by its script hash), the files follow via the homes directory.
 //! * `bug_report` rides `ByParent` on `test_record` the same way.
 //!
-//! The facade mirrors the single-station `WebDocDb` document API for
-//! the operations the E19 sweep replays, so the benchmark can run the
-//! identical trace against one engine and against an n-shard cluster
-//! and compare committed state.
+//! [`ShardedBackend`] puts a [`Router`] loaded with this catalog
+//! behind [`wdoc_core::DocBackend`], so the one typed station —
+//! `WebDocDb::on_backend(Box::new(ShardedBackend::new(..)), true)` —
+//! runs on N shards exactly as it runs on one engine.
 
 use crate::map::ShardMap;
 use crate::router::{DistTxn, Router, RoutingSpec};
@@ -32,7 +32,6 @@ use std::path::Path;
 use wdoc_core::tables::{
     self, Annotation, BugReport, HtmlFile, Implementation, ProgramFile, Script, TestRecord,
 };
-use wdoc_core::DatabaseInfo;
 
 /// The sharded catalog: every document-layer table with its routing
 /// spec, in dependency order (parents before children — the router
@@ -89,178 +88,6 @@ pub fn routing_spec_for(table: &str) -> Option<RoutingSpec> {
         .into_iter()
         .find(|(s, _)| s.name == table)
         .map(|(_, spec)| spec)
-}
-
-/// The paper's document tables, hash-partitioned: a thin typed facade
-/// over a [`Router`] loaded with [`catalog`].
-pub struct ShardedWdoc {
-    router: Router,
-}
-
-impl ShardedWdoc {
-    /// A fresh sharded document store over `map`.
-    ///
-    /// # Panics
-    /// Panics if the static catalog fails to register (it cannot).
-    #[must_use]
-    pub fn new(kind: EngineKind, map: ShardMap, metrics: Registry) -> Self {
-        let router = Router::new(kind, map, metrics);
-        for (schema, spec) in catalog() {
-            router.create_table(schema, spec).expect("static catalog");
-        }
-        ShardedWdoc { router }
-    }
-
-    /// The router underneath (for metrics, shard inspection, manual
-    /// transactions).
-    #[must_use]
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
-    /// Register a Web document database.
-    pub fn create_database(&self, info: &DatabaseInfo) -> Result<()> {
-        self.router.with_txn(|t| {
-            t.insert(
-                "wdoc_database",
-                vec![
-                    info.name.as_str().into(),
-                    tables::join_keywords(&info.keywords).into(),
-                    info.author.as_str().into(),
-                    Value::Int(info.version),
-                    Value::Timestamp(info.created),
-                ],
-            )
-            .map(|_| ())
-        })
-    }
-
-    /// Add a script (its database must exist).
-    pub fn add_script(&self, s: &Script) -> Result<()> {
-        self.router
-            .with_txn(|t| t.insert(Script::TABLE, s.to_row()).map(|_| ()))
-    }
-
-    /// Add an implementation together with its HTML and program files
-    /// — one distributed transaction; the files land on the
-    /// implementation's shard, so after the first insert the
-    /// transaction stays single-shard.
-    pub fn add_implementation(
-        &self,
-        imp: &Implementation,
-        html: &[HtmlFile],
-        programs: &[ProgramFile],
-    ) -> Result<()> {
-        self.router.with_txn(|t| {
-            t.insert(Implementation::TABLE, imp.to_row())?;
-            for f in html {
-                t.insert(HtmlFile::TABLE, f.to_row())?;
-            }
-            for p in programs {
-                t.insert(ProgramFile::TABLE, p.to_row())?;
-            }
-            Ok(())
-        })
-    }
-
-    /// Record a test run.
-    pub fn add_test_record(&self, tr: &TestRecord) -> Result<()> {
-        self.router
-            .with_txn(|t| t.insert(TestRecord::TABLE, tr.to_row()).map(|_| ()))
-    }
-
-    /// File a bug report against a test record.
-    pub fn add_bug_report(&self, br: &BugReport) -> Result<()> {
-        self.router
-            .with_txn(|t| t.insert(BugReport::TABLE, br.to_row()).map(|_| ()))
-    }
-
-    /// Attach an annotation to a script.
-    pub fn add_annotation(&self, a: &Annotation) -> Result<()> {
-        self.router
-            .with_txn(|t| t.insert(Annotation::TABLE, a.to_row()).map(|_| ()))
-    }
-
-    /// Fetch a script by name (point read on its home shard).
-    pub fn script(&self, name: &str) -> Result<Option<Script>> {
-        self.router.with_txn(|t| {
-            let rows = t.select(Script::TABLE, &Predicate::eq("name", name))?;
-            Ok(match rows.first() {
-                Some((_, row)) => Some(Script::from_row(row)?),
-                None => None,
-            })
-        })
-    }
-
-    /// All implementations of a script (single-shard by co-location).
-    pub fn implementations_of(&self, script: &str) -> Result<Vec<Implementation>> {
-        self.router.with_txn(|t| {
-            t.select(Implementation::TABLE, &Predicate::eq("script", script))?
-                .iter()
-                .map(|(_, r)| Implementation::from_row(r))
-                .collect()
-        })
-    }
-
-    /// The HTML files of an implementation.
-    pub fn html_files(&self, url: &str) -> Result<Vec<HtmlFile>> {
-        self.router.with_txn(|t| {
-            t.select(HtmlFile::TABLE, &Predicate::eq("url", url))?
-                .iter()
-                .map(|(_, r)| HtmlFile::from_row(r))
-                .collect()
-        })
-    }
-
-    /// Bug reports filed against any test of a script.
-    pub fn bug_reports_of_script(&self, script: &str) -> Result<Vec<BugReport>> {
-        self.router.with_txn(|t| {
-            let trs = t.select(TestRecord::TABLE, &Predicate::eq("script", script))?;
-            let mut out = Vec::new();
-            for (_, tr) in &trs {
-                let name = tr[0].as_text().unwrap_or_default().to_owned();
-                for (_, r) in t.select(BugReport::TABLE, &Predicate::eq("test_record", name))? {
-                    out.push(BugReport::from_row(&r)?);
-                }
-            }
-            Ok(out)
-        })
-    }
-
-    /// Annotations on a script.
-    pub fn annotations_of_script(&self, script: &str) -> Result<Vec<Annotation>> {
-        self.router.with_txn(|t| {
-            t.select(Annotation::TABLE, &Predicate::eq("script", script))?
-                .iter()
-                .map(|(_, r)| Annotation::from_row(r))
-                .collect()
-        })
-    }
-
-    /// Delete a script; the CASCADE fans out to implementations,
-    /// files, test records, bug reports and annotations — all on the
-    /// script's own shard, which is the point of the placement.
-    pub fn remove_script(&self, name: &str) -> Result<bool> {
-        self.router.with_txn(|t| {
-            let rows = t.select(Script::TABLE, &Predicate::eq("name", name))?;
-            match rows.first() {
-                Some((gid, _)) => t.delete(Script::TABLE, *gid).map(|()| true),
-                None => Ok(false),
-            }
-        })
-    }
-
-    /// Total rows of `table` across all shards, through a fresh
-    /// transaction.
-    pub fn row_count(&self, table: &str) -> Result<usize> {
-        self.router.with_txn(|t| t.count(table, &Predicate::True))
-    }
-
-    /// Run a closure in a distributed transaction (retrying aborts),
-    /// for workloads the typed methods don't cover.
-    pub fn with_txn<T>(&self, f: impl Fn(&DistTxn<'_>) -> Result<T>) -> Result<T> {
-        self.router.with_txn(f)
-    }
 }
 
 /// Sorted committed contents of every catalog table, as one canonical
@@ -356,17 +183,20 @@ impl ShardedBackend {
         }
     }
 
-    /// Durable sharded backend rooted at `dir` (one WAL per shard,
-    /// 2PC decisions co-hosted on shard 0): recovers whatever the
-    /// last session left, resolving in-doubt distributed transactions
-    /// by presumed abort. On a fresh directory the reports are empty.
+    /// Durable sharded backend rooted at `dir` (one segmented WAL
+    /// `shard-<i>.wal.d` per shard, 2PC decisions co-hosted on shard
+    /// 0): recovers whatever the last session left, resolving in-doubt
+    /// distributed transactions by presumed abort. On a fresh
+    /// directory the reports are empty. Hand the result to
+    /// [`wdoc_core::WebDocDb::on_durable_backend`] with the same `dir`
+    /// for a durable sharded station (installing the schema adopts the
+    /// recovered tables and rebuilds the routing directories).
     pub fn recover(
-        kind: EngineKind,
         shards: u32,
         dir: &Path,
-        metrics: Registry,
+        opts: wal::WalOptions,
     ) -> std::result::Result<(Self, Vec<wal::RecoveryReport>), wal::WalError> {
-        let (router, reports) = Router::recover(kind, ShardMap::uniform(shards, 1), dir, metrics)?;
+        let (router, reports) = Router::recover(ShardMap::uniform(shards, 1), dir, opts)?;
         Ok((ShardedBackend { router }, reports))
     }
 
@@ -418,166 +248,5 @@ impl wdoc_core::DocBackend for ShardedBackend {
             last = Some(last.map_or(lsn, |m: wal::Lsn| m.max(lsn)));
         }
         Ok(last)
-    }
-}
-
-/// Sharded constructors for the typed station, as an extension trait
-/// (the `shard` crate depends on `wdoc-core`, so the methods cannot
-/// live on [`WebDocDb`] itself).
-pub trait ShardedStation: Sized {
-    /// A fresh in-memory station spanning `shards` hash partitions —
-    /// the sharded sibling of [`WebDocDb::with_engine`].
-    fn open_sharded(shards: u32, kind: EngineKind) -> wdoc_core::Result<Self>;
-    /// [`ShardedStation::open_sharded`] with a caller-owned metrics
-    /// registry (pass a clone to keep reading counters afterwards).
-    fn open_sharded_with(
-        shards: u32,
-        kind: EngineKind,
-        metrics: Registry,
-    ) -> wdoc_core::Result<Self>;
-    /// A durable station over per-shard WALs rooted at `dir` — the
-    /// sharded sibling of [`WebDocDb::open_durable`]. Reopening
-    /// recovers every shard, resolves in-doubt 2PC by presumed abort,
-    /// rebuilds the routing directories from the recovered rows, and
-    /// reloads the BLOB layer from `dir/blobs.json`.
-    fn open_sharded_durable(
-        dir: &Path,
-        shards: u32,
-        kind: EngineKind,
-        metrics: Registry,
-    ) -> wdoc_core::Result<(Self, Vec<wal::RecoveryReport>)>;
-}
-
-impl ShardedStation for wdoc_core::WebDocDb {
-    fn open_sharded(shards: u32, kind: EngineKind) -> wdoc_core::Result<Self> {
-        Self::open_sharded_with(shards, kind, Registry::new())
-    }
-    fn open_sharded_with(
-        shards: u32,
-        kind: EngineKind,
-        metrics: Registry,
-    ) -> wdoc_core::Result<Self> {
-        let backend = ShardedBackend::new(kind, shards, metrics);
-        wdoc_core::WebDocDb::on_backend(Box::new(backend), true)
-    }
-    fn open_sharded_durable(
-        dir: &Path,
-        shards: u32,
-        kind: EngineKind,
-        metrics: Registry,
-    ) -> wdoc_core::Result<(Self, Vec<wal::RecoveryReport>)> {
-        let (backend, reports) = ShardedBackend::recover(kind, shards, dir, metrics)
-            .map_err(|e| wdoc_core::CoreError::Durability(format!("open sharded station: {e}")))?;
-        let db = wdoc_core::WebDocDb::on_durable_backend(Box::new(backend), true, dir)?;
-        Ok((db, reports))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use wdoc_core::ids::{DbName, ScriptName, StartUrl, UserId};
-
-    fn db_info() -> DatabaseInfo {
-        DatabaseInfo {
-            name: DbName::new("mmu-courses"),
-            keywords: vec!["courseware".into()],
-            author: UserId::new("shih"),
-            version: 1,
-            created: 10,
-        }
-    }
-
-    fn script(name: &str) -> Script {
-        Script {
-            name: ScriptName::new(name),
-            db: DbName::new("mmu-courses"),
-            keywords: vec!["lecture".into()],
-            author: UserId::new("shih"),
-            version: 1,
-            created: 20,
-            description: format!("script {name}"),
-            expected_completion: None,
-            percent_complete: 50,
-        }
-    }
-
-    fn implementation(url: &str, script: &str) -> Implementation {
-        Implementation {
-            url: StartUrl::new(url),
-            script: ScriptName::new(script),
-            author: UserId::new("impl-team"),
-            created: 30,
-        }
-    }
-
-    #[test]
-    fn catalog_registers_on_every_shard_count() {
-        for n in [1u32, 2, 5] {
-            let db = ShardedWdoc::new(EngineKind::TwoPl, ShardMap::uniform(n, 1), Registry::new());
-            assert_eq!(db.router().shards(), n as usize);
-        }
-    }
-
-    #[test]
-    fn script_and_children_are_co_located() {
-        let db = ShardedWdoc::new(EngineKind::TwoPl, ShardMap::uniform(4, 1), Registry::new());
-        db.create_database(&db_info()).unwrap();
-        for i in 0..12 {
-            let name = format!("s{i}");
-            db.add_script(&script(&name)).unwrap();
-            let url = format!("http://host/{name}/start.html");
-            db.add_implementation(
-                &implementation(&url, &name),
-                &[HtmlFile {
-                    url: StartUrl::new(&url),
-                    path: "a.html".into(),
-                    content: b"<html/>".as_ref().into(),
-                }],
-                &[],
-            )
-            .unwrap();
-        }
-        // Every script row shares its shard with its implementation
-        // and files: per shard, the set of script names present in
-        // `script` equals the set referenced by `implementation`.
-        for s in 0..db.router().shards() {
-            let t = db.router().engine(s).begin();
-            let scripts: std::collections::BTreeSet<String> = t
-                .select(Script::TABLE, &Predicate::True)
-                .unwrap()
-                .iter()
-                .map(|(_, r)| r[0].as_text().unwrap().to_owned())
-                .collect();
-            let impled: std::collections::BTreeSet<String> = t
-                .select(Implementation::TABLE, &Predicate::True)
-                .unwrap()
-                .iter()
-                .map(|(_, r)| r[1].as_text().unwrap().to_owned())
-                .collect();
-            assert_eq!(scripts, impled, "shard {s} split a script family");
-            t.commit().unwrap();
-        }
-        // And the cascade stays intra-shard: removing a script removes
-        // its whole family everywhere.
-        for i in 0..12 {
-            assert!(db.remove_script(&format!("s{i}")).unwrap());
-        }
-        assert_eq!(db.row_count(Script::TABLE).unwrap(), 0);
-        assert_eq!(db.row_count(Implementation::TABLE).unwrap(), 0);
-        assert_eq!(db.row_count(HtmlFile::TABLE).unwrap(), 0);
-    }
-
-    #[test]
-    fn reads_round_trip_through_the_facade() {
-        let db = ShardedWdoc::new(EngineKind::TwoPl, ShardMap::uniform(3, 1), Registry::new());
-        db.create_database(&db_info()).unwrap();
-        db.add_script(&script("intro")).unwrap();
-        db.add_implementation(&implementation("http://h/intro", "intro"), &[], &[])
-            .unwrap();
-        assert_eq!(db.script("intro").unwrap().unwrap().name.as_str(), "intro");
-        assert!(db.script("missing").unwrap().is_none());
-        assert_eq!(db.implementations_of("intro").unwrap().len(), 1);
-        assert!(db.annotations_of_script("intro").unwrap().is_empty());
     }
 }

@@ -9,29 +9,29 @@
 //!   framed records with byte-offset LSNs: begin/commit/abort,
 //!   insert/update/delete with before+after images, DDL, checkpoints;
 //! * **group commit** ([`log`]) — concurrent committers share one
-//!   write + fsync per batch instead of paying one each, with a
-//!   per-commit-flush mode as the measurable baseline;
-//! * **checkpoints** ([`Wal::checkpoint`]) — a transaction-consistent
-//!   snapshot captured through the engine's own lock manager and
-//!   embedded in the log, bounding how much tail recovery must replay;
+//!   write + fsync per batch instead of paying one each;
+//! * **segments** ([`segments`]) — the log is a directory of rotating
+//!   segment files, the one on-disk layout;
+//! * **checkpoints** ([`Wal::checkpoint_any`]) — a
+//!   transaction-consistent snapshot captured through the engine's own
+//!   concurrency control and embedded in the log, bounding how much
+//!   tail recovery must replay and deleting every segment it covers;
 //! * **crash recovery** ([`recover`]) — analysis → redo → undo over
 //!   the surviving prefix: repeat history, then roll dead transactions
 //!   back from their before images, yielding exactly the committed
 //!   prefix;
 //! * a **crash-point injector** ([`crash`]) — cut the log at any byte
-//!   offset (torn tails included) or flip bits to drive the recovery
-//!   property tests.
+//!   offset (torn tails included, across segment files) or flip bits
+//!   to drive the recovery property tests.
 //!
 //! ## Quick start
 //!
 //! ```
 //! use relstore::{ColumnType, TableSchema, Value, Predicate};
-//! let dir = std::env::temp_dir().join(format!("waldoc-{}", std::process::id()));
-//! std::fs::create_dir_all(&dir).unwrap();
-//! let path = dir.join("quickstart.wal");
-//! # let _ = std::fs::remove_file(&path);
+//! let dir = std::env::temp_dir().join(format!("waldoc-{}.wal.d", std::process::id()));
+//! # let _ = std::fs::remove_dir_all(&dir);
 //! {
-//!     let (db, _wal, _report) = wal::open_durable(&path, wal::WalOptions::default()).unwrap();
+//!     let (db, _wal, _report) = wal::open_durable_any(&dir, wal::WalOptions::default()).unwrap();
 //!     db.create_table(
 //!         TableSchema::builder("course")
 //!             .column("name", ColumnType::Text)
@@ -40,15 +40,15 @@
 //!             .unwrap(),
 //!     )
 //!     .unwrap();
-//!     let t = db.begin();
-//!     t.insert("course", vec!["intro-mm".into()]).unwrap();
-//!     t.commit().unwrap(); // durable from here on
+//!     // Durable once `with_txn` returns: it commits on `Ok`.
+//!     db.with_txn(|t| t.insert("course", vec!["intro-mm".into()]).map(|_| ()))
+//!         .unwrap();
 //! }
 //! // "Crash", then reopen: the committed row is back.
-//! let (db, _wal, report) = wal::open_durable(&path, wal::WalOptions::default()).unwrap();
+//! let (db, _wal, report) = wal::open_durable_any(&dir, wal::WalOptions::default()).unwrap();
 //! assert_eq!(db.row_count("course").unwrap(), 1);
 //! assert!(report.winners.len() == 1);
-//! # std::fs::remove_file(&path).unwrap();
+//! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -64,17 +64,15 @@ mod crc;
 
 pub use crate::log::{Wal, WalOptions, WalStats};
 pub use crate::record::{scan, Scan, Tail, WalRecord};
-pub use crate::recover::{
-    recover_bytes, recover_bytes_any, recover_bytes_pooled, recover_bytes_with, recover_scan_any,
-    RecoveryReport,
-};
+pub use crate::recover::{recover_bytes_any, recover_scan_any, RecoveryReport};
 pub use crc::crc32;
 
-use relstore::{AnyEngine, Database, EngineKind};
+use relstore::AnyEngine;
 use std::path::Path;
 use std::sync::Arc;
 
-/// A byte offset into the log file — the address of a record's frame.
+/// A byte offset into the log's virtual stream — the address of a
+/// record's frame.
 pub type Lsn = u64;
 
 /// Everything that can go wrong in the durability layer.
@@ -133,67 +131,37 @@ impl From<WalError> for relstore::Error {
     }
 }
 
-/// Open a durable database: read the log at `path` (creating it if
-/// missing), run crash recovery over the surviving prefix, truncate
-/// any torn tail, and attach the log as the database's WAL sink so
-/// every further transaction is logged.
+/// Open a durable database: read the segment directory `dir`
+/// (creating it if missing), run crash recovery over the surviving
+/// stream onto the storage engine named by [`WalOptions::engine`],
+/// cut any torn tail, and attach the log as the engine's WAL sink so
+/// every further transaction is logged. A pruned prefix is legal (the
+/// surviving stream then starts at a checkpoint). The log format is
+/// engine-agnostic, so a log written under 2PL reopens under MVCC and
+/// vice versa — recovery replays the same committed prefix either way.
 ///
-/// The recovered database sits on a buffer pool built from
+/// The recovered engine sits on a buffer pool built from
 /// [`WalOptions::pool`]; the log is installed as that pool's flush
 /// gate, so a dirty page can only be written back to the page store
 /// once the log is durable past everything that dirtied it (the
 /// write-ahead rule, enforced at the eviction path rather than on
 /// trust). Recovery itself runs ungated — every record it replays is
-/// already durable by definition.
+/// already durable by definition. For MVCC the flush-gate installation
+/// is a no-op (there is no buffer pool to gate); the write-ahead rule
+/// is upheld by the engine logging a transaction's operations
+/// contiguously at commit time, under its commit fence, before the new
+/// versions publish.
 ///
-/// Returns the recovered [`Database`], the live [`Wal`] handle (for
+/// Returns the recovered engine, the live [`Wal`] handle (for
 /// checkpoints, flushes and stats) and the [`RecoveryReport`].
-pub fn open_durable(
-    path: &Path,
-    opts: WalOptions,
-) -> Result<(Database, Arc<Wal>, RecoveryReport), WalError> {
-    let opts = WalOptions {
-        engine: EngineKind::TwoPl,
-        ..opts
-    };
-    let (engine, wal, report) = open_durable_any(path, opts)?;
-    let db = engine
-        .as_two_pl()
-        .expect("opened with the 2PL engine")
-        .clone();
-    Ok((db, wal, report))
-}
-
-/// Engine-selecting [`open_durable`]: recover onto the storage engine
-/// named by [`WalOptions::engine`] and attach the log. The log format
-/// is engine-agnostic, so a log written under 2PL reopens under MVCC
-/// and vice versa — recovery replays the same committed prefix either
-/// way.
-///
-/// For MVCC the flush-gate installation is a no-op (there is no buffer
-/// pool to gate); the write-ahead rule is upheld by the engine logging
-/// a transaction's operations contiguously at commit time, under its
-/// commit fence, before the new versions publish.
 pub fn open_durable_any(
-    path: &Path,
+    dir: &Path,
     opts: WalOptions,
 ) -> Result<(AnyEngine, Arc<Wal>, RecoveryReport), WalError> {
-    let (db, report) = if opts.segment_bytes.is_some() {
-        // Segmented mode: `path` is the segment directory. Pruned
-        // prefixes are legal (the surviving stream then starts at a
-        // checkpoint); LSNs are unchanged from single-file mode.
-        let scan = segments::read_segments(path)?;
-        let raw = record::scan_raw_from(&scan.bytes, scan.base)?;
-        recover_scan_any(&raw, scan.base, &opts.metrics, &opts.pool, opts.engine)?
-    } else {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(WalError::Io(e)),
-        };
-        recover_bytes_any(&bytes, &opts.metrics, &opts.pool, opts.engine)?
-    };
-    let wal = Wal::open_at(path, opts, report.durable_len)?;
+    let scan = segments::read_segments(dir)?;
+    let raw = record::scan_raw_from(&scan.bytes, scan.base)?;
+    let (db, report) = recover_scan_any(&raw, scan.base, &opts.metrics, &opts.pool, opts.engine)?;
+    let wal = Wal::open_at(dir, opts, report.durable_len)?;
     db.set_wal_sink(Some(wal.clone()));
     db.set_flush_gate(Some(wal.clone()));
     Ok((db, wal, report))

@@ -11,15 +11,13 @@
 //! writes it, syncs once, and wakes all waiters whose commit LSN is now
 //! durable. Committers arriving mid-flush append to the next batch and
 //! wait; N concurrent writers therefore share one fsync per batch
-//! instead of paying one each. Setting
-//! [`WalOptions::group_commit`]`= false` disables the sharing: every
-//! commit then performs (and waits for) its own write + sync, which is
-//! the classic per-commit-flush baseline the `e14_recovery` experiment
-//! measures against.
+//! instead of paying one each. (The per-commit-flush baseline the
+//! `e14_recovery` experiment measures against is this same path with
+//! committers serialised by the caller: one commit per flush.)
 //!
 //! ## Checkpoints
 //!
-//! [`Wal::checkpoint`] captures a transaction-consistent snapshot using
+//! [`Wal::checkpoint_any`] captures a transaction-consistent snapshot using
 //! the engine's own table-shared locks (readers keep running; writers
 //! drain), appends it as a [`WalRecord::Checkpoint`] *while still
 //! holding those locks and the append mutex*, and then flushes. The
@@ -29,6 +27,7 @@
 //! recovery may restore the snapshot and replay only the tail.
 
 use crate::record::{encode_frame, WalRecord, MAGIC};
+use crate::segments::{self, SEG_HEADER};
 use crate::{Lsn, WalError};
 use obs::Registry;
 use parking_lot::{Condvar, Mutex};
@@ -48,9 +47,6 @@ use std::time::Duration;
 /// Tuning knobs for the log writer.
 #[derive(Debug, Clone)]
 pub struct WalOptions {
-    /// Share one flush among concurrent committers (default). When
-    /// `false`, every commit performs its own serialized write + sync.
-    pub group_commit: bool,
     /// Call `File::sync_data` on every flush (default). Disable only
     /// for tests that do not care about real durability.
     pub sync_data: bool,
@@ -60,34 +56,32 @@ pub struct WalOptions {
     /// `None` (default) adds nothing.
     pub simulated_disk_latency: Option<Duration>,
     /// Registry the log (and recovery, via
-    /// [`open_durable`](crate::open_durable)) records `wal.*` metrics
-    /// into. Defaults to a fresh enabled registry; share one across
+    /// [`open_durable_any`](crate::open_durable_any)) records `wal.*`
+    /// metrics into. Defaults to a fresh enabled registry; share one across
     /// components by cloning it in here.
     pub metrics: Registry,
     /// Buffer-pool configuration for the database
-    /// [`open_durable`](crate::open_durable) recovers: backend (memory
-    /// or spill file), resident-page budget, page size. The default is
-    /// an unbounded in-memory pool — the pre-paging behavior.
+    /// [`open_durable_any`](crate::open_durable_any) recovers: backend
+    /// (memory or log-structured spill), resident-page budget, page
+    /// size. The default is an unbounded in-memory pool.
     pub pool: PoolConfig,
     /// Storage engine [`open_durable_any`](crate::open_durable_any)
     /// recovers onto and logs for: strict-2PL (default) or MVCC. The
     /// log format is engine-agnostic — a log written under one engine
     /// replays onto the other.
     pub engine: EngineKind,
-    /// `Some(n)`: write the log as a *directory* of segment files
-    /// rotated at ~`n` payload bytes (see [`crate::segments`]), and
-    /// let each checkpoint delete every segment it fully covers —
-    /// bounding disk footprint and recovery work by the checkpoint
-    /// interval instead of growing forever. `None` (default) keeps the
-    /// classic single-file log; the path passed to open is then a
-    /// file. LSNs are identical in both modes.
+    /// Rotate segment files (see [`crate::segments`]) at ~this many
+    /// payload bytes; `None` (default) means
+    /// [`DEFAULT_SEGMENT_BYTES`](segments::DEFAULT_SEGMENT_BYTES).
+    /// Each checkpoint deletes every segment it fully covers, so disk
+    /// footprint and recovery work are bounded by the checkpoint
+    /// interval. LSNs do not depend on the value.
     pub segment_bytes: Option<u64>,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         WalOptions {
-            group_commit: true,
             sync_data: true,
             simulated_disk_latency: None,
             metrics: Registry::new(),
@@ -130,49 +124,42 @@ struct LogState {
     /// Commit records appended since the last flush took the buffer —
     /// the group-commit batch size the next flush will amortize.
     pending_commits: u64,
+    /// Checkpoints must not prune any byte at or after this LSN (see
+    /// [`Wal::set_prune_floor`]).
+    prune_floor: Option<Lsn>,
     stats: WalStats,
 }
 
-/// Where the bytes physically land: one file, or a directory of
-/// rotating segments ([`crate::segments`]).
-enum Sink {
-    /// The classic single-file log.
-    Single(File),
-    /// Segment files rotated at `segment_bytes`; sealed ones are
-    /// durable in full and become deletable once a checkpoint covers
-    /// them.
-    Segmented {
-        dir: PathBuf,
-        segment_bytes: u64,
-        /// `(base, payload len)` of every sealed segment, ascending.
-        sealed: Vec<(crate::Lsn, u64)>,
-        active_base: crate::Lsn,
-        active_len: u64,
-        active: File,
-    },
+/// Where the bytes physically land: a directory of rotating segment
+/// files ([`crate::segments`]). Sealed ones are durable in full and
+/// become deletable once a checkpoint covers them.
+struct Segments {
+    dir: PathBuf,
+    segment_bytes: u64,
+    /// `(base, payload len)` of every sealed segment, ascending.
+    sealed: Vec<(Lsn, u64)>,
+    active_base: Lsn,
+    active_len: u64,
+    active: File,
 }
 
-impl Sink {
-    fn segments_live(&self) -> u64 {
-        match self {
-            Sink::Single(_) => 1,
-            Sink::Segmented { sealed, .. } => sealed.len() as u64 + 1,
-        }
+impl Segments {
+    fn live(&self) -> u64 {
+        self.sealed.len() as u64 + 1
     }
 }
 
-/// A durable write-ahead log bound to one file (or, with
-/// [`WalOptions::segment_bytes`], one segment directory).
+/// A durable write-ahead log bound to one segment directory.
 ///
-/// Implements [`WalSink`], so an `Arc<Wal>` can be installed on a
-/// [`Database`] via [`Database::set_wal_sink`]; use
-/// [`open_durable`](crate::open_durable) for the combined
+/// Implements [`WalSink`], so an `Arc<Wal>` can be installed on an
+/// engine via [`AnyEngine::set_wal_sink`]; use
+/// [`open_durable_any`](crate::open_durable_any) for the combined
 /// open-recover-attach flow.
 pub struct Wal {
     path: PathBuf,
     opts: WalOptions,
     state: Mutex<LogState>,
-    file: Mutex<Sink>,
+    file: Mutex<Segments>,
     durable: Condvar,
     /// Cumulative bytes reclaimed by segment pruning.
     reclaimed: std::sync::atomic::AtomicU64,
@@ -181,53 +168,19 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open (creating if missing) the log at `path`, truncated to
-    /// `durable_len` — the valid-prefix length a prior
-    /// [`scan`](crate::record::scan) reported. A `durable_len` of 0
-    /// (re)writes the magic header. With
-    /// [`WalOptions::segment_bytes`] set, `path` names the segment
-    /// *directory* and the torn tail is cut out of its newest segment
-    /// instead.
-    pub fn open_at(path: &Path, opts: WalOptions, durable_len: u64) -> Result<Arc<Wal>, WalError> {
-        if opts.segment_bytes.is_some() {
-            return Self::open_segmented(path, opts, durable_len);
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let durable_lsn = if durable_len < MAGIC.len() as u64 {
-            file.set_len(0)?;
-            file.write_all(MAGIC)?;
-            file.sync_data()?;
-            MAGIC.len() as u64
-        } else {
-            // Drop any torn tail so new frames append onto a clean
-            // boundary.
-            file.set_len(durable_len)?;
-            file.sync_data()?;
-            durable_len
-        };
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::End(0))?;
-        Ok(Self::build(path, opts, durable_lsn, Sink::Single(file)))
-    }
-
-    /// Segmented open: find the segment holding `durable_len`, cut the
-    /// torn tail out of it, delete anything beyond it, and make it the
-    /// active segment.
-    fn open_segmented(
-        dir: &Path,
-        opts: WalOptions,
-        durable_len: u64,
-    ) -> Result<Arc<Wal>, WalError> {
+    /// Open (creating if missing) the segment directory `dir`, cut
+    /// back to `durable_len` — the valid-prefix length a prior scan
+    /// of [`read_segments`](segments::read_segments) reported: find
+    /// the segment holding `durable_len`, cut the torn tail out of it,
+    /// delete anything beyond it, and make it the active segment.
+    pub fn open_at(dir: &Path, opts: WalOptions, durable_len: u64) -> Result<Arc<Wal>, WalError> {
         std::fs::create_dir_all(dir)?;
-        let segment_bytes = opts.segment_bytes.expect("segmented mode");
-        let scan = crate::segments::read_segments(dir)?;
-        let mut sealed: Vec<(crate::Lsn, u64)> = Vec::new();
-        let mut last: Option<(crate::Lsn, u64)> = None;
+        let segment_bytes = opts
+            .segment_bytes
+            .unwrap_or(segments::DEFAULT_SEGMENT_BYTES);
+        let scan = segments::read_segments(dir)?;
+        let mut sealed: Vec<(Lsn, u64)> = Vec::new();
+        let mut last: Option<(Lsn, u64)> = None;
         for seg in &scan.segments {
             if seg.base < durable_len {
                 let len = (durable_len - seg.base).min(seg.len);
@@ -240,13 +193,13 @@ impl Wal {
                 std::fs::remove_file(&seg.path)?;
             }
         }
-        let (active_base, active_len, file) = match last {
+        let (active_base, active_len, active) = match last {
             Some((base, len)) => {
                 let mut file = OpenOptions::new()
                     .read(true)
                     .write(true)
-                    .open(crate::segments::segment_path(dir, base))?;
-                file.set_len(crate::segments::SEG_HEADER as u64 + len)?;
+                    .open(segments::segment_path(dir, base))?;
+                file.set_len(SEG_HEADER as u64 + len)?;
                 file.sync_data()?;
                 use std::io::Seek;
                 file.seek(std::io::SeekFrom::End(0))?;
@@ -254,24 +207,24 @@ impl Wal {
             }
             None => {
                 let base = MAGIC.len() as u64;
-                (base, 0, crate::segments::create_segment(dir, base)?)
+                (base, 0, segments::create_segment(dir, base)?)
             }
         };
         let durable_lsn = active_base + active_len;
-        let sink = Sink::Segmented {
+        let sink = Segments {
             dir: dir.to_owned(),
             segment_bytes,
             sealed,
             active_base,
             active_len,
-            active: file,
+            active,
         };
         opts.metrics
-            .gauge_set("wal.segments_live", sink.segments_live() as i64);
+            .gauge_set("wal.segments_live", sink.live() as i64);
         Ok(Self::build(dir, opts, durable_lsn, sink))
     }
 
-    fn build(path: &Path, opts: WalOptions, durable_lsn: u64, sink: Sink) -> Arc<Wal> {
+    fn build(path: &Path, opts: WalOptions, durable_lsn: u64, sink: Segments) -> Arc<Wal> {
         Arc::new(Wal {
             path: path.to_owned(),
             opts,
@@ -283,6 +236,7 @@ impl Wal {
                 active: HashSet::new(),
                 poisoned: false,
                 pending_commits: 0,
+                prune_floor: None,
                 stats: WalStats::default(),
             }),
             file: Mutex::new(sink),
@@ -292,7 +246,7 @@ impl Wal {
         })
     }
 
-    /// The log file path.
+    /// The segment directory.
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
@@ -336,49 +290,32 @@ impl Wal {
         self.append(&mut st, record)
     }
 
-    /// Perform one physical flush of `chunk`; returns bytes written.
+    /// Perform one physical flush of `chunk`.
     fn write_chunk(&self, chunk: &[u8]) -> Result<(), WalError> {
-        let mut sink = self.file.lock();
-        match &mut *sink {
-            Sink::Single(file) => {
-                file.write_all(chunk)?;
-                if self.opts.sync_data {
-                    file.sync_data()?;
-                    self.opts.metrics.inc("wal.fsyncs");
-                }
-            }
-            Sink::Segmented {
-                dir,
-                segment_bytes,
-                sealed,
-                active_base,
-                active_len,
-                active,
-            } => {
-                // Rotate *between* chunks only: a chunk is whole
-                // frames, so segment boundaries stay frame boundaries
-                // and recovery can concatenate payloads blindly.
-                if *active_len >= *segment_bytes && !chunk.is_empty() {
-                    // Seal durably regardless of `sync_data`: pruning
-                    // and hint-free recovery both rely on sealed
-                    // segments being complete on disk.
-                    active.sync_data()?;
-                    sealed.push((*active_base, *active_len));
-                    let base = *active_base + *active_len;
-                    *active = crate::segments::create_segment(dir, base)?;
-                    *active_base = base;
-                    *active_len = 0;
-                    self.opts
-                        .metrics
-                        .gauge_set("wal.segments_live", sealed.len() as i64 + 1);
-                }
-                active.write_all(chunk)?;
-                *active_len += chunk.len() as u64;
-                if self.opts.sync_data {
-                    active.sync_data()?;
-                    self.opts.metrics.inc("wal.fsyncs");
-                }
-            }
+        let mut guard = self.file.lock();
+        let seg = &mut *guard;
+        // Rotate *between* chunks only: a chunk is whole frames, so
+        // segment boundaries stay frame boundaries and recovery can
+        // concatenate payloads blindly.
+        if seg.active_len >= seg.segment_bytes && !chunk.is_empty() {
+            // Seal durably regardless of `sync_data`: pruning and
+            // hint-free recovery both rely on sealed segments being
+            // complete on disk.
+            seg.active.sync_data()?;
+            seg.sealed.push((seg.active_base, seg.active_len));
+            let base = seg.active_base + seg.active_len;
+            seg.active = segments::create_segment(&seg.dir, base)?;
+            seg.active_base = base;
+            seg.active_len = 0;
+            self.opts
+                .metrics
+                .gauge_set("wal.segments_live", seg.live() as i64);
+        }
+        seg.active.write_all(chunk)?;
+        seg.active_len += chunk.len() as u64;
+        if self.opts.sync_data {
+            seg.active.sync_data()?;
+            self.opts.metrics.inc("wal.fsyncs");
         }
         if let Some(d) = self.opts.simulated_disk_latency {
             std::thread::sleep(d);
@@ -388,26 +325,29 @@ impl Wal {
 
     /// Delete every sealed segment fully covered by a durable
     /// checkpoint at `covered` (segment end `<=` the checkpoint LSN:
-    /// everything in it is superseded by the snapshot). Returns bytes
-    /// reclaimed. No-op on a single-file log. Called automatically at
-    /// the end of every checkpoint; callers only need it directly if
-    /// they append checkpoints by hand.
+    /// everything in it is superseded by the snapshot) and lying
+    /// wholly below the [prune floor](Wal::set_prune_floor). Returns
+    /// bytes reclaimed. Called automatically at the end of every
+    /// checkpoint; callers only need it directly if they append
+    /// checkpoints by hand.
     pub fn prune_segments(&self, covered: Lsn) -> Result<u64, WalError> {
-        let mut sink = self.file.lock();
-        let Sink::Segmented { dir, sealed, .. } = &mut *sink else {
-            return Ok(0);
-        };
+        // Read the floor before taking the file lock (flushers take
+        // file-then-nothing, appenders state-only; never nest them).
+        // A floor set after this read guards a frame appended after
+        // the checkpoint at `covered`, whose segment ends past it.
+        let floor = self.state.lock().prune_floor;
+        let covered = floor.map_or(covered, |f| covered.min(f));
+        let mut seg = self.file.lock();
         let mut reclaimed = 0u64;
         let mut dropped = 0u64;
         // The drop set is a strict prefix: ends are ascending.
-        while let Some(&(base, len)) = sealed.first() {
+        while let Some(&(base, len)) = seg.sealed.first() {
             if base + len > covered {
                 break;
             }
-            let path = crate::segments::segment_path(dir, base);
-            std::fs::remove_file(&path)?;
-            sealed.remove(0);
-            reclaimed += len + crate::segments::SEG_HEADER as u64;
+            std::fs::remove_file(segments::segment_path(&seg.dir, base))?;
+            seg.sealed.remove(0);
+            reclaimed += len + SEG_HEADER as u64;
             dropped += 1;
         }
         if dropped > 0 {
@@ -419,14 +359,24 @@ impl Wal {
         }
         self.opts
             .metrics
-            .gauge_set("wal.segments_live", sealed.len() as i64 + 1);
+            .gauge_set("wal.segments_live", seg.live() as i64);
         Ok(reclaimed)
     }
 
-    /// Segment files currently on disk: 1 for a single-file log.
+    /// Keep every log byte at or after `floor` on disk through later
+    /// checkpoints (`None` lifts the hold). A checkpoint snapshot
+    /// supersedes row history but not 2PC protocol state: the shard
+    /// layer pins its coordinator log at the oldest `CommitDecision`
+    /// some participant has not yet durably resolved, so recovery can
+    /// still find the decision after any number of checkpoints.
+    pub fn set_prune_floor(&self, floor: Option<Lsn>) {
+        self.state.lock().prune_floor = floor;
+    }
+
+    /// Segment files currently on disk.
     #[must_use]
     pub fn segments_live(&self) -> u64 {
-        self.file.lock().segments_live()
+        self.file.lock().live()
     }
 
     /// Cumulative bytes reclaimed by checkpoint-driven segment
@@ -437,18 +387,12 @@ impl Wal {
     }
 
     /// Total log bytes currently on disk (headers included) — the
-    /// number a checkpoint should shrink in segmented mode.
+    /// number a checkpoint should shrink.
     #[must_use]
     pub fn disk_bytes(&self) -> u64 {
-        match &*self.file.lock() {
-            Sink::Single(_) => self.state.lock().durable_lsn,
-            Sink::Segmented {
-                sealed, active_len, ..
-            } => {
-                let header = crate::segments::SEG_HEADER as u64;
-                sealed.iter().map(|(_, len)| len + header).sum::<u64>() + active_len + header
-            }
-        }
+        let seg = self.file.lock();
+        let header = SEG_HEADER as u64;
+        seg.sealed.iter().map(|(_, len)| len + header).sum::<u64>() + seg.active_len + header
     }
 
     /// Record the metrics of one completed flush: the flush itself, its
@@ -518,12 +462,13 @@ impl Wal {
 
     /// Append a two-phase-commit protocol frame
     /// ([`WalRecord::Prepare`], [`WalRecord::CommitDecision`],
-    /// [`WalRecord::AbortDecision`]) and force it durable before
-    /// returning. Durability ordering is the whole point of these
-    /// records: a participant must not vote yes before its `Prepare`
-    /// (and every op frame before it) is on disk, and a coordinator
-    /// must not announce a commit before its `CommitDecision` is.
-    /// Returns the frame's LSN.
+    /// [`WalRecord::AbortDecision`], or the `Commit`/`Abort` that
+    /// resolves an in-doubt participant at recovery) and force it
+    /// durable before returning. Durability ordering is the whole
+    /// point of these records: a participant must not vote yes before
+    /// its `Prepare` (and every op frame before it) is on disk, and a
+    /// coordinator must not announce a commit before its
+    /// `CommitDecision` is. Returns the frame's LSN.
     pub fn log_dist(&self, record: &WalRecord) -> Result<Lsn, WalError> {
         debug_assert!(
             matches!(
@@ -531,6 +476,8 @@ impl Wal {
                 WalRecord::Prepare { .. }
                     | WalRecord::CommitDecision { .. }
                     | WalRecord::AbortDecision { .. }
+                    | WalRecord::Commit { .. }
+                    | WalRecord::Abort { .. }
             ),
             "log_dist is for 2PC protocol frames"
         );
@@ -539,37 +486,10 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Per-commit-flush baseline: serialize entirely, write whatever is
-    /// pending, and sync — one sync *per caller*, never shared.
-    fn flush_per_commit(&self) -> Result<(), WalError> {
-        let mut st = self.state.lock();
-        if st.poisoned {
-            return Err(WalError::Poisoned);
-        }
-        let chunk = std::mem::take(&mut st.buf);
-        let batch_commits = std::mem::take(&mut st.pending_commits);
-        // Hold the state lock across the I/O: this is the point — no
-        // other committer can overlap, every commit pays a full sync.
-        match self.write_chunk(&chunk) {
-            Ok(()) => {
-                st.durable_lsn += chunk.len() as u64;
-                st.stats.flushes += 1;
-                st.stats.bytes_written += chunk.len() as u64;
-                self.record_flush(chunk.len() as u64, batch_commits);
-                Ok(())
-            }
-            Err(e) => {
-                st.poisoned = true;
-                Err(e)
-            }
-        }
-    }
-
-    /// Write a checkpoint: a consistent snapshot of `db` plus bounded
-    /// log-tail semantics (see module docs). Returns the checkpoint's
-    /// LSN. Retries internally if the snapshot transaction loses
+    /// The 2PL arm of [`Wal::checkpoint_any`]: snapshot under table
+    /// locks. Retries internally if the snapshot transaction loses
     /// wait-die races with concurrent writers.
-    pub fn checkpoint(&self, db: &Database) -> Result<Lsn, WalError> {
+    fn checkpoint_two_pl(&self, db: &Database) -> Result<Lsn, WalError> {
         loop {
             let txn = db.begin();
             let mut tables = std::collections::BTreeMap::new();
@@ -641,8 +561,10 @@ impl Wal {
         }
     }
 
-    /// Engine-dispatching [`Wal::checkpoint`]. The 2PL engine
-    /// checkpoints through its table locks as before; the MVCC engine
+    /// Write a checkpoint: a consistent snapshot of `db` plus bounded
+    /// log-tail semantics (see module docs), then prune every segment
+    /// it covers. Returns the checkpoint's LSN. The 2PL engine
+    /// checkpoints through its table locks; the MVCC engine
     /// checkpoints under its commit fence — [`MvccDb::fenced_snapshot`]
     /// holds the commit lock across snapshot capture *and* the log
     /// append, so no commit record can slip between the snapshot's
@@ -656,7 +578,7 @@ impl Wal {
     /// [`MvccDb::fenced_snapshot`]: relstore::MvccDb::fenced_snapshot
     pub fn checkpoint_any(&self, db: &AnyEngine) -> Result<Lsn, WalError> {
         match db {
-            AnyEngine::TwoPl(db) => self.checkpoint(db),
+            AnyEngine::TwoPl(db) => self.checkpoint_two_pl(db),
             AnyEngine::Mvcc(db) => {
                 let lsn = db
                     .fenced_snapshot(|snapshot, next_txn| -> Result<Lsn, WalError> {
@@ -735,11 +657,7 @@ impl WalSink for Wal {
             self.opts.metrics.inc("wal.commits");
             st.end_lsn
         };
-        if self.opts.group_commit {
-            self.wait_durable(target)?;
-        } else {
-            self.flush_per_commit()?;
-        }
+        self.wait_durable(target)?;
         Ok(())
     }
 

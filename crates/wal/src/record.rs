@@ -1,7 +1,8 @@
 //! Log records and their on-disk framing.
 //!
-//! The log file is an 8-byte magic header followed by a sequence of
-//! *frames*:
+//! The log's virtual byte stream is an 8-byte magic header followed by
+//! a sequence of *frames* (on disk the frames live in segment files,
+//! see [`crate::segments`]):
 //!
 //! ```text
 //! ┌─────────────┬─────────────┬───────────────────┐
@@ -26,7 +27,7 @@ use relstore::lock::TxnId;
 use relstore::{Row, RowId, Snapshot, TableSchema};
 use serde::{Deserialize, Serialize};
 
-/// File magic: identifies a wdoc WAL, version 0.
+/// Stream magic: identifies a wdoc WAL, version 0.
 pub const MAGIC: &[u8; 8] = b"wdocwal0";
 
 /// Frame header size (`len` + `crc`).
@@ -272,8 +273,9 @@ pub fn decode(lsn: Lsn, payload: &[u8]) -> Result<WalRecord, WalError> {
     })
 }
 
-/// Walk `bytes` (a whole log file), verify every frame's checksum, and
-/// return the frame payloads undecoded.
+/// Walk `bytes` (a whole virtual log stream: magic header, then every
+/// frame since LSN 8), verify every frame's checksum, and return the
+/// frame payloads undecoded.
 ///
 /// Returns `Err(WalError::Corrupt)` for a *complete* frame that fails
 /// its CRC and for a wrong magic header — a cut can only shorten the
@@ -301,11 +303,11 @@ pub fn scan_raw(bytes: &[u8]) -> Result<RawScan<'_>, WalError> {
 }
 
 /// Walk a headerless frame stream whose first byte sits at absolute
-/// offset `base` in the LSN space. This is how a *segmented* log is
-/// scanned: sealed segment payloads concatenate into one stream whose
-/// base is the first surviving segment's base LSN (the magic header is
+/// offset `base` in the LSN space. This is how a log directory is
+/// scanned: segment payloads concatenate into one stream whose base is
+/// the first surviving segment's base LSN (the magic header is
 /// per-file there, not part of the stream). `scan_raw` is the
-/// single-file special case with `base = MAGIC.len()`.
+/// unpruned special case with `base = MAGIC.len()`.
 pub fn scan_raw_from(bytes: &[u8], base: Lsn) -> Result<RawScan<'_>, WalError> {
     let mut frames = Vec::new();
     let mut off = 0usize;
@@ -354,7 +356,7 @@ pub fn scan_raw_from(bytes: &[u8], base: Lsn) -> Result<RawScan<'_>, WalError> {
     }
 }
 
-/// Walk `bytes` (a whole log file) and decode every frame: [`scan_raw`]
+/// Walk `bytes` (a whole virtual log stream) and decode every frame: [`scan_raw`]
 /// plus full decoding. Recovery proper uses the raw scan and decodes
 /// only from the last checkpoint on; this is the convenience form for
 /// tools and tests.

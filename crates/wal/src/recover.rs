@@ -32,7 +32,7 @@ use crate::record::{decode, scan_raw, RawScan, Tail, WalRecord, MAGIC};
 use crate::{Lsn, WalError};
 use obs::Registry;
 use relstore::lock::TxnId;
-use relstore::{AnyEngine, Database, EngineKind, PoolConfig};
+use relstore::{AnyEngine, EngineKind, PoolConfig};
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -73,48 +73,20 @@ pub struct RecoveryReport {
     pub durable_len: u64,
 }
 
-/// Rebuild a [`Database`] from raw log bytes.
+/// Rebuild an [`AnyEngine`] of the requested kind, on a buffer pool
+/// configured by `cfg`, from the log's virtual byte stream (magic
+/// header + every frame since LSN 8 — what
+/// [`crash::read_log`](crate::crash::read_log) returns for an unpruned
+/// directory). Records `wal.recover.*` metrics into `metrics`:
+/// per-phase wall-clock durations (gauges, outside the obs determinism
+/// contract) and exact counters mirroring the [`RecoveryReport`].
 ///
-/// The returned database has **no WAL sink installed**; callers that
-/// want to keep writing durably attach one afterwards (which
-/// [`open_durable`](crate::open_durable) does).
-pub fn recover_bytes(bytes: &[u8]) -> Result<(Database, RecoveryReport), WalError> {
-    recover_bytes_with(bytes, &Registry::disabled())
-}
-
-/// Like [`recover_bytes`], recording `wal.recover.*` metrics into
-/// `metrics`: per-phase wall-clock durations (gauges, outside the obs
-/// determinism contract) and exact counters mirroring the
-/// [`RecoveryReport`]. Recovers onto the default unbounded in-memory
-/// buffer pool.
-pub fn recover_bytes_with(
-    bytes: &[u8],
-    metrics: &Registry,
-) -> Result<(Database, RecoveryReport), WalError> {
-    recover_bytes_pooled(bytes, metrics, &PoolConfig::default())
-}
-
-/// Like [`recover_bytes_with`], but the recovered database is built on
-/// a buffer pool configured by `cfg` — a bounded, file-backed database
-/// comes back bounded and file-backed. Recovery itself runs ungated
-/// (no flush rule applies: every record being replayed is, by
-/// definition, already durable); [`open_durable`](crate::open_durable)
-/// installs the live log as the pool's flush gate afterwards.
-pub fn recover_bytes_pooled(
-    bytes: &[u8],
-    metrics: &Registry,
-    cfg: &PoolConfig,
-) -> Result<(Database, RecoveryReport), WalError> {
-    let (engine, report) = recover_bytes_any(bytes, metrics, cfg, EngineKind::TwoPl)?;
-    let db = engine
-        .as_two_pl()
-        .expect("recovered with the 2PL engine")
-        .clone();
-    Ok((db, report))
-}
-
-/// Engine-generic recovery: rebuild an [`AnyEngine`] of the requested
-/// kind from raw log bytes. The log format is engine-agnostic — begin /
+/// The returned engine has **no WAL sink installed** and recovery runs
+/// ungated (every record being replayed is, by definition, already
+/// durable); [`open_durable_any`](crate::open_durable_any) attaches
+/// the live log as sink and flush gate afterwards.
+///
+/// The log format is engine-agnostic — begin /
 /// mutation / commit / abort records with before+after images — so a
 /// log written under one engine replays onto the other. Redo repeats
 /// history through the engine's `redo_*` primitives (for MVCC each
@@ -132,9 +104,8 @@ pub fn recover_bytes_any(
 }
 
 /// Recovery over an already-scanned frame stream whose first byte sits
-/// at absolute LSN `base` — the entry point for *segmented* logs,
-/// where checkpoint-driven truncation may have deleted the log's
-/// prefix. When `base` shows the prefix was pruned, the surviving
+/// at absolute LSN `base` — the entry point for a log directory, where
+/// checkpoint-driven truncation may have deleted the log's prefix. When `base` shows the prefix was pruned, the surviving
 /// stream **must** contain a checkpoint (pruning only ever deletes
 /// segments a checkpoint covers); its absence is corruption, never a
 /// silently-empty database.

@@ -1,21 +1,21 @@
-//! Segmented log files: the on-disk layout that makes checkpoint-driven
-//! truncation possible.
+//! Segmented log files: the on-disk layout of the log, and what makes
+//! checkpoint-driven truncation possible.
 //!
-//! A single-file WAL can only reclaim space by rewriting itself; the
-//! segmented layout instead splits the log into files
-//! `wal-<base lsn:016x>.seg`, each carrying a 16-byte header (magic +
-//! its base LSN) followed by ordinary frames. The **LSN space is
-//! unchanged**: LSNs remain byte offsets in the virtual single-file
-//! log (magic header at 0, first frame at 8), and a segment's base is
-//! simply the LSN of its first frame — so every consumer of LSNs
-//! (flush gate, page `rec_lsn`s, 2PC decision scans) works untouched.
+//! A one-file log could only reclaim space by rewriting itself; the
+//! log is instead a directory of files `wal-<base lsn:016x>.seg`,
+//! each carrying a 16-byte header (magic + its base LSN) followed by
+//! ordinary frames. **LSNs are byte offsets in the virtual
+//! concatenated stream** (magic header at 0, first frame at 8), and a
+//! segment's base is simply the LSN of its first frame — so every
+//! consumer of LSNs (flush gate, page `rec_lsn`s, 2PC decision scans)
+//! is indifferent to where the segment boundaries fall.
 //!
 //! The writer only rotates between flush chunks, and a chunk is always
 //! whole frames, so segment boundaries are frame boundaries and every
 //! sealed segment is fully durable (its last flush synced it). A crash
-//! can therefore only tear the *newest* segment, which is exactly the
-//! single-file torn-tail shape — recovery concatenates the surviving
-//! payloads and scans them as one stream.
+//! can therefore only tear the *newest* segment — recovery
+//! concatenates the surviving payloads and scans them as one stream
+//! with at most one torn tail.
 //!
 //! Truncation: once a checkpoint at LSN `c` is durable, every segment
 //! whose end is `<= c` is covered by the checkpoint snapshot and is
@@ -33,6 +33,11 @@ pub const SEG_MAGIC: &[u8; 8] = b"wdocseg0";
 
 /// Segment file header: magic + base LSN (u64 LE).
 pub const SEG_HEADER: usize = 16;
+
+/// Rotation threshold when [`WalOptions::segment_bytes`] is `None`.
+///
+/// [`WalOptions::segment_bytes`]: crate::WalOptions::segment_bytes
+pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
 
 /// Path of the segment whose first frame sits at `base`.
 #[must_use]

@@ -8,10 +8,10 @@ use relstore::{ColumnType, TableSchema, Value};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
-use wal::{open_durable, WalOptions};
+use wal::{open_durable_any, WalOptions};
 
 fn temp_log(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("wal-group-{}-{tag}.wal", std::process::id()))
+    std::env::temp_dir().join(format!("wal-group-{}-{tag}.wal.d", std::process::id()))
 }
 
 #[test]
@@ -20,8 +20,8 @@ fn concurrent_commits_all_durable_and_flushes_shared() {
     const TXNS_PER_THREAD: u64 = 25;
 
     let path = temp_log("durable");
-    let _ = std::fs::remove_file(&path);
-    let (db, wal, _) = open_durable(
+    let _ = std::fs::remove_dir_all(&path);
+    let (db, wal, _) = open_durable_any(
         &path,
         WalOptions {
             // A small simulated device latency widens the commit
@@ -73,27 +73,26 @@ fn concurrent_commits_all_durable_and_flushes_shared() {
     // Crash (drop without checkpoint) and reopen: every commit is back.
     drop(db);
     drop(wal);
-    let (db, _, report) = open_durable(&path, WalOptions::default()).unwrap();
+    let (db, _, report) = open_durable_any(&path, WalOptions::default()).unwrap();
     assert_eq!(
         db.row_count("hits").unwrap(),
         usize::try_from(THREADS * TXNS_PER_THREAD).unwrap()
     );
     assert!(report.losers.is_empty());
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&path).unwrap();
 }
 
+/// The per-commit-flush baseline (what E14a measures group commit
+/// against) is the same log with committers serialised by the caller:
+/// with at most one commit in flight, no flush can carry two.
 #[test]
-fn per_commit_flush_mode_flushes_every_commit() {
+fn serialised_committers_flush_every_commit() {
+    const THREADS: i64 = 4;
+    const TXNS_PER_THREAD: i64 = 10;
+
     let path = temp_log("percommit");
-    let _ = std::fs::remove_file(&path);
-    let (db, wal, _) = open_durable(
-        &path,
-        WalOptions {
-            group_commit: false,
-            ..WalOptions::default()
-        },
-    )
-    .unwrap();
+    let _ = std::fs::remove_dir_all(&path);
+    let (db, wal, _) = open_durable_any(&path, WalOptions::default()).unwrap();
     db.create_table(
         TableSchema::builder("hits")
             .column("id", ColumnType::Int)
@@ -102,16 +101,30 @@ fn per_commit_flush_mode_flushes_every_commit() {
             .unwrap(),
     )
     .unwrap();
-    for id in 0..10i64 {
-        db.with_txn(|txn| {
-            txn.insert("hits", vec![Value::Int(id)])?;
-            Ok(())
-        })
-        .unwrap();
-    }
+    let one_at_a_time = std::sync::Mutex::new(());
+    thread::scope(|s| {
+        for t in 0..THREADS {
+            let (db, gate) = (&db, &one_at_a_time);
+            s.spawn(move || {
+                for i in 0..TXNS_PER_THREAD {
+                    let _turn = gate.lock().unwrap();
+                    db.with_txn(|txn| {
+                        txn.insert("hits", vec![Value::Int(t * 1_000 + i)])?;
+                        Ok(())
+                    })
+                    .unwrap();
+                }
+            });
+        }
+    });
     let stats = wal.stats();
-    assert_eq!(stats.commits, 10);
+    assert_eq!(stats.commits, (THREADS * TXNS_PER_THREAD) as u64);
     // DDL flushes once too; every commit then pays its own.
-    assert!(stats.flushes >= 11, "got {} flushes", stats.flushes);
-    std::fs::remove_file(&path).unwrap();
+    assert!(
+        stats.flushes > stats.commits,
+        "got {} flushes for {} commits",
+        stats.flushes,
+        stats.commits
+    );
+    std::fs::remove_dir_all(&path).unwrap();
 }

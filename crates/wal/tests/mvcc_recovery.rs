@@ -90,7 +90,7 @@ enum Unit {
 /// Run the script durably on the MVCC engine; returns the log bytes
 /// and, per durable unit, `(unit_index, durable_mark)`.
 fn run_durable_mvcc(path: &PathBuf, units: &[Unit]) -> (Vec<u8>, Vec<(usize, u64)>) {
-    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_dir_all(path);
     let opts = WalOptions {
         engine: EngineKind::Mvcc,
         ..WalOptions::default()
@@ -124,7 +124,7 @@ fn run_durable_mvcc(path: &PathBuf, units: &[Unit]) -> (Vec<u8>, Vec<(usize, u64
             }
         }
     }
-    (std::fs::read(path).unwrap(), marks)
+    (crash::read_log(path), marks)
 }
 
 /// Committed-prefix oracle: a fresh in-memory engine that ran every
@@ -200,7 +200,7 @@ fn mvcc_recovery_equals_committed_prefix_at_every_cut() {
     let path = temp_log("sweep");
     let units = scripted_units();
     let (bytes, marks) = run_durable_mvcc(&path, &units);
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&path).unwrap();
 
     let mut oracle_cache: std::collections::HashMap<Option<usize>, String> =
         std::collections::HashMap::new();
@@ -248,7 +248,7 @@ fn mvcc_log_replays_identically_under_both_engines() {
     let path = temp_log("xengine");
     let units = scripted_units();
     let (bytes, _) = run_durable_mvcc(&path, &units);
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&path).unwrap();
 
     // Full-log equality plus a stride of cut points (the exhaustive
     // per-cut oracle sweep lives in the test above).
@@ -272,7 +272,7 @@ fn mvcc_log_replays_identically_under_both_engines() {
 #[test]
 fn gc_reclaimed_versions_never_resurrect() {
     let path = temp_log("gc");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
     let opts = WalOptions {
         engine: EngineKind::Mvcc,
         ..WalOptions::default()
@@ -308,9 +308,9 @@ fn gc_reclaimed_versions_never_resurrect() {
             .map(|(_, row)| row[1].as_text().unwrap().to_owned())
             .collect();
         t.commit().unwrap();
-        (std::fs::read(&path).unwrap(), names)
+        (crash::read_log(&path), names)
     };
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&path).unwrap();
 
     let (db, report) = recover(&bytes, EngineKind::Mvcc);
     assert!(report.checkpoint_lsn.is_some(), "post-GC checkpoint used");
@@ -345,7 +345,7 @@ fn gc_reclaimed_versions_never_resurrect() {
 #[test]
 fn mvcc_checkpoint_fence_loses_no_commits() {
     let path = temp_log("fence");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
     let opts = WalOptions {
         engine: EngineKind::Mvcc,
         sync_data: false,
@@ -387,8 +387,8 @@ fn mvcc_checkpoint_fence_loses_no_commits() {
     }
     wal.flush().unwrap();
 
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
+    let bytes = crash::read_log(&path);
+    std::fs::remove_dir_all(&path).unwrap();
     let (recovered, report) = recover(&bytes, EngineKind::Mvcc);
     assert!(report.checkpoint_lsn.is_some());
     assert_eq!(

@@ -18,16 +18,33 @@
 //! than silently applied.
 
 use proptest::prelude::*;
-use relstore::{ColumnType, Database, FkAction, Predicate, TableSchema, Value};
+use relstore::{
+    AnyEngine, AnyTxn, ColumnType, EngineKind, FkAction, PoolConfig, Predicate, TableSchema, Value,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wal::{crash, open_durable, recover_bytes, WalOptions};
+use wal::{crash, open_durable_any, recover_bytes_any, WalOptions};
 
 static NEXT_FILE: AtomicU64 = AtomicU64::new(0);
 
 fn temp_log(tag: &str) -> PathBuf {
     let n = NEXT_FILE.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("wal-recovery-{}-{tag}-{n}.wal", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "wal-recovery-{}-{tag}-{n}.wal.d",
+        std::process::id()
+    ))
+}
+
+/// Recover the virtual stream `bytes` onto a 2PL engine over `pool`.
+fn recover_on(
+    bytes: &[u8],
+    pool: &PoolConfig,
+) -> Result<(AnyEngine, wal::RecoveryReport), wal::WalError> {
+    recover_bytes_any(bytes, &obs::Registry::disabled(), pool, EngineKind::TwoPl)
+}
+
+fn recover_bytes(bytes: &[u8]) -> Result<(AnyEngine, wal::RecoveryReport), wal::WalError> {
+    recover_on(bytes, &PoolConfig::default())
 }
 
 fn parent_schema() -> TableSchema {
@@ -61,11 +78,11 @@ enum Op {
     DelChild(i64),
 }
 
-fn row_id_of(txn: &relstore::Txn, table: &str, id: i64) -> relstore::RowId {
+fn row_id_of(txn: &AnyTxn, table: &str, id: i64) -> relstore::RowId {
     txn.select(table, &Predicate::eq("id", id)).unwrap()[0].0
 }
 
-fn apply(txn: &relstore::Txn, op: Op) {
+fn apply(txn: &AnyTxn, op: Op) {
     match op {
         Op::InsPar(id, name) => {
             txn.insert("parent", vec![Value::Int(id), Value::from(name)])
@@ -103,8 +120,8 @@ enum Unit {
 /// Execute the script durably; returns the log bytes and, for each
 /// oracle-relevant unit, `(unit_index, durable_mark)`.
 fn run_durable(path: &PathBuf, units: &[Unit], tail: &[Op]) -> (Vec<u8>, Vec<(usize, u64)>) {
-    let _ = std::fs::remove_file(path);
-    let (db, wal, _) = open_durable(path, WalOptions::default()).unwrap();
+    let _ = std::fs::remove_dir_all(path);
+    let (db, wal, _) = open_durable_any(path, WalOptions::default()).unwrap();
     let mut marks = Vec::new();
     for (i, unit) in units.iter().enumerate() {
         match unit {
@@ -128,7 +145,7 @@ fn run_durable(path: &PathBuf, units: &[Unit], tail: &[Op]) -> (Vec<u8>, Vec<(us
                 txn.rollback();
             }
             Unit::Checkpoint => {
-                wal.checkpoint(&db).unwrap();
+                wal.checkpoint_any(&db).unwrap();
             }
         }
     }
@@ -143,8 +160,7 @@ fn run_durable(path: &PathBuf, units: &[Unit], tail: &[Op]) -> (Vec<u8>, Vec<(us
         wal.flush().unwrap();
         std::mem::forget(txn); // crash: no commit, no rollback
     }
-    let bytes = std::fs::read(path).unwrap();
-    (bytes, marks)
+    (crash::read_log(path), marks)
 }
 
 /// The oracle: a plain in-memory database that ran the longest prefix
@@ -154,7 +170,7 @@ fn run_durable(path: &PathBuf, units: &[Unit], tail: &[Op]) -> (Vec<u8>, Vec<(us
 /// last surviving committed/DDL unit is omitted.
 fn oracle_snapshot_json(units: &[Unit], marks: &[(usize, u64)], cut: u64) -> String {
     let last = marks.iter().rev().find(|(_, m)| *m <= cut).map(|(i, _)| *i);
-    let db = Database::new();
+    let db = AnyEngine::new(EngineKind::TwoPl);
     if let Some(last) = last {
         for unit in &units[..=last] {
             match unit {
@@ -214,7 +230,7 @@ fn recovery_equals_committed_prefix_at_every_cut() {
         Op::UpdParName(4, "d2"),
     ];
     let (bytes, marks) = run_durable(&path, &units, &tail);
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&path).unwrap();
 
     // Oracle snapshots depend only on which units survive; cache per
     // prefix so the sweep stays fast.
@@ -259,7 +275,7 @@ fn corrupted_records_are_detected_by_crc() {
     let path = temp_log("crc");
     let units = scripted_units();
     let (bytes, _) = run_durable(&path, &units, &[]);
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&path).unwrap();
 
     let frames = crash::frames(&bytes);
     assert!(frames.len() > 10, "workload produced a real log");
@@ -292,7 +308,7 @@ fn recovered_losers_stay_dead_after_later_commits() {
 
     // Session 1: one committed row, one flushed-but-uncommitted row.
     {
-        let (db, wal, _) = open_durable(&path, WalOptions::default()).unwrap();
+        let (db, wal, _) = open_durable_any(&path, WalOptions::default()).unwrap();
         db.create_table(parent_schema()).unwrap();
         let txn = db.begin();
         apply(&txn, Op::InsPar(1, "alpha"));
@@ -307,7 +323,7 @@ fn recovered_losers_stay_dead_after_later_commits() {
     // checkpoint, so the next recovery sees the counter only via the
     // checkpoint record.
     {
-        let (db, wal, report) = open_durable(&path, WalOptions::default()).unwrap();
+        let (db, wal, report) = open_durable_any(&path, WalOptions::default()).unwrap();
         assert_eq!(report.losers.len(), 1, "the in-flight insert");
         let txn = db.begin();
         assert!(
@@ -318,12 +334,11 @@ fn recovered_losers_stay_dead_after_later_commits() {
         );
         apply(&txn, Op::InsPar(3, "gamma"));
         txn.commit().unwrap();
-        wal.checkpoint(&db).unwrap();
+        wal.checkpoint_any(&db).unwrap();
     }
 
     // Session 3: beta must still be dead, and ids must still advance.
-    let bytes = std::fs::read(&path).unwrap();
-    let (db, report) = recover_bytes(&bytes).unwrap();
+    let (db, report) = recover_bytes(&crash::read_log(&path)).unwrap();
     let txn = db.begin();
     assert!(txn.id() >= report.next_txn);
     assert!(report.next_txn > 1, "checkpoint carried the counter");
@@ -335,7 +350,7 @@ fn recovered_losers_stay_dead_after_later_commits() {
             .is_empty(),
         "the rolled-back loser must not be resurrected"
     );
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&path).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -378,7 +393,7 @@ proptest! {
         let path = temp_log("prop");
         let units = build_units(&decisions);
         let (bytes, marks) = run_durable(&path, &units, &[Op::InsPar(9_999, "tail")]);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&path).unwrap();
 
         for seed in cut_seeds {
             let cut = (seed * (bytes.len() as f64 + 1.0)) as u64;
@@ -392,7 +407,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// File-backed buffer pool: the same crash guarantees, plus the flush
+// Log-backed buffer pool: the same crash guarantees, plus the flush
 // rule observed at every dirty-page writeback
 // ---------------------------------------------------------------------
 
@@ -416,37 +431,49 @@ impl relstore::WritebackObserver for FlushRuleAudit {
     }
 }
 
-/// The scripted crash-point sweep, re-run on a one-page file-backed
+/// A bounded pool with 256-byte pages spilling to a fresh
+/// log-structured store.
+fn tiny_log_pool(tag: &str, max_pages: usize) -> (PoolConfig, PathBuf) {
+    let dir = std::env::temp_dir().join(format!(
+        "wal-recovery-{}-{tag}-{}.pages.d",
+        std::process::id(),
+        NEXT_FILE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PoolConfig {
+        page_size: 256,
+        ..PoolConfig::log(&dir, max_pages)
+    };
+    (cfg, dir)
+}
+
+/// The scripted crash-point sweep, re-run on a one-page log-backed
 /// buffer pool: nearly every row access evicts a dirty page through
 /// the WAL's flush gate, a [`relstore::WritebackObserver`] audits the
 /// write-ahead rule at each writeback, and recovery at every cut —
-/// itself onto a bounded file-backed pool — still equals the
+/// itself onto a bounded log-backed pool — still equals the
 /// committed-prefix oracle.
 #[test]
-fn file_backed_pool_recovery_sweep_upholds_flush_rule() {
-    let path = temp_log("filepool");
-    let spill = std::env::temp_dir().join(format!(
-        "wal-recovery-filepool-spill-{}.pages",
-        std::process::id()
-    ));
+fn log_backed_pool_recovery_sweep_upholds_flush_rule() {
+    let path = temp_log("logpool");
+    let (pool, spill) = tiny_log_pool("spill", 1);
     let units = scripted_units();
     let tail = [Op::InsPar(5, "e"), Op::InsChild(14, 4)];
 
     // Durable run on the tiny pool, flush rule audited throughout.
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
     let audit = std::sync::Arc::new(FlushRuleAudit::default());
     let opts = WalOptions {
         sync_data: false, // in-process durability semantics are identical
-        pool: relstore::PoolConfig {
-            backend: relstore::PoolBackend::File(spill.clone()),
-            max_pages: Some(1),
-            page_size: 256,
-        },
+        pool,
         ..WalOptions::default()
     };
     let (bytes, marks) = {
-        let (db, wal, _) = open_durable(&path, opts).unwrap();
-        db.pool().set_observer(Some(audit.clone()));
+        let (db, wal, _) = open_durable_any(&path, opts).unwrap();
+        db.as_two_pl()
+            .expect("2PL engine")
+            .pool()
+            .set_observer(Some(audit.clone()));
         let mut marks = Vec::new();
         for (i, unit) in units.iter().enumerate() {
             match unit {
@@ -470,7 +497,7 @@ fn file_backed_pool_recovery_sweep_upholds_flush_rule() {
                     txn.rollback();
                 }
                 Unit::Checkpoint => {
-                    wal.checkpoint(&db).unwrap();
+                    wal.checkpoint_any(&db).unwrap();
                 }
             }
         }
@@ -480,9 +507,9 @@ fn file_backed_pool_recovery_sweep_upholds_flush_rule() {
         }
         wal.flush().unwrap();
         std::mem::forget(txn); // crash: records on disk, no commit
-        (std::fs::read(&path).unwrap(), marks)
+        (crash::read_log(&path), marks)
     };
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&path).unwrap();
 
     assert!(
         audit.writebacks.load(Ordering::Relaxed) > 0,
@@ -509,22 +536,14 @@ fn file_backed_pool_recovery_sweep_upholds_flush_rule() {
         .collect();
     assert_eq!(dirty_counts.len(), 2, "both checkpoints survived");
 
-    // Crash-point sweep: recover every cut onto a bounded file-backed
+    // Crash-point sweep: recover every cut onto a bounded log-backed
     // pool; logical state must equal the in-memory oracle at each.
-    let recover_spill = std::env::temp_dir().join(format!(
-        "wal-recovery-filepool-recover-{}.pages",
-        std::process::id()
-    ));
-    let cfg = relstore::PoolConfig {
-        backend: relstore::PoolBackend::File(recover_spill.clone()),
-        max_pages: Some(4),
-        page_size: 256,
-    };
     let mut oracle_cache: std::collections::HashMap<Option<usize>, String> =
         std::collections::HashMap::new();
     for cut in 0..=bytes.len() as u64 {
         let prefix = crash::cut_at(&bytes, cut);
-        let (db, _) = wal::recover_bytes_pooled(&prefix, &obs::Registry::disabled(), &cfg)
+        let (cfg, recover_spill) = tiny_log_pool("recover", 4);
+        let (db, _) = recover_on(&prefix, &cfg)
             .unwrap_or_else(|e| panic!("cut {cut}: pooled recovery must succeed, got {e}"));
         let key = marks.iter().rev().find(|(_, m)| *m <= cut).map(|(i, _)| *i);
         let expected = oracle_cache
@@ -533,11 +552,12 @@ fn file_backed_pool_recovery_sweep_upholds_flush_rule() {
         let got = serde_json::to_string(&db.snapshot().unwrap()).unwrap();
         assert_eq!(
             &got, expected,
-            "cut {cut}: file-backed recovery diverges from oracle"
+            "cut {cut}: log-backed recovery diverges from oracle"
         );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&recover_spill);
     }
-    let _ = std::fs::remove_file(&spill);
-    let _ = std::fs::remove_file(&recover_spill);
+    let _ = std::fs::remove_dir_all(&spill);
 }
 
 /// Regression: a checkpoint concurrent with dirty-page eviction must
@@ -550,22 +570,13 @@ fn file_backed_pool_recovery_sweep_upholds_flush_rule() {
 #[test]
 fn checkpoint_concurrent_with_eviction_does_not_deadlock() {
     let path = temp_log("ckpt-evict");
-    let spill = std::env::temp_dir().join(format!(
-        "wal-ckpt-evict-spill-{}-{}.pages",
-        std::process::id(),
-        NEXT_FILE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_file(&spill);
+    let (pool, spill) = tiny_log_pool("ckpt-evict-spill", 1);
     let opts = WalOptions {
         sync_data: false,
-        pool: relstore::PoolConfig {
-            backend: relstore::PoolBackend::File(spill.clone()),
-            max_pages: Some(1),
-            page_size: 256,
-        },
+        pool,
         ..WalOptions::default()
     };
-    let (db, wal, _) = open_durable(&path, opts).unwrap();
+    let (db, wal, _) = open_durable_any(&path, opts).unwrap();
     db.create_table(parent_schema()).unwrap();
 
     let writer = {
@@ -591,7 +602,7 @@ fn checkpoint_concurrent_with_eviction_does_not_deadlock() {
         let wal = wal.clone();
         std::thread::spawn(move || {
             for _ in 0..60 {
-                wal.checkpoint(&db).unwrap();
+                wal.checkpoint_any(&db).unwrap();
             }
         })
     };
@@ -609,6 +620,6 @@ fn checkpoint_concurrent_with_eviction_does_not_deadlock() {
              (pool-lock / WAL-lock order inversion)"
         ),
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&spill);
+    let _ = std::fs::remove_dir_all(&path);
+    let _ = std::fs::remove_dir_all(&spill);
 }

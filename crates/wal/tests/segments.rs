@@ -2,12 +2,13 @@
 //! (checkpoints shrink the disk, observably in metrics), a crash at
 //! any point during checkpoint-driven segment pruning recovers the
 //! same state, a prune that somehow outran its checkpoint is refused,
-//! and segmented recovery is observation-equivalent to the
-//! single-file log.
+//! and a crash at every byte and every segment boundary of a
+//! multi-segment log recovers exactly the committed prefix.
 
-use relstore::{ColumnType, TableSchema, Value};
+use relstore::{AnyEngine, ColumnType, EngineKind, TableSchema, Value};
 use std::path::{Path, PathBuf};
-use wal::{open_durable, WalError, WalOptions};
+use wal::segments::{encode_seg_header, read_segments, segment_path};
+use wal::{crash, open_durable_any, Lsn, WalError, WalOptions};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wal-segments-{}-{tag}", std::process::id()));
@@ -23,7 +24,7 @@ fn opts(segment_bytes: u64) -> WalOptions {
     }
 }
 
-fn make_table(db: &relstore::Database) {
+fn make_table(db: &AnyEngine) {
     db.create_table(
         TableSchema::builder("t")
             .column("id", ColumnType::Int)
@@ -35,7 +36,7 @@ fn make_table(db: &relstore::Database) {
     .unwrap();
 }
 
-fn insert_rows(db: &relstore::Database, range: std::ops::Range<i64>) {
+fn insert_rows(db: &AnyEngine, range: std::ops::Range<i64>) {
     for id in range {
         db.with_txn(|txn| {
             txn.insert("t", vec![Value::Int(id), Value::from(format!("row-{id}"))])?;
@@ -55,7 +56,7 @@ fn segment_files(dir: &Path) -> Vec<PathBuf> {
     v
 }
 
-fn snapshot_json(db: &relstore::Database) -> String {
+fn snapshot_json(db: &AnyEngine) -> String {
     serde_json::to_string(&db.snapshot().unwrap()).unwrap()
 }
 
@@ -70,7 +71,7 @@ fn checkpoint_shrinks_segmented_log_disk() {
         metrics: metrics.clone(),
         ..opts(2048)
     };
-    let (db, wal, _) = open_durable(&dir, options).unwrap();
+    let (db, wal, _) = open_durable_any(&dir, options).unwrap();
     make_table(&db);
     insert_rows(&db, 0..300);
 
@@ -80,7 +81,7 @@ fn checkpoint_shrinks_segmented_log_disk() {
     assert_eq!(segment_files(&dir).len() as u64, live_before);
     assert_eq!(metrics.gauge("wal.segments_live"), Some(live_before as i64));
 
-    wal.checkpoint(&db).unwrap();
+    wal.checkpoint_any(&db).unwrap();
 
     let live_after = wal.segments_live();
     let disk_after = wal.disk_bytes();
@@ -104,12 +105,12 @@ fn checkpoint_shrinks_segmented_log_disk() {
     // Steady state: another churn round plus checkpoint stays bounded
     // near the post-checkpoint footprint instead of accumulating.
     insert_rows(&db, 300..600);
-    wal.checkpoint(&db).unwrap();
+    wal.checkpoint_any(&db).unwrap();
     assert!(wal.disk_bytes() < disk_before);
 
     // And the pruned log still recovers everything.
     drop((db, wal));
-    let (db, _wal, report) = open_durable(&dir, opts(2048)).unwrap();
+    let (db, _wal, report) = open_durable_any(&dir, opts(2048)).unwrap();
     assert!(report.checkpoint_lsn.is_some());
     assert_eq!(db.row_count("t").unwrap(), 600);
 
@@ -122,7 +123,7 @@ fn checkpoint_shrinks_segmented_log_disk() {
 #[test]
 fn prune_interrupted_at_every_segment_recovers_identically() {
     let dir = temp_dir("prune-crash");
-    let (db, wal, _) = open_durable(&dir, opts(1024)).unwrap();
+    let (db, wal, _) = open_durable_any(&dir, opts(1024)).unwrap();
     make_table(&db);
     insert_rows(&db, 0..150);
     drop((db, wal));
@@ -136,8 +137,8 @@ fn prune_interrupted_at_every_segment_recovers_identically() {
 
     // Checkpoint (which prunes), plus a little post-checkpoint work so
     // the tail matters too.
-    let (db, wal, _) = open_durable(&dir, opts(1024)).unwrap();
-    wal.checkpoint(&db).unwrap();
+    let (db, wal, _) = open_durable_any(&dir, opts(1024)).unwrap();
+    wal.checkpoint_any(&db).unwrap();
     insert_rows(&db, 150..160);
     let oracle = snapshot_json(&db);
     drop((db, wal));
@@ -163,7 +164,7 @@ fn prune_interrupted_at_every_segment_recovers_identically() {
         for f in &pruned[k..] {
             std::fs::copy(f, work.join(f.file_name().unwrap())).unwrap();
         }
-        let (db, _wal, report) = open_durable(&work, opts(1024)).unwrap();
+        let (db, _wal, report) = open_durable_any(&work, opts(1024)).unwrap();
         assert!(report.checkpoint_lsn.is_some(), "crash after {k} deletions");
         assert_eq!(
             snapshot_json(&db),
@@ -184,7 +185,7 @@ fn prune_interrupted_at_every_segment_recovers_identically() {
 #[test]
 fn pruned_prefix_without_checkpoint_is_refused() {
     let dir = temp_dir("refused");
-    let (db, wal, _) = open_durable(&dir, opts(1024)).unwrap();
+    let (db, wal, _) = open_durable_any(&dir, opts(1024)).unwrap();
     make_table(&db);
     insert_rows(&db, 0..80);
     drop((db, wal));
@@ -195,7 +196,7 @@ fn pruned_prefix_without_checkpoint_is_refused() {
     assert!(files.len() > 2);
     std::fs::remove_file(&files[0]).unwrap();
 
-    match open_durable(&dir, opts(1024)) {
+    match open_durable_any(&dir, opts(1024)) {
         Err(WalError::Corrupt { reason, .. }) => {
             assert!(
                 reason.contains("no checkpoint survives"),
@@ -209,34 +210,100 @@ fn pruned_prefix_without_checkpoint_is_refused() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Same workload, two log layouts: the segmented log recovers to the
-/// same observable database as the classic single file.
-#[test]
-fn segmented_recovery_equals_single_file() {
-    let seg_dir = temp_dir("equiv-seg");
-    let single = std::env::temp_dir().join(format!(
-        "wal-segments-{}-equiv-single.wal",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&single);
-
-    let run = |path: &Path, o: WalOptions| {
-        let (db, wal, _) = open_durable(path, o).unwrap();
+/// The oracle: an in-memory engine that committed rows `0..rows`, one
+/// transaction each — or nothing at all when even the DDL was cut.
+fn oracle_json(table: bool, rows: i64) -> String {
+    let db = AnyEngine::new(EngineKind::TwoPl);
+    if table {
         make_table(&db);
-        insert_rows(&db, 0..120);
-        wal.checkpoint(&db).unwrap();
-        insert_rows(&db, 120..140);
-        drop(wal);
-        drop(db);
+        insert_rows(&db, 0..rows);
+    }
+    snapshot_json(&db)
+}
+
+/// A crash at **every byte and every segment boundary** of a
+/// multi-segment log recovers exactly the committed prefix — before a
+/// checkpoint pruned the log's head and after. At a boundary the next
+/// segment's file may be absent, hold a torn header, or hold a bare
+/// header; all three are the same crash.
+#[test]
+fn recovery_equals_committed_prefix_at_every_cut_and_boundary() {
+    let dir = temp_dir("sweep");
+    let pre = temp_dir("sweep-pre");
+    let work = temp_dir("sweep-work");
+    let o = || opts(256);
+
+    // `marks[k]` is the durable LSN after the DDL (k = 0) or after row
+    // k - 1 committed: a cut keeps exactly the units whose mark fits.
+    let mut marks: Vec<Lsn> = Vec::new();
+    let (db, wal, _) = open_durable_any(&dir, o()).unwrap();
+    make_table(&db);
+    marks.push(wal.durable_lsn());
+    for id in 0..14 {
+        insert_rows(&db, id..id + 1);
+        marks.push(wal.durable_lsn());
+    }
+    // Keep the unpruned log, then checkpoint (which prunes) and go on.
+    crash::cut_segments(&dir, &pre, wal.durable_lsn()).unwrap();
+    wal.checkpoint_any(&db).unwrap();
+    let checkpoint_end = wal.durable_lsn();
+    for id in 14..18 {
+        insert_rows(&db, id..id + 1);
+        marks.push(wal.durable_lsn());
+    }
+    drop((db, wal));
+    assert!(
+        read_segments(&pre).unwrap().segments.len() > 4,
+        "workload must rotate segments"
+    );
+    assert!(
+        read_segments(&dir).unwrap().base > 8,
+        "checkpoint must prune the head"
+    );
+
+    let mut oracles: std::collections::HashMap<usize, String> = std::collections::HashMap::new();
+    let mut check = |cut: Lsn, what: &str| {
+        let survived = marks.iter().filter(|m| **m <= cut).count();
+        let expected = oracles
+            .entry(survived)
+            .or_insert_with(|| oracle_json(survived > 0, survived as i64 - 1));
+        let (db, _wal, _report) = open_durable_any(&work, o())
+            .unwrap_or_else(|e| panic!("cut {cut} ({what}): recovery must succeed, got {e}"));
+        assert_eq!(
+            &snapshot_json(&db),
+            expected,
+            "cut {cut} ({what}): recovered state diverges from the committed prefix"
+        );
     };
-    run(&seg_dir, opts(1024));
-    run(&single, WalOptions::default());
 
-    let (db_seg, _w1, r1) = open_durable(&seg_dir, opts(1024)).unwrap();
-    let (db_single, _w2, r2) = open_durable(&single, WalOptions::default()).unwrap();
-    assert_eq!(r1.checkpoint_lsn.is_some(), r2.checkpoint_lsn.is_some());
-    assert_eq!(snapshot_json(&db_seg), snapshot_json(&db_single));
+    // Every cut the crash model allows: the whole unpruned log, and
+    // the pruned one from the end of its checkpoint record (pruning
+    // starts only once that record is durable).
+    let pre_end = *marks[..15].last().unwrap();
+    for (src, from, to) in [
+        (&pre, 8, pre_end),
+        (&dir, checkpoint_end, *marks.last().unwrap()),
+    ] {
+        let bases: Vec<Lsn> = read_segments(src)
+            .unwrap()
+            .segments
+            .iter()
+            .map(|s| s.base)
+            .collect();
+        for cut in from..=to {
+            crash::cut_segments(src, &work, cut).unwrap();
+            check(cut, "byte");
+            if bases.contains(&cut) {
+                let next = segment_path(&work, cut);
+                std::fs::write(&next, &encode_seg_header(cut)[..5]).unwrap();
+                check(cut, "boundary, torn header");
+                std::fs::write(&next, encode_seg_header(cut)).unwrap();
+                check(cut, "boundary, bare header");
+            }
+        }
+    }
 
-    std::fs::remove_dir_all(&seg_dir).unwrap();
-    std::fs::remove_file(&single).unwrap();
+    for d in [&dir, &pre, &work] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }

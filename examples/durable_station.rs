@@ -9,7 +9,8 @@
 //! Run with: `cargo run --example durable_station`
 //!
 //! With `--shards N` the station spans N hash partitions, each with
-//! its own write-ahead log: reopening recovers every shard, resolves
+//! its own write-ahead log (`shard-<i>.wal.d/` beside the shared
+//! `blobs.d/`): reopening recovers every shard, resolves
 //! any in-doubt two-phase commits by presumed abort, and rebuilds the
 //! routing directories from the recovered rows. (The torn-transaction
 //! demonstration needs raw engine access and runs in the unsharded
@@ -25,9 +26,8 @@ use mmu_wdoc::core::dbms::DatabaseInfo;
 use mmu_wdoc::core::ids::{DbName, ScriptName, UserId};
 use mmu_wdoc::core::tables::Script;
 use mmu_wdoc::core::WebDocDb;
-use mmu_wdoc::obs::Registry;
-use mmu_wdoc::relstore::EngineKind;
-use mmu_wdoc::shard::ShardedStation;
+use mmu_wdoc::logstore::LogConfig;
+use mmu_wdoc::shard::ShardedBackend;
 use mmu_wdoc::wal::WalOptions;
 
 fn lecture(name: &str, week: &str) -> Script {
@@ -67,10 +67,18 @@ fn arg_sim_threads() -> usize {
 /// Open the station durably at `dir`, unsharded or N-way sharded, and
 /// report how much recovery work the open performed.
 fn open(dir: &std::path::Path, shards: u32) -> WebDocDb {
+    let opts = WalOptions::default();
     if shards > 1 {
-        let (db, reports) =
-            WebDocDb::open_sharded_durable(dir, shards, EngineKind::TwoPl, Registry::new())
-                .unwrap();
+        let metrics = opts.metrics.clone();
+        let (backend, reports) = ShardedBackend::recover(shards, dir, opts).unwrap();
+        let db = WebDocDb::on_durable_backend(
+            Box::new(backend),
+            true,
+            dir,
+            LogConfig::default(),
+            metrics,
+        )
+        .unwrap();
         let scanned: usize = reports.iter().map(|r| r.records_scanned).sum();
         let losers: usize = reports.iter().map(|r| r.losers.len()).sum();
         println!(
@@ -79,7 +87,7 @@ fn open(dir: &std::path::Path, shards: u32) -> WebDocDb {
         );
         db
     } else {
-        let (db, report) = WebDocDb::open_durable(dir, WalOptions::default()).unwrap();
+        let (db, report) = WebDocDb::open_durable_logged(dir, opts, LogConfig::default()).unwrap();
         println!(
             "opened durable station: {} records scanned, checkpoint at {:?}, {} winner(s), {} loser(s) rolled back",
             report.records_scanned,
@@ -116,7 +124,7 @@ fn main() {
         println!("committed 2 lecture scripts");
 
         // A checkpoint bounds how much log a restart must replay (and
-        // persists the BLOB layer).
+        // deletes the log segments it covers).
         let lsn = db.checkpoint().unwrap();
         println!("checkpoint written at LSN {lsn}");
 

@@ -22,8 +22,9 @@ use mmu_wdoc::dist::{
 };
 use mmu_wdoc::library::{assess, rank, Catalog, CatalogEntry, CheckoutLedger};
 use mmu_wdoc::netsim::{LinkSpec, Network, SimTime};
+use mmu_wdoc::obs::Registry;
 use mmu_wdoc::relstore::EngineKind;
-use mmu_wdoc::shard::ShardedStation;
+use mmu_wdoc::shard::ShardedBackend;
 use mmu_wdoc::workload::{generate_course, generate_trace, CourseSpec, MediaMix, TraceSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,7 +59,8 @@ fn main() {
         println!(
             "running on a {shards}-shard station (typed verbs routed through the shard Router)"
         );
-        WebDocDb::open_sharded(shards, EngineKind::TwoPl).expect("sharded station")
+        let backend = ShardedBackend::new(EngineKind::TwoPl, shards, Registry::new());
+        WebDocDb::on_backend(Box::new(backend), true).expect("sharded station")
     } else {
         WebDocDb::new()
     };

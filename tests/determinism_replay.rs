@@ -18,7 +18,7 @@ use mmu_wdoc::core::WebDocDb;
 use mmu_wdoc::dist::{resilient_broadcast, BroadcastTree, RetryPolicy};
 use mmu_wdoc::netsim::{Fault, FaultSchedule, LinkSpec, Network, QueueKind, SimTime, StationId};
 use mmu_wdoc::obs::Registry;
-use mmu_wdoc::relstore::{ColumnType, EngineKind, Predicate, TableSchema, Value};
+use mmu_wdoc::relstore::{AnyEngine, ColumnType, EngineKind, Predicate, TableSchema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -142,7 +142,7 @@ fn different_seed_diverges() {
 /// the byte-identical contract — the engine's own registry includes
 /// wall-clock latency histograms that are deliberately outside it.
 fn engine_sweep_snapshot_json(seed: u64, kind: EngineKind) -> String {
-    let db = WebDocDb::with_engine(kind);
+    let db = WebDocDb::on_backend(Box::new(AnyEngine::new(kind)), true).unwrap();
     let rel = db.relational();
     rel.create_table(
         TableSchema::builder("payload")

@@ -246,10 +246,18 @@ fn crashed_station_recovers_db_from_wal_and_rejoins_delivery() {
 
     let dir = std::env::temp_dir().join(format!("wdoc-scenario-e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        WebDocDb::open_durable_logged(
+            &dir,
+            mmu_wdoc::wal::WalOptions::default(),
+            mmu_wdoc::logstore::LogConfig::default(),
+        )
+        .unwrap()
+    };
 
     // -- Before the crash: station 1 authors durably. ------------------
     {
-        let (db, _) = WebDocDb::open_durable(&dir, mmu_wdoc::wal::WalOptions::default()).unwrap();
+        let (db, _) = open();
         db.create_database(&DatabaseInfo {
             name: DbName::new("mm-course"),
             keywords: vec!["multimedia".into()],
@@ -293,7 +301,7 @@ fn crashed_station_recovers_db_from_wal_and_rejoins_delivery() {
     let (r, _net) = run(2, 1, schedule);
 
     // -- After netsim recovery: reopen from the log. -------------------
-    let (db, report) = WebDocDb::open_durable(&dir, mmu_wdoc::wal::WalOptions::default()).unwrap();
+    let (db, report) = open();
     assert_eq!(report.losers.len(), 1, "the in-flight registration");
     let names: Vec<String> = db
         .databases()
