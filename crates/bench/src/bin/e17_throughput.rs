@@ -13,10 +13,11 @@
 //!    sequence.
 //! 2. **Broadcast payloads** — an m-ary object broadcast over 1 000
 //!    stations with a 256 KiB body, refcount-shared (`Bytes` clones)
-//!    versus deep-copied per send, at fan-out 2–16. The baseline also
-//!    runs on the heap queue, i.e. the exact pre-overhaul
-//!    configuration. `BroadcastReport`s and netsim metrics snapshots
-//!    must be identical — zero-copy changes memory traffic only.
+//!    versus deep-copied per send, at fan-out 2–16. The copying relay
+//!    is this binary's own, written over the public
+//!    `Network::send_body`; `dist` ships only the sharing one.
+//!    `BroadcastReport`s and netsim metrics snapshots must be
+//!    identical — zero-copy changes memory traffic only.
 //! 3. **Scan/select** — full-table scans over 10 k – 1 M rows through
 //!    the compiled-predicate raw path (`Table::scan_encoded` +
 //!    `Compiled::matches_raw`, page-pin batched, decode-on-match)
@@ -43,10 +44,12 @@ use relstore::{
     BufferPool, ColumnType, PoolConfig, Predicate, Row, RowId, Table, TableSchema, Value,
 };
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use wdoc_bench::{emit, wall_clock, write_json_file, WallClock};
-use wdoc_dist::{broadcast_object, BroadcastTree};
+use wdoc_dist::broadcast::Relay;
+use wdoc_dist::{broadcast_object, BroadcastReport, BroadcastTree};
 
 const WARMUP: u32 = 1;
 const RUNS: u32 = 5;
@@ -179,18 +182,53 @@ struct BroadcastCell {
     speedup: Option<f64>,
 }
 
-fn broadcast_once(
-    n: usize,
-    m: u64,
-    body_bytes: usize,
-    kind: QueueKind,
-    deep_copy: bool,
-) -> (wdoc_dist::BroadcastReport, String) {
-    let (mut net, ids) =
-        Network::uniform_with_queue(n, LinkSpec::new(1_000_000, SimTime::from_millis(1)), kind);
+/// The baseline relay: `dist::broadcast_object`'s protocol, except
+/// that every child send materializes a fresh copy of the body — what
+/// a relay that clones payload bodies per send costs.
+fn broadcast_copying(
+    net: &mut Network<Relay>,
+    tree: &BroadcastTree,
+    body: &Bytes,
+) -> BroadcastReport {
+    fn relay(net: &mut Network<Relay>, tree: &BroadcastTree, pos: u64, body: &Bytes) {
+        let src = tree.station_at(pos).expect("position exists");
+        for child in tree.children_of(pos) {
+            let dst = tree.station_at(child).expect("child exists");
+            let copy = Bytes::copy_from_slice(body);
+            net.send_body(src, dst, Relay { position: child }, copy);
+        }
+    }
+    let mut arrivals = BTreeMap::new();
+    relay(net, tree, 1, body);
+    net.run(|net, msg| {
+        arrivals.insert(msg.dst.0, net.now());
+        let body = msg.body.as_ref().expect("every relay send carries a body");
+        relay(net, tree, msg.payload.position, body);
+    });
+    net.flush_metrics();
+    let senders = tree.broadcast_vector();
+    BroadcastReport {
+        completion: net.last_delivery(),
+        total_bytes: net.total_bytes(),
+        max_station_tx: senders
+            .iter()
+            .map(|&s| net.station_stats(s).tx_bytes)
+            .max()
+            .unwrap_or(0),
+        height: tree.height(),
+        arrivals,
+    }
+}
+
+fn broadcast_once(n: usize, m: u64, body_bytes: usize, copying: bool) -> (BroadcastReport, String) {
+    let (mut net, ids) = Network::uniform(n, LinkSpec::new(1_000_000, SimTime::from_millis(1)));
     let tree = BroadcastTree::new(ids, m);
     let body = Bytes::from(vec![0xAB; body_bytes]);
-    let report = broadcast_object(&mut net, &tree, &body, deep_copy);
+    let report = if copying {
+        broadcast_copying(&mut net, &tree, &body)
+    } else {
+        broadcast_object(&mut net, &tree, &body)
+    };
     let snapshot = net.metrics().snapshot().to_json();
     (report, snapshot)
 }
@@ -212,10 +250,9 @@ fn broadcast_family(
     for &m in fanouts {
         eprintln!("[e17] broadcast: fanout={m}");
         let mut base_out = None;
-        // Baseline = the full pre-overhaul configuration: heap-backed
-        // event queue and one fresh body copy per relay send.
+        // Baseline: one fresh body copy per relay send.
         let baseline = wall_clock(WARMUP, RUNS, || {
-            base_out = Some(broadcast_once(n, m, body_bytes, QueueKind::Heap, true));
+            base_out = Some(broadcast_once(n, m, body_bytes, true));
         });
         let (base_report, base_snap) = base_out.expect("ran");
         let (optimized, opt_rate) = if baseline_only {
@@ -223,7 +260,7 @@ fn broadcast_family(
         } else {
             let mut opt_out = None;
             let wc = wall_clock(WARMUP, RUNS, || {
-                opt_out = Some(broadcast_once(n, m, body_bytes, QueueKind::Wheel, false));
+                opt_out = Some(broadcast_once(n, m, body_bytes, false));
             });
             let (opt_report, opt_snap) = opt_out.expect("ran");
             assert_eq!(
@@ -232,7 +269,7 @@ fn broadcast_family(
             );
             assert_eq!(
                 opt_snap, base_snap,
-                "fan-out {m}: netsim metrics must not depend on queue kind or body sharing"
+                "fan-out {m}: netsim metrics must not depend on body sharing"
             );
             let rate = wc.throughput(msgs);
             (Some(wc), Some(rate))

@@ -5,8 +5,7 @@
 //! Two families, equality always checked **before** any timing:
 //!
 //! 1. **Parity** — an m-ary broadcast over a small topology, healthy
-//!    and under a fault schedule, on both queue kinds. The
-//!    `BroadcastReport` and the obs snapshot from the parallel engine
+//!    and under a fault schedule. The `BroadcastReport` and the obs snapshot from the parallel engine
 //!    must be **byte-identical** to the sequential engine at every
 //!    thread count. This is the oracle gate; it runs in smoke mode too
 //!    (threads {1, 2}).
@@ -24,8 +23,7 @@
 //! `BENCH_e22.json` with every equality gate enforced.
 
 use netsim::{
-    Fault, FaultSchedule, IslandCtx, LinkSpec, Message, Network, ParNet, Partition, QueueKind,
-    SimTime, StationId, Topology,
+    Fault, FaultSchedule, LinkSpec, Message, NetCtx, Network, ParNet, SimTime, StationId,
 };
 use serde::Serialize;
 use std::path::PathBuf;
@@ -77,7 +75,6 @@ fn faults(n: usize) -> FaultSchedule {
 struct ParityCell {
     stations: usize,
     fanout: u64,
-    queue: String,
     faulty: bool,
     islands: usize,
     threads: usize,
@@ -88,61 +85,56 @@ struct ParityCell {
 fn parity_family(n: usize, m: u64, islands: usize, thread_counts: &[usize]) -> Vec<ParityCell> {
     println!("\n-- parity: broadcast over {n} stations, m={m}, {islands} islands --");
     println!(
-        "{:>7} {:>7} {:>8} {:>8} {:>10}",
-        "queue", "faulty", "threads", "snap B", "identical"
+        "{:>7} {:>8} {:>8} {:>10}",
+        "faulty", "threads", "snap B", "identical"
     );
     let object = 500_000u64;
     let mut cells = Vec::new();
-    for kind in [QueueKind::Wheel, QueueKind::Heap] {
-        for faulty in [false, true] {
-            let (mut snet, ids) = Network::uniform_with_queue(n, link(), kind);
+    for faulty in [false, true] {
+        let (mut snet, ids) = Network::uniform(n, link());
+        if faulty {
+            snet.set_faults(faults(n));
+        }
+        let tree = BroadcastTree::new(ids, m);
+        let seq_report = broadcast(&mut snet, &tree, object);
+        let seq_snap = snet.metrics().snapshot().to_json();
+        for &threads in thread_counts {
+            let (mut pnet, ids) = ParNet::uniform(n, link(), islands);
             if faulty {
-                snet.set_faults(faults(n));
+                pnet.set_faults(faults(n));
             }
             let tree = BroadcastTree::new(ids, m);
-            let seq_report = broadcast(&mut snet, &tree, object);
-            let seq_snap = snet.metrics().snapshot().to_json();
-            for &threads in thread_counts {
-                let mut topo = Topology::new();
-                let ids = topo.add_stations(n, link());
-                let mut pnet = ParNet::with_queue(topo, Partition::contiguous(n, islands), kind);
-                if faulty {
-                    pnet.set_faults(faults(n));
-                }
-                let tree = BroadcastTree::new(ids, m);
-                let par_report = broadcast_par(&mut pnet, &tree, object, threads);
-                let par_snap = pnet.metrics().snapshot().to_json();
-                assert_eq!(
-                    seq_report, par_report,
-                    "{kind:?} faulty={faulty} threads={threads}: reports must be identical"
-                );
-                assert!(
-                    seq_snap == par_snap,
-                    "{kind:?} faulty={faulty} threads={threads}: snapshots must be \
-                     byte-identical; first divergence at byte {}",
-                    seq_snap
-                        .bytes()
-                        .zip(par_snap.bytes())
-                        .position(|(a, b)| a != b)
-                        .unwrap_or(seq_snap.len().min(par_snap.len()))
-                );
-                let cell = ParityCell {
-                    stations: n,
-                    fanout: m,
-                    queue: format!("{kind:?}"),
-                    faulty,
-                    islands,
-                    threads,
-                    snapshot_bytes: seq_snap.len(),
-                    identical: true,
-                };
-                println!(
-                    "{:>7} {:>7} {:>8} {:>8} {:>10}",
-                    cell.queue, cell.faulty, cell.threads, cell.snapshot_bytes, "yes"
-                );
-                emit("e22", &cell);
-                cells.push(cell);
-            }
+            let par_report = broadcast_par(&mut pnet, &tree, object, threads);
+            let par_snap = pnet.metrics().snapshot().to_json();
+            assert_eq!(
+                seq_report, par_report,
+                "faulty={faulty} threads={threads}: reports must be identical"
+            );
+            assert!(
+                seq_snap == par_snap,
+                "faulty={faulty} threads={threads}: snapshots must be byte-identical; \
+                 first divergence at byte {}",
+                seq_snap
+                    .bytes()
+                    .zip(par_snap.bytes())
+                    .position(|(a, b)| a != b)
+                    .unwrap_or(seq_snap.len().min(par_snap.len()))
+            );
+            let cell = ParityCell {
+                stations: n,
+                fanout: m,
+                faulty,
+                islands,
+                threads,
+                snapshot_bytes: seq_snap.len(),
+                identical: true,
+            };
+            println!(
+                "{:>7} {:>8} {:>8} {:>10}",
+                cell.faulty, cell.threads, cell.snapshot_bytes, "yes"
+            );
+            emit("e22", &cell);
+            cells.push(cell);
         }
     }
     cells
@@ -150,79 +142,47 @@ fn parity_family(n: usize, m: u64, islands: usize, thread_counts: &[usize]) -> V
 
 // -------------------------------------------------------------- speedup
 
-/// The flood workload: every delivery with hops remaining forwards to
-/// two pseudo-random destinations. Event count scales geometrically
-/// with `hops`, and destinations are uniform over the whole topology,
-/// so the windows carry heavy cross-island traffic — the hard case for
-/// the conservative protocol, not a partition-friendly one.
-fn flood_next(salt: u64, hop: u32, k: u64, n: u64) -> StationId {
-    StationId(((salt.wrapping_mul(2 + k).wrapping_add(u64::from(hop))) % n) as u32)
+type Flood = (u32, u64);
+
+/// The flood workload, one handler for both engines: every delivery
+/// with hops remaining forwards to two pseudo-random destinations.
+/// Event count scales geometrically with `hops`, and destinations are
+/// uniform over the whole topology, so the windows carry heavy
+/// cross-island traffic — the hard case for the conservative protocol,
+/// not a partition-friendly one.
+fn flood<C: NetCtx<Flood>>(net: &mut C, n: u64, msg: Message<Flood>) {
+    let (hop, salt) = msg.payload;
+    if hop == 0 {
+        return;
+    }
+    for k in 0..2u64 {
+        let dst = StationId(((salt.wrapping_mul(2 + k).wrapping_add(u64::from(hop))) % n) as u32);
+        let bytes = 10_000 + salt % 1000;
+        net.send(msg.dst, dst, bytes, (hop - 1, salt.wrapping_add(k)));
+    }
 }
 
-fn flood_kickoff<F: FnMut(StationId, StationId, u64, (u32, u64))>(
-    ids: &[StationId],
-    seeds: usize,
-    hops: u32,
-    mut send: F,
-) {
+fn flood_kickoff<C: NetCtx<Flood>>(net: &mut C, ids: &[StationId], seeds: usize, hops: u32) {
     for (i, &src) in ids.iter().enumerate().take(seeds) {
         let dst = ids[(i * 37 + 11) % ids.len()];
-        send(src, dst, 20_000, (hops, i as u64 + 1));
+        net.send(src, dst, 20_000, (hops, i as u64 + 1));
     }
 }
 
 fn flood_seq(n: usize, seeds: usize, hops: u32) -> (u64, u64, u64) {
     let (mut net, ids) = Network::uniform(n, link());
-    flood_kickoff(&ids, seeds, hops, |s, d, b, p| {
-        net.send(s, d, b, p);
-    });
-    net.run(|net: &mut Network<(u32, u64)>, msg: Message<(u32, u64)>| {
-        let (hop, salt) = msg.payload;
-        if hop == 0 {
-            return;
-        }
-        let n = net.topology().len() as u64;
-        for k in 0..2u64 {
-            let dst = flood_next(salt, hop, k, n);
-            net.send(
-                msg.dst,
-                dst,
-                10_000 + salt % 1000,
-                (hop - 1, salt.wrapping_add(k)),
-            );
-        }
-    });
+    flood_kickoff(&mut net, &ids, seeds, hops);
+    net.run(|net, msg| flood(net, n as u64, msg));
     net.flush_metrics();
     (net.total_bytes(), net.total_msgs(), net.now().as_micros())
 }
 
 fn flood_par(n: usize, seeds: usize, hops: u32, islands: usize, threads: usize) -> (u64, u64, u64) {
-    let mut topo = Topology::new();
-    let ids = topo.add_stations(n, link());
-    let mut net = ParNet::new(topo, islands);
-    flood_kickoff(&ids, seeds, hops, |s, d, b, p| {
-        net.send(s, d, b, p);
+    let (mut net, ids) = ParNet::uniform(n, link(), islands);
+    flood_kickoff(&mut net, &ids, seeds, hops);
+    net.run(threads, vec![(); islands], |ctx, (), msg| {
+        flood(ctx, n as u64, msg)
     });
-    let states = vec![n as u64; islands];
-    net.run(
-        threads,
-        states,
-        |ctx: &mut IslandCtx<'_, (u32, u64)>, n: &mut u64, msg: Message<(u32, u64)>| {
-            let (hop, salt) = msg.payload;
-            if hop == 0 {
-                return;
-            }
-            for k in 0..2u64 {
-                let dst = flood_next(salt, hop, k, *n);
-                ctx.send(
-                    msg.dst,
-                    dst,
-                    10_000 + salt % 1000,
-                    (hop - 1, salt.wrapping_add(k)),
-                );
-            }
-        },
-    );
     net.flush_metrics();
     (net.total_bytes(), net.total_msgs(), net.now().as_micros())
 }

@@ -15,7 +15,7 @@
 
 use crate::tree::BroadcastTree;
 use bytes::Bytes;
-use netsim::{Network, ParNet, SimTime, StationId};
+use netsim::{Message, NetCtx, Network, ParNet, SimTime, StationId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -58,6 +58,81 @@ pub struct Relay {
     pub position: u64,
 }
 
+/// The store-and-forward relay, written once for every engine: the
+/// station at tree position `pos` holds the object and forwards it to
+/// its tree children in broadcast-vector order. With a `body` the one
+/// refcounted buffer travels on ([`netsim::Message::body`]); without,
+/// only the byte count does.
+fn relay<C: NetCtx<Relay>>(
+    net: &mut C,
+    tree: &BroadcastTree,
+    pos: u64,
+    bytes: u64,
+    body: Option<&Bytes>,
+) {
+    let src = tree.station_at(pos).expect("position exists");
+    for child in tree.children_of(pos) {
+        let dst = tree.station_at(child).expect("child exists");
+        match body {
+            Some(b) => net.send_body(src, dst, Relay { position: child }, b.clone()),
+            None => net.send(src, dst, bytes, Relay { position: child }),
+        };
+    }
+}
+
+/// What a station does on receiving the object: note the arrival, relay
+/// on. Purely station-local, which is what lets the parallel engine run
+/// it with no shared state.
+fn on_arrival<C: NetCtx<Relay>>(
+    net: &mut C,
+    tree: &BroadcastTree,
+    arrivals: &mut BTreeMap<u32, SimTime>,
+    msg: Message<Relay>,
+) {
+    arrivals.insert(msg.dst.0, net.now());
+    let pos = msg.payload.position;
+    relay(net, tree, pos, msg.bytes, msg.body.as_ref());
+}
+
+/// The report of a finished tree broadcast, from the engine's totals.
+fn tree_report(
+    tree: &BroadcastTree,
+    arrivals: BTreeMap<u32, SimTime>,
+    completion: SimTime,
+    total_bytes: u64,
+    tx_bytes: impl Fn(StationId) -> u64,
+) -> BroadcastReport {
+    BroadcastReport {
+        completion,
+        total_bytes,
+        max_station_tx: tree
+            .broadcast_vector()
+            .iter()
+            .map(|&s| tx_bytes(s))
+            .max()
+            .unwrap_or(0),
+        height: tree.height(),
+        arrivals,
+    }
+}
+
+fn broadcast_seq(
+    net: &mut Network<Relay>,
+    tree: &BroadcastTree,
+    bytes: u64,
+    body: Option<&Bytes>,
+) -> BroadcastReport {
+    let mut arrivals = BTreeMap::new();
+    // Root "has" the object; kick off sends to its children.
+    relay(net, tree, 1, bytes, body);
+    net.run(|net, msg| on_arrival(net, tree, &mut arrivals, msg));
+    net.flush_metrics();
+    let (completion, total) = (net.last_delivery(), net.total_bytes());
+    tree_report(tree, arrivals, completion, total, |s| {
+        net.station_stats(s).tx_bytes
+    })
+}
+
 /// Broadcast `object_bytes` from the tree root to every station by
 /// store-and-forward relay along the tree.
 pub fn broadcast(
@@ -65,75 +140,7 @@ pub fn broadcast(
     tree: &BroadcastTree,
     object_bytes: u64,
 ) -> BroadcastReport {
-    let mut arrivals = BTreeMap::new();
-    // Root "has" the object; kick off sends to its children.
-    send_to_children(net, tree, 1, object_bytes);
-    net.run(|net, msg| {
-        arrivals.insert(msg.dst.0, net.now());
-        send_to_children(net, tree, msg.payload.position, msg.bytes);
-    });
-    finish(net, tree, arrivals)
-}
-
-fn send_to_children(net: &mut Network<Relay>, tree: &BroadcastTree, pos: u64, bytes: u64) {
-    let src = tree.station_at(pos).expect("position exists");
-    for child in tree.children_of(pos) {
-        let dst = tree.station_at(child).expect("child exists");
-        net.send(src, dst, bytes, Relay { position: child });
-    }
-}
-
-/// [`broadcast`] on the island-parallel engine: the same store-and-
-/// forward relay, with each island's deliveries handled on its own
-/// worker thread. The relay handler is purely station-local (on
-/// delivery at a station, forward from that station to its tree
-/// children), so it parallelizes without any shared state; the report
-/// and — after the flush [`finish`] performs — the obs snapshot are
-/// byte-identical to the sequential [`broadcast`] for every island
-/// count and thread count.
-pub fn broadcast_par(
-    net: &mut ParNet<Relay>,
-    tree: &BroadcastTree,
-    object_bytes: u64,
-    threads: usize,
-) -> BroadcastReport {
-    // Root "has" the object; kick off sends to its children.
-    let root_src = tree.station_at(1).expect("root exists");
-    for child in tree.children_of(1) {
-        let dst = tree.station_at(child).expect("child exists");
-        net.send(root_src, dst, object_bytes, Relay { position: child });
-    }
-    let per_island: Vec<BTreeMap<u32, SimTime>> = vec![BTreeMap::new(); net.islands()];
-    let per_island = net.run(threads, per_island, |ctx, arrivals, msg| {
-        arrivals.insert(msg.dst.0, ctx.now());
-        // msg.dst is the station at msg.payload.position — island-local
-        // by delivery, so it may relay from here.
-        for child in tree.children_of(msg.payload.position) {
-            let dst = tree.station_at(child).expect("child exists");
-            ctx.send(msg.dst, dst, msg.bytes, Relay { position: child });
-        }
-    });
-    // Each station is delivered on exactly one island: the per-island
-    // maps have disjoint key sets and fold into the same BTreeMap the
-    // sequential run builds.
-    let mut arrivals = BTreeMap::new();
-    for m in per_island {
-        arrivals.extend(m);
-    }
-    net.flush_metrics();
-    let max_station_tx = tree
-        .broadcast_vector()
-        .iter()
-        .map(|&s| net.station_stats(s).tx_bytes)
-        .max()
-        .unwrap_or(0);
-    BroadcastReport {
-        completion: net.last_delivery(),
-        total_bytes: net.total_bytes(),
-        max_station_tx,
-        height: tree.height(),
-        arrivals,
-    }
+    broadcast_seq(net, tree, object_bytes, None)
 }
 
 /// Broadcast an actual object *body* (not just a byte count) down the
@@ -142,43 +149,38 @@ pub fn broadcast_par(
 /// memory traffic: every relay hop forwards the one refcounted buffer
 /// ([`netsim::Message::body`]), so an m-ary fan-out to N stations
 /// performs zero payload copies.
-///
-/// `deep_copy` is the E17 baseline toggle: when set, each child send
-/// materializes a fresh copy of the body — the behavior of a relay
-/// that clones payload bodies per send.
 pub fn broadcast_object(
     net: &mut Network<Relay>,
     tree: &BroadcastTree,
     body: &Bytes,
-    deep_copy: bool,
 ) -> BroadcastReport {
-    let mut arrivals = BTreeMap::new();
-    send_body_to_children(net, tree, 1, body, deep_copy);
-    net.run(|net, msg| {
-        arrivals.insert(msg.dst.0, net.now());
-        let body = msg.body.expect("object broadcast always carries a body");
-        send_body_to_children(net, tree, msg.payload.position, &body, deep_copy);
-    });
-    finish(net, tree, arrivals)
+    broadcast_seq(net, tree, body.len() as u64, Some(body))
 }
 
-fn send_body_to_children(
-    net: &mut Network<Relay>,
+/// [`broadcast`] on the island-parallel engine: the same relay, with
+/// each island's deliveries handled on its own worker thread. The
+/// report and the obs snapshot are byte-identical to the sequential
+/// [`broadcast`] for every island count and thread count.
+pub fn broadcast_par(
+    net: &mut ParNet<Relay>,
     tree: &BroadcastTree,
-    pos: u64,
-    body: &Bytes,
-    deep_copy: bool,
-) {
-    let src = tree.station_at(pos).expect("position exists");
-    for child in tree.children_of(pos) {
-        let dst = tree.station_at(child).expect("child exists");
-        let b = if deep_copy {
-            Bytes::copy_from_slice(body)
-        } else {
-            body.clone()
-        };
-        net.send_body(src, dst, Relay { position: child }, b);
-    }
+    object_bytes: u64,
+    threads: usize,
+) -> BroadcastReport {
+    relay(net, tree, 1, object_bytes, None);
+    let per_island = vec![BTreeMap::new(); net.islands()];
+    let per_island = net.run(threads, per_island, |ctx, arrivals, msg| {
+        on_arrival(ctx, tree, arrivals, msg);
+    });
+    net.flush_metrics();
+    // Each station is delivered on exactly one island: the per-island
+    // maps have disjoint key sets and fold into the same BTreeMap the
+    // sequential run builds.
+    let arrivals = per_island.into_iter().flatten().collect();
+    let (completion, total) = (net.last_delivery(), net.total_bytes());
+    tree_report(tree, arrivals, completion, total, |s| {
+        net.station_stats(s).tx_bytes
+    })
 }
 
 /// Baseline: the root unicasts the object to every other station
@@ -213,27 +215,6 @@ pub fn unicast_star(
     }
 }
 
-fn finish(
-    net: &Network<Relay>,
-    tree: &BroadcastTree,
-    arrivals: BTreeMap<u32, SimTime>,
-) -> BroadcastReport {
-    net.flush_metrics();
-    let max_station_tx = tree
-        .broadcast_vector()
-        .iter()
-        .map(|&s| net.station_stats(s).tx_bytes)
-        .max()
-        .unwrap_or(0);
-    BroadcastReport {
-        completion: net.last_delivery(),
-        total_bytes: net.total_bytes(),
-        max_station_tx,
-        height: tree.height(),
-        arrivals,
-    }
-}
-
 /// Convenience: run a tree broadcast on a fresh uniform network.
 #[must_use]
 pub fn broadcast_uniform(
@@ -245,22 +226,6 @@ pub fn broadcast_uniform(
     let (mut net, ids) = Network::uniform(n, uplink);
     let tree = BroadcastTree::new(ids, m);
     broadcast(&mut net, &tree, object_bytes)
-}
-
-/// Convenience: [`broadcast_par`] on a fresh uniform network split into
-/// `islands` islands. The uplink latency must be nonzero when
-/// `islands > 1` — cross-island lookahead comes from it.
-pub fn broadcast_par_uniform(
-    n: usize,
-    m: u64,
-    object_bytes: u64,
-    uplink: netsim::LinkSpec,
-    islands: usize,
-    threads: usize,
-) -> BroadcastReport {
-    let (mut net, ids) = ParNet::uniform(n, uplink, islands);
-    let tree = BroadcastTree::new(ids, m);
-    broadcast_par(&mut net, &tree, object_bytes, threads)
 }
 
 /// Convenience: run the star baseline on a fresh uniform network.
@@ -380,7 +345,8 @@ mod tests {
         for (n, m) in [(2usize, 1u64), (17, 2), (50, 3), (64, 8)] {
             let seq = broadcast_uniform(n, m, 123_457, wan());
             for (islands, threads) in [(1usize, 1usize), (3, 2), (8, 4)] {
-                let par = broadcast_par_uniform(n, m, 123_457, wan(), islands, threads);
+                let (mut net, ids) = ParNet::uniform(n, wan(), islands);
+                let par = broadcast_par(&mut net, &BroadcastTree::new(ids, m), 123_457, threads);
                 assert_eq!(seq, par, "n={n} m={m} islands={islands} threads={threads}");
             }
         }
@@ -492,36 +458,31 @@ mod tests {
     #[test]
     fn object_broadcast_matches_byte_count_broadcast() {
         // Same tree, same size: carrying a real body must not change
-        // timing, accounting or arrival order — shared or deep-copied.
+        // timing, accounting or arrival order.
         let n = 32;
-        let by_count = broadcast_uniform(n, 3, MB, lan());
-        for deep in [false, true] {
-            let (mut net, ids) = Network::uniform(n, lan());
-            let tree = BroadcastTree::new(ids, 3);
-            let body = Bytes::from(vec![0xAB; MB as usize]);
-            let r = broadcast_object(&mut net, &tree, &body, deep);
-            assert_eq!(r, by_count, "deep_copy={deep}");
-        }
+        let (mut net, ids) = Network::uniform(n, lan());
+        let tree = BroadcastTree::new(ids, 3);
+        let body = Bytes::from(vec![0xAB; MB as usize]);
+        let r = broadcast_object(&mut net, &tree, &body);
+        assert_eq!(r, broadcast_uniform(n, 3, MB, lan()));
     }
 
     #[test]
-    fn shared_object_broadcast_never_copies() {
+    fn object_broadcast_never_copies() {
+        // Every station's delivered body is the original allocation.
         let (mut net, ids) = Network::uniform(16, lan());
-        let tree = BroadcastTree::new(ids.clone(), 4);
+        let tree = BroadcastTree::new(ids, 4);
         let body = Bytes::from(vec![1u8; 10_000]);
         let origin = body.as_ref().as_ptr();
-        broadcast_object(&mut net, &tree, &body, false);
-        // Re-run observing delivered bodies: every station's copy is
-        // the original allocation.
-        let (mut net2, ids2) = Network::uniform(16, lan());
-        let tree2 = BroadcastTree::new(ids2, 4);
-        send_body_to_children(&mut net2, &tree2, 1, &body, false);
-        net2.run(|net, msg| {
-            let b = msg.body.expect("body");
+        relay(&mut net, &tree, 1, 10_000, Some(&body));
+        let mut arrivals = BTreeMap::new();
+        net.run(|net, msg| {
+            let b = msg.body.as_ref().expect("body");
             assert!(std::ptr::eq(b.as_ref().as_ptr(), origin));
-            send_body_to_children(net, &tree2, msg.payload.position, &b, false);
+            on_arrival(net, &tree, &mut arrivals, msg);
         });
-        assert_eq!(net2.total_bytes(), net.total_bytes());
+        assert_eq!(arrivals.len(), 15);
+        assert_eq!(net.total_bytes(), 15 * 10_000);
     }
 
     #[test]

@@ -31,9 +31,8 @@ pub mod tree;
 
 pub use adaptive::{predict_completion, tree_height, AdaptiveController};
 pub use broadcast::{
-    broadcast, broadcast_course, broadcast_object, broadcast_par, broadcast_par_uniform,
-    broadcast_uniform, star_uniform, unicast_star, BroadcastReport, CourseBroadcastReport,
-    CourseObject,
+    broadcast, broadcast_course, broadcast_object, broadcast_par, broadcast_uniform, star_uniform,
+    unicast_star, BroadcastReport, CourseBroadcastReport, CourseObject,
 };
 pub use demand::{AccessEvent, DemandReport, DemandSim, DocSpec};
 pub use migrate::{LectureDoc, LectureSession, MigrationReport, MigrationSim};

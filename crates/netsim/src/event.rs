@@ -80,10 +80,11 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// Which event-queue implementation a [`EventQueue`] (and therefore a
-/// [`crate::Network`]) uses. Both are deterministic and produce
-/// identical pop sequences; `Heap` is the pre-overhaul baseline kept
-/// for benchmarking (E17) and as the property-test oracle.
+/// Which implementation an [`EventQueue`] built by
+/// [`EventQueue::with_kind`] uses. Both are deterministic and produce
+/// identical pop sequences. The simulator always runs on `Wheel`;
+/// `Heap` is the reference `tests/queue_equiv.rs` compares the wheel
+/// against and the baseline E17's queue family measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// Hierarchical timing wheel with overflow heap and lane fast path.

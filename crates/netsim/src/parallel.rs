@@ -1,15 +1,23 @@
-//! Conservative parallel discrete-event simulation: island-partitioned
-//! networks that replay **byte-identically** to the sequential engine.
+//! Conservative parallel discrete-event simulation: the island core
+//! run many-at-once, replaying **byte-identically** to the one-island
+//! [`Network`].
 //!
 //! ## Model
 //!
-//! Stations are partitioned into *islands*. Each island owns the
-//! mutable state of its stations (uplink clock, traffic counters, the
-//! per-station tie-break counter) plus its own timing-wheel event
-//! queue, fault-state replica and metric accumulators — so a worker
-//! thread can process its islands' events with no shared mutable
-//! state. Cross-island messages travel through per-island mailboxes
-//! that are drained only at window barriers.
+//! Stations are partitioned into *islands* — the same crate-private
+//! core [`Network`] wraps one of. Each island owns the mutable state of
+//! its stations (uplink clock, traffic counters, the per-station
+//! tie-break counter) plus its own event queue, clock, fault-state
+//! replica and traffic totals, so a worker thread can process its
+//! islands' events with no shared mutable state. [`ParNet`] is the
+//! vector of islands plus what only a many-island run needs: the
+//! station → island owner map, the per-island mailboxes that carry
+//! cross-island messages between window barriers, and the fault replay.
+//! [`IslandCtx`] is the handler's borrow of one island during a window.
+//! Send timing, timers, delivery and drop accounting are the core's;
+//! the two types here only decide *where an envelope is enqueued* (the
+//! destination island's queue from the main thread; the own queue or
+//! the destination's mailbox from a handler).
 //!
 //! ## Lookahead and the window protocol
 //!
@@ -32,34 +40,35 @@
 //!
 //! Optimistic engines (time warp) reach further ahead and roll back on
 //! conflict; rollback would have to undo handler side effects (user
-//! state, metric accumulators, shared `Bytes` bodies), which is
+//! state, traffic totals, shared `Bytes` bodies), which is
 //! incompatible with arbitrary user handlers and with the repo's
 //! byte-identity discipline. Conservative windows need no rollback and
 //! make determinism a *structural* property: each island processes the
 //! island-restricted subsequence of the global `(time, key)` event
-//! order, and every quantity the sequential engine accumulates is
+//! order, and every quantity the one-island engine accumulates is
 //! either per-station (owned by exactly one island) or a sum/max/
-//! histogram-merge of per-island accumulators.
+//! histogram-merge of per-island totals.
 //!
 //! ## Determinism contract
 //!
-//! For any partition, thread count and queue kind, a [`ParNet`] run
-//! produces the same delivered bytes, the same per-station stats and —
-//! after [`ParNet::flush_metrics`] — a byte-identical obs snapshot to
+//! For any island count and thread count, a [`ParNet`] run produces the
+//! same delivered bytes, the same per-station stats and — after
+//! [`ParNet::flush_metrics`] — a byte-identical obs snapshot to
 //! [`Network`] with the same inputs, provided the handler is a pure
 //! function of `(island-local state, message)` that records nothing in
 //! the shared registry itself. Fault events are applied inside each
-//! island as pure functions of time (no counters), and replayed once
-//! against the real registry when a run completes, so `netsim.fault.*`
-//! counters and traces match the sequential engine exactly.
+//! island as pure functions of time (against a disabled registry), and
+//! replayed against the real registry — by every main-thread send or
+//! timer and when a run completes — so `netsim.fault.*` counters and
+//! traces, [`ParNet::is_down`] and [`ParNet::last_crash`] match
+//! [`Network`] exactly. That replay is the only fault code the
+//! many-island engine has of its own.
 //!
 //! [`Network`]: crate::Network
 
-use crate::event::{EventQueue, QueueKind};
 use crate::fault::{Fault, FaultSchedule, FaultState, SendError};
-use crate::sim::{
-    deliver, flush_netsim_metrics, prepare_send, prepare_timer, Envelope, Flows, Message,
-};
+use crate::island::{self, Flows, Island, Parcel};
+use crate::sim::{impl_net_ctx, Message};
 use crate::time::SimTime;
 use crate::topology::{LinkSpec, StationId, StationStats, Topology};
 use bytes::Bytes;
@@ -67,130 +76,46 @@ use obs::Registry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-/// Assignment of stations to islands.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    owner: Vec<u32>,
-    count: usize,
-}
-
-impl Partition {
-    /// Split `stations` into `islands` contiguous id ranges of
-    /// near-equal size. Contiguous ranges track the m-ary tree's id
-    /// layout (a node's children are `m·k + 1 …`), so subtrees mostly
-    /// stay island-local and cross-island traffic is the exception.
-    ///
-    /// # Panics
-    /// If `islands` is zero.
-    #[must_use]
-    pub fn contiguous(stations: usize, islands: usize) -> Self {
-        assert!(islands > 0, "at least one island");
-        let islands = islands.min(stations.max(1));
-        let per = stations.div_ceil(islands);
-        Partition {
-            owner: (0..stations).map(|i| (i / per) as u32).collect(),
-            count: islands,
-        }
-    }
-
-    /// Explicit station → island map. Island ids must be dense from 0.
-    ///
-    /// # Panics
-    /// If `owner` is empty or its ids are not exactly `0..max+1`.
-    #[must_use]
-    pub fn from_owner(owner: Vec<u32>) -> Self {
-        let count = owner.iter().copied().max().map_or(0, |m| m as usize + 1);
-        assert!(count > 0, "at least one island");
-        let mut seen = vec![false; count];
-        for &o in &owner {
-            seen[o as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "island ids must be dense from 0");
-        Partition { owner, count }
-    }
-
-    /// Number of islands.
-    #[must_use]
-    pub fn islands(&self) -> usize {
-        self.count
-    }
-
-    /// Island owning `id`.
-    #[must_use]
-    pub fn island_of(&self, id: StationId) -> usize {
-        self.owner[id.0 as usize] as usize
-    }
-}
-
-/// One island: the exclusively-owned slice of the simulation.
-///
-/// `topo` is a full clone of the network topology, but the island only
-/// ever *mutates* the stations it owns (sends charge the source, which
-/// handlers may only use when island-local; deliveries charge the
-/// destination, which is island-local by routing). Reads of link specs
-/// and foreign uplink specs are of immutable construction-time data.
-struct Island<P> {
-    topo: Topology,
-    queue: EventQueue<Envelope<P>>,
-    now: SimTime,
-    faults: Option<FaultState>,
-    flows: Flows,
-}
-
-/// A cross-island message waiting in a mailbox for the next barrier.
-struct Parcel<P> {
-    at: u64,
-    key: u64,
-    env: Envelope<P>,
-}
-
 /// The island-parallel network simulator. Mirrors the [`Network`] API;
 /// see the module docs for the execution model and the determinism
 /// contract.
 ///
 /// [`Network`]: crate::Network
 pub struct ParNet<P> {
+    /// Never empty; between runs every island's clock reads the same.
     islands: Vec<Island<P>>,
+    /// Station → index of the island owning it.
     owner: Vec<u32>,
-    now: SimTime,
     metrics: Registry,
+    /// What the islands' fault replicas count on: nothing.
+    silent: Registry,
     schedule: Option<FaultSchedule>,
-    /// Fault replica advanced against the *real* registry once per run,
-    /// reproducing the sequential engine's `netsim.fault.*` counters
-    /// and traces (islands advance their replicas silently).
+    /// Fault replica advanced against the *real* registry, reproducing
+    /// the one-island engine's `netsim.fault.*` counters and traces.
     replay: Option<FaultState>,
 }
 
+impl_net_ctx!(ParNet<P>);
+
 impl<P> ParNet<P> {
-    /// Wrap a topology, split into `islands` contiguous islands.
+    /// Wrap a topology, split into `islands` contiguous id ranges of
+    /// near-equal size (at most one island per station). Contiguous
+    /// ranges track the m-ary tree's id layout (a node's children are
+    /// `m·k + 1 …`), so subtrees mostly stay island-local and
+    /// cross-island traffic is the exception.
+    ///
+    /// # Panics
+    /// If `islands` is zero.
     #[must_use]
     pub fn new(topo: Topology, islands: usize) -> Self {
-        let p = Partition::contiguous(topo.len(), islands);
-        Self::with_queue(topo, p, QueueKind::default())
-    }
-
-    /// Full-control constructor: explicit partition and queue kind.
-    #[must_use]
-    pub fn with_queue(topo: Topology, partition: Partition, kind: QueueKind) -> Self {
-        assert_eq!(
-            partition.owner.len(),
-            topo.len(),
-            "partition must cover every station"
-        );
-        let islands = (0..partition.count)
-            .map(|_| Island {
-                topo: topo.clone(),
-                queue: EventQueue::with_kind(kind),
-                now: SimTime::ZERO,
-                faults: None,
-                flows: Flows::new(),
-            })
-            .collect();
+        assert!(islands > 0, "at least one island");
+        let islands = islands.min(topo.len().max(1));
+        let per = topo.len().div_ceil(islands);
         ParNet {
-            islands,
-            owner: partition.owner,
-            now: SimTime::ZERO,
+            owner: (0..topo.len()).map(|i| (i / per) as u32).collect(),
+            islands: (0..islands).map(|_| Island::new(topo.clone())).collect(),
             metrics: Registry::new(),
+            silent: Registry::disabled(),
             schedule: None,
             replay: None,
         }
@@ -221,7 +146,7 @@ impl<P> ParNet<P> {
     /// Current simulated time (the global clock: max over islands).
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.islands[0].now
     }
 
     /// Number of stations.
@@ -242,6 +167,15 @@ impl<P> ParNet<P> {
         self.islands.len()
     }
 
+    fn home(&self, id: StationId) -> usize {
+        self.owner[id.0 as usize] as usize
+    }
+
+    fn home_mut(&mut self, id: StationId) -> &mut Island<P> {
+        let home = self.home(id);
+        &mut self.islands[home]
+    }
+
     /// Inject a fault schedule (see [`Network::set_faults`]). Every
     /// island receives a replica; events apply at identical virtual
     /// times on every replica regardless of thread count, because the
@@ -256,8 +190,19 @@ impl<P> ParNet<P> {
         self.schedule = Some(schedule);
     }
 
-    /// True if `id` is currently crashed (fault events applied up to
-    /// the end of the last run).
+    /// Apply to the replay replica — and count on the real registry —
+    /// every fault event up to the global clock, which is how far
+    /// [`Network`] has applied them at the same point.
+    ///
+    /// [`Network`]: crate::Network
+    fn advance_replay(&mut self) {
+        let now = self.now();
+        if let Some(f) = &mut self.replay {
+            f.advance(now, &self.metrics);
+        }
+    }
+
+    /// True if `id` is currently crashed (fault events applied so far).
     #[must_use]
     pub fn is_down(&self, id: StationId) -> bool {
         self.replay.as_ref().is_some_and(|f| f.is_down(id))
@@ -277,16 +222,8 @@ impl<P> ParNet<P> {
     ///
     /// [`Network::send`]: crate::Network::send
     pub fn send(&mut self, src: StationId, dst: StationId, bytes: u64, payload: P) -> SimTime {
-        match self.try_send_inner(src, dst, bytes, payload, None) {
-            Ok(at) => at,
-            Err(SendError::SenderDown(_)) => {
-                let isl = &mut self.islands[self.owner[src.0 as usize] as usize];
-                isl.flows.dropped_msgs += 1;
-                isl.flows.dropped_bytes += bytes;
-                isl.flows.accum.drop_sender_down += 1;
-                self.now
-            }
-        }
+        self.post(src, dst, bytes, payload, None)
+            .unwrap_or_else(|_| self.home_mut(src).refuse(bytes))
     }
 
     /// Send an object body (see [`Network::send_body`]).
@@ -300,16 +237,8 @@ impl<P> ParNet<P> {
         body: Bytes,
     ) -> SimTime {
         let bytes = body.len() as u64;
-        match self.try_send_inner(src, dst, bytes, payload, Some(body)) {
-            Ok(at) => at,
-            Err(SendError::SenderDown(_)) => {
-                let isl = &mut self.islands[self.owner[src.0 as usize] as usize];
-                isl.flows.dropped_msgs += 1;
-                isl.flows.dropped_bytes += bytes;
-                isl.flows.accum.drop_sender_down += 1;
-                self.now
-            }
-        }
+        self.post(src, dst, bytes, payload, Some(body))
+            .unwrap_or_else(|_| self.home_mut(src).refuse(bytes))
     }
 
     /// Like [`ParNet::send`], but errs when the sender is crashed.
@@ -323,10 +252,12 @@ impl<P> ParNet<P> {
         bytes: u64,
         payload: P,
     ) -> Result<SimTime, SendError> {
-        self.try_send_inner(src, dst, bytes, payload, None)
+        self.post(src, dst, bytes, payload, None)
     }
 
-    fn try_send_inner(
+    /// Main thread, no window open: the source's island prepares the
+    /// envelope, the destination's island queues it directly.
+    fn post(
         &mut self,
         src: StationId,
         dst: StationId,
@@ -334,51 +265,19 @@ impl<P> ParNet<P> {
         payload: P,
         body: Option<Bytes>,
     ) -> Result<SimTime, SendError> {
-        let now = self.now;
-        let si = self.owner[src.0 as usize] as usize;
-        let disabled = Registry::disabled();
-        let isl = &mut self.islands[si];
-        if let Some(f) = &mut isl.faults {
-            f.advance(now, &disabled);
-        }
-        let (arrival, key, env) = prepare_send(
-            &mut isl.topo,
-            isl.faults.as_ref(),
-            &mut isl.flows,
-            now,
-            src,
-            dst,
-            bytes,
-            payload,
-            body,
-        )?;
-        let di = self.owner[dst.0 as usize] as usize;
-        self.islands[di]
-            .queue
-            .push_lane_keyed(src.0 as usize, arrival, key, env);
-        Ok(arrival)
+        self.advance_replay();
+        let (si, di) = (self.home(src), self.home(dst));
+        let parcel = self.islands[si].prepare_send(&self.silent, src, dst, bytes, payload, body)?;
+        Ok(self.islands[di].enqueue(parcel))
     }
 
     /// Schedule a local timer (see [`Network::schedule`]).
     ///
     /// [`Network::schedule`]: crate::Network::schedule
     pub fn schedule(&mut self, station: StationId, at: SimTime, payload: P) {
-        let now = self.now;
-        let disabled = Registry::disabled();
-        let isl = &mut self.islands[self.owner[station.0 as usize] as usize];
-        if let Some(f) = &mut isl.faults {
-            f.advance(now, &disabled);
-        }
-        let (at, key, env) = prepare_timer(
-            &mut isl.topo,
-            isl.faults.as_ref(),
-            &mut isl.flows,
-            now,
-            station,
-            at,
-            payload,
-        );
-        isl.queue.push_keyed(at, key, env);
+        self.advance_replay();
+        let home = self.home(station);
+        self.islands[home].set_timer(&self.silent, station, at, payload);
     }
 
     /// Conservative lookahead in microseconds: the smallest latency any
@@ -399,7 +298,7 @@ impl<P> ParNet<P> {
             min_lat = min_lat.min(s.uplink.latency.as_micros());
         }
         for (&(src, dst), spec) in &topo.links {
-            if self.owner[src.0 as usize] != self.owner[dst.0 as usize] {
+            if self.home(src) != self.home(dst) {
                 min_lat = min_lat.min(spec.latency.as_micros());
             }
         }
@@ -457,13 +356,14 @@ impl<P> ParNet<P> {
         let n = self.islands.len();
         assert_eq!(states.len(), n, "one handler state per island");
         let threads = threads.clamp(1, n);
-        let la = self.lookahead_micros();
-        let owner: &[u32] = &self.owner;
-
-        let mailboxes: Vec<Mutex<Vec<Parcel<P>>>> =
-            (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let next_at: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let barrier = Barrier::new(threads);
+        let shared = Shared {
+            owner: &self.owner,
+            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            next_at: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            barrier: Barrier::new(threads),
+            lookahead: self.lookahead_micros(),
+            silent: &self.silent,
+        };
 
         // Round-robin islands (with their states) across workers.
         let mut buckets: Vec<Vec<(usize, &mut Island<P>, &mut S)>> =
@@ -473,16 +373,11 @@ impl<P> ParNet<P> {
         }
 
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for bucket in buckets {
-                let mailboxes = &mailboxes;
-                let next_at = &next_at;
-                let barrier = &barrier;
-                let handler = &handler;
-                handles.push(scope.spawn(move || {
-                    worker(bucket, owner, mailboxes, next_at, barrier, handler, la);
-                }));
-            }
+            let (shared, handler) = (&shared, &handler);
+            let handles: Vec<_> = buckets
+                .into_iter()
+                .map(|bucket| scope.spawn(move || worker(bucket, shared, handler)))
+                .collect();
             // Joining inside the scope surfaces worker panics directly.
             for h in handles {
                 if let Err(e) = h.join() {
@@ -491,24 +386,14 @@ impl<P> ParNet<P> {
             }
         });
 
-        // One global clock again: the sequential engine's `now` is the
+        // One global clock again: the one-island engine's `now` is the
         // time of the last popped event, i.e. the max island clock.
-        let now = self
-            .islands
-            .iter()
-            .map(|i| i.now)
-            .max()
-            .unwrap_or(self.now)
-            .max(self.now);
-        self.now = now;
+        let now = self.islands.iter().map(|i| i.now).max();
+        let now = now.expect("at least one island");
         for isl in &mut self.islands {
             isl.now = now;
         }
-        // Replay fault application against the real registry, exactly
-        // as far as the sequential engine would have advanced it.
-        if let Some(f) = &mut self.replay {
-            f.advance(now, &self.metrics);
-        }
+        self.advance_replay();
         states
     }
 
@@ -527,11 +412,8 @@ impl<P> ParNet<P> {
     /// Time of the most recent delivery on any island.
     #[must_use]
     pub fn last_delivery(&self) -> SimTime {
-        self.islands
-            .iter()
-            .map(|i| i.flows.last_delivery)
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        let last = self.islands.iter().map(|i| i.flows.last_delivery).max();
+        last.unwrap_or(SimTime::ZERO)
     }
 
     /// Messages dropped by fault injection so far (all islands).
@@ -549,33 +431,46 @@ impl<P> ParNet<P> {
     /// Per-station counters, read from the owning island's copy.
     #[must_use]
     pub fn station_stats(&self, id: StationId) -> StationStats {
-        let s = &self.islands[self.owner[id.0 as usize] as usize]
-            .topo
-            .stations[id.0 as usize];
-        StationStats {
-            tx_bytes: s.tx_bytes,
-            rx_bytes: s.rx_bytes,
-            tx_msgs: s.tx_msgs,
-            rx_msgs: s.rx_msgs,
-        }
+        self.islands[self.home(id)].station_stats(id)
     }
 
     /// Export the merged `netsim.*` metrics, byte-identical to what the
-    /// sequential engine would flush after the same run. Island
-    /// accumulators fold with sums, maxes and lossless histogram
-    /// merges (all order-independent); stations are read in global id
-    /// order from their owning islands.
+    /// one-island engine would flush after the same run. Island flows
+    /// fold with sums, maxes and lossless histogram merges (all
+    /// order-independent); stations are read in global id order from
+    /// their owning islands.
     pub fn flush_metrics(&self) {
         let mut merged = Flows::new();
         for isl in &self.islands {
             merged.absorb(&isl.flows);
         }
-        flush_netsim_metrics(
+        let stations = self.owner.iter().enumerate();
+        island::flush_metrics(
             &self.metrics,
-            self.now,
-            (0..self.owner.len()).map(|i| &self.islands[self.owner[i] as usize].topo.stations[i]),
+            self.now(),
+            stations.map(|(i, &o)| &self.islands[o as usize].topo.stations[i]),
             &merged,
         );
+    }
+}
+
+/// What every worker (and every [`IslandCtx`]) of one run shares.
+struct Shared<'a, P> {
+    owner: &'a [u32],
+    /// Cross-island sends waiting for the next barrier, per destination.
+    mailboxes: Vec<Mutex<Vec<Parcel<P>>>>,
+    /// Each island's next event time, published between the barriers.
+    next_at: Vec<AtomicU64>,
+    barrier: Barrier,
+    lookahead: Option<u64>,
+    silent: &'a Registry,
+}
+
+impl<P> Shared<'_, P> {
+    fn mailbox(&self, island: usize) -> std::sync::MutexGuard<'_, Vec<Parcel<P>>> {
+        self.mailboxes[island]
+            .lock()
+            .expect("a worker panicked; the scope is already unwinding")
     }
 }
 
@@ -583,74 +478,49 @@ impl<P> ParNet<P> {
 /// it. See the module docs for the protocol argument.
 fn worker<P, S, H>(
     mut bucket: Vec<(usize, &mut Island<P>, &mut S)>,
-    owner: &[u32],
-    mailboxes: &[Mutex<Vec<Parcel<P>>>],
-    next_at: &[AtomicU64],
-    barrier: &Barrier,
+    shared: &Shared<'_, P>,
     handler: &H,
-    la: Option<u64>,
 ) where
-    P: Send,
-    S: Send,
-    H: Fn(&mut IslandCtx<'_, P>, &mut S, Message<P>) + Sync,
+    H: Fn(&mut IslandCtx<'_, P>, &mut S, Message<P>),
 {
-    let disabled = Registry::disabled();
     loop {
         // Phase 1: deliver the mail, publish next event times.
         for (idx, isl, _) in &mut bucket {
-            let mut mail = std::mem::take(&mut *mailboxes[*idx].lock().unwrap());
+            let mut mail = std::mem::take(&mut *shared.mailbox(*idx));
             mail.sort_by_key(|p| (p.at, p.key));
             for p in mail {
-                isl.queue
-                    .push_keyed(SimTime::from_micros(p.at), p.key, p.env);
+                isl.queue.push_keyed(p.at, p.key, p.env);
             }
-            next_at[*idx].store(
-                isl.queue.peek_time().map_or(u64::MAX, SimTime::as_micros),
-                Ordering::Relaxed,
-            );
+            let next = isl.queue.peek_time().map_or(u64::MAX, SimTime::as_micros);
+            shared.next_at[*idx].store(next, Ordering::Relaxed);
         }
-        barrier.wait();
+        shared.barrier.wait();
 
         // Every worker computes the same window start (all times are
         // published and frozen between the two barriers).
-        let w = next_at
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .min()
-            .unwrap_or(u64::MAX);
+        let next_at = shared.next_at.iter().map(|a| a.load(Ordering::Relaxed));
+        let w = next_at.min().unwrap_or(u64::MAX);
         if w == u64::MAX {
             break; // all queues empty everywhere — unanimous by the barrier
         }
-        let window_end = la.map_or(u64::MAX, |l| w.saturating_add(l));
+        // Last instant strictly inside [w, w + lookahead).
+        let until = shared
+            .lookahead
+            .map(|l| SimTime::from_micros(w.saturating_add(l) - 1));
 
-        // Phase 2: process everything strictly inside [w, window_end).
+        // Phase 2: process everything inside the window.
         for (idx, isl, state) in &mut bucket {
-            while isl
-                .queue
-                .peek_time()
-                .is_some_and(|t| t.as_micros() < window_end)
-            {
-                let (at, env) = isl.queue.pop().expect("peeked event");
-                isl.now = at;
-                if let Some(f) = &mut isl.faults {
-                    f.advance(at, &disabled);
-                }
-                if let Some(msg) =
-                    deliver(at, env, isl.faults.as_ref(), &mut isl.topo, &mut isl.flows)
-                {
-                    let mut ctx = IslandCtx {
-                        idx: *idx,
-                        island: isl,
-                        owner,
-                        mailboxes,
-                        window_end,
-                        disabled: &disabled,
-                    };
-                    handler(&mut ctx, state, msg);
-                }
+            while let Some(msg) = isl.next_delivery(shared.silent, until) {
+                let mut ctx = IslandCtx {
+                    idx: *idx,
+                    island: isl,
+                    shared,
+                    until,
+                };
+                handler(&mut ctx, state, msg);
             }
         }
-        barrier.wait();
+        shared.barrier.wait();
     }
 }
 
@@ -660,11 +530,12 @@ fn worker<P, S, H>(
 pub struct IslandCtx<'a, P> {
     idx: usize,
     island: &'a mut Island<P>,
-    owner: &'a [u32],
-    mailboxes: &'a [Mutex<Vec<Parcel<P>>>],
-    window_end: u64,
-    disabled: &'a Registry,
+    shared: &'a Shared<'a, P>,
+    /// End of the current window (`None`: one island, unbounded).
+    until: Option<SimTime>,
 }
+
+impl_net_ctx!(IslandCtx<'_, P>);
 
 impl<P> IslandCtx<'_, P> {
     /// Current simulated time on this island (the time of the delivery
@@ -695,15 +566,8 @@ impl<P> IslandCtx<'_, P> {
     ///
     /// [`Network::send`]: crate::Network::send
     pub fn send(&mut self, src: StationId, dst: StationId, bytes: u64, payload: P) -> SimTime {
-        match self.try_send_inner(src, dst, bytes, payload, None) {
-            Ok(at) => at,
-            Err(SendError::SenderDown(_)) => {
-                self.island.flows.dropped_msgs += 1;
-                self.island.flows.dropped_bytes += bytes;
-                self.island.flows.accum.drop_sender_down += 1;
-                self.island.now
-            }
-        }
+        self.post(src, dst, bytes, payload, None)
+            .unwrap_or_else(|_| self.island.refuse(bytes))
     }
 
     /// Send an object body from an island-local station (semantics of
@@ -721,15 +585,8 @@ impl<P> IslandCtx<'_, P> {
         body: Bytes,
     ) -> SimTime {
         let bytes = body.len() as u64;
-        match self.try_send_inner(src, dst, bytes, payload, Some(body)) {
-            Ok(at) => at,
-            Err(SendError::SenderDown(_)) => {
-                self.island.flows.dropped_msgs += 1;
-                self.island.flows.dropped_bytes += bytes;
-                self.island.flows.accum.drop_sender_down += 1;
-                self.island.now
-            }
-        }
+        self.post(src, dst, bytes, payload, Some(body))
+            .unwrap_or_else(|_| self.island.refuse(bytes))
     }
 
     /// Like [`IslandCtx::send`], but errs when the sender is crashed.
@@ -746,10 +603,13 @@ impl<P> IslandCtx<'_, P> {
         bytes: u64,
         payload: P,
     ) -> Result<SimTime, SendError> {
-        self.try_send_inner(src, dst, bytes, payload, None)
+        self.post(src, dst, bytes, payload, None)
     }
 
-    fn try_send_inner(
+    /// Inside a window: an island-local envelope joins the own queue, a
+    /// cross-island one waits in the destination's mailbox for the next
+    /// barrier.
+    fn post(
         &mut self,
         src: StationId,
         dst: StationId,
@@ -758,41 +618,25 @@ impl<P> IslandCtx<'_, P> {
         body: Option<Bytes>,
     ) -> Result<SimTime, SendError> {
         assert_eq!(
-            self.owner[src.0 as usize] as usize, self.idx,
+            self.shared.owner[src.0 as usize] as usize, self.idx,
             "handlers may only send from stations their island owns"
         );
-        let isl = &mut *self.island;
-        if let Some(f) = &mut isl.faults {
-            f.advance(isl.now, self.disabled);
-        }
-        let (arrival, key, env) = prepare_send(
-            &mut isl.topo,
-            isl.faults.as_ref(),
-            &mut isl.flows,
-            isl.now,
-            src,
-            dst,
-            bytes,
-            payload,
-            body,
-        )?;
-        let di = self.owner[dst.0 as usize] as usize;
+        let parcel =
+            self.island
+                .prepare_send(self.shared.silent, src, dst, bytes, payload, body)?;
+        let di = self.shared.owner[dst.0 as usize] as usize;
         if di == self.idx {
-            isl.queue.push_lane_keyed(src.0 as usize, arrival, key, env);
-        } else {
-            // The conservative-window safety argument in one assert:
-            // nothing sent in this window may land inside it.
-            assert!(
-                arrival.as_micros() >= self.window_end,
-                "cross-island arrival inside the current window — lookahead bound violated"
-            );
-            self.mailboxes[di].lock().unwrap().push(Parcel {
-                at: arrival.as_micros(),
-                key,
-                env,
-            });
+            return Ok(self.island.enqueue(parcel));
         }
-        Ok(arrival)
+        // The conservative-window safety argument in one assert:
+        // nothing sent in this window may land inside it.
+        assert!(
+            self.until.is_some_and(|end| parcel.at > end),
+            "cross-island arrival inside the current window — lookahead bound violated"
+        );
+        let at = parcel.at;
+        self.shared.mailbox(di).push(parcel);
+        Ok(at)
     }
 
     /// Schedule a timer on an island-local station (semantics of
@@ -805,187 +649,232 @@ impl<P> IslandCtx<'_, P> {
     /// [`Network::schedule`]: crate::Network::schedule
     pub fn schedule(&mut self, station: StationId, at: SimTime, payload: P) {
         assert_eq!(
-            self.owner[station.0 as usize] as usize, self.idx,
+            self.shared.owner[station.0 as usize] as usize, self.idx,
             "handlers may only schedule on stations their island owns"
         );
-        let isl = &mut *self.island;
-        if let Some(f) = &mut isl.faults {
-            f.advance(isl.now, self.disabled);
-        }
-        let (at, key, env) = prepare_timer(
-            &mut isl.topo,
-            isl.faults.as_ref(),
-            &mut isl.flows,
-            isl.now,
-            station,
-            at,
-            payload,
-        );
-        isl.queue.push_keyed(at, key, env);
+        self.island
+            .set_timer(self.shared.silent, station, at, payload);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Network;
+    use crate::sim::{NetCtx, Network};
 
-    /// A relay flood: every delivery under `hops` forwards to two
-    /// pseudo-random destinations. Exercises cross-island traffic,
-    /// time ties and the lane fast path.
-    fn flood_handler_seq(net: &mut Network<(u32, u64)>, msg: Message<(u32, u64)>) {
+    type Flood = (u32, u64);
+
+    /// What the handler itself observes, summed over islands.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    struct Tally {
+        timers_set: u64,
+        timers_fired: u64,
+        bodies: u64,
+    }
+
+    /// A relay flood, written once for both engines: every delivery
+    /// under `hops` forwards to two pseudo-random destinations — one
+    /// plain `send`, one `send_body` or `try_send` — and every third
+    /// also arms a timer that continues the flood when it fires.
+    /// Exercises cross-island traffic, time ties, the lane fast path
+    /// and timers that a later crash of their station kills.
+    fn flood<C: NetCtx<Flood>>(net: &mut C, n: u64, tally: &mut Tally, msg: Message<Flood>) {
         let (hop, salt) = msg.payload;
+        let here = msg.dst;
+        assert!(!net.is_down(here), "nothing is delivered at a down station");
+        tally.timers_fired += u64::from(msg.bytes == 0);
+        tally.bodies += u64::from(msg.body.is_some());
         if hop == 0 {
             return;
         }
-        let n = net.topology().len() as u64;
-        for k in 0..2u64 {
-            let dst = StationId(((salt.wrapping_mul(2 + k).wrapping_add(hop as u64)) % n) as u32);
-            net.send(
-                msg.dst,
-                dst,
-                10_000 + salt % 1000,
-                (hop - 1, salt.wrapping_add(k)),
-            );
+        let pick = |k: u64| {
+            let mixed = salt.wrapping_mul(2 + k).wrapping_add(u64::from(hop));
+            StationId((mixed % n) as u32)
+        };
+        let bytes = 10_000 + salt % 1000;
+        net.send(here, pick(0), bytes, (hop - 1, salt));
+        let next = (hop - 1, salt.wrapping_add(1));
+        if salt % 2 == 0 {
+            net.send_body(here, pick(1), next, Bytes::from(vec![0u8; bytes as usize]));
+        } else {
+            net.try_send(here, pick(1), bytes, next)
+                .expect("the handling station is up");
+        }
+        if salt % 3 == 0 {
+            let fire = net.now() + SimTime::from_millis(20);
+            net.schedule(here, fire, (hop - 1, salt.wrapping_add(2)));
+            tally.timers_set += 1;
         }
     }
 
-    fn flood_handler_par(ctx: &mut IslandCtx<'_, (u32, u64)>, n: u64, msg: Message<(u32, u64)>) {
-        let (hop, salt) = msg.payload;
-        if hop == 0 {
-            return;
+    /// The main-thread kick-off, also written once: four flood seeds,
+    /// two timers on station 9 (the crashy schedule takes it down
+    /// between them) and a `try_send` / `send` pair from station 23
+    /// (down at t=0 under the crashy schedule).
+    fn kick_off<C: NetCtx<Flood>>(net: &mut C, ids: &[StationId]) -> Result<SimTime, SendError> {
+        for (i, &src) in ids.iter().enumerate().take(4) {
+            net.send(src, ids[(i + 7) % ids.len()], 50_000, (5u32, i as u64 + 1));
         }
-        for k in 0..2u64 {
-            let dst = StationId(((salt.wrapping_mul(2 + k).wrapping_add(hop as u64)) % n) as u32);
-            ctx.send(
-                msg.dst,
-                dst,
-                10_000 + salt % 1000,
-                (hop - 1, salt.wrapping_add(k)),
-            );
-        }
+        net.schedule(ids[9], SimTime::from_millis(5), (1, 40));
+        net.schedule(ids[9], SimTime::from_millis(20), (1, 41));
+        net.send(ids[23], ids[1], 30_000, (1, 42));
+        net.try_send(ids[23], ids[0], 20_000, (2, 43))
     }
 
     fn spec() -> LinkSpec {
         LinkSpec::new(1_000_000, SimTime::from_millis(5))
     }
 
-    fn seq_outcome(kind: QueueKind, faults: Option<FaultSchedule>) -> (String, u64, u64, u64) {
-        let (mut net, ids) = Network::uniform_with_queue(24, spec(), kind);
-        if let Some(f) = faults {
-            net.set_faults(f);
-        }
-        for (i, &src) in ids.iter().enumerate().take(4) {
-            net.send(src, ids[(i + 7) % ids.len()], 50_000, (5u32, i as u64 + 1));
-        }
-        net.run(flood_handler_seq);
-        net.flush_metrics();
-        (
-            net.metrics().snapshot().to_json(),
-            net.total_bytes(),
-            net.total_msgs(),
-            net.now().as_micros(),
-        )
+    /// Everything a run leaves behind that the two engines must agree
+    /// on, byte for byte.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        snapshot: String,
+        kick: Result<SimTime, SendError>,
+        down_after_kick: (bool, Option<SimTime>),
+        delivered: (u64, u64),
+        dropped: (u64, u64),
+        now: SimTime,
+        stations: Vec<StationStats>,
+        tally: Tally,
     }
 
-    fn par_outcome(
-        kind: QueueKind,
-        islands: usize,
-        threads: usize,
-        faults: Option<FaultSchedule>,
-    ) -> (String, u64, u64, u64) {
-        let mut topo = Topology::new();
-        let ids = topo.add_stations(24, spec());
-        let mut net = ParNet::with_queue(topo, Partition::contiguous(24, islands), kind);
+    /// Both engines answer these under the same inherent names.
+    macro_rules! outcome {
+        ($net:ident, $ids:ident, $kick:ident, $down_after_kick:ident, $tally:ident) => {
+            Outcome {
+                snapshot: $net.metrics().snapshot().to_json(),
+                kick: $kick,
+                down_after_kick: $down_after_kick,
+                delivered: ($net.total_msgs(), $net.total_bytes()),
+                dropped: ($net.dropped_msgs(), $net.dropped_bytes()),
+                now: $net.now(),
+                stations: $ids.iter().map(|&id| $net.station_stats(id)).collect(),
+                tally: $tally,
+            }
+        };
+    }
+
+    fn seq_outcome(faults: Option<FaultSchedule>) -> Outcome {
+        let (mut net, ids) = Network::uniform(24, spec());
         if let Some(f) = faults {
             net.set_faults(f);
         }
-        for (i, &src) in ids.iter().enumerate().take(4) {
-            net.send(src, ids[(i + 7) % ids.len()], 50_000, (5u32, i as u64 + 1));
-        }
-        let states = vec![ids.len() as u64; islands];
-        net.run(threads, states, |ctx, n, msg| {
-            flood_handler_par(ctx, *n, msg)
-        });
+        let kick = kick_off(&mut net, &ids);
+        let down_after_kick = (net.is_down(ids[23]), net.last_crash(ids[23]));
+        let mut tally = Tally::default();
+        net.run(|net, msg| flood(net, 24, &mut tally, msg));
         net.flush_metrics();
-        (
-            net.metrics().snapshot().to_json(),
-            net.total_bytes(),
-            net.total_msgs(),
-            net.now().as_micros(),
-        )
+        outcome!(net, ids, kick, down_after_kick, tally)
     }
+
+    fn par_outcome(islands: usize, threads: usize, faults: Option<FaultSchedule>) -> Outcome {
+        let (mut net, ids) = ParNet::uniform(24, spec(), islands);
+        if let Some(f) = faults {
+            net.set_faults(f);
+        }
+        let kick = kick_off(&mut net, &ids);
+        let down_after_kick = (net.is_down(ids[23]), net.last_crash(ids[23]));
+        let tallies = net.run(
+            threads,
+            vec![Tally::default(); islands],
+            |ctx, tally, msg| flood(ctx, 24, tally, msg),
+        );
+        net.flush_metrics();
+        let mut tally = Tally::default();
+        for t in tallies {
+            tally.timers_set += t.timers_set;
+            tally.timers_fired += t.timers_fired;
+            tally.bodies += t.bodies;
+        }
+        outcome!(net, ids, kick, down_after_kick, tally)
+    }
+
+    const CELLS: [(usize, usize); 4] = [(1, 1), (3, 2), (8, 4), (24, 8)];
 
     #[test]
     fn parallel_matches_sequential_healthy() {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let seq = seq_outcome(kind, None);
-            for (islands, threads) in [(1, 1), (3, 2), (8, 4), (24, 8)] {
-                assert_eq!(
-                    par_outcome(kind, islands, threads, None),
-                    seq,
-                    "islands={islands} threads={threads} kind={kind:?}"
-                );
-            }
+        let seq = seq_outcome(None);
+        assert!(seq.kick.is_ok());
+        assert!(seq.tally.timers_set > 0 && seq.tally.bodies > 0);
+        // Healthy: every timer armed (two of them by the kick-off) fires.
+        assert_eq!(seq.tally.timers_fired, seq.tally.timers_set + 2);
+        for (islands, threads) in CELLS {
+            assert_eq!(
+                par_outcome(islands, threads, None),
+                seq,
+                "islands={islands} threads={threads}"
+            );
         }
     }
 
     fn crashy_schedule() -> FaultSchedule {
+        let (crash, recover) = (
+            |station| Fault::Crash { station },
+            |station| Fault::Recover { station },
+        );
+        let (src, dst) = (StationId(1), StationId(20));
         FaultSchedule::new()
-            .at(
-                SimTime::from_millis(12),
-                Fault::Crash {
-                    station: StationId(9),
-                },
-            )
-            .at(
-                SimTime::from_millis(30),
-                Fault::Partition {
-                    src: StationId(1),
-                    dst: StationId(20),
-                },
-            )
-            .at(
-                SimTime::from_millis(45),
-                Fault::Recover {
-                    station: StationId(9),
-                },
-            )
-            .at(
-                SimTime::from_millis(60),
-                Fault::Heal {
-                    src: StationId(1),
-                    dst: StationId(20),
-                },
-            )
+            .at(SimTime::ZERO, crash(StationId(23)))
+            .at(SimTime::from_millis(10), recover(StationId(23)))
+            .at(SimTime::from_millis(12), crash(StationId(9)))
+            .at(SimTime::from_millis(30), Fault::Partition { src, dst })
+            .at(SimTime::from_millis(45), recover(StationId(9)))
+            .at(SimTime::from_millis(60), Fault::Heal { src, dst })
+            // Mid-flood: kills timers armed by handlers at station 4.
+            .at(SimTime::from_millis(90), crash(StationId(4)))
+            .at(SimTime::from_millis(140), recover(StationId(4)))
     }
 
     #[test]
     fn parallel_matches_sequential_under_faults() {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let seq = seq_outcome(kind, Some(crashy_schedule()));
-            for (islands, threads) in [(3, 3), (8, 2), (6, 8)] {
-                assert_eq!(
-                    par_outcome(kind, islands, threads, Some(crashy_schedule())),
-                    seq,
-                    "islands={islands} threads={threads} kind={kind:?}"
-                );
-            }
+        let seq = seq_outcome(Some(crashy_schedule()));
+        assert_eq!(seq.kick, Err(SendError::SenderDown(StationId(23))));
+        assert_eq!(seq.down_after_kick, (true, Some(SimTime::ZERO)));
+        assert!(seq.dropped.0 > 0);
+        // Crashes killed timers: the kick-off's second one on station
+        // 9 for certain.
+        assert!(seq.tally.timers_fired > 0);
+        assert!(seq.tally.timers_fired < seq.tally.timers_set + 2);
+        for (islands, threads) in CELLS.into_iter().chain([(3, 3), (8, 2), (6, 8)]) {
+            assert_eq!(
+                par_outcome(islands, threads, Some(crashy_schedule())),
+                seq,
+                "islands={islands} threads={threads}"
+            );
         }
+    }
+
+    #[test]
+    fn main_thread_send_applies_due_faults_before_any_run() {
+        // Like `Network`: a main-thread step applies what is due, so
+        // `is_down` / `last_crash` / `netsim.fault.*` never wait for the
+        // end of the next `run`.
+        let (mut net, ids) = ParNet::uniform(6, spec(), 3);
+        net.set_faults(FaultSchedule::new().at(SimTime::ZERO, Fault::Crash { station: ids[3] }));
+        assert!(
+            !net.is_down(ids[3]),
+            "nothing applied before the first step"
+        );
+        net.send(ids[0], ids[1], 100, 0u8);
+        assert!(net.is_down(ids[3]));
+        assert_eq!(net.last_crash(ids[3]), Some(SimTime::ZERO));
+        assert_eq!(net.metrics().snapshot().counter("netsim.fault.crash"), 1);
+        net.run(2, vec![(); 3], |_, _, _| {});
+        assert_eq!(net.metrics().snapshot().counter("netsim.fault.crash"), 1);
     }
 
     #[test]
     fn station_stats_match_sequential() {
         let (mut net, ids) = Network::uniform(6, spec());
         net.send(ids[0], ids[5], 40_000, (3u32, 1u64));
-        net.run(flood_handler_seq);
+        let mut tally = Tally::default();
+        net.run(|net, msg| flood(net, 6, &mut tally, msg));
 
-        let mut topo = Topology::new();
-        let pids = topo.add_stations(6, spec());
-        let mut par = ParNet::new(topo, 3);
+        let (mut par, pids) = ParNet::uniform(6, spec(), 3);
         par.send(pids[0], pids[5], 40_000, (3u32, 1u64));
-        par.run(2, vec![6u64; 3], |ctx, n, msg| {
-            flood_handler_par(ctx, *n, msg)
+        par.run(2, vec![Tally::default(); 3], |ctx, tally, msg| {
+            flood(ctx, 6, tally, msg)
         });
 
         for &id in &ids {

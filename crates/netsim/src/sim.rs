@@ -1,4 +1,4 @@
-//! The simulator core: store-and-forward message delivery.
+//! The sequential simulator: store-and-forward message delivery.
 //!
 //! ## Transfer model
 //!
@@ -18,6 +18,15 @@
 //! forward it — matching a station that spools a file to disk before
 //! re-serving it.
 //!
+//! ## One core, three views
+//!
+//! The model above is implemented once, in the crate-private island
+//! core. [`Network`] is the one-island case: one island plus the
+//! registry its fault events are counted on. [`ParNet`] and
+//! [`IslandCtx`] are the many-island views of the same core; the
+//! [`NetCtx`] trait is what all three share, so a delivery handler can
+//! be written once and run on either engine.
+//!
 //! ## Faults
 //!
 //! An optional [`FaultSchedule`] injects deterministic link and station
@@ -32,7 +41,7 @@
 //! for sends, deliveries, fault drops and fault events, a
 //! delivery-latency histogram and per-uplink utilization. The hot path
 //! never touches the registry: per-event totals accumulate in plain
-//! fields exactly like the pre-existing [`StationStats`] counters, and
+//! fields exactly like the [`StationStats`] counters, and
 //! [`Network::flush_metrics`] exports them with the registry's
 //! idempotent `*_set` primitives (so flushing after every protocol run
 //! *and* again before a snapshot is harmless). Only rare fault events
@@ -40,13 +49,16 @@
 //! from [`SimTime`] and event counts, so the whole `netsim.*`
 //! namespace is byte-for-byte reproducible under a fixed seed (the
 //! `obs` crate documents the determinism contract).
+//!
+//! [`ParNet`]: crate::ParNet
+//! [`IslandCtx`]: crate::IslandCtx
 
-use crate::event::{EventQueue, QueueKind};
 use crate::fault::{FaultSchedule, FaultState, SendError};
+use crate::island::{self, Island};
 use crate::time::SimTime;
 use crate::topology::{LinkSpec, StationId, StationStats, Topology};
 use bytes::Bytes;
-use obs::{Histogram, Registry};
+use obs::Registry;
 
 /// A message in flight (or delivered). `P` is user payload.
 #[derive(Debug, Clone)]
@@ -66,284 +78,111 @@ pub struct Message<P> {
     pub body: Option<Bytes>,
 }
 
-/// Internal queue entry: the message plus what the fault layer needs to
-/// decide, at delivery time, whether the transfer survived.
-pub(crate) struct Envelope<P> {
-    pub(crate) msg: Message<P>,
-    /// When the send was issued (fault cut clocks compare against it).
-    pub(crate) sent_at: SimTime,
-    /// The path was already cut (or the receiver down) at send time.
-    pub(crate) doomed: bool,
+/// What a delivery handler may do, whichever engine runs it.
+///
+/// Implemented by [`Network`], by [`ParNet`] (for the main-thread
+/// kick-off before a run) and by [`IslandCtx`]; each method has the
+/// semantics documented on [`Network`]'s method of the same name. The
+/// trait exists so that a protocol's relay logic is written once,
+/// generic over `C: NetCtx<P>`, instead of once per engine.
+///
+/// [`ParNet`]: crate::ParNet
+/// [`IslandCtx`]: crate::IslandCtx
+pub trait NetCtx<P> {
+    /// Current simulated time.
+    fn now(&self) -> SimTime;
+    /// True if `id` is currently crashed.
+    fn is_down(&self, id: StationId) -> bool;
+    /// Time of `id`'s most recent crash, if it ever crashed.
+    fn last_crash(&self, id: StationId) -> Option<SimTime>;
+    /// Send `bytes` from `src` to `dst`; returns the arrival time. A
+    /// crashed sender degrades to a counted drop.
+    fn send(&mut self, src: StationId, dst: StationId, bytes: u64, payload: P) -> SimTime;
+    /// Send an object body (wire size `body.len()`, buffer shared).
+    fn send_body(&mut self, src: StationId, dst: StationId, payload: P, body: Bytes) -> SimTime;
+    /// Like [`NetCtx::send`], but errs when the sender is crashed.
+    ///
+    /// # Errors
+    /// [`SendError::SenderDown`] if `src` is down at the current time.
+    fn try_send(
+        &mut self,
+        src: StationId,
+        dst: StationId,
+        bytes: u64,
+        payload: P,
+    ) -> Result<SimTime, SendError>;
+    /// Schedule a local timer on `station` at absolute time `at`.
+    fn schedule(&mut self, station: StationId, at: SimTime, payload: P);
 }
 
-/// Always-on metric accumulators that exist only for the observability
-/// layer (everything else is derived from the simulator's own counters
-/// at flush time). Plain fields: updating one costs what updating
-/// `total_bytes` costs. Every field is a sum or a lossless-mergeable
-/// histogram, so per-island accumulators from the parallel engine merge
-/// into exactly the sequential totals.
-#[derive(Clone)]
-pub(crate) struct MetricAccum {
-    pub(crate) send_doomed: u64,
-    pub(crate) drop_in_flight: u64,
-    pub(crate) drop_sender_down: u64,
-    pub(crate) timers: u64,
-    pub(crate) latency: Histogram,
-}
-
-impl MetricAccum {
-    fn new() -> Self {
-        MetricAccum {
-            send_doomed: 0,
-            drop_in_flight: 0,
-            drop_sender_down: 0,
-            timers: 0,
-            latency: Histogram::new(obs::buckets::TIME_US),
-        }
-    }
-}
-
-/// Everything the simulator accumulates as traffic flows: delivery and
-/// drop totals plus the observability accumulators. Split out of
-/// [`Network`] so the sequential engine and the parallel engine's
-/// islands run the *same* send/deliver/flush code (`prepare_send`,
-/// `deliver`, `flush_netsim_metrics`) over the same state shape —
-/// byte-identical results are then a property of event order alone.
-#[derive(Clone)]
-pub(crate) struct Flows {
-    pub(crate) total_bytes: u64,
-    pub(crate) total_msgs: u64,
-    pub(crate) last_delivery: SimTime,
-    pub(crate) dropped_msgs: u64,
-    pub(crate) dropped_bytes: u64,
-    pub(crate) accum: MetricAccum,
-}
-
-impl Flows {
-    pub(crate) fn new() -> Self {
-        Flows {
-            total_bytes: 0,
-            total_msgs: 0,
-            last_delivery: SimTime::ZERO,
-            dropped_msgs: 0,
-            dropped_bytes: 0,
-            accum: MetricAccum::new(),
-        }
-    }
-
-    /// Fold another island's flows into this one. Sums and histogram
-    /// merges only — order-independent by construction.
-    pub(crate) fn absorb(&mut self, other: &Flows) {
-        self.total_bytes += other.total_bytes;
-        self.total_msgs += other.total_msgs;
-        self.last_delivery = self.last_delivery.max(other.last_delivery);
-        self.dropped_msgs += other.dropped_msgs;
-        self.dropped_bytes += other.dropped_bytes;
-        self.accum.send_doomed += other.accum.send_doomed;
-        self.accum.drop_in_flight += other.accum.drop_in_flight;
-        self.accum.drop_sender_down += other.accum.drop_sender_down;
-        self.accum.timers += other.accum.timers;
-        self.accum.latency.merge_from(&other.accum.latency);
-    }
-}
-
-/// Compute the uplink-serialization timing of a send, charge the
-/// sender's station counters, and mint the partition-independent
-/// tie-break key. Returns `(arrival, key, envelope)` for the caller to
-/// enqueue; the caller must have advanced the fault state to `now`
-/// first.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn prepare_send<P>(
-    topo: &mut Topology,
-    faults: Option<&FaultState>,
-    flows: &mut Flows,
-    now: SimTime,
-    src: StationId,
-    dst: StationId,
-    bytes: u64,
-    payload: P,
-    body: Option<Bytes>,
-) -> Result<(SimTime, u64, Envelope<P>), SendError> {
-    let (path, doomed) = match faults {
-        None => (topo.path(src, dst), false),
-        Some(f) => {
-            if f.is_down(src) {
-                return Err(SendError::SenderDown(src));
+/// Implement [`NetCtx`] for a view by forwarding to its inherent
+/// methods of the same names.
+macro_rules! impl_net_ctx {
+    ($view:ty) => {
+        impl<P> $crate::sim::NetCtx<P> for $view {
+            fn now(&self) -> SimTime {
+                <$view>::now(self)
             }
-            (f.apply(src, dst, topo.path(src, dst)), f.dooms(src, dst))
+            fn is_down(&self, id: StationId) -> bool {
+                <$view>::is_down(self, id)
+            }
+            fn last_crash(&self, id: StationId) -> Option<SimTime> {
+                <$view>::last_crash(self, id)
+            }
+            fn send(&mut self, src: StationId, dst: StationId, bytes: u64, payload: P) -> SimTime {
+                <$view>::send(self, src, dst, bytes, payload)
+            }
+            fn send_body(
+                &mut self,
+                src: StationId,
+                dst: StationId,
+                payload: P,
+                body: Bytes,
+            ) -> SimTime {
+                <$view>::send_body(self, src, dst, payload, body)
+            }
+            fn try_send(
+                &mut self,
+                src: StationId,
+                dst: StationId,
+                bytes: u64,
+                payload: P,
+            ) -> Result<SimTime, SendError> {
+                <$view>::try_send(self, src, dst, bytes, payload)
+            }
+            fn schedule(&mut self, station: StationId, at: SimTime, payload: P) {
+                <$view>::schedule(self, station, at, payload)
+            }
         }
     };
-    let s = &mut topo.stations[src.0 as usize];
-    let start = s.uplink_free.max(now);
-    let serialize = SimTime::transfer(bytes, path.bandwidth);
-    let done = start + serialize;
-    s.uplink_free = done;
-    s.busy += serialize;
-    s.tx_bytes += bytes;
-    s.tx_msgs += 1;
-    let key = (u64::from(src.0) << 32) | u64::from(s.seq);
-    s.seq += 1;
-    let arrival = done + path.latency;
-    if doomed {
-        flows.accum.send_doomed += 1;
-    }
-    Ok((
-        arrival,
-        key,
-        Envelope {
-            msg: Message {
-                src,
-                dst,
-                bytes,
-                payload,
-                body,
-            },
-            sent_at: now,
-            doomed,
-        },
-    ))
 }
+pub(crate) use impl_net_ctx;
 
-/// Timer variant of [`prepare_send`]: no bandwidth, key minted from the
-/// owning station's counter. Returns the clamped fire time, key and
-/// envelope.
-pub(crate) fn prepare_timer<P>(
-    topo: &mut Topology,
-    faults: Option<&FaultState>,
-    flows: &mut Flows,
-    now: SimTime,
-    station: StationId,
-    at: SimTime,
-    payload: P,
-) -> (SimTime, u64, Envelope<P>) {
-    let doomed = faults.is_some_and(|f| f.is_down(station));
-    let at = at.max(now);
-    flows.accum.timers += 1;
-    let s = &mut topo.stations[station.0 as usize];
-    let key = (u64::from(station.0) << 32) | u64::from(s.seq);
-    s.seq += 1;
-    (
-        at,
-        key,
-        Envelope {
-            msg: Message {
-                src: station,
-                dst: station,
-                bytes: 0,
-                payload,
-                body: None,
-            },
-            sent_at: now,
-            doomed,
-        },
-    )
-}
-
-/// Apply the delivery-time fault checks to a popped envelope and charge
-/// the receiver's counters. The caller must have advanced the fault
-/// state to `at` first. `None` means the message was dropped.
-pub(crate) fn deliver<P>(
-    at: SimTime,
-    env: Envelope<P>,
-    faults: Option<&FaultState>,
-    topo: &mut Topology,
-    flows: &mut Flows,
-) -> Option<Message<P>> {
-    if let Some(f) = faults {
-        if env.doomed || f.cut_since(env.msg.src, env.msg.dst, env.sent_at) {
-            flows.dropped_msgs += 1;
-            flows.dropped_bytes += env.msg.bytes;
-            flows.accum.drop_in_flight += 1;
-            return None;
-        }
-    }
-    let d = &mut topo.stations[env.msg.dst.0 as usize];
-    d.rx_bytes += env.msg.bytes;
-    d.rx_msgs += 1;
-    flows.total_bytes += env.msg.bytes;
-    flows.total_msgs += 1;
-    flows.last_delivery = at;
-    flows.accum.latency.record((at - env.sent_at).as_micros());
-    Some(env.msg)
-}
-
-/// Export accumulated `netsim.*` metrics into `m` with idempotent
-/// `*_set` primitives. Shared verbatim by [`Network::flush_metrics`]
-/// and the parallel engine's merged flush.
-pub(crate) fn flush_netsim_metrics<'a>(
-    m: &Registry,
-    now: SimTime,
-    stations: impl Iterator<Item = &'a crate::topology::StationState>,
-    flows: &Flows,
-) {
-    if !m.is_enabled() {
-        return;
-    }
-    let elapsed = now.as_micros();
-    let mut tx_msgs = 0u64;
-    let mut tx_bytes = 0u64;
-    let mut busy_us = 0u64;
-    let mut util = Histogram::new(obs::buckets::PCT);
-    for s in stations {
-        tx_msgs += s.tx_msgs;
-        tx_bytes += s.tx_bytes;
-        busy_us += s.busy.as_micros();
-        if let Some(pct) = (s.busy.as_micros() * 100).checked_div(elapsed) {
-            util.record(pct);
-        }
-    }
-    m.counter_set("netsim.send.msgs", tx_msgs);
-    m.counter_set("netsim.send.bytes", tx_bytes);
-    m.counter_set("netsim.send.doomed", flows.accum.send_doomed);
-    m.counter_set("netsim.uplink.busy_us", busy_us);
-    m.counter_set("netsim.deliver.msgs", flows.total_msgs);
-    m.counter_set("netsim.deliver.bytes", flows.total_bytes);
-    m.counter_set("netsim.drop.msgs", flows.dropped_msgs);
-    m.counter_set("netsim.drop.bytes", flows.dropped_bytes);
-    m.counter_set("netsim.drop.in_flight", flows.accum.drop_in_flight);
-    m.counter_set("netsim.drop.sender_down", flows.accum.drop_sender_down);
-    m.counter_set("netsim.timer.scheduled", flows.accum.timers);
-    m.gauge_set(
-        "netsim.deliver.last_us",
-        flows.last_delivery.as_micros() as i64,
-    );
-    m.histogram_set("netsim.deliver.latency_us", &flows.accum.latency);
-    if elapsed > 0 {
-        m.histogram_set("netsim.uplink.utilization_pct", &util);
-    }
-}
-
-/// The discrete-event network simulator.
+/// The discrete-event network simulator: one island and the registry
+/// its fault events are counted on.
 pub struct Network<P> {
-    topo: Topology,
-    queue: EventQueue<Envelope<P>>,
-    now: SimTime,
-    faults: Option<FaultState>,
+    island: Island<P>,
     metrics: Registry,
-    flows: Flows,
 }
+
+impl_net_ctx!(Network<P>);
 
 impl<P> Network<P> {
     /// Wrap a topology into a simulator at time zero.
     #[must_use]
     pub fn new(topo: Topology) -> Self {
-        Self::with_queue(topo, QueueKind::default())
+        Network {
+            island: Island::new(topo),
+            metrics: Registry::new(),
+        }
     }
 
-    /// Like [`Network::new`] with an explicit event-queue
-    /// implementation. Both kinds replay identically under a fixed
-    /// seed; `QueueKind::Heap` is the pre-overhaul baseline the E17
-    /// benchmark (and the determinism guard) compares against.
+    /// Convenience: build a uniform network of `n` stations.
     #[must_use]
-    pub fn with_queue(topo: Topology, kind: QueueKind) -> Self {
-        Network {
-            topo,
-            queue: EventQueue::with_kind(kind),
-            now: SimTime::ZERO,
-            faults: None,
-            metrics: Registry::new(),
-            flows: Flows::new(),
-        }
+    pub fn uniform(n: usize, uplink: LinkSpec) -> (Self, Vec<StationId>) {
+        let mut topo = Topology::new();
+        let ids = topo.add_stations(n, uplink);
+        (Network::new(topo), ids)
     }
 
     /// The metrics registry this network records into.
@@ -363,18 +202,18 @@ impl<P> Network<P> {
     /// Current simulated time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.island.now
     }
 
     /// The underlying topology (to add links mid-run, inspect paths).
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.island.topo
     }
 
     /// Mutable topology access.
     pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topo
+        &mut self.island.topo
     }
 
     /// Inject a fault schedule. Events apply as simulated time reaches
@@ -382,13 +221,13 @@ impl<P> Network<P> {
     /// send/schedule/run step. Replaces any earlier schedule (overlays
     /// and cut history from it are discarded).
     pub fn set_faults(&mut self, schedule: FaultSchedule) {
-        self.faults = Some(FaultState::new(schedule));
+        self.island.faults = Some(FaultState::new(schedule));
     }
 
     /// True if `id` is currently crashed (fault events applied so far).
     #[must_use]
     pub fn is_down(&self, id: StationId) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.is_down(id))
+        self.island.faults.as_ref().is_some_and(|f| f.is_down(id))
     }
 
     /// Time of `id`'s most recent crash, if it ever crashed. This is
@@ -397,7 +236,7 @@ impl<P> Network<P> {
     /// state lost in the crash.
     #[must_use]
     pub fn last_crash(&self, id: StationId) -> Option<SimTime> {
-        self.faults.as_ref().and_then(|f| f.last_crash(id))
+        self.island.faults.as_ref().and_then(|f| f.last_crash(id))
     }
 
     /// The spec a send `src → dst` would use right now: the static
@@ -405,16 +244,11 @@ impl<P> Network<P> {
     /// when the path is partitioned or either endpoint is down.
     #[must_use]
     pub fn effective_path(&self, src: StationId, dst: StationId) -> Option<LinkSpec> {
-        let spec = self.topo.path(src, dst);
-        match &self.faults {
+        let spec = self.island.topo.path(src, dst);
+        match &self.island.faults {
             None => Some(spec),
-            Some(f) => {
-                if f.is_down(src) || f.dooms(src, dst) {
-                    None
-                } else {
-                    Some(f.apply(src, dst, spec))
-                }
-            }
+            Some(f) if f.is_down(src) || f.dooms(src, dst) => None,
+            Some(f) => Some(f.apply(src, dst, spec)),
         }
     }
 
@@ -422,19 +256,13 @@ impl<P> Network<P> {
     /// doomed sends, and sends refused because the sender was down).
     #[must_use]
     pub fn dropped_msgs(&self) -> u64 {
-        self.flows.dropped_msgs
+        self.island.flows.dropped_msgs
     }
 
     /// Bytes dropped by fault injection so far.
     #[must_use]
     pub fn dropped_bytes(&self) -> u64 {
-        self.flows.dropped_bytes
-    }
-
-    fn advance_faults(&mut self, now: SimTime) {
-        if let Some(f) = &mut self.faults {
-            f.advance(now, &self.metrics);
-        }
+        self.island.flows.dropped_bytes
     }
 
     /// Send `bytes` from `src` to `dst`; the payload is delivered to the
@@ -444,15 +272,8 @@ impl<P> Network<P> {
     /// (counted in [`Network::dropped_msgs`]) and the current time is
     /// returned — use [`Network::try_send`] to observe the error.
     pub fn send(&mut self, src: StationId, dst: StationId, bytes: u64, payload: P) -> SimTime {
-        match self.try_send_inner(src, dst, bytes, payload, None) {
-            Ok(at) => at,
-            Err(SendError::SenderDown(_)) => {
-                self.flows.dropped_msgs += 1;
-                self.flows.dropped_bytes += bytes;
-                self.flows.accum.drop_sender_down += 1;
-                self.now
-            }
-        }
+        self.post(src, dst, bytes, payload, None)
+            .unwrap_or_else(|_| self.island.refuse(bytes))
     }
 
     /// Send an object body from `src` to `dst`: the wire size is
@@ -467,15 +288,8 @@ impl<P> Network<P> {
         body: Bytes,
     ) -> SimTime {
         let bytes = body.len() as u64;
-        match self.try_send_inner(src, dst, bytes, payload, Some(body)) {
-            Ok(at) => at,
-            Err(SendError::SenderDown(_)) => {
-                self.flows.dropped_msgs += 1;
-                self.flows.dropped_bytes += bytes;
-                self.flows.accum.drop_sender_down += 1;
-                self.now
-            }
-        }
+        self.post(src, dst, bytes, payload, Some(body))
+            .unwrap_or_else(|_| self.island.refuse(bytes))
     }
 
     /// Like [`Network::send`], but errs when the sender is crashed.
@@ -489,10 +303,11 @@ impl<P> Network<P> {
         bytes: u64,
         payload: P,
     ) -> Result<SimTime, SendError> {
-        self.try_send_inner(src, dst, bytes, payload, None)
+        self.post(src, dst, bytes, payload, None)
     }
 
-    fn try_send_inner(
+    /// One island: every envelope joins its own queue.
+    fn post(
         &mut self,
         src: StationId,
         dst: StationId,
@@ -500,24 +315,10 @@ impl<P> Network<P> {
         payload: P,
         body: Option<Bytes>,
     ) -> Result<SimTime, SendError> {
-        self.advance_faults(self.now);
-        let (arrival, key, env) = prepare_send(
-            &mut self.topo,
-            self.faults.as_ref(),
-            &mut self.flows,
-            self.now,
-            src,
-            dst,
-            bytes,
-            payload,
-            body,
-        )?;
-        // The sender's uplink serializes transfers, so per-source
-        // arrivals are (almost always) nondecreasing: route the event
-        // through the uplink's queue lane.
-        self.queue
-            .push_lane_keyed(src.0 as usize, arrival, key, env);
-        Ok(arrival)
+        let parcel = self
+            .island
+            .prepare_send(&self.metrics, src, dst, bytes, payload, body)?;
+        Ok(self.island.enqueue(parcel))
     }
 
     /// Schedule a local event on `station` at absolute time `at` without
@@ -527,44 +328,13 @@ impl<P> Network<P> {
     /// crash of it — never fires, even after recovery: crashes wipe
     /// volatile state.
     pub fn schedule(&mut self, station: StationId, at: SimTime, payload: P) {
-        self.advance_faults(self.now);
-        let (at, key, env) = prepare_timer(
-            &mut self.topo,
-            self.faults.as_ref(),
-            &mut self.flows,
-            self.now,
-            station,
-            at,
-            payload,
-        );
-        self.queue.push_keyed(at, key, env);
-    }
-
-    /// Pop the next queue entry, advance time and the fault state to
-    /// it, and return it if it survives the fault checks.
-    fn next_delivery(&mut self) -> Option<Message<P>> {
-        while let Some((at, env)) = self.queue.pop() {
-            self.now = at;
-            if let Some(f) = &mut self.faults {
-                f.advance(at, &self.metrics);
-            }
-            if let Some(msg) = deliver(
-                at,
-                env,
-                self.faults.as_ref(),
-                &mut self.topo,
-                &mut self.flows,
-            ) {
-                return Some(msg);
-            }
-        }
-        None
+        self.island.set_timer(&self.metrics, station, at, payload);
     }
 
     /// Run until the event queue drains, calling `handler` for every
     /// delivered message. The handler can send further messages.
     pub fn run(&mut self, mut handler: impl FnMut(&mut Network<P>, Message<P>)) {
-        while let Some(msg) = self.next_delivery() {
+        while let Some(msg) = self.island.next_delivery(&self.metrics, None) {
             handler(self, msg);
         }
     }
@@ -576,55 +346,36 @@ impl<P> Network<P> {
         deadline: SimTime,
         mut handler: impl FnMut(&mut Network<P>, Message<P>),
     ) -> bool {
-        loop {
-            match self.queue.peek_time() {
-                Some(at) if at > deadline => {
-                    self.now = self.now.max(deadline);
-                    self.advance_faults(deadline);
-                    return true;
-                }
-                Some(_) => {
-                    if let Some(msg) = self.next_delivery() {
-                        handler(self, msg);
-                    }
-                }
-                None => {
-                    self.now = self.now.max(deadline);
-                    self.advance_faults(deadline);
-                    return false;
-                }
-            }
+        while let Some(msg) = self.island.next_delivery(&self.metrics, Some(deadline)) {
+            handler(self, msg);
         }
+        self.island.now = self.island.now.max(deadline);
+        self.island.advance_faults(deadline, &self.metrics);
+        !self.island.queue.is_empty()
     }
 
     /// Total bytes delivered so far.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.flows.total_bytes
+        self.island.flows.total_bytes
     }
 
     /// Total messages delivered so far.
     #[must_use]
     pub fn total_msgs(&self) -> u64 {
-        self.flows.total_msgs
+        self.island.flows.total_msgs
     }
 
     /// Time of the most recent delivery.
     #[must_use]
     pub fn last_delivery(&self) -> SimTime {
-        self.flows.last_delivery
+        self.island.flows.last_delivery
     }
 
     /// Per-station counters.
     #[must_use]
     pub fn station_stats(&self, id: StationId) -> StationStats {
-        let s = &self.topo.stations[id.0 as usize];
-        StationStats {
-            tx_bytes: s.tx_bytes,
-            rx_bytes: s.rx_bytes,
-            tx_msgs: s.tx_msgs,
-            rx_msgs: s.rx_msgs,
-        }
+        self.island.station_stats(id)
     }
 
     /// Export every accumulated `netsim.*` metric into the registry:
@@ -639,30 +390,12 @@ impl<P> Network<P> {
     /// counting. Only the rare `netsim.fault.*` counters and trace
     /// events are written as faults are applied, not here.
     pub fn flush_metrics(&self) {
-        flush_netsim_metrics(
+        island::flush_metrics(
             &self.metrics,
-            self.now,
-            self.topo.stations.iter(),
-            &self.flows,
+            self.island.now,
+            self.island.topo.stations.iter(),
+            &self.island.flows,
         );
-    }
-
-    /// Convenience: build a uniform network of `n` stations.
-    #[must_use]
-    pub fn uniform(n: usize, uplink: LinkSpec) -> (Self, Vec<StationId>) {
-        Self::uniform_with_queue(n, uplink, QueueKind::default())
-    }
-
-    /// [`Network::uniform`] with an explicit event-queue kind.
-    #[must_use]
-    pub fn uniform_with_queue(
-        n: usize,
-        uplink: LinkSpec,
-        kind: QueueKind,
-    ) -> (Self, Vec<StationId>) {
-        let mut topo = Topology::new();
-        let ids = topo.add_stations(n, uplink);
-        (Network::with_queue(topo, kind), ids)
     }
 }
 
@@ -774,6 +507,24 @@ mod tests {
     }
 
     // ------------------------------------------------------ fault layer
+
+    #[test]
+    fn run_until_holds_the_deadline_across_a_drop() {
+        // The event at 1 s is dropped (its station crashed at 0.5 s);
+        // skipping it must not deliver the 10 s event early.
+        let (mut net, ids) = Network::uniform(2, LinkSpec::lan());
+        net.set_faults(
+            FaultSchedule::new().at(SimTime::from_millis(500), Fault::Crash { station: ids[1] }),
+        );
+        net.schedule(ids[1], SimTime::from_secs(1), "killed");
+        net.schedule(ids[0], SimTime::from_secs(10), "later");
+        let mut seen = Vec::new();
+        assert!(net.run_until(SimTime::from_secs(5), |_, m| seen.push(m.payload)));
+        assert!(seen.is_empty());
+        assert_eq!(net.now(), SimTime::from_secs(5));
+        net.run(|_, m| seen.push(m.payload));
+        assert_eq!((seen, net.now()), (vec!["later"], SimTime::from_secs(10)));
+    }
 
     #[test]
     fn crash_drops_in_flight_message() {
@@ -964,23 +715,6 @@ mod tests {
             vec![(StationId(1), 500_000), (StationId(2), 1_000_000)]
         );
         assert_eq!(net.total_bytes(), 1_000_000);
-    }
-
-    #[test]
-    fn queue_kinds_replay_identically() {
-        let run = |kind: QueueKind| {
-            let (mut net, ids) =
-                Network::uniform_with_queue(4, LinkSpec::new(1_000_000, SimTime::ZERO), kind);
-            for (i, &dst) in ids.iter().enumerate().skip(1) {
-                net.send(ids[0], dst, 100_000 * i as u64, i);
-            }
-            net.schedule(ids[0], SimTime::from_millis(50), 99);
-            let mut log = Vec::new();
-            net.run(|n, m| log.push((n.now().as_micros(), m.payload)));
-            net.flush_metrics();
-            (log, net.metrics().snapshot().to_json())
-        };
-        assert_eq!(run(QueueKind::Wheel), run(QueueKind::Heap));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use mmu_wdoc::core::WebDocDb;
 use mmu_wdoc::dist::{resilient_broadcast, BroadcastTree, RetryPolicy};
-use mmu_wdoc::netsim::{Fault, FaultSchedule, LinkSpec, Network, QueueKind, SimTime, StationId};
+use mmu_wdoc::netsim::{Fault, FaultSchedule, LinkSpec, Network, SimTime, StationId};
 use mmu_wdoc::obs::Registry;
 use mmu_wdoc::relstore::{AnyEngine, ColumnType, EngineKind, Predicate, TableSchema, Value};
 use rand::rngs::StdRng;
@@ -48,19 +48,13 @@ fn crash_schedule(n: usize, p: f64, horizon_us: u64, seed: u64) -> FaultSchedule
 /// Run the full E13-style sweep (four fault/fan-out cells) against one
 /// shared registry and export it — the exact artifact E15b consumes.
 fn sweep_snapshot_json(seed: u64) -> String {
-    sweep_snapshot_json_with(seed, QueueKind::default())
-}
-
-/// [`sweep_snapshot_json`] with an explicit event-queue implementation,
-/// so the snapshot can be proven independent of the queue kind.
-fn sweep_snapshot_json_with(seed: u64, kind: QueueKind) -> String {
     let link = LinkSpec::new(1_000_000, SimTime::from_millis(10));
     let registry = Registry::new();
     for (i, &(p, m)) in [(0.0f64, 2u64), (0.05, 4), (0.15, 2), (0.3, 4)]
         .iter()
         .enumerate()
     {
-        let (mut net, ids) = Network::uniform_with_queue(N, link, kind);
+        let (mut net, ids) = Network::uniform(N, link);
         net.set_metrics(registry.clone());
         let horizon = mmu_wdoc::dist::predict_completion(N as u64, m, OBJECT, link).as_micros();
         net.set_faults(crash_schedule(
@@ -98,24 +92,27 @@ fn same_seed_replays_to_byte_identical_snapshots() {
     assert!(a.contains("netsim.fault.crash"), "fault traces present");
 }
 
-/// PR 5 swapped the simulator's event queue for a timing wheel. The
-/// queue is pure mechanism: the E13-style sweep must export the exact
-/// same bytes whichever implementation schedules its events — the
-/// obs stream cannot depend on how the simulator orders its heap.
+/// `dist` relays a byte count and a real body through one function;
+/// carrying the body is pure mechanism, so the obs stream of an object
+/// broadcast is the byte-count broadcast's, byte for byte.
 #[test]
-fn queue_kinds_export_identical_snapshots() {
-    let wheel = sweep_snapshot_json_with(1999, QueueKind::Wheel);
-    let heap = sweep_snapshot_json_with(1999, QueueKind::Heap);
-    assert!(
-        wheel == heap,
-        "snapshot must not depend on the event-queue implementation; \
-         first divergence at byte {}",
-        wheel
-            .bytes()
-            .zip(heap.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or(wheel.len().min(heap.len()))
-    );
+fn object_broadcast_exports_the_byte_count_snapshot() {
+    let run = |with_body: bool| {
+        let link = LinkSpec::new(1_000_000, SimTime::from_millis(10));
+        let (mut net, ids) = Network::uniform(N, link);
+        net.set_faults(crash_schedule(N, 0.2, 3_000_000, 1999));
+        let tree = BroadcastTree::new(ids, 3);
+        let report = if with_body {
+            let body = mmu_wdoc::netsim::Bytes::from(vec![7u8; 300_000]);
+            mmu_wdoc::dist::broadcast_object(&mut net, &tree, &body)
+        } else {
+            mmu_wdoc::dist::broadcast(&mut net, &tree, 300_000)
+        };
+        (report, net.metrics().snapshot().to_json())
+    };
+    let (by_count, by_body) = (run(false), run(true));
+    assert!(by_count.0.arrivals.len() < N - 1, "faults in the loop");
+    assert_eq!(by_count, by_body);
 }
 
 #[test]
@@ -233,9 +230,9 @@ fn delivery_metrics_identical_across_engines() {
 }
 
 // ---------------------------------------------------------------------
-// Parallel-engine dimension (PR 10): thread count is pure mechanism,
-// like the queue kind — the byte-identical contract extends to the
-// island-parallel simulator at every thread count
+// Parallel-engine dimension (PR 10): thread count is pure mechanism —
+// the byte-identical contract extends to the island-parallel simulator
+// at every thread count
 // ---------------------------------------------------------------------
 
 /// Sequential oracle for the parallel sweep: the plain (store-and-
@@ -243,11 +240,11 @@ fn delivery_metrics_identical_across_engines() {
 /// its own registry. `resilient_broadcast` stays sequential-only, so
 /// the cross-engine comparison uses the relay broadcast both engines
 /// implement.
-fn plain_sweep_snapshot_json(seed: u64, kind: QueueKind) -> String {
+fn plain_sweep_snapshot_json(seed: u64) -> String {
     let link = LinkSpec::new(1_000_000, SimTime::from_millis(10));
     let registry = Registry::new();
     for (i, &(p, m)) in [(0.0f64, 2u64), (0.2, 4)].iter().enumerate() {
-        let (mut net, ids) = Network::uniform_with_queue(N, link, kind);
+        let (mut net, ids) = Network::uniform(N, link);
         net.set_metrics(registry.clone());
         let horizon = mmu_wdoc::dist::predict_completion(N as u64, m, OBJECT, link).as_micros();
         net.set_faults(crash_schedule(
@@ -265,19 +262,12 @@ fn plain_sweep_snapshot_json(seed: u64, kind: QueueKind) -> String {
 
 /// The same sweep on the island-parallel engine: `islands` islands of
 /// the contiguous partition, `threads` worker threads.
-fn parallel_sweep_snapshot_json(
-    seed: u64,
-    kind: QueueKind,
-    islands: usize,
-    threads: usize,
-) -> String {
-    use mmu_wdoc::netsim::{ParNet, Partition, Topology};
+fn parallel_sweep_snapshot_json(seed: u64, islands: usize, threads: usize) -> String {
+    use mmu_wdoc::netsim::ParNet;
     let link = LinkSpec::new(1_000_000, SimTime::from_millis(10));
     let registry = Registry::new();
     for (i, &(p, m)) in [(0.0f64, 2u64), (0.2, 4)].iter().enumerate() {
-        let mut topo = Topology::new();
-        let ids = topo.add_stations(N, link);
-        let mut net = ParNet::with_queue(topo, Partition::contiguous(N, islands), kind);
+        let (mut net, ids) = ParNet::uniform(N, link, islands);
         net.set_metrics(registry.clone());
         let horizon = mmu_wdoc::dist::predict_completion(N as u64, m, OBJECT, link).as_micros();
         net.set_faults(crash_schedule(
@@ -295,27 +285,24 @@ fn parallel_sweep_snapshot_json(
 
 /// The E22 replay gate: snapshots are byte-identical between the
 /// sequential engine and the parallel engine at every thread count in
-/// {1, 2, 4, 8}, for both queue kinds, with a FaultSchedule in the
-/// loop (crashes fire at the same virtual time no matter how many
-/// threads are running islands).
+/// {1, 2, 4, 8}, with a FaultSchedule in the loop (crashes fire at the
+/// same virtual time no matter how many threads are running islands).
 #[test]
 fn parallel_thread_counts_export_identical_snapshots() {
-    for kind in [QueueKind::Wheel, QueueKind::Heap] {
-        let seq = plain_sweep_snapshot_json(1999, kind);
-        assert!(seq.contains("netsim.deliver.bytes"), "non-vacuous");
-        assert!(seq.contains("netsim.fault.crash"), "faults in the loop");
-        for threads in [1usize, 2, 4, 8] {
-            let par = parallel_sweep_snapshot_json(1999, kind, 8, threads);
-            assert!(
-                seq == par,
-                "{kind:?} threads={threads}: parallel snapshot must equal sequential; \
-                 first divergence at byte {}",
-                seq.bytes()
-                    .zip(par.bytes())
-                    .position(|(x, y)| x != y)
-                    .unwrap_or(seq.len().min(par.len()))
-            );
-        }
+    let seq = plain_sweep_snapshot_json(1999);
+    assert!(seq.contains("netsim.deliver.bytes"), "non-vacuous");
+    assert!(seq.contains("netsim.fault.crash"), "faults in the loop");
+    for threads in [1usize, 2, 4, 8] {
+        let par = parallel_sweep_snapshot_json(1999, 8, threads);
+        assert!(
+            seq == par,
+            "threads={threads}: parallel snapshot must equal sequential; \
+             first divergence at byte {}",
+            seq.bytes()
+                .zip(par.bytes())
+                .position(|(x, y)| x != y)
+                .unwrap_or(seq.len().min(par.len()))
+        );
     }
 }
 
