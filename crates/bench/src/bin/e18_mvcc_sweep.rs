@@ -1,7 +1,7 @@
 //! E18 — read/write-mix sweep: MVCC snapshot reads vs strict-2PL locks.
 //!
-//! PR 6 put a second storage engine behind the `Catalog`/`Transaction`
-//! traits: MVCC with versioned rows, snapshot-isolation reads and
+//! PR 6 put a second storage engine behind `AnyEngine`/`AnyTxn`:
+//! MVCC with versioned rows, snapshot-isolation reads and
 //! first-committer-wins writes. The differential suite proves the two
 //! engines commit identical state; this experiment measures the one
 //! axis on which they are *supposed* to differ — what contention costs.

@@ -44,7 +44,7 @@ use netsim::SimTime;
 use obs::Registry;
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use relstore::testkit::TapeTarget;
-use relstore::{AnyEngine, ColumnType, EngineKind, Predicate, RowId, TableSchema, Value};
+use relstore::{AnyEngine, ColumnType, DocTxn, EngineKind, Predicate, RowId, TableSchema, Value};
 use serde::Serialize;
 use shard::{committed_fingerprint, wdoc, Router, RoutingSpec, ShardMap, SimCluster, Write};
 use std::path::PathBuf;
@@ -115,8 +115,7 @@ fn program_file(url: &str) -> ProgramFile {
 /// files), then column updates and cascading deletions.
 fn apply_wdoc_workload<T: TapeTarget>(db: &T, scripts: usize) {
     let txn = db.begin();
-    db.insert(
-        &txn,
+    txn.insert(
         "wdoc_database",
         vec![
             "mmu-courses".into(),
@@ -132,20 +131,19 @@ fn apply_wdoc_workload<T: TapeTarget>(db: &T, scripts: usize) {
     for i in 0..scripts {
         let name = format!("s{i:03}");
         let txn = db.begin();
-        db.insert(&txn, Script::TABLE, script(&name, i).to_row())
+        txn.insert(Script::TABLE, script(&name, i).to_row())
             .expect("script");
         for j in 0..1 + i % 2 {
             let url = format!("http://host/{name}/v{j}/start.html");
-            db.insert(
-                &txn,
+            txn.insert(
                 Implementation::TABLE,
                 implementation(&url, &name, i).to_row(),
             )
             .expect("implementation");
-            db.insert(&txn, HtmlFile::TABLE, html_file(&url, j).to_row())
+            txn.insert(HtmlFile::TABLE, html_file(&url, j).to_row())
                 .expect("html file");
             if i % 3 == 0 {
-                db.insert(&txn, ProgramFile::TABLE, program_file(&url).to_row())
+                txn.insert(ProgramFile::TABLE, program_file(&url).to_row())
                     .expect("program file");
             }
         }
@@ -157,12 +155,11 @@ fn apply_wdoc_workload<T: TapeTarget>(db: &T, scripts: usize) {
     let txn = db.begin();
     for i in (0..scripts).step_by(5) {
         let name = format!("s{i:03}");
-        let rows = db
-            .select(&txn, Script::TABLE, &Predicate::eq("name", name.as_str()))
+        let rows = txn
+            .select(Script::TABLE, &Predicate::eq("name", name.as_str()))
             .expect("lookup");
         if let Some((gid, _)) = rows.first() {
-            db.update_cols(
-                &txn,
+            txn.update_cols(
                 Script::TABLE,
                 *gid,
                 &[("percent_complete", Value::Int(100))],
@@ -174,12 +171,11 @@ fn apply_wdoc_workload<T: TapeTarget>(db: &T, scripts: usize) {
     for i in (0..scripts).step_by(7) {
         let name = format!("s{i:03}");
         let txn = db.begin();
-        let rows = db
-            .select(&txn, Script::TABLE, &Predicate::eq("name", name.as_str()))
+        let rows = txn
+            .select(Script::TABLE, &Predicate::eq("name", name.as_str()))
             .expect("lookup");
         if let Some((gid, _)) = rows.first() {
-            db.delete(&txn, Script::TABLE, *gid)
-                .expect("cascade delete");
+            txn.delete(Script::TABLE, *gid).expect("cascade delete");
         }
         db.commit(txn).expect("delete commit");
     }

@@ -1,250 +1,17 @@
-//! The storage facade [`WebDocDb`](crate::dbms::WebDocDb) runs on.
+//! The storage contract [`WebDocDb`](crate::dbms::WebDocDb) runs on.
 //!
-//! PR 9 splits the typed DBMS from its storage: every facade method
-//! used to call `AnyEngine::with_txn` directly, binding the whole
-//! document stack to one local engine. [`DocBackend`]/[`DocTxn`]
-//! extract exactly the surface the facade uses — schema installation,
-//! the retrying transaction runner, and the data-plane verbs
-//! (insert/get/update/delete/select/join/sum/count) — as object-safe
-//! traits, so a station can run on
+//! [`DocBackend`]/[`DocTxn`] are `relstore`'s engine traits — schema
+//! installation, the retrying transaction runner, and the ten
+//! data-plane verbs — re-exported here under the names the document
+//! layer (and everything built on it) has always used. There is one
+//! trait pair in the workspace: a station runs on
 //!
-//! * a single [`AnyEngine`] (this module's impl: behavior-identical to
-//!   the pre-refactor direct path, byte for byte), or
-//! * a `shard::Router` spanning N engines (implemented in the `shard`
-//!   crate, which depends on this one — the trait lives here precisely
-//!   so the dependency can point that way).
+//! * a single [`relstore::AnyEngine`] (either engine kind), or
+//! * a `shard::ShardedBackend` — a router spanning N engines —
 //!
-//! Object safety forces two small contortions mirrored from
-//! [`relstore::Transaction`]: the transaction runner takes
-//! `&mut dyn FnMut` ([`DocBackend::with_txn_dyn`]) with a generic
-//! wrapper on the facade recovering the ergonomic `with_txn<T>` form,
-//! and backends that cannot implement an operation (a sharded router
-//! has no single consistent snapshot) return
-//! [`relstore::Error::Unsupported`] instead of shrinking the trait.
+//! through the same `Box<dyn DocBackend>`, and a decorator (the
+//! benchmark's tracing backend) wraps either by implementing the same
+//! two traits. The contract every implementor must honour is
+//! `relstore::testkit::backend_contract`.
 
-use relstore::{
-    AnyEngine, AnyTxn, EngineKind, Predicate, Result, Row, RowId, Snapshot, TableSchema, Value,
-};
-
-/// The data-plane verbs of one (distributed or local) transaction.
-///
-/// A narrowed, object-safe mirror of [`relstore::Transaction`]: the
-/// subset the document facade drives, minus the commit/rollback
-/// protocol (the backend's transaction runner owns that).
-pub trait DocTxn {
-    /// Insert a row; returns its new id.
-    fn insert(&self, table: &str, row: Row) -> Result<RowId>;
-    /// Fetch a copy of the row at `id`.
-    fn get(&self, table: &str, id: RowId) -> Result<Row>;
-    /// Replace the entire row at `id`.
-    fn update(&self, table: &str, id: RowId, row: Row) -> Result<()>;
-    /// Update only the named columns of the row at `id`.
-    fn update_cols(&self, table: &str, id: RowId, cols: &[(&str, Value)]) -> Result<()>;
-    /// Delete the row at `id`, honouring reverse foreign keys.
-    fn delete(&self, table: &str, id: RowId) -> Result<()>;
-    /// All rows matching `pred` (copies), ordered by row id.
-    fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, Row)>>;
-    /// Like `select`, sorted by `order_col` and truncated to `limit`.
-    fn select_ordered(
-        &self,
-        table: &str,
-        pred: &Predicate,
-        order_col: &str,
-        descending: bool,
-        limit: Option<usize>,
-    ) -> Result<Vec<(RowId, Row)>>;
-    /// Equi-join of two pre-filtered tables.
-    #[allow(clippy::too_many_arguments)]
-    fn join(
-        &self,
-        left: &str,
-        left_col: &str,
-        left_pred: &Predicate,
-        right: &str,
-        right_col: &str,
-        right_pred: &Predicate,
-    ) -> Result<Vec<(Row, Row)>>;
-    /// Sum an integer column over matching rows (NULLs contribute 0).
-    fn sum_int(&self, table: &str, pred: &Predicate, col: &str) -> Result<i64>;
-    /// Count rows matching `pred` without copying them.
-    fn count(&self, table: &str, pred: &Predicate) -> Result<usize>;
-}
-
-/// A storage backend a [`WebDocDb`](crate::dbms::WebDocDb) can run on.
-///
-/// Implementations own retry semantics: [`DocBackend::with_txn_dyn`]
-/// must commit on `Ok`, roll back on `Err`, and transparently retry
-/// the closure on the engines' transient aborts (wait-die
-/// [`relstore::Error::TxnAborted`], first-committer-wins
-/// [`relstore::Error::WriteConflict`]) — the facade's callers never
-/// see either variant.
-pub trait DocBackend: Send + Sync {
-    /// Which concurrency-control engine backs the shards.
-    fn engine_kind(&self) -> EngineKind;
-    /// How many shards the backend spans (1 for a local engine).
-    fn shards(&self) -> usize {
-        1
-    }
-    /// Create a table (auto-committed DDL). Sharded backends install
-    /// the table on every shard and register its routing spec; on a
-    /// recovered store they adopt pre-existing tables instead.
-    fn create_table(&self, schema: TableSchema) -> Result<()>;
-    /// Run `f` in a transaction, committing on success, retrying on
-    /// transient aborts. Object-safe form; the facade's generic
-    /// `with_txn<T>` wraps it.
-    fn with_txn_dyn(&self, f: &mut dyn FnMut(&dyn DocTxn) -> Result<()>) -> Result<()>;
-    /// Capture the committed state as a [`Snapshot`], when the backend
-    /// has a single consistent state to capture.
-    fn snapshot(&self) -> Result<Snapshot>;
-    /// Approximate payload bytes of the live rows of `table` (summed
-    /// across shards; globally replicated tables count once).
-    fn heap_bytes(&self, table: &str) -> Result<usize>;
-    /// Embed a recovery checkpoint in the backend's log(s); returns the
-    /// highest checkpoint LSN, or `None` if the backend is not durable
-    /// (the facade then reports the misuse).
-    fn checkpoint(&self) -> Result<Option<wal::Lsn>> {
-        Ok(None)
-    }
-    /// The single local engine, when that is what this backend is
-    /// (escape hatch for tools and tests that inspect engine state).
-    fn as_engine(&self) -> Option<&AnyEngine> {
-        None
-    }
-}
-
-impl DocTxn for AnyTxn {
-    fn insert(&self, table: &str, row: Row) -> Result<RowId> {
-        AnyTxn::insert(self, table, row)
-    }
-    fn get(&self, table: &str, id: RowId) -> Result<Row> {
-        AnyTxn::get(self, table, id)
-    }
-    fn update(&self, table: &str, id: RowId, row: Row) -> Result<()> {
-        AnyTxn::update(self, table, id, row)
-    }
-    fn update_cols(&self, table: &str, id: RowId, cols: &[(&str, Value)]) -> Result<()> {
-        AnyTxn::update_cols(self, table, id, cols)
-    }
-    fn delete(&self, table: &str, id: RowId) -> Result<()> {
-        AnyTxn::delete(self, table, id)
-    }
-    fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, Row)>> {
-        AnyTxn::select(self, table, pred)
-    }
-    fn select_ordered(
-        &self,
-        table: &str,
-        pred: &Predicate,
-        order_col: &str,
-        descending: bool,
-        limit: Option<usize>,
-    ) -> Result<Vec<(RowId, Row)>> {
-        AnyTxn::select_ordered(self, table, pred, order_col, descending, limit)
-    }
-    fn join(
-        &self,
-        left: &str,
-        left_col: &str,
-        left_pred: &Predicate,
-        right: &str,
-        right_col: &str,
-        right_pred: &Predicate,
-    ) -> Result<Vec<(Row, Row)>> {
-        AnyTxn::join(
-            self, left, left_col, left_pred, right, right_col, right_pred,
-        )
-    }
-    fn sum_int(&self, table: &str, pred: &Predicate, col: &str) -> Result<i64> {
-        AnyTxn::sum_int(self, table, pred, col)
-    }
-    fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
-        AnyTxn::count(self, table, pred)
-    }
-}
-
-impl DocBackend for AnyEngine {
-    fn engine_kind(&self) -> EngineKind {
-        self.kind()
-    }
-    fn create_table(&self, schema: TableSchema) -> Result<()> {
-        AnyEngine::create_table(self, schema)
-    }
-    fn with_txn_dyn(&self, f: &mut dyn FnMut(&dyn DocTxn) -> Result<()>) -> Result<()> {
-        // Delegate to the engine's own retry loop (same-id retries, so
-        // the transaction ages under wait-die and eventually wins); the
-        // RefCell re-lends the FnMut through with_txn's Fn bound.
-        let f = std::cell::RefCell::new(f);
-        self.with_txn(|t| (f.borrow_mut())(t as &dyn DocTxn))
-    }
-    fn snapshot(&self) -> Result<Snapshot> {
-        AnyEngine::snapshot(self)
-    }
-    fn heap_bytes(&self, table: &str) -> Result<usize> {
-        AnyEngine::heap_bytes(self, table)
-    }
-    fn as_engine(&self) -> Option<&AnyEngine> {
-        Some(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn people() -> TableSchema {
-        TableSchema::builder("people")
-            .column("name", relstore::ColumnType::Text)
-            .column("age", relstore::ColumnType::Int)
-            .primary_key(&["name"])
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn engine_backend_round_trip() {
-        for kind in [EngineKind::TwoPl, EngineKind::Mvcc] {
-            let engine = AnyEngine::new(kind);
-            let backend: &dyn DocBackend = &engine;
-            assert_eq!(backend.engine_kind(), kind);
-            assert_eq!(backend.shards(), 1);
-            backend.create_table(people()).unwrap();
-            let mut inserted = None;
-            backend
-                .with_txn_dyn(&mut |t| {
-                    inserted = Some(t.insert("people", vec!["ada".into(), Value::Int(36)])?);
-                    Ok(())
-                })
-                .unwrap();
-            let id = inserted.unwrap();
-            backend
-                .with_txn_dyn(&mut |t| {
-                    assert_eq!(t.get("people", id)?[1], Value::Int(36));
-                    assert_eq!(t.count("people", &Predicate::True)?, 1);
-                    Ok(())
-                })
-                .unwrap();
-            assert!(backend.as_engine().is_some());
-            assert!(backend.checkpoint().unwrap().is_none());
-            assert!(backend.heap_bytes("people").unwrap() > 0);
-            assert_eq!(backend.snapshot().unwrap().tables.len(), 1);
-        }
-    }
-
-    #[test]
-    fn with_txn_dyn_rolls_back_on_err() {
-        let engine = AnyEngine::new(EngineKind::TwoPl);
-        let backend: &dyn DocBackend = &engine;
-        backend.create_table(people()).unwrap();
-        let res = backend.with_txn_dyn(&mut |t| {
-            t.insert("people", vec!["bob".into(), Value::Int(1)])?;
-            Err(relstore::Error::TxnClosed)
-        });
-        assert!(res.is_err());
-        backend
-            .with_txn_dyn(&mut |t| {
-                assert_eq!(t.count("people", &Predicate::True)?, 0);
-                Ok(())
-            })
-            .unwrap();
-    }
-}
+pub use relstore::{DocBackend, DocTxn};

@@ -3,9 +3,11 @@
 //! [`Database`] owns a catalog of tables plus one [`LockManager`]. All
 //! data access happens through a [`Txn`], which provides strict
 //! two-phase locking (locks accumulate until commit/abort) and a
-//! write-ahead undo log for rollback. Foreign keys are enforced here —
-//! forward references on insert/update, reverse references (RESTRICT /
-//! CASCADE / SET NULL) on delete.
+//! write-ahead undo log for rollback. The foreign-key *policy* (which
+//! checks run, in which order, and what RESTRICT / CASCADE / SET NULL
+//! do) is [`crate::rules`], shared with the MVCC engine; this module
+//! supplies the reads it asks for, each under the locks that keep the
+//! answer true until commit.
 //!
 //! Isolation level: serializable at mixed granularity. Scans take a
 //! table-shared lock (blocking writers and preventing phantoms); point
@@ -16,7 +18,8 @@ use crate::lock::{LockManager, LockMode, Resource, TxnId};
 use crate::pagestore::page::{self, RowScratch, TAG_INT};
 use crate::pagestore::{BufferPool, FlushGate, PoolConfig};
 use crate::query::Predicate;
-use crate::schema::{FkAction, ForeignKey, TableSchema, PRIMARY_INDEX};
+use crate::rules::{self, RuleTxn};
+use crate::schema::{ForeignKey, TableSchema};
 use crate::table::{Row, RowId, Table};
 use crate::value::{Key, Value};
 use crate::wal::{RowOp, WalSink};
@@ -147,28 +150,9 @@ impl Database {
         if catalog.contains_key(&schema.name) {
             return Err(Error::TableExists(schema.name));
         }
-        for fk in &schema.foreign_keys {
-            let target = if fk.ref_table == schema.name {
-                // Self-referencing FK: validate against the new schema.
-                None
-            } else {
-                Some(
-                    catalog
-                        .get(&fk.ref_table)
-                        .ok_or_else(|| Error::NoSuchTable(fk.ref_table.clone()))?,
-                )
-            };
-            let ok = match target {
-                Some(entry) => unique_key_exists(entry.data.read().schema(), &fk.ref_columns),
-                None => unique_key_exists(&schema, &fk.ref_columns),
-            };
-            if !ok {
-                return Err(Error::BadSchema(format!(
-                    "foreign key on `{}` references `{}({:?})` which is not a unique key",
-                    schema.name, fk.ref_table, fk.ref_columns
-                )));
-            }
-        }
+        rules::check_fk_targets(&schema, |t| {
+            catalog.get(t).map(|e| e.data.read().schema().clone())
+        })?;
         let id = self.inner.next_table.fetch_add(1, Ordering::Relaxed) as u32;
         let name = schema.name.clone();
         let fks = schema.foreign_keys.clone();
@@ -305,7 +289,7 @@ impl Database {
         let (_, data) = self.entry(table)?;
         let mut t = data.write();
         for (id, row) in rows {
-            t.check_row(row)?;
+            t.schema().check_row(row)?;
             for ix in t.indexes() {
                 let key = ix.key_of(row);
                 if ix.is_unique() && !key.has_null() && !ix.get(&key).is_empty() {
@@ -354,24 +338,6 @@ impl Database {
         data.write().delete(id)?;
         Ok(())
     }
-}
-
-pub(crate) fn unique_key_exists(schema: &TableSchema, cols: &[String]) -> bool {
-    let mut want: Vec<&str> = cols.iter().map(String::as_str).collect();
-    want.sort_unstable();
-    let mut pk: Vec<&str> = schema.primary_key.iter().map(String::as_str).collect();
-    pk.sort_unstable();
-    if pk == want {
-        return true;
-    }
-    schema.indexes.iter().any(|ix| {
-        if !ix.unique {
-            return false;
-        }
-        let mut have: Vec<&str> = ix.columns.iter().map(String::as_str).collect();
-        have.sort_unstable();
-        have == want
-    })
 }
 
 #[derive(Debug)]
@@ -453,7 +419,7 @@ impl Txn {
         let (tid, data) = self.entry(table)?;
         self.lock(Resource::Table(tid), LockMode::IntentExclusive)?;
         // Validate types early (cheap, no locks needed beyond IX).
-        data.read().check_row(&row)?;
+        data.read().schema().check_row(&row)?;
         // Forward FK checks: referenced rows must exist; S-lock them so
         // they cannot vanish before we commit.
         let fks = data.read().schema().foreign_keys.clone();
@@ -501,30 +467,12 @@ impl Txn {
         let (tid, data) = self.entry(table)?;
         self.lock(Resource::Table(tid), LockMode::IntentExclusive)?;
         self.lock(Resource::Row(tid, id), LockMode::Exclusive)?;
-        data.read().check_row(&new_row)?;
-        let (old, old_page, schema_fks) = {
+        data.read().schema().check_row(&new_row)?;
+        let (old, old_page, schema) = {
             let t = data.read();
-            (t.get(id)?, t.page_of(id), t.schema().foreign_keys.clone())
+            (t.get(id)?, t.page_of(id), t.schema().clone())
         };
-        // Forward FKs: only re-check constraints whose columns changed.
-        let schema = data.read().schema().clone();
-        let changed: Vec<usize> = (0..old.len()).filter(|&i| old[i] != new_row[i]).collect();
-        let changed_names: Vec<&str> = changed
-            .iter()
-            .map(|&i| schema.columns[i].name.as_str())
-            .collect();
-        let affected_fks: Vec<ForeignKey> = schema_fks
-            .into_iter()
-            .filter(|fk| {
-                fk.columns
-                    .iter()
-                    .any(|c| changed_names.contains(&c.as_str()))
-            })
-            .collect();
-        self.check_forward_fks(table, &affected_fks, &new_row)?;
-        // Reverse FKs: refuse changing a referenced key while referencing
-        // rows exist (ON UPDATE actions are not supported).
-        self.check_reverse_on_key_change(table, &schema, &old, &new_row, &changed_names)?;
+        rules::enforce_update(self, table, &schema, &old, &new_row)?;
         let sink = self.db.sink();
         let before = sink.as_ref().map(|_| old.clone());
         {
@@ -568,12 +516,7 @@ impl Txn {
         self.lock(Resource::Row(tid, id), LockMode::Exclusive)?;
         let row = {
             let t = data.read();
-            let mut row = t.get(id)?;
-            for (name, value) in cols {
-                let ix = t.schema().require_column(name)?;
-                row[ix] = value.clone();
-            }
-            row
+            rules::overlay_cols(t.schema(), t.get(id)?, cols)?
         };
         // `update` re-acquires the same locks (re-entrant joins).
         self.update(table, id, row)
@@ -590,54 +533,8 @@ impl Txn {
             let t = data.read();
             (t.get(id)?, t.page_of(id))
         };
-        // Handle rows referencing this one.
         let schema = data.read().schema().clone();
-        let referrers: Vec<(String, ForeignKey)> = self
-            .db
-            .referrers
-            .read()
-            .get(table)
-            .cloned()
-            .unwrap_or_default();
-        for (rtable, fk) in referrers {
-            let ref_cols = schema.resolve_columns(&fk.ref_columns)?;
-            let key = Key::from_row(&old, &ref_cols);
-            if key.has_null() {
-                continue;
-            }
-            let hits = self.find_referencing(&rtable, &fk, &key)?;
-            if hits.is_empty() {
-                continue;
-            }
-            match fk.on_delete {
-                FkAction::Restrict => {
-                    return Err(Error::RestrictViolation {
-                        table: table.to_owned(),
-                        referenced_by: rtable,
-                    });
-                }
-                FkAction::Cascade => {
-                    for hit in hits {
-                        // The referencing row may already be gone if a
-                        // previous cascade in this very delete removed it.
-                        match self.delete(&rtable, hit) {
-                            Ok(()) | Err(Error::NoSuchRow { .. }) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                FkAction::SetNull => {
-                    let nulls: Vec<(&str, Value)> = fk
-                        .columns
-                        .iter()
-                        .map(|c| (c.as_str(), Value::Null))
-                        .collect();
-                    for hit in hits {
-                        self.update_cols(&rtable, hit, &nulls)?;
-                    }
-                }
-            }
-        }
+        rules::enforce_delete(self, table, &schema, &old)?;
         let sink = self.db.sink();
         let before = sink.as_ref().map(|_| old.clone());
         {
@@ -767,19 +664,8 @@ impl Txn {
     ) -> Result<Vec<(RowId, Row)>> {
         let (_, data) = self.entry(table)?;
         let col = data.read().schema().require_column(order_col)?;
-        let mut rows = self.select(table, pred)?;
-        rows.sort_by(|(_, a), (_, b)| {
-            let ord = a[col].cmp(&b[col]);
-            if descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        if let Some(n) = limit {
-            rows.truncate(n);
-        }
-        Ok(rows)
+        let rows = self.select(table, pred)?;
+        Ok(rules::order_and_limit(rows, col, descending, limit))
     }
 
     /// Equi-join: pairs of rows from `left` and `right` where
@@ -802,34 +688,12 @@ impl Txn {
         let rcol = rdata.read().schema().require_column(right_col)?;
         let lrows = self.select(left, left_pred)?;
         let rrows = self.select(right, right_pred)?;
-        // Build a lookup on the right side (Value is Ord, not Hash —
-        // floats use total order — so a BTreeMap serves as the join
-        // table).
-        let mut table: std::collections::BTreeMap<Value, Vec<&Row>> =
-            std::collections::BTreeMap::new();
-        for (_, row) in &rrows {
-            let key = &row[rcol];
-            if !key.is_null() {
-                table.entry(key.clone()).or_default().push(row);
-            }
-        }
-        let mut out = Vec::new();
-        for (_, lrow) in &lrows {
-            let key = &lrow[lcol];
-            if key.is_null() {
-                continue;
-            }
-            if let Some(matches) = table.get(key) {
-                for rrow in matches {
-                    out.push((lrow.clone(), (*rrow).clone()));
-                }
-            }
-        }
-        Ok(out)
+        Ok(rules::hash_join(&lrows, lcol, &rrows, rcol))
     }
 
     /// Sum an integer column over matching rows (NULLs contribute 0).
     pub fn sum_int(&self, table: &str, pred: &Predicate, col: &str) -> Result<i64> {
+        self.check_open()?;
         let (tid, data) = self.entry(table)?;
         self.lock(Resource::Table(tid), LockMode::Shared)?;
         let t = data.read();
@@ -950,88 +814,56 @@ impl Txn {
             self.born.elapsed().as_micros() as u64,
         );
     }
+}
 
+/// The 2PL engine's side of the foreign-key rules: every answer takes
+/// the locks that keep it true until commit.
+impl RuleTxn for Txn {
+    fn referrers_of(&self, table: &str) -> Vec<(String, ForeignKey)> {
+        self.db
+            .referrers
+            .read()
+            .get(table)
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    /// Referenced rows must exist; they are S-locked so they cannot
+    /// vanish before this transaction commits.
     fn check_forward_fks(&self, table: &str, fks: &[ForeignKey], row: &[Value]) -> Result<()> {
         for fk in fks {
-            let (tid, data) = self.entry(table)?;
+            let (_, data) = self.entry(table)?;
             let cols = data.read().schema().resolve_columns(&fk.columns)?;
             let key = Key::from_row(row, &cols);
             if key.has_null() {
                 continue; // NULL FKs reference nothing
             }
-            let (rtid, rdata) = self.entry(&fk.ref_table)?;
             // For self-referencing FKs the table lock is already held.
-            let _ = tid;
+            let (rtid, rdata) = self.entry(&fk.ref_table)?;
             self.lock(Resource::Table(rtid), LockMode::IntentShared)?;
             let hits = {
                 let rt = rdata.read();
-                let ix_name = find_unique_index(&rt, &fk.ref_columns)?;
-                let ix = rt.index(&ix_name)?;
-                // The unique index may list the same columns in a
-                // different order than the FK declaration; build the key
-                // in *index* order.
-                let lookup = reorder_key(&rt, ix.columns(), &fk.ref_columns, &key)?;
-                ix.get(&lookup)
+                let indexes = rt.indexes().iter().map(|ix| (ix.is_unique(), ix.columns()));
+                let (ix, lookup) = rules::fk_target(rt.schema(), indexes, &fk.ref_columns, &key)?;
+                rt.indexes()[ix].get(&lookup)
             };
-            match hits.first() {
-                None => {
-                    return Err(Error::ForeignKeyViolation {
-                        table: table.to_owned(),
-                        references: fk.ref_table.clone(),
-                    });
-                }
-                Some(&hit) => {
-                    // Pin the referenced row until commit.
-                    self.lock(Resource::Row(rtid, hit), LockMode::Shared)?;
-                    // Re-check it still exists post-lock.
-                    if rdata.read().try_get(hit)?.is_none() {
-                        return Err(Error::ForeignKeyViolation {
-                            table: table.to_owned(),
-                            references: fk.ref_table.clone(),
-                        });
-                    }
-                }
+            let violation = || Error::ForeignKeyViolation {
+                table: table.to_owned(),
+                references: fk.ref_table.clone(),
+            };
+            let &hit = hits.first().ok_or_else(violation)?;
+            // Pin the referenced row until commit, then re-check it
+            // still exists post-lock.
+            self.lock(Resource::Row(rtid, hit), LockMode::Shared)?;
+            if rdata.read().try_get(hit)?.is_none() {
+                return Err(violation());
             }
         }
         Ok(())
     }
 
-    fn check_reverse_on_key_change(
-        &self,
-        table: &str,
-        schema: &TableSchema,
-        old: &[Value],
-        _new: &[Value],
-        changed: &[&str],
-    ) -> Result<()> {
-        let referrers: Vec<(String, ForeignKey)> = self
-            .db
-            .referrers
-            .read()
-            .get(table)
-            .cloned()
-            .unwrap_or_default();
-        for (rtable, fk) in referrers {
-            if !fk.ref_columns.iter().any(|c| changed.contains(&c.as_str())) {
-                continue;
-            }
-            let ref_cols = schema.resolve_columns(&fk.ref_columns)?;
-            let key = Key::from_row(old, &ref_cols);
-            if key.has_null() {
-                continue;
-            }
-            if !self.find_referencing(&rtable, &fk, &key)?.is_empty() {
-                return Err(Error::RestrictViolation {
-                    table: table.to_owned(),
-                    referenced_by: rtable,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Rows of `rtable` whose `fk.columns` equal `key`. Uses an index on
-    /// those columns when one exists, else scans.
+    /// Uses an index on exactly `fk.columns` when one exists, else
+    /// scans.
     fn find_referencing(&self, rtable: &str, fk: &ForeignKey, key: &Key) -> Result<Vec<RowId>> {
         let (rtid, rdata) = self.entry(rtable)?;
         self.lock(Resource::Table(rtid), LockMode::IntentShared)?;
@@ -1054,46 +886,18 @@ impl Txn {
             .map(|(id, _)| id)
             .collect())
     }
+
+    fn delete(&self, table: &str, id: RowId) -> Result<()> {
+        Txn::delete(self, table, id)
+    }
+
+    fn update_cols(&self, table: &str, id: RowId, cols: &[(&str, Value)]) -> Result<()> {
+        Txn::update_cols(self, table, id, cols)
+    }
 }
 
 impl Drop for Txn {
     fn drop(&mut self) {
         self.rollback_inner();
     }
-}
-
-/// Find a unique index of `table` covering exactly the column *set*
-/// `cols` (order-insensitive; the caller reorders keys to match).
-fn find_unique_index(table: &Table, cols: &[String]) -> Result<String> {
-    let mut want = table.schema().resolve_columns(cols)?;
-    want.sort_unstable();
-    for ix in table.indexes() {
-        let mut have = ix.columns().to_vec();
-        have.sort_unstable();
-        if ix.is_unique() && have == want {
-            return Ok(ix.name().to_owned());
-        }
-    }
-    Err(Error::NoSuchIndex {
-        table: table.schema().name.clone(),
-        index: PRIMARY_INDEX.to_owned(),
-    })
-}
-
-/// Rebuild `key` (whose components follow `declared` column-name order)
-/// into the order of `index_cols` (column positions in `table`).
-fn reorder_key(table: &Table, index_cols: &[usize], declared: &[String], key: &Key) -> Result<Key> {
-    let mut out = Vec::with_capacity(index_cols.len());
-    for &ci in index_cols {
-        let name = &table.schema().columns[ci].name;
-        let pos = declared
-            .iter()
-            .position(|d| d == name)
-            .ok_or_else(|| Error::NoSuchColumn {
-                table: table.schema().name.clone(),
-                column: name.clone(),
-            })?;
-        out.push(key.0[pos].clone());
-    }
-    Ok(Key(out))
 }

@@ -1,25 +1,38 @@
-//! The storage-engine abstraction: one catalog/transaction contract,
-//! two concurrency-control implementations.
+//! The engine contract: one backend / transaction trait pair, two
+//! concurrency-control implementations under it.
 //!
-//! PR 6 extracts what [`Database`]/[`Txn`] (strict 2PL, wait-die) and
-//! [`MvccDb`]/[`MvccTxn`] (snapshot isolation, first-committer-wins)
-//! have in common into two object-safe traits:
+//! [`DocBackend`] and [`DocTxn`] are what the document layer
+//! (`wdoc_core::WebDocDb`) runs on, and the only transaction
+//! abstraction in the workspace:
 //!
-//! * [`Catalog`] — engine lifecycle: DDL, catalog introspection,
-//!   transaction begin, whole-state snapshots, the WAL
-//!   [`WalSink`]/[`FlushGate`] hookup, and the `redo_*` replay
-//!   primitives crash recovery drives.
-//! * [`Transaction`] — the data plane: insert/get/update/delete,
-//!   select/scan/join/aggregate, commit/rollback.
+//! * [`DocTxn`] — the ten data-plane verbs of one transaction
+//!   (insert / get / update / update-cols / delete, select / ordered
+//!   select / join / sum / count). Commit and rollback are not on it:
+//!   the backend's transaction runner owns the protocol.
+//! * [`DocBackend`] — what a station needs from its storage: DDL, the
+//!   retrying transaction runner [`DocBackend::with_txn_dyn`]
+//!   (object-safe, hence `&mut dyn FnMut`; the facade recovers the
+//!   generic `with_txn<T>` form on top), whole-state snapshots, size
+//!   accounting and checkpoints. A backend with no answer to a
+//!   question says so — [`Error::Unsupported`] from `snapshot` on a
+//!   sharded router, `None` from `checkpoint` without a log — rather
+//!   than the trait shrinking around it.
 //!
-//! The concrete enums [`AnyEngine`]/[`AnyTxn`] wrap both engines behind
-//! the *inherent* method surface of `Database`/`Txn`, so code written
-//! against the 2PL engine (`WebDocDb`, the `wal` crate, tests) switches
-//! engines by changing one constructor argument — an [`EngineKind`] —
-//! rather than every call site. The traits are what the differential
-//! test harness ([`crate::testkit`]) drives: every behavioral claim
-//! about the MVCC engine is checked by running the same operation
-//! script through `&dyn Catalog` against both engines.
+//! Implementors: [`AnyEngine`] here (a local engine, either kind) and
+//! `shard::ShardedBackend` (a router over N of them; its `DistTxn` is
+//! the other [`DocTxn`]). `wdoc_core` re-exports both traits under the
+//! same names.
+//!
+//! [`AnyEngine`]/[`AnyTxn`] are concrete enums over the two engines —
+//! [`Database`]/[`Txn`] (strict 2PL, wait-die) and
+//! [`MvccDb`]/[`MvccTxn`] (snapshot isolation, first-committer-wins) —
+//! carrying the *inherent* method surface of `Database`/`Txn`, so the
+//! `wal` crate, the router and the tests pick an engine with one
+//! [`EngineKind`] argument instead of at every call site. The rules
+//! both engines (and the router) must agree on are not restated per
+//! engine: they live in [`crate::rules`]. The cross-engine and
+//! cross-backend differentials in [`crate::testkit`] hold the
+//! implementations to identical observable behaviour.
 
 use crate::database::{Database, Txn};
 use crate::error::{Error, Result};
@@ -65,66 +78,10 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// Engine-level contract: catalog, lifecycle, durability hookup, and
-/// the replay primitives recovery needs. Object-safe — the differential
-/// test harness and the `wal` crate drive engines through
-/// `&dyn Catalog`.
-pub trait Catalog: Send + Sync {
-    /// Which engine this is.
-    fn kind(&self) -> EngineKind;
-    /// The engine's `relstore.*` metrics registry.
-    fn metrics(&self) -> &Registry;
-    /// Create a table (auto-committed DDL; reported to the WAL sink).
-    fn create_table(&self, schema: TableSchema) -> Result<()>;
-    /// Table names in the catalog.
-    fn table_names(&self) -> Vec<String>;
-    /// The schema of a table.
-    fn schema_of(&self, table: &str) -> Result<TableSchema>;
-    /// Number of live rows in `table`.
-    fn row_count(&self, table: &str) -> Result<usize>;
-    /// Approximate payload bytes of the live rows of `table`.
-    fn heap_bytes(&self, table: &str) -> Result<usize>;
-    /// The next transaction id this engine will hand out.
-    fn next_txn_id(&self) -> TxnId;
-    /// Ensure future transactions are numbered `next` or higher (see
-    /// [`Database::resume_txn_ids`]).
-    fn resume_txn_ids(&self, next: TxnId);
-    /// Begin a transaction, boxed for object safety. Concrete callers
-    /// prefer the engines' inherent `begin`.
-    fn begin_txn(&self) -> Box<dyn Transaction>;
-    /// Install (or remove) a write-ahead-log sink.
-    fn set_wal_sink(&self, sink: Option<Arc<dyn WalSink>>);
-    /// The currently installed WAL sink, if any.
-    fn wal_sink(&self) -> Option<Arc<dyn WalSink>>;
-    /// Install (or remove) the WAL flush gate. A no-op on engines with
-    /// no page store to gate (MVCC keeps every version in memory; its
-    /// only durable artifact is the log itself).
-    fn set_flush_gate(&self, gate: Option<Arc<dyn FlushGate>>);
-    /// The dirty-page table for fuzzy checkpoints; empty on engines
-    /// without a buffer pool.
-    fn dirty_page_table(&self) -> Vec<(u64, u64)>;
-    /// Capture the committed state as a [`Snapshot`].
-    fn snapshot(&self) -> Result<Snapshot>;
-    /// Re-apply a logged insert (recovery only; see
-    /// [`Database::redo_insert`]).
-    fn redo_insert(&self, table: &str, id: RowId, row: Row) -> Result<()>;
-    /// Re-apply a logged update (recovery only).
-    fn redo_update(&self, table: &str, id: RowId, row: Row) -> Result<()>;
-    /// Re-apply a logged delete (recovery only).
-    fn redo_delete(&self, table: &str, id: RowId) -> Result<()>;
-    /// Reclaim storage dead to every current and future reader. Returns
-    /// the number of row versions reclaimed; 0 on engines that update
-    /// in place.
-    fn gc(&self) -> usize {
-        0
-    }
-}
-
-/// Transaction-level contract: reads, writes, scans, aggregates, and
-/// the commit/abort protocol. Object-safe.
-pub trait Transaction: Send {
-    /// This transaction's id.
-    fn id(&self) -> TxnId;
+/// The data-plane verbs of one (local or distributed) transaction.
+/// Object-safe; commit and rollback belong to the backend's
+/// transaction runner.
+pub trait DocTxn {
     /// Insert a row; returns its new id.
     fn insert(&self, table: &str, row: Row) -> Result<RowId>;
     /// Fetch a copy of the row at `id`.
@@ -146,7 +103,7 @@ pub trait Transaction: Send {
         descending: bool,
         limit: Option<usize>,
     ) -> Result<Vec<(RowId, Row)>>;
-    /// Equi-join of two pre-filtered tables (see [`Txn::join`]).
+    /// Equi-join of two pre-filtered tables.
     #[allow(clippy::too_many_arguments)]
     fn join(
         &self,
@@ -161,130 +118,47 @@ pub trait Transaction: Send {
     fn sum_int(&self, table: &str, pred: &Predicate, col: &str) -> Result<i64>;
     /// Count rows matching `pred` without copying them.
     fn count(&self, table: &str, pred: &Predicate) -> Result<usize>;
-    /// Commit (consuming the box). Named to leave the engines' inherent
-    /// by-value `commit` untouched.
-    fn commit_boxed(self: Box<Self>) -> Result<()>;
-    /// Roll back explicitly (dropping the box does the same).
-    fn rollback_boxed(self: Box<Self>);
 }
 
-// ---------------------------------------------------------------------
-// Trait impls for the 2PL engine
-// ---------------------------------------------------------------------
-
-impl Catalog for Database {
-    fn kind(&self) -> EngineKind {
-        EngineKind::TwoPl
+/// A storage backend a station can run on.
+///
+/// Implementations own retry semantics: [`DocBackend::with_txn_dyn`]
+/// must commit on `Ok`, roll back on `Err`, and transparently retry
+/// the closure on the engines' transient aborts (wait-die
+/// [`Error::TxnAborted`], first-committer-wins
+/// [`Error::WriteConflict`]) — callers never see either variant.
+pub trait DocBackend: Send + Sync {
+    /// Which concurrency-control engine backs the shards.
+    fn engine_kind(&self) -> EngineKind;
+    /// How many shards the backend spans (1 for a local engine).
+    fn shards(&self) -> usize {
+        1
     }
-    fn metrics(&self) -> &Registry {
-        Database::metrics(self)
+    /// Create a table (auto-committed DDL). Sharded backends install
+    /// the table on every shard and register its routing spec; on a
+    /// recovered store they adopt pre-existing tables instead.
+    fn create_table(&self, schema: TableSchema) -> Result<()>;
+    /// Run `f` in a transaction, committing on success, retrying on
+    /// transient aborts. Object-safe form; the facade's generic
+    /// `with_txn<T>` wraps it.
+    fn with_txn_dyn(&self, f: &mut dyn FnMut(&dyn DocTxn) -> Result<()>) -> Result<()>;
+    /// Capture the committed state as a [`Snapshot`], when the backend
+    /// has a single consistent state to capture
+    /// ([`Error::Unsupported`] otherwise).
+    fn snapshot(&self) -> Result<Snapshot>;
+    /// Approximate payload bytes of the live rows of `table` (summed
+    /// across shards; globally replicated tables count once).
+    fn heap_bytes(&self, table: &str) -> Result<usize>;
+    /// Embed a recovery checkpoint in the backend's log(s); returns the
+    /// highest checkpoint LSN (`wal::Lsn`), or `None` if the backend
+    /// is not durable (the facade then reports the misuse).
+    fn checkpoint(&self) -> Result<Option<u64>> {
+        Ok(None)
     }
-    fn create_table(&self, schema: TableSchema) -> Result<()> {
-        Database::create_table(self, schema)
-    }
-    fn table_names(&self) -> Vec<String> {
-        Database::table_names(self)
-    }
-    fn schema_of(&self, table: &str) -> Result<TableSchema> {
-        Database::schema_of(self, table)
-    }
-    fn row_count(&self, table: &str) -> Result<usize> {
-        Database::row_count(self, table)
-    }
-    fn heap_bytes(&self, table: &str) -> Result<usize> {
-        Database::heap_bytes(self, table)
-    }
-    fn next_txn_id(&self) -> TxnId {
-        Database::next_txn_id(self)
-    }
-    fn resume_txn_ids(&self, next: TxnId) {
-        Database::resume_txn_ids(self, next);
-    }
-    fn begin_txn(&self) -> Box<dyn Transaction> {
-        Box::new(Database::begin(self))
-    }
-    fn set_wal_sink(&self, sink: Option<Arc<dyn WalSink>>) {
-        Database::set_wal_sink(self, sink);
-    }
-    fn wal_sink(&self) -> Option<Arc<dyn WalSink>> {
-        Database::wal_sink(self)
-    }
-    fn set_flush_gate(&self, gate: Option<Arc<dyn FlushGate>>) {
-        Database::set_flush_gate(self, gate);
-    }
-    fn dirty_page_table(&self) -> Vec<(u64, u64)> {
-        Database::dirty_page_table(self)
-    }
-    fn snapshot(&self) -> Result<Snapshot> {
-        Database::snapshot(self)
-    }
-    fn redo_insert(&self, table: &str, id: RowId, row: Row) -> Result<()> {
-        Database::redo_insert(self, table, id, row)
-    }
-    fn redo_update(&self, table: &str, id: RowId, row: Row) -> Result<()> {
-        Database::redo_update(self, table, id, row)
-    }
-    fn redo_delete(&self, table: &str, id: RowId) -> Result<()> {
-        Database::redo_delete(self, table, id)
-    }
-}
-
-impl Transaction for Txn {
-    fn id(&self) -> TxnId {
-        Txn::id(self)
-    }
-    fn insert(&self, table: &str, row: Row) -> Result<RowId> {
-        Txn::insert(self, table, row)
-    }
-    fn get(&self, table: &str, id: RowId) -> Result<Row> {
-        Txn::get(self, table, id)
-    }
-    fn update(&self, table: &str, id: RowId, row: Row) -> Result<()> {
-        Txn::update(self, table, id, row)
-    }
-    fn update_cols(&self, table: &str, id: RowId, cols: &[(&str, Value)]) -> Result<()> {
-        Txn::update_cols(self, table, id, cols)
-    }
-    fn delete(&self, table: &str, id: RowId) -> Result<()> {
-        Txn::delete(self, table, id)
-    }
-    fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, Row)>> {
-        Txn::select(self, table, pred)
-    }
-    fn select_ordered(
-        &self,
-        table: &str,
-        pred: &Predicate,
-        order_col: &str,
-        descending: bool,
-        limit: Option<usize>,
-    ) -> Result<Vec<(RowId, Row)>> {
-        Txn::select_ordered(self, table, pred, order_col, descending, limit)
-    }
-    fn join(
-        &self,
-        left: &str,
-        left_col: &str,
-        left_pred: &Predicate,
-        right: &str,
-        right_col: &str,
-        right_pred: &Predicate,
-    ) -> Result<Vec<(Row, Row)>> {
-        Txn::join(
-            self, left, left_col, left_pred, right, right_col, right_pred,
-        )
-    }
-    fn sum_int(&self, table: &str, pred: &Predicate, col: &str) -> Result<i64> {
-        Txn::sum_int(self, table, pred, col)
-    }
-    fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
-        Txn::count(self, table, pred)
-    }
-    fn commit_boxed(self: Box<Self>) -> Result<()> {
-        (*self).commit()
-    }
-    fn rollback_boxed(self: Box<Self>) {
-        (*self).rollback();
+    /// The single local engine, when that is what this backend is
+    /// (escape hatch for tools and tests that inspect engine state).
+    fn as_engine(&self) -> Option<&AnyEngine> {
+        None
     }
 }
 
@@ -543,63 +417,28 @@ impl AnyEngine {
     }
 }
 
-impl Catalog for AnyEngine {
-    fn kind(&self) -> EngineKind {
-        AnyEngine::kind(self)
-    }
-    fn metrics(&self) -> &Registry {
-        AnyEngine::metrics(self)
+impl DocBackend for AnyEngine {
+    fn engine_kind(&self) -> EngineKind {
+        self.kind()
     }
     fn create_table(&self, schema: TableSchema) -> Result<()> {
         AnyEngine::create_table(self, schema)
     }
-    fn table_names(&self) -> Vec<String> {
-        AnyEngine::table_names(self)
-    }
-    fn schema_of(&self, table: &str) -> Result<TableSchema> {
-        AnyEngine::schema_of(self, table)
-    }
-    fn row_count(&self, table: &str) -> Result<usize> {
-        AnyEngine::row_count(self, table)
-    }
-    fn heap_bytes(&self, table: &str) -> Result<usize> {
-        AnyEngine::heap_bytes(self, table)
-    }
-    fn next_txn_id(&self) -> TxnId {
-        AnyEngine::next_txn_id(self)
-    }
-    fn resume_txn_ids(&self, next: TxnId) {
-        AnyEngine::resume_txn_ids(self, next);
-    }
-    fn begin_txn(&self) -> Box<dyn Transaction> {
-        Box::new(AnyEngine::begin(self))
-    }
-    fn set_wal_sink(&self, sink: Option<Arc<dyn WalSink>>) {
-        AnyEngine::set_wal_sink(self, sink);
-    }
-    fn wal_sink(&self) -> Option<Arc<dyn WalSink>> {
-        AnyEngine::wal_sink(self)
-    }
-    fn set_flush_gate(&self, gate: Option<Arc<dyn FlushGate>>) {
-        AnyEngine::set_flush_gate(self, gate);
-    }
-    fn dirty_page_table(&self) -> Vec<(u64, u64)> {
-        AnyEngine::dirty_page_table(self)
+    fn with_txn_dyn(&self, f: &mut dyn FnMut(&dyn DocTxn) -> Result<()>) -> Result<()> {
+        // Delegate to the engine's own retry loop (same-id retries, so
+        // the transaction ages under wait-die and eventually wins); the
+        // RefCell re-lends the FnMut through with_txn's Fn bound.
+        let f = std::cell::RefCell::new(f);
+        self.with_txn(|t| (f.borrow_mut())(t as &dyn DocTxn))
     }
     fn snapshot(&self) -> Result<Snapshot> {
         AnyEngine::snapshot(self)
     }
-    fn redo_insert(&self, table: &str, id: RowId, row: Row) -> Result<()> {
-        AnyEngine::redo_insert(self, table, id, row)
+    fn heap_bytes(&self, table: &str) -> Result<usize> {
+        AnyEngine::heap_bytes(self, table)
     }
-    fn redo_update(&self, table: &str, id: RowId, row: Row) -> Result<()> {
-        AnyEngine::redo_update(self, table, id, row)
-    }
-    fn redo_delete(&self, table: &str, id: RowId) -> Result<()> {
-        AnyEngine::redo_delete(self, table, id)
-    }
-    fn gc(&self) -> usize {
-        AnyEngine::gc(self)
+    fn as_engine(&self) -> Option<&AnyEngine> {
+        Some(self)
     }
 }
 
@@ -692,10 +531,7 @@ impl AnyTxn {
     }
 }
 
-impl Transaction for AnyTxn {
-    fn id(&self) -> TxnId {
-        AnyTxn::id(self)
-    }
+impl DocTxn for AnyTxn {
     fn insert(&self, table: &str, row: Row) -> Result<RowId> {
         AnyTxn::insert(self, table, row)
     }
@@ -743,10 +579,19 @@ impl Transaction for AnyTxn {
     fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
         AnyTxn::count(self, table, pred)
     }
-    fn commit_boxed(self: Box<Self>) -> Result<()> {
-        (*self).commit()
-    }
-    fn rollback_boxed(self: Box<Self>) {
-        (*self).rollback();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn both_engines_honour_the_backend_contract() {
+        for kind in [EngineKind::TwoPl, EngineKind::Mvcc] {
+            let engine = AnyEngine::new(kind);
+            assert_eq!(DocBackend::engine_kind(&engine), kind);
+            assert!(engine.as_engine().is_some());
+            crate::testkit::backend_contract(&engine);
+        }
     }
 }

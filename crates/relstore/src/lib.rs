@@ -61,6 +61,7 @@ pub mod lock;
 pub mod mvcc;
 pub mod pagestore;
 pub mod query;
+pub mod rules;
 pub mod schema;
 pub mod snapshot;
 pub mod table;
@@ -69,7 +70,7 @@ pub mod value;
 pub mod wal;
 
 pub use database::{Database, Txn};
-pub use engine::{AnyEngine, AnyTxn, Catalog, EngineKind, Transaction};
+pub use engine::{AnyEngine, AnyTxn, DocBackend, DocTxn, EngineKind};
 pub use error::{Error, Result};
 pub use lock::{LockManager, LockMode, Resource};
 pub use mvcc::{MvccDb, MvccTxn};

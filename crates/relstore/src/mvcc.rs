@@ -1,8 +1,9 @@
 //! The MVCC storage engine: snapshot-isolation reads over versioned
 //! rows, first-committer-wins writes.
 //!
-//! [`MvccDb`] is the second implementation of the engine contract in
-//! [`crate::engine`]. Where the 2PL engine serializes every hot-row
+//! [`MvccDb`] is the second engine behind [`crate::engine::AnyEngine`];
+//! the relational rules it enforces are the shared ones in
+//! [`crate::rules`]. Where the 2PL engine serializes every hot-row
 //! read behind writer locks, this engine keeps each row as a *version
 //! chain* — every version stamped with the commit timestamps
 //! `[begin, end)` of its validity interval — and gives each transaction
@@ -50,7 +51,8 @@ use crate::error::{Error, Result};
 use crate::lock::TxnId;
 use crate::pagestore::page::{self, RowScratch, TAG_INT};
 use crate::query::Predicate;
-use crate::schema::{FkAction, ForeignKey, IndexDef, TableSchema, PRIMARY_INDEX};
+use crate::rules::{self, RuleTxn};
+use crate::schema::{ForeignKey, IndexDef, TableSchema, PRIMARY_INDEX};
 use crate::snapshot::{Snapshot, TableSnapshot};
 use crate::table::{Row, RowId};
 use crate::value::{Key, Value};
@@ -197,41 +199,6 @@ impl MvccTable {
             live_rows: 0,
             committed_bytes: 0,
         })
-    }
-
-    /// Validate a row against the schema (arity, types, NULLs) —
-    /// byte-for-byte the 2PL engine's check, so the engines agree on
-    /// every rejection.
-    fn check_row(&self, row: &[Value]) -> Result<()> {
-        if row.len() != self.schema.columns.len() {
-            return Err(Error::ArityMismatch {
-                table: self.schema.name.clone(),
-                expected: self.schema.columns.len(),
-                got: row.len(),
-            });
-        }
-        for (col, val) in self.schema.columns.iter().zip(row) {
-            match val.column_type() {
-                None => {
-                    if !col.nullable {
-                        return Err(Error::NullViolation {
-                            table: self.schema.name.clone(),
-                            column: col.name.clone(),
-                        });
-                    }
-                }
-                Some(ty) if ty != col.ty => {
-                    return Err(Error::TypeMismatch {
-                        table: self.schema.name.clone(),
-                        column: col.name.clone(),
-                        expected: col.ty,
-                        got: format!("{val}"),
-                    });
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(())
     }
 
     fn alloc_row_id(&mut self) -> RowId {
@@ -520,22 +487,9 @@ impl MvccDb {
         if catalog.contains_key(&schema.name) {
             return Err(Error::TableExists(schema.name));
         }
-        for fk in &schema.foreign_keys {
-            let ok = if fk.ref_table == schema.name {
-                crate::database::unique_key_exists(&schema, &fk.ref_columns)
-            } else {
-                let target = catalog
-                    .get(&fk.ref_table)
-                    .ok_or_else(|| Error::NoSuchTable(fk.ref_table.clone()))?;
-                crate::database::unique_key_exists(&target.read().schema, &fk.ref_columns)
-            };
-            if !ok {
-                return Err(Error::BadSchema(format!(
-                    "foreign key on `{}` references `{}({:?})` which is not a unique key",
-                    schema.name, fk.ref_table, fk.ref_columns
-                )));
-            }
-        }
+        rules::check_fk_targets(&schema, |t| {
+            catalog.get(t).map(|data| data.read().schema.clone())
+        })?;
         let name = schema.name.clone();
         let fks = schema.foreign_keys.clone();
         // DDL is auto-committed: durable before the table is visible,
@@ -695,7 +649,7 @@ impl MvccDb {
             let mut t = data.write();
             let mut loaded = 0u64;
             for (id, row) in &snap.rows {
-                t.check_row(row)?;
+                t.schema.check_row(row)?;
                 for ix in &t.indexes {
                     let key = ix.key_of(row);
                     if ix.def.unique && !key.has_null() && ix.map.contains_key(&key) {
@@ -914,79 +868,44 @@ impl MvccTxn {
         Ok(())
     }
 
-    /// Forward FK check: every non-NULL foreign key of `row` must hit a
-    /// row in the referenced table's effective view.
-    fn check_forward_fks(&self, table: &str, fks: &[ForeignKey], row: &[Value]) -> Result<()> {
-        for fk in fks {
-            let data = self.entry(table)?;
-            let cols = data.read().schema.resolve_columns(&fk.columns)?;
-            let key = Key::from_row(row, &cols);
-            if key.has_null() {
-                continue; // NULL FKs reference nothing
-            }
-            let rdata = self.entry(&fk.ref_table)?;
-            let rt = rdata.read();
-            let ix = find_unique_index(&rt, &fk.ref_columns)?;
-            let lookup = reorder_key(&rt, &rt.indexes[ix].cols, &fk.ref_columns, &key)?;
-            // In place under the txn-state mutex, as in `check_unique`.
-            let st = self.state.lock();
-            let span = (fk.ref_table.clone(), RowId(0))..=(fk.ref_table.clone(), RowId(u64::MAX));
-            let committed_hit = rt.indexes[ix].map.get(&lookup).is_some_and(|ids| {
-                ids.iter()
-                    .any(|cid| match st.local.get(&(fk.ref_table.clone(), *cid)) {
-                        Some(LocalRow::Deleted) => false,
-                        Some(LocalRow::Put(r)) => rt.indexes[ix].row_holds(r, &lookup),
-                        None => true,
-                    })
-            });
-            // As in `check_unique`: local Puts cover both fresh inserts
-            // and committed rows re-keyed into the looked-up key.
-            let local_hit = st.local.range(span).any(
-                |(_, lr)| matches!(lr, LocalRow::Put(r) if rt.indexes[ix].row_holds(r, &lookup)),
-            );
-            drop(st);
-            if !committed_hit && !local_hit {
-                return Err(Error::ForeignKeyViolation {
-                    table: table.to_owned(),
-                    references: fk.ref_table.clone(),
-                });
-            }
+    /// The scan under `select`, `count` and `sum_int`: a pure snapshot
+    /// read. Committed versions are tested *raw* through the compiled
+    /// predicate (same hot path as the 2PL engine's paged heap), this
+    /// transaction's own rows decoded. `on_match` gets each matching
+    /// row, the scratch positioned on it, and the position of
+    /// `wide_col` — the raw walk is widened to cover that column so
+    /// its field is already in the scratch. Returns rows examined.
+    #[inline]
+    fn scan(
+        &self,
+        table: &str,
+        pred: &Predicate,
+        wide_col: Option<&str>,
+        mut on_match: impl FnMut(RowId, Seen<'_>, &RowScratch, usize) -> Result<()>,
+    ) -> Result<usize> {
+        self.check_open()?;
+        let data = self.entry(table)?;
+        self.db.metrics.inc("relstore.mvcc.snapshot_reads");
+        let t = data.read();
+        let wide = wide_col.map(|c| t.schema.require_column(c)).transpose()?;
+        let mut compiled = pred.compile(&t.schema)?;
+        if let Some(ci) = wide {
+            compiled.widen(ci + 1);
         }
-        Ok(())
-    }
-
-    /// Rows of `rtable` whose `fk.columns` equal `key`, in the
-    /// transaction's effective view, in id order.
-    fn find_referencing(&self, rtable: &str, fk: &ForeignKey, key: &Key) -> Result<Vec<RowId>> {
-        let rdata = self.entry(rtable)?;
-        let rt = rdata.read();
-        let cols = rt.schema.resolve_columns(&fk.columns)?;
-        let local = self.local_for(rtable);
-        let mut hits = BTreeSet::new();
-        for (id, chain) in &rt.chains {
-            let row = match local.get(id) {
-                Some(LocalRow::Deleted) => continue,
-                Some(LocalRow::Put(r)) => r.clone(),
-                None => match chain.visible(self.snap) {
-                    Some(v) => page::decode_row(&v.bytes)?,
-                    None => continue,
-                },
+        let local = self.local_for(table);
+        let mut scratch = RowScratch::default();
+        let mut examined = 0usize;
+        for (id, seen) in effective_view(&t, &local, self.snap) {
+            examined += 1;
+            let hit = match seen {
+                Seen::Local(r) => compiled.eval(r),
+                Seen::Stored(bytes) => compiled.matches_raw(bytes, &mut scratch)?,
             };
-            if &Key::from_row(&row, &cols) == key {
-                hits.insert(*id);
+            if hit {
+                on_match(id, seen, &scratch, wide.unwrap_or(0))?;
             }
         }
-        for (id, lr) in &local {
-            if rt.chains.contains_key(id) {
-                continue;
-            }
-            if let LocalRow::Put(r) = lr {
-                if &Key::from_row(r, &cols) == key {
-                    hits.insert(*id);
-                }
-            }
-        }
-        Ok(hits.into_iter().collect())
+        Ok(examined)
     }
 
     /// Insert a row; returns its new id. The row is invisible to other
@@ -994,7 +913,7 @@ impl MvccTxn {
     pub fn insert(&self, table: &str, row: Row) -> Result<RowId> {
         self.check_open()?;
         let data = self.entry(table)?;
-        data.read().check_row(&row)?;
+        data.read().schema.check_row(&row)?;
         let fks = data.read().schema.foreign_keys.clone();
         self.check_forward_fks(table, &fks, &row)?;
         self.check_unique(table, &data, &row, None)?;
@@ -1026,7 +945,7 @@ impl MvccTxn {
     pub fn update(&self, table: &str, id: RowId, new_row: Row) -> Result<()> {
         self.check_open()?;
         let data = self.entry(table)?;
-        data.read().check_row(&new_row)?;
+        data.read().schema.check_row(&new_row)?;
         let old = self
             .effective_get(table, &data, id)?
             .ok_or_else(|| Error::NoSuchRow {
@@ -1034,51 +953,7 @@ impl MvccTxn {
                 row: id,
             })?;
         let schema = data.read().schema.clone();
-        let changed: Vec<usize> = (0..old.len()).filter(|&i| old[i] != new_row[i]).collect();
-        let changed_names: Vec<&str> = changed
-            .iter()
-            .map(|&i| schema.columns[i].name.as_str())
-            .collect();
-        let affected_fks: Vec<ForeignKey> = schema
-            .foreign_keys
-            .iter()
-            .filter(|fk| {
-                fk.columns
-                    .iter()
-                    .any(|c| changed_names.contains(&c.as_str()))
-            })
-            .cloned()
-            .collect();
-        self.check_forward_fks(table, &affected_fks, &new_row)?;
-        // Reverse FKs: refuse changing a referenced key while
-        // referencing rows exist (ON UPDATE actions are not supported).
-        let referrers: Vec<(String, ForeignKey)> = self
-            .db
-            .referrers
-            .read()
-            .get(table)
-            .cloned()
-            .unwrap_or_default();
-        for (rtable, fk) in referrers {
-            if !fk
-                .ref_columns
-                .iter()
-                .any(|c| changed_names.contains(&c.as_str()))
-            {
-                continue;
-            }
-            let ref_cols = schema.resolve_columns(&fk.ref_columns)?;
-            let key = Key::from_row(&old, &ref_cols);
-            if key.has_null() {
-                continue;
-            }
-            if !self.find_referencing(&rtable, &fk, &key)?.is_empty() {
-                return Err(Error::RestrictViolation {
-                    table: table.to_owned(),
-                    referenced_by: rtable,
-                });
-            }
-        }
+        rules::enforce_update(self, table, &schema, &old, &new_row)?;
         self.check_unique(table, &data, &new_row, Some(id))?;
         let mut st = self.state.lock();
         st.local
@@ -1096,19 +971,13 @@ impl MvccTxn {
     pub fn update_cols(&self, table: &str, id: RowId, cols: &[(&str, Value)]) -> Result<()> {
         self.check_open()?;
         let data = self.entry(table)?;
-        let mut row = self
+        let row = self
             .effective_get(table, &data, id)?
             .ok_or_else(|| Error::NoSuchRow {
                 table: table.to_owned(),
                 row: id,
             })?;
-        {
-            let t = data.read();
-            for (name, value) in cols {
-                let ix = t.schema.require_column(name)?;
-                row[ix] = value.clone();
-            }
-        }
+        let row = rules::overlay_cols(&data.read().schema, row, cols)?;
         self.update(table, id, row)
     }
 
@@ -1124,52 +993,7 @@ impl MvccTxn {
                 row: id,
             })?;
         let schema = data.read().schema.clone();
-        let referrers: Vec<(String, ForeignKey)> = self
-            .db
-            .referrers
-            .read()
-            .get(table)
-            .cloned()
-            .unwrap_or_default();
-        for (rtable, fk) in referrers {
-            let ref_cols = schema.resolve_columns(&fk.ref_columns)?;
-            let key = Key::from_row(&old, &ref_cols);
-            if key.has_null() {
-                continue;
-            }
-            let hits = self.find_referencing(&rtable, &fk, &key)?;
-            if hits.is_empty() {
-                continue;
-            }
-            match fk.on_delete {
-                FkAction::Restrict => {
-                    return Err(Error::RestrictViolation {
-                        table: table.to_owned(),
-                        referenced_by: rtable,
-                    });
-                }
-                FkAction::Cascade => {
-                    for hit in hits {
-                        // The referencing row may already be gone if a
-                        // previous cascade in this very delete removed it.
-                        match self.delete(&rtable, hit) {
-                            Ok(()) | Err(Error::NoSuchRow { .. }) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                FkAction::SetNull => {
-                    let nulls: Vec<(&str, Value)> = fk
-                        .columns
-                        .iter()
-                        .map(|c| (c.as_str(), Value::Null))
-                        .collect();
-                    for hit in hits {
-                        self.update_cols(&rtable, hit, &nulls)?;
-                    }
-                }
-            }
-        }
+        rules::enforce_delete(self, table, &schema, &old)?;
         let mut st = self.state.lock();
         st.local.insert((table.to_owned(), id), LocalRow::Deleted);
         st.log.push(LoggedOp::Delete {
@@ -1180,50 +1004,13 @@ impl MvccTxn {
         Ok(())
     }
 
-    /// All rows matching `pred` (copies), in row-id order. A pure
-    /// snapshot scan: committed versions are tested *raw* through the
-    /// compiled predicate (same hot path as the 2PL engine's paged
-    /// heap); this transaction's own buffered rows are overlaid.
+    /// All rows matching `pred` (copies), in row-id order.
     pub fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, Row)>> {
-        self.check_open()?;
-        let data = self.entry(table)?;
-        self.db.metrics.inc("relstore.mvcc.snapshot_reads");
-        let t = data.read();
-        let compiled = pred.compile(&t.schema)?;
-        let local = self.local_for(table);
-        let mut scratch = RowScratch::default();
         let mut out = Vec::new();
-        let mut examined = 0usize;
-        for (id, chain) in &t.chains {
-            match local.get(id) {
-                Some(LocalRow::Deleted) => continue,
-                Some(LocalRow::Put(r)) => {
-                    examined += 1;
-                    if compiled.eval(r) {
-                        out.push((*id, r.clone()));
-                    }
-                }
-                None => {
-                    if let Some(v) = chain.visible(self.snap) {
-                        examined += 1;
-                        if compiled.matches_raw(&v.bytes, &mut scratch)? {
-                            out.push((*id, page::decode_row(&v.bytes)?));
-                        }
-                    }
-                }
-            }
-        }
-        for (id, lr) in &local {
-            if t.chains.contains_key(id) {
-                continue;
-            }
-            if let LocalRow::Put(r) = lr {
-                examined += 1;
-                if compiled.eval(r) {
-                    out.push((*id, r.clone()));
-                }
-            }
-        }
+        let examined = self.scan(table, pred, None, |id, seen, _, _| {
+            out.push((id, seen.to_row()?));
+            Ok(())
+        })?;
         out.sort_by_key(|(id, _)| *id);
         self.db
             .metrics
@@ -1243,19 +1030,8 @@ impl MvccTxn {
     ) -> Result<Vec<(RowId, Row)>> {
         let data = self.entry(table)?;
         let col = data.read().schema.require_column(order_col)?;
-        let mut rows = self.select(table, pred)?;
-        rows.sort_by(|(_, a), (_, b)| {
-            let ord = a[col].cmp(&b[col]);
-            if descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        if let Some(n) = limit {
-            rows.truncate(n);
-        }
-        Ok(rows)
+        let rows = self.select(table, pred)?;
+        Ok(rules::order_and_limit(rows, col, descending, limit))
     }
 
     /// Equi-join of two pre-filtered tables; NULL keys never join.
@@ -1276,113 +1052,36 @@ impl MvccTxn {
         let rcol = rdata.read().schema.require_column(right_col)?;
         let lrows = self.select(left, left_pred)?;
         let rrows = self.select(right, right_pred)?;
-        let mut table: BTreeMap<Value, Vec<&Row>> = BTreeMap::new();
-        for (_, row) in &rrows {
-            let key = &row[rcol];
-            if !key.is_null() {
-                table.entry(key.clone()).or_default().push(row);
-            }
-        }
-        let mut out = Vec::new();
-        for (_, lrow) in &lrows {
-            let key = &lrow[lcol];
-            if key.is_null() {
-                continue;
-            }
-            if let Some(matches) = table.get(key) {
-                for rrow in matches {
-                    out.push((lrow.clone(), (*rrow).clone()));
-                }
-            }
-        }
-        Ok(out)
+        Ok(rules::hash_join(&lrows, lcol, &rrows, rcol))
     }
 
-    /// Sum an integer column over matching rows (NULLs contribute 0),
-    /// reading committed versions raw through the widened compiled
-    /// predicate.
+    /// Sum an integer column over matching rows (NULLs contribute 0).
     pub fn sum_int(&self, table: &str, pred: &Predicate, col: &str) -> Result<i64> {
-        let data = self.entry(table)?;
-        self.db.metrics.inc("relstore.mvcc.snapshot_reads");
-        let t = data.read();
-        let ci = t.schema.require_column(col)?;
-        let mut compiled = pred.compile(&t.schema)?;
-        compiled.widen(ci + 1);
-        let local = self.local_for(table);
-        let mut scratch = RowScratch::default();
         let mut sum = 0i64;
-        for (id, chain) in &t.chains {
-            match local.get(id) {
-                Some(LocalRow::Deleted) => continue,
-                Some(LocalRow::Put(r)) => {
-                    if compiled.eval(r) {
-                        sum += r[ci].as_int().unwrap_or(0);
+        self.scan(table, pred, Some(col), |_, seen, scratch, ci| {
+            sum += match seen {
+                Seen::Local(r) => r[ci].as_int().unwrap_or(0),
+                Seen::Stored(bytes) => {
+                    let f = scratch.field(ci);
+                    if f.tag == TAG_INT {
+                        i64::from_le_bytes(bytes[f.start..f.end].try_into().expect("8-byte"))
+                    } else {
+                        0
                     }
                 }
-                None => {
-                    if let Some(v) = chain.visible(self.snap) {
-                        if compiled.matches_raw(&v.bytes, &mut scratch)? {
-                            let f = scratch.field(ci);
-                            if f.tag == TAG_INT {
-                                sum += i64::from_le_bytes(
-                                    v.bytes[f.start..f.end].try_into().expect("8-byte"),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for (id, lr) in &local {
-            if t.chains.contains_key(id) {
-                continue;
-            }
-            if let LocalRow::Put(r) = lr {
-                if compiled.eval(r) {
-                    sum += r[ci].as_int().unwrap_or(0);
-                }
-            }
-        }
+            };
+            Ok(())
+        })?;
         Ok(sum)
     }
 
     /// Count rows matching `pred` without copying them.
     pub fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
-        self.check_open()?;
-        let data = self.entry(table)?;
-        self.db.metrics.inc("relstore.mvcc.snapshot_reads");
-        let t = data.read();
-        let compiled = pred.compile(&t.schema)?;
-        let local = self.local_for(table);
-        let mut scratch = RowScratch::default();
         let mut n = 0usize;
-        for (id, chain) in &t.chains {
-            match local.get(id) {
-                Some(LocalRow::Deleted) => continue,
-                Some(LocalRow::Put(r)) => {
-                    if compiled.eval(r) {
-                        n += 1;
-                    }
-                }
-                None => {
-                    if let Some(v) = chain.visible(self.snap) {
-                        if compiled.matches_raw(&v.bytes, &mut scratch)? {
-                            n += 1;
-                        }
-                    }
-                }
-            }
-        }
-        for (id, lr) in &local {
-            if t.chains.contains_key(id) {
-                continue;
-            }
-            if let LocalRow::Put(r) = lr {
-                if compiled.eval(r) {
-                    n += 1;
-                }
-            }
-        }
+        self.scan(table, pred, None, |_, _, _, _| {
+            n += 1;
+            Ok(())
+        })?;
         Ok(n)
     }
 
@@ -1605,44 +1304,132 @@ impl LoggedOp {
     }
 }
 
-/// Find a unique index of `table` covering exactly the column *set*
-/// `cols` (order-insensitive); returns its position in
-/// `table.indexes`. Mirrors the 2PL engine's FK-target lookup.
-fn find_unique_index(table: &MvccTable, cols: &[String]) -> Result<usize> {
-    let mut want = table.schema.resolve_columns(cols)?;
-    want.sort_unstable();
-    for (i, ix) in table.indexes.iter().enumerate() {
-        let mut have = ix.cols.clone();
-        have.sort_unstable();
-        if ix.def.unique && have == want {
-            return Ok(i);
-        }
-    }
-    Err(Error::NoSuchIndex {
-        table: table.schema.name.clone(),
-        index: PRIMARY_INDEX.to_owned(),
-    })
+/// A transaction's effective view of `t`: the committed versions
+/// visible at `snap`, overlaid with the transaction's own puts
+/// (`local`, its write set for this table), minus its deletes — the
+/// one walk under `select`, `count`, `sum_int` and `find_referencing`.
+/// Stored rows come in id order, then rows the transaction inserted.
+#[inline]
+fn effective_view<'a>(
+    t: &'a MvccTable,
+    local: &'a BTreeMap<RowId, LocalRow>,
+    snap: u64,
+) -> impl Iterator<Item = (RowId, Seen<'a>)> {
+    let stored = t
+        .chains
+        .iter()
+        .filter_map(move |(id, chain)| match local.get(id) {
+            Some(LocalRow::Deleted) => None,
+            Some(LocalRow::Put(r)) => Some((*id, Seen::Local(r))),
+            None => chain
+                .visible(snap)
+                .map(|v| (*id, Seen::Stored(v.bytes.as_slice()))),
+        });
+    let inserted = local.iter().filter_map(move |(id, lr)| match lr {
+        LocalRow::Put(r) if !t.chains.contains_key(id) => Some((*id, Seen::Local(r))),
+        _ => None,
+    });
+    stored.chain(inserted)
 }
 
-/// Rebuild `key` (whose components follow `declared` column-name order)
-/// into the order of `index_cols` (column positions in `table`).
-fn reorder_key(
-    table: &MvccTable,
-    index_cols: &[usize],
-    declared: &[String],
-    key: &Key,
-) -> Result<Key> {
-    let mut out = Vec::with_capacity(index_cols.len());
-    for &ci in index_cols {
-        let name = &table.schema.columns[ci].name;
-        let pos = declared
-            .iter()
-            .position(|d| d == name)
-            .ok_or_else(|| Error::NoSuchColumn {
-                table: table.schema.name.clone(),
-                column: name.clone(),
-            })?;
-        out.push(key.0[pos].clone());
+/// One row of a transaction's effective view.
+#[derive(Clone, Copy)]
+enum Seen<'a> {
+    /// Written by the transaction itself (its buffered image).
+    Local(&'a Row),
+    /// The committed version visible at the snapshot, still encoded.
+    Stored(&'a [u8]),
+}
+
+impl Seen<'_> {
+    fn to_row(self) -> Result<Row> {
+        match self {
+            Seen::Local(r) => Ok(r.clone()),
+            Seen::Stored(bytes) => page::decode_row(bytes),
+        }
     }
-    Ok(Key(out))
+}
+
+/// The MVCC engine's side of the foreign-key rules: every answer comes
+/// from the transaction's effective view, no locks taken.
+impl RuleTxn for MvccTxn {
+    fn referrers_of(&self, table: &str) -> Vec<(String, ForeignKey)> {
+        self.db
+            .referrers
+            .read()
+            .get(table)
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    fn check_forward_fks(&self, table: &str, fks: &[ForeignKey], row: &[Value]) -> Result<()> {
+        for fk in fks {
+            let data = self.entry(table)?;
+            let cols = data.read().schema.resolve_columns(&fk.columns)?;
+            let key = Key::from_row(row, &cols);
+            if key.has_null() {
+                continue; // NULL FKs reference nothing
+            }
+            let rdata = self.entry(&fk.ref_table)?;
+            let rt = rdata.read();
+            let indexes = rt
+                .indexes
+                .iter()
+                .map(|ix| (ix.def.unique, ix.cols.as_slice()));
+            let (ix, lookup) = rules::fk_target(&rt.schema, indexes, &fk.ref_columns, &key)?;
+            let ix = &rt.indexes[ix];
+            // In place under the txn-state mutex, as in `check_unique`.
+            let st = self.state.lock();
+            let span = (fk.ref_table.clone(), RowId(0))..=(fk.ref_table.clone(), RowId(u64::MAX));
+            let committed_hit = ix.map.get(&lookup).is_some_and(|ids| {
+                ids.iter()
+                    .any(|cid| match st.local.get(&(fk.ref_table.clone(), *cid)) {
+                        Some(LocalRow::Deleted) => false,
+                        Some(LocalRow::Put(r)) => ix.row_holds(r, &lookup),
+                        None => true,
+                    })
+            });
+            // As in `check_unique`: local Puts cover both fresh inserts
+            // and committed rows re-keyed into the looked-up key.
+            let local_hit = st
+                .local
+                .range(span)
+                .any(|(_, lr)| matches!(lr, LocalRow::Put(r) if ix.row_holds(r, &lookup)));
+            drop(st);
+            if !committed_hit && !local_hit {
+                return Err(Error::ForeignKeyViolation {
+                    table: table.to_owned(),
+                    references: fk.ref_table.clone(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    fn find_referencing(&self, rtable: &str, fk: &ForeignKey, key: &Key) -> Result<Vec<RowId>> {
+        let rdata = self.entry(rtable)?;
+        let rt = rdata.read();
+        let cols = rt.schema.resolve_columns(&fk.columns)?;
+        let local = self.local_for(rtable);
+        let mut hits = Vec::new();
+        for (id, seen) in effective_view(&rt, &local, self.snap) {
+            let holds = match seen {
+                Seen::Local(r) => &Key::from_row(r, &cols) == key,
+                Seen::Stored(bytes) => &Key::from_row(&page::decode_row(bytes)?, &cols) == key,
+            };
+            if holds {
+                hits.push(id);
+            }
+        }
+        hits.sort_unstable();
+        Ok(hits)
+    }
+
+    fn delete(&self, table: &str, id: RowId) -> Result<()> {
+        MvccTxn::delete(self, table, id)
+    }
+
+    fn update_cols(&self, table: &str, id: RowId, cols: &[(&str, Value)]) -> Result<()> {
+        MvccTxn::update_cols(self, table, id, cols)
+    }
 }

@@ -250,7 +250,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.at + n > self.buf.len() {
+        if n > self.buf.len() - self.at {
             return Err(Error::Page("row image truncated".into()));
         }
         let out = &self.buf[self.at..self.at + n];
@@ -279,7 +279,9 @@ impl<'a> Cursor<'a> {
 pub fn decode_row(bytes: &[u8]) -> Result<Row> {
     let mut c = Cursor { buf: bytes, at: 0 };
     let arity = c.u32()? as usize;
-    let mut row = Vec::with_capacity(arity);
+    // The header is untrusted: reserve no more than the image can
+    // hold (every field is at least its one tag byte).
+    let mut row = Vec::with_capacity(arity.min(bytes.len() - c.at));
     for _ in 0..arity {
         let v = match c.u8()? {
             TAG_NULL => Value::Null,
@@ -437,6 +439,9 @@ mod tests {
         assert!(decode_row(&bytes).is_err());
         bytes.truncate(bytes.len() - 3);
         assert!(decode_row(&bytes).is_err());
+        // A hostile arity must be an error, not a 4-billion-slot
+        // reservation (which aborts the process).
+        assert!(decode_row(&[0xff; 4]).is_err());
     }
 
     #[test]

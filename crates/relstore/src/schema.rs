@@ -1,7 +1,7 @@
 //! Table schema declarations: columns, keys, indexes and foreign keys.
 
 use crate::error::{Error, Result};
-use crate::value::ColumnType;
+use crate::value::{ColumnType, Value};
 use serde::{Deserialize, Serialize};
 
 /// A single column declaration.
@@ -98,6 +98,42 @@ impl TableSchema {
     /// Resolve a list of column names into indices.
     pub fn resolve_columns(&self, names: &[String]) -> Result<Vec<usize>> {
         names.iter().map(|n| self.require_column(n)).collect()
+    }
+
+    /// Validate a row against the schema: arity first, then per column
+    /// (in column order) NULL-ability and type. Every engine and the
+    /// shard router reject through this one body, so they agree on
+    /// *which* violation a malformed row reports.
+    pub fn check_row(&self, row: &[Value]) -> Result<()> {
+        if row.len() != self.columns.len() {
+            return Err(Error::ArityMismatch {
+                table: self.name.clone(),
+                expected: self.columns.len(),
+                got: row.len(),
+            });
+        }
+        for (col, val) in self.columns.iter().zip(row) {
+            match val.column_type() {
+                None => {
+                    if !col.nullable {
+                        return Err(Error::NullViolation {
+                            table: self.name.clone(),
+                            column: col.name.clone(),
+                        });
+                    }
+                }
+                Some(ty) if ty != col.ty => {
+                    return Err(Error::TypeMismatch {
+                        table: self.name.clone(),
+                        column: col.name.clone(),
+                        expected: col.ty,
+                        got: format!("{val}"),
+                    });
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
     }
 
     /// Validate internal consistency: unique column names, resolvable

@@ -496,42 +496,9 @@ impl Table {
         self.heap.pages.len()
     }
 
-    /// Validate a row against the schema (arity, types, NULLs).
-    pub fn check_row(&self, row: &[Value]) -> Result<()> {
-        if row.len() != self.schema.columns.len() {
-            return Err(Error::ArityMismatch {
-                table: self.schema.name.clone(),
-                expected: self.schema.columns.len(),
-                got: row.len(),
-            });
-        }
-        for (col, val) in self.schema.columns.iter().zip(row) {
-            match val.column_type() {
-                None => {
-                    if !col.nullable {
-                        return Err(Error::NullViolation {
-                            table: self.schema.name.clone(),
-                            column: col.name.clone(),
-                        });
-                    }
-                }
-                Some(ty) if ty != col.ty => {
-                    return Err(Error::TypeMismatch {
-                        table: self.schema.name.clone(),
-                        column: col.name.clone(),
-                        expected: col.ty,
-                        got: format!("{val}"),
-                    });
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(())
-    }
-
     /// Insert a validated row, enforcing uniqueness; returns the new id.
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
-        self.check_row(&row)?;
+        self.schema.check_row(&row)?;
         for ix in &self.indexes {
             let key = ix.key_of(&row);
             if ix.would_violate(&key, None) {
@@ -601,7 +568,7 @@ impl Table {
 
     /// Replace the whole row at `id`; returns the previous row.
     pub fn update(&mut self, id: RowId, new_row: Row) -> Result<Row> {
-        self.check_row(&new_row)?;
+        self.schema.check_row(&new_row)?;
         let old = self.get(id)?;
         for ix in &self.indexes {
             let key = ix.key_of(&new_row);

@@ -23,8 +23,8 @@
 //! shrinker needed. The module deliberately has no dev-dependency on
 //! `proptest`; unit tests drive it with hand-written vectors.
 
-use crate::engine::{AnyEngine, AnyTxn, EngineKind};
-use crate::error::Result;
+use crate::engine::{AnyEngine, AnyTxn, DocBackend, DocTxn, EngineKind};
+use crate::error::{Error, Result};
 use crate::query::Predicate;
 use crate::schema::{FkAction, TableSchema};
 use crate::table::RowId;
@@ -409,73 +409,24 @@ pub fn run_differential(decisions: &[u32]) -> std::result::Result<(), String> {
     Ok(())
 }
 
-/// One side of a tape differential: anything that can play the op tape
-/// against the standard catalog. [`AnyEngine`] implements it directly;
-/// the `shard` crate implements it for its router, which is how the
-/// sharded-vs-unsharded equivalence proof runs — same tape, one side a
-/// single engine, the other a hash-partitioned cluster, every outcome
-/// (including allocated row ids) compared op by op.
+/// One side of a tape differential: anything that hands out
+/// transactions speaking [`DocTxn`] over the standard catalog.
+/// [`AnyEngine`] implements it directly; the `shard` crate implements
+/// it for its router, which is how the sharded-vs-unsharded equivalence
+/// proof runs — same tape, one side a single engine, the other a
+/// hash-partitioned cluster, every outcome (including allocated row
+/// ids) compared op by op.
 ///
 /// Implementations must present **global** row ids: the tape feeds ids
 /// returned by `insert` back into later ops and demands identical
 /// errors for identical ids on both sides.
 pub trait TapeTarget {
     /// The target's transaction handle.
-    type Txn<'a>
+    type Txn<'a>: DocTxn
     where
         Self: 'a;
     /// Begin a transaction.
     fn begin(&self) -> Self::Txn<'_>;
-    /// Insert a row; returns its (global) id.
-    fn insert(&self, txn: &Self::Txn<'_>, table: &str, row: Vec<Value>) -> Result<RowId>;
-    /// Fetch the row at `id`.
-    fn get(&self, txn: &Self::Txn<'_>, table: &str, id: RowId) -> Result<Vec<Value>>;
-    /// Replace the row at `id`.
-    fn update(&self, txn: &Self::Txn<'_>, table: &str, id: RowId, row: Vec<Value>) -> Result<()>;
-    /// Update named columns of the row at `id`.
-    fn update_cols(
-        &self,
-        txn: &Self::Txn<'_>,
-        table: &str,
-        id: RowId,
-        cols: &[(&str, Value)],
-    ) -> Result<()>;
-    /// Delete the row at `id`.
-    fn delete(&self, txn: &Self::Txn<'_>, table: &str, id: RowId) -> Result<()>;
-    /// All rows matching `pred`, id-ascending.
-    fn select(
-        &self,
-        txn: &Self::Txn<'_>,
-        table: &str,
-        pred: &Predicate,
-    ) -> Result<Vec<(RowId, Vec<Value>)>>;
-    /// [`TapeTarget::select`] sorted by a column and truncated.
-    fn select_ordered(
-        &self,
-        txn: &Self::Txn<'_>,
-        table: &str,
-        pred: &Predicate,
-        order_col: &str,
-        descending: bool,
-        limit: Option<usize>,
-    ) -> Result<Vec<(RowId, Vec<Value>)>>;
-    /// Equi-join of two pre-filtered tables.
-    #[allow(clippy::too_many_arguments)]
-    fn join(
-        &self,
-        txn: &Self::Txn<'_>,
-        left: &str,
-        left_col: &str,
-        left_pred: &Predicate,
-        right: &str,
-        right_col: &str,
-        right_pred: &Predicate,
-    ) -> Result<Vec<(Vec<Value>, Vec<Value>)>>;
-    /// Count rows matching `pred`.
-    fn count(&self, txn: &Self::Txn<'_>, table: &str, pred: &Predicate) -> Result<usize>;
-    /// Sum an integer column over matching rows.
-    fn sum_int(&self, txn: &Self::Txn<'_>, table: &str, pred: &Predicate, col: &str)
-        -> Result<i64>;
     /// Commit the transaction.
     fn commit(&self, txn: Self::Txn<'_>) -> Result<()>;
     /// Roll the transaction back.
@@ -486,64 +437,6 @@ impl TapeTarget for AnyEngine {
     type Txn<'a> = AnyTxn;
     fn begin(&self) -> AnyTxn {
         AnyEngine::begin(self)
-    }
-    fn insert(&self, txn: &AnyTxn, table: &str, row: Vec<Value>) -> Result<RowId> {
-        txn.insert(table, row)
-    }
-    fn get(&self, txn: &AnyTxn, table: &str, id: RowId) -> Result<Vec<Value>> {
-        txn.get(table, id)
-    }
-    fn update(&self, txn: &AnyTxn, table: &str, id: RowId, row: Vec<Value>) -> Result<()> {
-        txn.update(table, id, row)
-    }
-    fn update_cols(
-        &self,
-        txn: &AnyTxn,
-        table: &str,
-        id: RowId,
-        cols: &[(&str, Value)],
-    ) -> Result<()> {
-        txn.update_cols(table, id, cols)
-    }
-    fn delete(&self, txn: &AnyTxn, table: &str, id: RowId) -> Result<()> {
-        txn.delete(table, id)
-    }
-    fn select(
-        &self,
-        txn: &AnyTxn,
-        table: &str,
-        pred: &Predicate,
-    ) -> Result<Vec<(RowId, Vec<Value>)>> {
-        txn.select(table, pred)
-    }
-    fn select_ordered(
-        &self,
-        txn: &AnyTxn,
-        table: &str,
-        pred: &Predicate,
-        order_col: &str,
-        descending: bool,
-        limit: Option<usize>,
-    ) -> Result<Vec<(RowId, Vec<Value>)>> {
-        txn.select_ordered(table, pred, order_col, descending, limit)
-    }
-    fn join(
-        &self,
-        txn: &AnyTxn,
-        left: &str,
-        left_col: &str,
-        left_pred: &Predicate,
-        right: &str,
-        right_col: &str,
-        right_pred: &Predicate,
-    ) -> Result<Vec<(Vec<Value>, Vec<Value>)>> {
-        txn.join(left, left_col, left_pred, right, right_col, right_pred)
-    }
-    fn count(&self, txn: &AnyTxn, table: &str, pred: &Predicate) -> Result<usize> {
-        txn.count(table, pred)
-    }
-    fn sum_int(&self, txn: &AnyTxn, table: &str, pred: &Predicate, col: &str) -> Result<i64> {
-        txn.sum_int(table, pred, col)
     }
     fn commit(&self, txn: AnyTxn) -> Result<()> {
         txn.commit()
@@ -584,28 +477,27 @@ pub fn compare_tape_committed<A: TapeTarget, B: TapeTarget>(
             expect_same(
                 &format!("committed select({table}, battery {i})"),
                 step,
-                &a.select(&ta, table, pred),
-                &b.select(&tb, table, pred),
+                &ta.select(table, pred),
+                &tb.select(table, pred),
             )?;
             expect_same(
                 &format!("committed count({table}, battery {i})"),
                 step,
-                &a.count(&ta, table, pred),
-                &b.count(&tb, table, pred),
+                &ta.count(table, pred),
+                &tb.count(table, pred),
             )?;
         }
         expect_same(
             &format!("committed select_ordered({table})"),
             step,
-            &a.select_ordered(&ta, table, &Predicate::True, order_col(table), false, None),
-            &b.select_ordered(&tb, table, &Predicate::True, order_col(table), false, None),
+            &ta.select_ordered(table, &Predicate::True, order_col(table), false, None),
+            &tb.select_ordered(table, &Predicate::True, order_col(table), false, None),
         )?;
     }
     expect_same(
         "committed join(child, parent)",
         step,
-        &a.join(
-            &ta,
+        &ta.join(
             "child",
             "parent",
             &Predicate::True,
@@ -613,8 +505,7 @@ pub fn compare_tape_committed<A: TapeTarget, B: TapeTarget>(
             "id",
             &Predicate::True,
         ),
-        &b.join(
-            &tb,
+        &tb.join(
             "child",
             "parent",
             &Predicate::True,
@@ -626,8 +517,8 @@ pub fn compare_tape_committed<A: TapeTarget, B: TapeTarget>(
     expect_same(
         "committed sum_int(child.score)",
         step,
-        &a.sum_int(&ta, "child", &Predicate::True, "score"),
-        &b.sum_int(&tb, "child", &Predicate::True, "score"),
+        &ta.sum_int("child", &Predicate::True, "score"),
+        &tb.sum_int("child", &Predicate::True, "score"),
     )?;
     a.commit(ta)
         .map_err(|e| format!("left battery commit: {e}"))?;
@@ -666,8 +557,8 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
                 };
                 let row_a = gen_row(table, &mut side);
                 let row_b = gen_row(table, &mut d);
-                let ra = a.insert(ja, table, row_a);
-                let rb = b.insert(jb, table, row_b);
+                let ra = ja.insert(table, row_a);
+                let rb = jb.insert(table, row_b);
                 expect_same(&format!("insert({table})"), step, &ra, &rb)?;
                 if let Ok(id) = ra {
                     known.entry(table).or_default().push(id);
@@ -684,8 +575,8 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
                 expect_same(
                     &format!("update({table}, {id:?})"),
                     step,
-                    &a.update(ja, table, id, row_a),
-                    &b.update(jb, table, id, row_b),
+                    &ja.update(table, id, row_a),
+                    &jb.update(table, id, row_b),
                 )?;
             }
             5 => {
@@ -701,8 +592,8 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
                 expect_same(
                     &format!("update_cols({table}, {id:?})"),
                     step,
-                    &a.update_cols(ja, table, id, &cols),
-                    &b.update_cols(jb, table, id, &cols),
+                    &ja.update_cols(table, id, &cols),
+                    &jb.update_cols(table, id, &cols),
                 )?;
             }
             6 => {
@@ -710,8 +601,8 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
                 expect_same(
                     &format!("delete({table}, {id:?})"),
                     step,
-                    &a.delete(ja, table, id),
-                    &b.delete(jb, table, id),
+                    &ja.delete(table, id),
+                    &jb.delete(table, id),
                 )?;
             }
             7 => {
@@ -719,8 +610,8 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
                 expect_same(
                     &format!("get({table}, {id:?})"),
                     step,
-                    &a.get(ja, table, id),
-                    &b.get(jb, table, id),
+                    &ja.get(table, id),
+                    &jb.get(table, id),
                 )?;
             }
             8 | 9 => {
@@ -733,8 +624,8 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
                 expect_same(
                     &format!("select({table})"),
                     step,
-                    &a.select(ja, table, &pred_a),
-                    &b.select(jb, table, &pred_b),
+                    &ja.select(table, &pred_a),
+                    &jb.select(table, &pred_b),
                 )?;
             }
             10 => {
@@ -752,8 +643,8 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
                 expect_same(
                     &format!("select_ordered({table})"),
                     step,
-                    &a.select_ordered(ja, table, &pred_a, order_col(table), desc, limit),
-                    &b.select_ordered(jb, table, &pred_b, order_col(table), desc, limit),
+                    &ja.select_ordered(table, &pred_a, order_col(table), desc, limit),
+                    &jb.select_ordered(table, &pred_b, order_col(table), desc, limit),
                 )?;
             }
             11 => {
@@ -766,24 +657,8 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
                 expect_same(
                     "join(child, parent)",
                     step,
-                    &a.join(
-                        ja,
-                        "child",
-                        "parent",
-                        &pred_a,
-                        "parent",
-                        "id",
-                        &Predicate::True,
-                    ),
-                    &b.join(
-                        jb,
-                        "child",
-                        "parent",
-                        &pred_b,
-                        "parent",
-                        "id",
-                        &Predicate::True,
-                    ),
+                    &ja.join("child", "parent", &pred_a, "parent", "id", &Predicate::True),
+                    &jb.join("child", "parent", &pred_b, "parent", "id", &Predicate::True),
                 )?;
             }
             12 => {
@@ -796,8 +671,8 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
                 expect_same(
                     &format!("count({table})"),
                     step,
-                    &a.count(ja, table, &pred_a),
-                    &b.count(jb, table, &pred_b),
+                    &ja.count(table, &pred_a),
+                    &jb.count(table, &pred_b),
                 )?;
             }
             13 | 14 => {
@@ -818,7 +693,7 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
                 known.clear();
                 for table in TABLES {
                     let t = a.begin();
-                    if let Ok(rows) = a.select(&t, table, &Predicate::True) {
+                    if let Ok(rows) = t.select(table, &Predicate::True) {
                         known
                             .entry(table)
                             .or_default()
@@ -855,4 +730,58 @@ pub fn txn_insert(t: &AnyTxn, table: &str, id: i64, extra: i64) -> Result<RowId>
         _ => vec![Value::Int(id), Value::Int(extra), Value::Int(1)],
     };
     t.insert(table, row)
+}
+
+/// The [`DocBackend`] contract, asserted on one fresh in-memory backend
+/// (it creates its own `people` table). Every implementor runs this:
+/// commit on `Ok` and read back; `Err` from the closure rolls back —
+/// no row survives *and* the row id the failed insert consumed stays
+/// burned; questions the backend cannot answer come back as
+/// [`Error::Unsupported`] / `None`, never a panic.
+///
+/// # Panics
+/// On the first violated clause.
+pub fn backend_contract(backend: &dyn DocBackend) {
+    let people = TableSchema::builder("people")
+        .column("name", ColumnType::Text)
+        .column("age", ColumnType::Int)
+        .primary_key(&["name"])
+        .build()
+        .expect("static schema");
+    backend.create_table(people).expect("create_table");
+    assert!(backend.shards() >= 1);
+
+    let mut lost = None;
+    let res = backend.with_txn_dyn(&mut |t| {
+        lost = Some(t.insert("people", vec!["bob".into(), Value::Int(1)])?);
+        Err(Error::TxnClosed)
+    });
+    assert_eq!(res, Err(Error::TxnClosed), "closure error is the result");
+    assert_eq!(lost, Some(RowId(1)));
+
+    let mut kept = None;
+    backend
+        .with_txn_dyn(&mut |t| {
+            assert_eq!(t.count("people", &Predicate::True)?, 0, "rollback on Err");
+            kept = Some(t.insert("people", vec!["ada".into(), Value::Int(36)])?);
+            Ok(())
+        })
+        .expect("commit on Ok");
+    let id = kept.expect("closure ran");
+    assert_eq!(id, RowId(2), "a rolled-back insert burns its row id");
+    backend
+        .with_txn_dyn(&mut |t| {
+            assert_eq!(t.get("people", id)?[1], Value::Int(36));
+            assert_eq!(t.count("people", &Predicate::True)?, 1);
+            Ok(())
+        })
+        .expect("read back");
+    assert!(backend.heap_bytes("people").expect("heap_bytes") > 0);
+
+    assert_eq!(backend.checkpoint(), Ok(None), "no log, no checkpoint");
+    match backend.snapshot() {
+        Ok(snap) => assert_eq!(snap.tables.len(), 1),
+        Err(Error::Unsupported(_)) => assert!(backend.as_engine().is_none()),
+        Err(e) => panic!("snapshot: {e}"),
+    }
 }

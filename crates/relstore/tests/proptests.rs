@@ -305,3 +305,48 @@ proptest! {
         }
     }
 }
+
+fn cell() -> BoxedStrategy<Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        any::<i64>().prop_map(|m| Value::Float(m as f64 / 64.0)),
+        "[a-zé]{0,6}".prop_map(Value::Text),
+        proptest::collection::vec(any::<u8>(), 0..6).prop_map(Value::Bytes),
+        any::<u64>().prop_map(Value::Timestamp),
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile bytes through the row codec: arbitrary images and
+    /// bit-flipped valid ones decode to a row or a typed error — never
+    /// a panic, never an allocation sized by an unchecked length field
+    /// (which aborts the process) — and intact images round-trip.
+    #[test]
+    fn row_codec_survives_hostile_bytes(
+        row in proptest::collection::vec(cell(), 0..8),
+        junk in proptest::collection::vec(any::<u8>(), 0..48),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+        upto in 0usize..10,
+    ) {
+        use relstore::pagestore::page::{decode_row, encode_row, RowScratch};
+        let image = encode_row(&row);
+        prop_assert_eq!(decode_row(&image).unwrap(), row.clone());
+        let mut scratch = RowScratch::default();
+        prop_assert_eq!(scratch.load(&image, upto).is_ok(), upto <= row.len());
+
+        let mut flipped = image.clone();
+        for (at, bit) in flips {
+            let at = at % flipped.len();
+            flipped[at] ^= 1 << bit;
+        }
+        for bytes in [&junk, &flipped] {
+            let _ = decode_row(bytes);
+            let _ = scratch.load(bytes, upto);
+        }
+    }
+}

@@ -64,8 +64,8 @@ use crate::twopc::{self, Coordinator};
 use obs::Registry;
 use relstore::schema::PRIMARY_INDEX;
 use relstore::{
-    AnyEngine, AnyTxn, EngineKind, Error, ForeignKey, Key, PoolBackend, Predicate, Result, Row,
-    RowId, TableSchema, Value,
+    rules, AnyEngine, AnyTxn, DocTxn, EngineKind, Error, ForeignKey, Key, PoolBackend, Predicate,
+    Result, Row, RowId, TableSchema, Value,
 };
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -677,42 +677,6 @@ fn regid(table: &str, gid: u64, e: Error) -> Error {
     }
 }
 
-/// Mirror of `Table::check_row` (arity, then per column NULL/type, in
-/// column order), used by the move path, which must report validation
-/// errors *before* touching any shard. Field construction matches the
-/// engine's byte for byte — the differential tapes pin this.
-fn check_row_like_engine(schema: &TableSchema, row: &[Value]) -> Result<()> {
-    if row.len() != schema.columns.len() {
-        return Err(Error::ArityMismatch {
-            table: schema.name.clone(),
-            expected: schema.columns.len(),
-            got: row.len(),
-        });
-    }
-    for (col, val) in schema.columns.iter().zip(row) {
-        match val.column_type() {
-            None => {
-                if !col.nullable {
-                    return Err(Error::NullViolation {
-                        table: schema.name.clone(),
-                        column: col.name.clone(),
-                    });
-                }
-            }
-            Some(ty) if ty != col.ty => {
-                return Err(Error::TypeMismatch {
-                    table: schema.name.clone(),
-                    column: col.name.clone(),
-                    expected: col.ty,
-                    got: format!("{val}"),
-                });
-            }
-            Some(_) => {}
-        }
-    }
-    Ok(())
-}
-
 /// Per-table transaction-local directory changes, merged into the
 /// committed [`TableDir`] at commit and simply dropped at rollback
 /// (the gids themselves were reserved eagerly in `alloc_gid`, so a
@@ -1175,15 +1139,12 @@ impl<'r> DistTxn<'r> {
         target: usize,
     ) -> Result<()> {
         self.router.metrics.inc("shard.router.moves");
-        check_row_like_engine(&route.schema, &new_row)?;
+        route.schema.check_row(&new_row)?;
         let old = self
             .txn(shard)
             .get(table, lid)
             .map_err(|e| regid(table, gid, e))?;
-        let changed: Vec<&str> = (0..old.len())
-            .filter(|&i| old[i] != new_row[i])
-            .map(|i| route.schema.columns[i].name.as_str())
-            .collect();
+        let changed = rules::changed_columns(&route.schema, &old, &new_row);
         // Forward FKs whose columns changed, existence-checked where
         // the row is headed (its FK targets are co-located there).
         for fk in route
@@ -1303,15 +1264,11 @@ impl<'r> DistTxn<'r> {
         };
         // Mirror the engine's order: fetch the base row (NoSuchRow
         // first), then resolve each named column, then a full update.
-        let mut row = self
+        let row = self
             .txn(shard)
             .get(table, lid)
             .map_err(|e| regid(table, gid.0, e))?;
-        for (name, value) in cols {
-            let ix = route.schema.require_column(name)?;
-            row[ix] = value.clone();
-        }
-        self.update(table, gid, row)
+        self.update(table, gid, rules::overlay_cols(&route.schema, row, cols)?)
     }
 
     /// Walk the cascade closure of deleting `(table, lid)` on `shard`
@@ -1495,21 +1452,11 @@ impl<'r> DistTxn<'r> {
         descending: bool,
         limit: Option<usize>,
     ) -> Result<Vec<(RowId, Row)>> {
+        self.router.metrics.inc("shard.router.ops");
         let route = self.route(table)?;
         let col = route.schema.require_column(order_col)?;
-        let mut rows = self.select(table, pred)?;
-        rows.sort_by(|(_, a), (_, b)| {
-            let ord = a[col].cmp(&b[col]);
-            if descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        if let Some(n) = limit {
-            rows.truncate(n);
-        }
-        Ok(rows)
+        let rows = self.select(table, pred)?;
+        Ok(rules::order_and_limit(rows, col, descending, limit))
     }
 
     /// Equi-join, mirroring the engine's hash join over the same row
@@ -1530,26 +1477,7 @@ impl<'r> DistTxn<'r> {
         let rcol = rroute.schema.require_column(right_col)?;
         let lrows = self.select(left, left_pred)?;
         let rrows = self.select(right, right_pred)?;
-        let mut table: BTreeMap<Value, Vec<&Row>> = BTreeMap::new();
-        for (_, row) in &rrows {
-            let key = &row[rcol];
-            if !key.is_null() {
-                table.entry(key.clone()).or_default().push(row);
-            }
-        }
-        let mut out = Vec::new();
-        for (_, lrow) in &lrows {
-            let key = &lrow[lcol];
-            if key.is_null() {
-                continue;
-            }
-            if let Some(matches) = table.get(key) {
-                for rrow in matches {
-                    out.push((lrow.clone(), (*rrow).clone()));
-                }
-            }
-        }
-        Ok(out)
+        Ok(rules::hash_join(&lrows, lcol, &rrows, rcol))
     }
 
     /// Sum an integer column over matching rows (NULLs contribute 0).
@@ -1734,59 +1662,41 @@ impl Drop for DistTxn<'_> {
     }
 }
 
-/// The router plays the testkit's op tapes directly: this is what the
-/// sharded-vs-unsharded differential proof (`tests/router_equiv.rs`)
-/// and the E19 one-shard equivalence gate run on. Every method is a
-/// straight delegation — the router's own semantics are the thing
-/// under test, so nothing may be adapted here.
-impl relstore::testkit::TapeTarget for Router {
-    type Txn<'a> = DistTxn<'a>;
-    fn begin(&self) -> DistTxn<'_> {
-        Router::begin(self)
+/// The router's transaction is the other [`DocTxn`] in the workspace
+/// (beside `AnyTxn`): the typed station and the testkit's op tapes both
+/// drive it through the trait, the verbs themselves are the inherent
+/// methods above.
+impl DocTxn for DistTxn<'_> {
+    fn insert(&self, table: &str, row: Row) -> Result<RowId> {
+        DistTxn::insert(self, table, row)
     }
-    fn insert(&self, txn: &DistTxn<'_>, table: &str, row: Row) -> Result<RowId> {
-        txn.insert(table, row)
+    fn get(&self, table: &str, id: RowId) -> Result<Row> {
+        DistTxn::get(self, table, id)
     }
-    fn get(&self, txn: &DistTxn<'_>, table: &str, id: RowId) -> Result<Row> {
-        txn.get(table, id)
+    fn update(&self, table: &str, id: RowId, row: Row) -> Result<()> {
+        DistTxn::update(self, table, id, row)
     }
-    fn update(&self, txn: &DistTxn<'_>, table: &str, id: RowId, row: Row) -> Result<()> {
-        txn.update(table, id, row)
+    fn update_cols(&self, table: &str, id: RowId, cols: &[(&str, Value)]) -> Result<()> {
+        DistTxn::update_cols(self, table, id, cols)
     }
-    fn update_cols(
-        &self,
-        txn: &DistTxn<'_>,
-        table: &str,
-        id: RowId,
-        cols: &[(&str, Value)],
-    ) -> Result<()> {
-        txn.update_cols(table, id, cols)
+    fn delete(&self, table: &str, id: RowId) -> Result<()> {
+        DistTxn::delete(self, table, id)
     }
-    fn delete(&self, txn: &DistTxn<'_>, table: &str, id: RowId) -> Result<()> {
-        txn.delete(table, id)
-    }
-    fn select(
-        &self,
-        txn: &DistTxn<'_>,
-        table: &str,
-        pred: &Predicate,
-    ) -> Result<Vec<(RowId, Row)>> {
-        txn.select(table, pred)
+    fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, Row)>> {
+        DistTxn::select(self, table, pred)
     }
     fn select_ordered(
         &self,
-        txn: &DistTxn<'_>,
         table: &str,
         pred: &Predicate,
         order_col: &str,
         descending: bool,
         limit: Option<usize>,
     ) -> Result<Vec<(RowId, Row)>> {
-        txn.select_ordered(table, pred, order_col, descending, limit)
+        DistTxn::select_ordered(self, table, pred, order_col, descending, limit)
     }
     fn join(
         &self,
-        txn: &DistTxn<'_>,
         left: &str,
         left_col: &str,
         left_pred: &Predicate,
@@ -1794,13 +1704,26 @@ impl relstore::testkit::TapeTarget for Router {
         right_col: &str,
         right_pred: &Predicate,
     ) -> Result<Vec<(Row, Row)>> {
-        txn.join(left, left_col, left_pred, right, right_col, right_pred)
+        DistTxn::join(
+            self, left, left_col, left_pred, right, right_col, right_pred,
+        )
     }
-    fn count(&self, txn: &DistTxn<'_>, table: &str, pred: &Predicate) -> Result<usize> {
-        txn.count(table, pred)
+    fn sum_int(&self, table: &str, pred: &Predicate, col: &str) -> Result<i64> {
+        DistTxn::sum_int(self, table, pred, col)
     }
-    fn sum_int(&self, txn: &DistTxn<'_>, table: &str, pred: &Predicate, col: &str) -> Result<i64> {
-        txn.sum_int(table, pred, col)
+    fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
+        DistTxn::count(self, table, pred)
+    }
+}
+
+/// The router plays the testkit's op tapes directly: this is what the
+/// sharded-vs-unsharded differential proof (`tests/router_equiv.rs`)
+/// and the E19 one-shard equivalence gate run on — the router's own
+/// semantics are the thing under test, so nothing is adapted here.
+impl relstore::testkit::TapeTarget for Router {
+    type Txn<'a> = DistTxn<'a>;
+    fn begin(&self) -> DistTxn<'_> {
+        Router::begin(self)
     }
     fn commit(&self, txn: DistTxn<'_>) -> Result<()> {
         txn.commit()

@@ -25,9 +25,9 @@
 //! runs on N shards exactly as it runs on one engine.
 
 use crate::map::ShardMap;
-use crate::router::{DistTxn, Router, RoutingSpec};
+use crate::router::{Router, RoutingSpec};
 use obs::Registry;
-use relstore::{EngineKind, Predicate, Result, RowId, TableSchema, Value};
+use relstore::{DocBackend, DocTxn, EngineKind, Result, RowId, TableSchema, Value};
 use std::path::Path;
 use wdoc_core::tables::{
     self, Annotation, BugReport, HtmlFile, Implementation, ProgramFile, Script, TestRecord,
@@ -112,56 +112,6 @@ where
     out
 }
 
-impl wdoc_core::DocTxn for DistTxn<'_> {
-    fn insert(&self, table: &str, row: relstore::Row) -> Result<RowId> {
-        DistTxn::insert(self, table, row)
-    }
-    fn get(&self, table: &str, id: RowId) -> Result<relstore::Row> {
-        DistTxn::get(self, table, id)
-    }
-    fn update(&self, table: &str, id: RowId, row: relstore::Row) -> Result<()> {
-        DistTxn::update(self, table, id, row)
-    }
-    fn update_cols(&self, table: &str, id: RowId, cols: &[(&str, Value)]) -> Result<()> {
-        DistTxn::update_cols(self, table, id, cols)
-    }
-    fn delete(&self, table: &str, id: RowId) -> Result<()> {
-        DistTxn::delete(self, table, id)
-    }
-    fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, relstore::Row)>> {
-        DistTxn::select(self, table, pred)
-    }
-    fn select_ordered(
-        &self,
-        table: &str,
-        pred: &Predicate,
-        order_col: &str,
-        descending: bool,
-        limit: Option<usize>,
-    ) -> Result<Vec<(RowId, relstore::Row)>> {
-        DistTxn::select_ordered(self, table, pred, order_col, descending, limit)
-    }
-    fn join(
-        &self,
-        left: &str,
-        left_col: &str,
-        left_pred: &Predicate,
-        right: &str,
-        right_col: &str,
-        right_pred: &Predicate,
-    ) -> Result<Vec<(relstore::Row, relstore::Row)>> {
-        DistTxn::join(
-            self, left, left_col, left_pred, right, right_col, right_pred,
-        )
-    }
-    fn sum_int(&self, table: &str, pred: &Predicate, col: &str) -> Result<i64> {
-        DistTxn::sum_int(self, table, pred, col)
-    }
-    fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
-        DistTxn::count(self, table, pred)
-    }
-}
-
 /// A [`Router`] behind [`wdoc_core::DocBackend`]: the storage facade
 /// that lets a **full typed station** — [`wdoc_core::WebDocDb`] with
 /// its integrity diagram, BLOB layer, SCM, locking, everything — run
@@ -207,7 +157,7 @@ impl ShardedBackend {
     }
 }
 
-impl wdoc_core::DocBackend for ShardedBackend {
+impl DocBackend for ShardedBackend {
     fn engine_kind(&self) -> EngineKind {
         self.router.engine(0).kind()
     }
@@ -218,10 +168,9 @@ impl wdoc_core::DocBackend for ShardedBackend {
         let spec = routing_spec_for(&schema.name).unwrap_or(RoutingSpec::Global);
         self.router.mount_table(schema, spec)
     }
-    fn with_txn_dyn(&self, f: &mut dyn FnMut(&dyn wdoc_core::DocTxn) -> Result<()>) -> Result<()> {
+    fn with_txn_dyn(&self, f: &mut dyn FnMut(&dyn DocTxn) -> Result<()>) -> Result<()> {
         let f = std::cell::RefCell::new(f);
-        self.router
-            .with_txn(|t| (f.borrow_mut())(t as &dyn wdoc_core::DocTxn))
+        self.router.with_txn(|t| (f.borrow_mut())(t as &dyn DocTxn))
     }
     fn snapshot(&self) -> Result<relstore::Snapshot> {
         Err(relstore::Error::Unsupported(
@@ -248,5 +197,22 @@ impl wdoc_core::DocBackend for ShardedBackend {
             last = Some(last.map_or(lsn, |m: wal::Lsn| m.max(lsn)));
         }
         Ok(last)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sharded_backend_honours_the_backend_contract() {
+        for kind in [EngineKind::TwoPl, EngineKind::Mvcc] {
+            for shards in [1, 3] {
+                let backend = ShardedBackend::new(kind, shards, Registry::new());
+                assert_eq!(backend.engine_kind(), kind);
+                assert_eq!(DocBackend::shards(&backend), shards as usize);
+                relstore::testkit::backend_contract(&backend);
+            }
+        }
     }
 }

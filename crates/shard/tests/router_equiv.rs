@@ -135,12 +135,12 @@ fn global_tables_stay_identical() {
     let tr = TapeTarget::begin(&router);
     for i in 0..20i64 {
         let row = vec![Value::Int(i % 12), Value::from(format!("n{i}"))];
-        let a = single.insert(&ts, "hub", row.clone());
-        let b = router.insert(&tr, "hub", row);
+        let a = ts.insert("hub", row.clone());
+        let b = tr.insert("hub", row);
         assert_eq!(a, b, "insert {i}");
     }
-    let a = single.select(&ts, "hub", &Predicate::True).unwrap();
-    let b = router.select(&tr, "hub", &Predicate::True).unwrap();
+    let a = ts.select("hub", &Predicate::True).unwrap();
+    let b = tr.select("hub", &Predicate::True).unwrap();
     assert_eq!(a, b);
     single.commit(ts).unwrap();
     router.commit(tr).unwrap();
