@@ -3,7 +3,7 @@
 //! lock manager (relstore) — experiment E7's microbenchmark companion.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use relstore::lock::{LockManager, LockMode, Resource};
+use relstore::lock::{Held, LockManager, LockMode, Resource};
 use relstore::RowId;
 use wdoc_core::{Access, DocTree, NodeId, UserId};
 
@@ -60,26 +60,44 @@ fn bench_lock_manager(c: &mut Criterion) {
     let mut g = c.benchmark_group("relstore_lock_manager");
     g.bench_function("table_ix_row_x_cycle", |b| {
         let lm = LockManager::new();
+        let mut held = Held::default();
         let mut txn = 1u64;
         b.iter(|| {
-            lm.acquire(txn, Resource::Table(1), LockMode::IntentExclusive)
-                .unwrap();
-            lm.acquire(txn, Resource::Row(1, RowId(7)), LockMode::Exclusive)
-                .unwrap();
-            lm.release_all(txn);
+            lm.acquire(
+                txn,
+                &mut held,
+                Resource::Table(1),
+                LockMode::IntentExclusive,
+            )
+            .unwrap();
+            lm.acquire(
+                txn,
+                &mut held,
+                Resource::Row(1, RowId(7)),
+                LockMode::Exclusive,
+            )
+            .unwrap();
+            lm.release_all(txn, &mut held);
             txn += 1;
         });
     });
     g.bench_function("shared_readers_16", |b| {
         let lm = LockManager::new();
         for t in 1..=16u64 {
-            lm.acquire(t, Resource::Table(1), LockMode::Shared).unwrap();
+            lm.acquire(
+                t,
+                &mut Held::default(),
+                Resource::Table(1),
+                LockMode::Shared,
+            )
+            .unwrap();
         }
+        let mut held = Held::default();
         let mut txn = 100u64;
         b.iter(|| {
-            lm.acquire(txn, Resource::Table(1), LockMode::Shared)
+            lm.acquire(txn, &mut held, Resource::Table(1), LockMode::Shared)
                 .unwrap();
-            lm.release_all(txn);
+            lm.release_all(txn, &mut held);
             txn += 1;
         });
     });

@@ -89,6 +89,17 @@ impl Histogram {
         self.sum += other.sum;
     }
 
+    /// Add pre-bucketed samples: one count per bucket and their exact
+    /// sum (how the registry folds a handle's cells into a histogram).
+    pub(crate) fn absorb(&mut self, counts: &[u64], sum: u128) {
+        debug_assert_eq!(counts.len(), self.counts.len());
+        for (a, b) in self.counts.iter_mut().zip(counts) {
+            *a += b;
+            self.count += b;
+        }
+        self.sum += sum;
+    }
+
     /// The bucket upper bounds.
     #[must_use]
     pub fn bounds(&self) -> &[u64] {

@@ -27,10 +27,15 @@
 //!
 //! ## Cost model
 //!
-//! Per-operation registry writes take a mutex and a string-keyed map
-//! lookup — fine for slow paths (lock waits, fsyncs, fault events) but
-//! too heavy for a discrete-event simulator processing an event in
-//! tens of nanoseconds. Hot components therefore accumulate into plain
+//! By-name registry writes take a mutex and a string-keyed map lookup —
+//! fine for slow paths (fsyncs, fault events, new high-water marks).
+//! A call site that runs per row, per operation or per commit on
+//! threads that share the registry (the storage engines, the router,
+//! the log) bumps a pre-registered [`Counter`] / [`HistogramHandle`]
+//! instead: no mutex, no lookup, and a cache line per thread (see
+//! [`handle`]). Even that is too heavy for a discrete-event simulator
+//! processing an event in tens of nanoseconds on one thread: such
+//! components accumulate into plain
 //! local fields and local [`Histogram`]s and export once per run with
 //! the idempotent flush primitives ([`Registry::counter_set`],
 //! [`Registry::histogram_set`], [`Registry::merge_histogram`]); rare
@@ -66,11 +71,13 @@
 #![warn(clippy::all)]
 
 pub mod buckets;
+pub mod handle;
 pub mod hist;
 pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
+pub use handle::{Counter, HistogramHandle};
 pub use hist::Histogram;
 pub use registry::Registry;
 pub use snapshot::Snapshot;

@@ -7,11 +7,22 @@
 //! mutex; maps are `BTreeMap`s so snapshot iteration — and therefore
 //! JSON export — is deterministically ordered.
 //!
+//! The mutex is the by-name path's. A call site that runs per row, per
+//! operation or per commit registers a [`Counter`] /
+//! [`HistogramHandle`] once ([`Registry::counter_handle`],
+//! [`Registry::histogram_handle`]) and bumps that instead: the mutex is
+//! then taken only to register, read, snapshot and reset. A snapshot
+//! folds each handle into the metric of its name, so its bytes do not
+//! depend on which path recorded a value; a handle nobody bumped is
+//! absent from it, and [`Registry::reset`] zeroes handles without
+//! detaching them.
+//!
 //! A registry created with [`Registry::disabled`] turns every
 //! operation into a cheap early return; the `e15_observability`
 //! experiment uses it to measure what instrumentation costs.
 
 use crate::buckets;
+use crate::handle::{Counter, CounterCells, HistCells, HistogramHandle};
 use crate::hist::Histogram;
 use crate::snapshot::Snapshot;
 use crate::trace::{Detail, Event, TraceRing};
@@ -23,7 +34,35 @@ struct State {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, Histogram>,
+    /// Storage of the registered handles, folded into the maps above
+    /// whenever a value is read.
+    counter_cells: BTreeMap<String, Arc<CounterCells>>,
+    hist_cells: BTreeMap<String, Arc<HistCells>>,
     trace: TraceRing,
+}
+
+impl State {
+    /// By-name value plus whatever the name's handles hold; `None` if
+    /// neither path created the counter.
+    fn counter(&self, name: &str) -> Option<u64> {
+        let cells = self.counter_cells.get(name).and_then(|c| c.total());
+        match (self.counters.get(name), cells) {
+            (None, None) => None,
+            (a, b) => Some(a.copied().unwrap_or(0) + b.unwrap_or(0)),
+        }
+    }
+
+    /// The by-name histogram merged with the name's handles. Bounds
+    /// stored by name win over a handle registered with different ones
+    /// (a naming bug, as in [`Registry::observe_with`]).
+    fn histogram(&self, name: &str) -> Option<Histogram> {
+        let cells = self.hist_cells.get(name).and_then(|c| c.fold());
+        match (self.histograms.get(name), cells) {
+            (Some(h), Some(c)) if h.bounds() == c.bounds() => Some(h.merge(&c)),
+            (Some(h), _) => Some(h.clone()),
+            (None, c) => c,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -105,6 +144,37 @@ impl Registry {
         self.add(name, 1);
     }
 
+    /// A handle on the counter `name`: bumping it is [`Registry::add`]
+    /// without the mutex and the name lookup. Handles of one name share
+    /// their storage; the counter appears in snapshots once bumped.
+    #[must_use]
+    pub fn counter_handle(&self, name: &str) -> Counter {
+        if !self.inner.enabled {
+            return Counter::default();
+        }
+        let mut st = self.lock();
+        let cells = st.counter_cells.entry(name.to_owned()).or_default();
+        Counter(Some(Arc::clone(cells)))
+    }
+
+    /// A handle on the histogram `name` over `bounds`: recording into
+    /// it is [`Registry::observe_with`] without the mutex and the name
+    /// lookup. Handles of one name share their storage (the bounds of
+    /// the first registration win); the histogram appears in snapshots
+    /// once it holds a sample.
+    #[must_use]
+    pub fn histogram_handle(&self, name: &str, bounds: &[u64]) -> HistogramHandle {
+        if !self.inner.enabled {
+            return HistogramHandle::default();
+        }
+        let mut st = self.lock();
+        let cells = st
+            .hist_cells
+            .entry(name.to_owned())
+            .or_insert_with(|| Arc::new(HistCells::new(bounds)));
+        HistogramHandle(Some(Arc::clone(cells)))
+    }
+
     /// Set the counter `name` to the absolute value `v`.
     ///
     /// This is the flush primitive for instrumented components that
@@ -115,7 +185,11 @@ impl Registry {
         if !self.inner.enabled {
             return;
         }
-        self.lock().counters.insert(name.to_owned(), v);
+        let mut st = self.lock();
+        if let Some(c) = st.counter_cells.get(name) {
+            c.clear();
+        }
+        st.counters.insert(name.to_owned(), v);
     }
 
     /// Current value of counter `name` (0 if absent or disabled).
@@ -124,7 +198,7 @@ impl Registry {
         if !self.inner.enabled {
             return 0;
         }
-        self.lock().counters.get(name).copied().unwrap_or(0)
+        self.lock().counter(name).unwrap_or(0)
     }
 
     /// Set the gauge `name` to `v`.
@@ -190,7 +264,11 @@ impl Registry {
         if !self.inner.enabled {
             return;
         }
-        self.lock().histograms.insert(name.to_owned(), h.clone());
+        let mut st = self.lock();
+        if let Some(c) = st.hist_cells.get(name) {
+            c.clear();
+        }
+        st.histograms.insert(name.to_owned(), h.clone());
     }
 
     /// Merge a locally accumulated histogram into `name` (created as a
@@ -216,7 +294,7 @@ impl Registry {
         if !self.inner.enabled {
             return None;
         }
-        self.lock().histograms.get(name).cloned()
+        self.lock().histogram(name)
     }
 
     /// Append an event to the trace ring. `detail` is built lazily so
@@ -271,16 +349,30 @@ impl Registry {
             return Snapshot::default();
         }
         let st = self.lock();
+        let mut counters = st.counters.clone();
+        for name in st.counter_cells.keys() {
+            if let Some(v) = st.counter(name) {
+                counters.insert(name.clone(), v);
+            }
+        }
+        let mut histograms = st.histograms.clone();
+        for name in st.hist_cells.keys() {
+            if let Some(h) = st.histogram(name) {
+                histograms.insert(name.clone(), h);
+            }
+        }
         Snapshot {
-            counters: st.counters.clone(),
+            counters,
             gauges: st.gauges.clone(),
-            histograms: st.histograms.clone(),
+            histograms,
             events: st.trace.events().cloned().collect(),
             events_dropped: st.trace.dropped(),
         }
     }
 
-    /// Clear every metric and the trace (capacity is kept).
+    /// Clear every metric and the trace (capacity is kept). Handles
+    /// are zeroed, not detached: a later bump records as on a fresh
+    /// registry.
     pub fn reset(&self) {
         if !self.inner.enabled {
             return;
@@ -289,6 +381,11 @@ impl Registry {
         st.counters.clear();
         st.gauges.clear();
         st.histograms.clear();
+        // Storage whose handles are all gone goes with the rest.
+        st.counter_cells.retain(|_, c| Arc::strong_count(c) > 1);
+        st.hist_cells.retain(|_, c| Arc::strong_count(c) > 1);
+        st.counter_cells.values().for_each(|c| c.clear());
+        st.hist_cells.values().for_each(|c| c.clear());
         st.trace.clear();
     }
 }

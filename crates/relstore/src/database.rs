@@ -14,36 +14,115 @@
 //! operations take intent locks on the table and row locks beneath.
 
 use crate::error::{Error, Result};
-use crate::lock::{LockManager, LockMode, Resource, TxnId};
+use crate::lock::{Held, LockManager, LockMode, Resource, TxnId};
 use crate::pagestore::page::{self, RowScratch, TAG_INT};
 use crate::pagestore::{BufferPool, FlushGate, PoolConfig};
 use crate::query::Predicate;
 use crate::rules::{self, RuleTxn};
 use crate::schema::{ForeignKey, TableSchema};
+use crate::slots::{OwnLine, Slots};
 use crate::table::{Row, RowId, Table};
 use crate::value::{Key, Value};
 use crate::wal::{RowOp, WalSink};
-use obs::Registry;
+use obs::{Counter, HistogramHandle, Registry};
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+/// One table of the catalog. Everything but the rows is fixed when
+/// the table is created, so operations read it without a lock.
 struct TableEntry {
     id: u32,
-    data: Arc<RwLock<Table>>,
+    schema: TableSchema,
+    /// The unique indexes — position among the table's indexes
+    /// (primary first) and column positions: the keys a writer locks.
+    uniques: Vec<(u32, Vec<usize>)>,
+    /// The rows, behind the table's lock — whose word every operation
+    /// writes, hence apart from the fields above.
+    data: OwnLine<RwLock<Table>>,
 }
 
+/// The catalog: tables in creation order, appended under `ddl` and
+/// looked up — by a scan over the handful of names — without a lock.
+/// Tables are never dropped.
+struct Catalog {
+    tables: Slots<OnceLock<TableEntry>>,
+    len: AtomicUsize,
+    /// Serializes `create_table`.
+    ddl: Mutex<()>,
+}
+
+impl Catalog {
+    fn new() -> Self {
+        Catalog {
+            tables: Slots::new(),
+            len: AtomicUsize::new(0),
+            ddl: Mutex::new(()),
+        }
+    }
+
+    /// Tables in creation order.
+    fn iter(&self) -> impl Iterator<Item = &TableEntry> {
+        (0..self.len.load(Ordering::Acquire)).filter_map(|i| self.tables.get(i)?.get())
+    }
+
+    fn get(&self, table: &str) -> Result<&TableEntry> {
+        self.iter()
+            .find(|e| e.schema.name == table)
+            .ok_or_else(|| Error::NoSuchTable(table.to_owned()))
+    }
+
+    /// Append `entry`; the caller holds `ddl`.
+    fn push(&self, entry: TableEntry) {
+        let at = self.len.load(Ordering::Relaxed);
+        assert!(
+            self.tables.ensure(at).set(entry).is_ok(),
+            "catalog slots are filled in order, under the DDL mutex"
+        );
+        self.len.store(at + 1, Ordering::Release);
+    }
+}
+
+/// Handles on the per-transaction and per-select metrics both engines
+/// record under the same names (`relstore.txn.*`,
+/// `relstore.select.rows_examined`).
+pub(crate) struct TxnMetrics {
+    pub(crate) retries: Counter,
+    pub(crate) commits: Counter,
+    pub(crate) commit_us: HistogramHandle,
+    pub(crate) aborts: Counter,
+    pub(crate) abort_us: HistogramHandle,
+    pub(crate) rows_examined: Counter,
+}
+
+impl TxnMetrics {
+    pub(crate) fn new(metrics: &Registry) -> Self {
+        let time = |name| metrics.histogram_handle(name, obs::buckets::TIME_US);
+        TxnMetrics {
+            retries: metrics.counter_handle("relstore.txn.retries"),
+            commits: metrics.counter_handle("relstore.txn.commits"),
+            commit_us: time("relstore.txn.commit_us"),
+            aborts: metrics.counter_handle("relstore.txn.aborts"),
+            abort_us: time("relstore.txn.abort_us"),
+            rows_examined: metrics.counter_handle("relstore.select.rows_examined"),
+        }
+    }
+}
+
+/// Aligned so that the reference counts every `begin` and transaction
+/// drop write (they sit just before this in the `Arc` allocation) do
+/// not share a line with fields every operation reads.
+#[repr(align(64))]
 struct DbInner {
-    catalog: RwLock<BTreeMap<String, TableEntry>>,
-    /// Reverse FK map: referenced table → (referencing table, fk).
-    referrers: RwLock<BTreeMap<String, Vec<(String, ForeignKey)>>>,
+    catalog: Catalog,
     locks: LockManager,
-    next_txn: AtomicU64,
-    next_table: AtomicU64,
+    next_txn: OwnLine<AtomicU64>,
     /// Optional write-ahead-log sink (see [`crate::wal`]).
     wal: RwLock<Option<Arc<dyn WalSink>>>,
+    /// Whether `wal` holds a sink: unlogged databases skip the lock.
+    logged: AtomicBool,
     /// Buffer pool shared by every table's row heap (see
     /// [`crate::pagestore`]).
     pool: Arc<BufferPool>,
@@ -51,10 +130,15 @@ struct DbInner {
     /// histograms here are wall-clock (outside the obs determinism
     /// contract); counters are exact.
     metrics: Registry,
+    txn_metrics: TxnMetrics,
+    conjuncts_pruned: Counter,
 }
 
 impl DbInner {
     fn sink(&self) -> Option<Arc<dyn WalSink>> {
+        if !self.logged.load(Ordering::Acquire) {
+            return None;
+        }
         self.wal.read().clone()
     }
 }
@@ -87,13 +171,14 @@ impl Database {
         let pool = BufferPool::new(cfg, metrics.clone())?;
         Ok(Database {
             inner: Arc::new(DbInner {
-                catalog: RwLock::new(BTreeMap::new()),
-                referrers: RwLock::new(BTreeMap::new()),
+                catalog: Catalog::new(),
                 locks: LockManager::with_metrics(metrics.clone()),
-                next_txn: AtomicU64::new(1),
-                next_table: AtomicU64::new(1),
+                next_txn: OwnLine(AtomicU64::new(1)),
                 wal: RwLock::new(None),
+                logged: AtomicBool::new(false),
                 pool,
+                txn_metrics: TxnMetrics::new(&metrics),
+                conjuncts_pruned: metrics.counter_handle("relstore.select.conjuncts_pruned"),
                 metrics,
             }),
         })
@@ -133,7 +218,9 @@ impl Database {
     /// retroactive: rows already in the database are the sink's problem
     /// to capture (typically via a checkpoint).
     pub fn set_wal_sink(&self, sink: Option<Arc<dyn WalSink>>) {
-        *self.inner.wal.write() = sink;
+        let mut wal = self.inner.wal.write();
+        self.inner.logged.store(sink.is_some(), Ordering::Release);
+        *wal = sink;
     }
 
     /// The currently installed WAL sink, if any.
@@ -146,56 +233,57 @@ impl Database {
     /// columns backed by a unique index there.
     pub fn create_table(&self, schema: TableSchema) -> Result<()> {
         schema.validate()?;
-        let mut catalog = self.inner.catalog.write();
-        if catalog.contains_key(&schema.name) {
+        let catalog = &self.inner.catalog;
+        let _ddl = catalog.ddl.lock();
+        if catalog.get(&schema.name).is_ok() {
             return Err(Error::TableExists(schema.name));
         }
-        rules::check_fk_targets(&schema, |t| {
-            catalog.get(t).map(|e| e.data.read().schema().clone())
-        })?;
-        let id = self.inner.next_table.fetch_add(1, Ordering::Relaxed) as u32;
-        let name = schema.name.clone();
-        let fks = schema.foreign_keys.clone();
+        rules::check_fk_targets(&schema, |t| catalog.get(t).ok().map(|e| e.schema.clone()))?;
+        let id = catalog.len.load(Ordering::Relaxed) as u32 + 1;
+        let table = Table::with_pool(schema.clone(), Arc::clone(&self.inner.pool))?;
+        let uniques = table
+            .indexes()
+            .iter()
+            .enumerate()
+            .filter(|(_, ix)| ix.is_unique())
+            .map(|(pos, ix)| (pos as u32, ix.columns().to_vec()))
+            .collect();
         // DDL is auto-committed: make it durable *before* the table
         // becomes visible, so a recovered log never lacks a table that
         // rows later refer to.
-        let sink = self.inner.sink();
-        let logged_schema = sink.as_ref().map(|_| schema.clone());
-        let table = Table::with_pool(schema, Arc::clone(&self.inner.pool))?;
-        if let (Some(sink), Some(s)) = (&sink, &logged_schema) {
-            sink.on_create_table(s)?;
+        if let Some(sink) = self.inner.sink() {
+            sink.on_create_table(&schema)?;
         }
-        catalog.insert(
-            name.clone(),
-            TableEntry {
-                id,
-                data: Arc::new(RwLock::new(table)),
-            },
-        );
-        let mut referrers = self.inner.referrers.write();
-        for fk in fks {
-            referrers
-                .entry(fk.ref_table.clone())
-                .or_default()
-                .push((name.clone(), fk));
-        }
+        catalog.push(TableEntry {
+            id,
+            schema,
+            uniques,
+            data: OwnLine(RwLock::new(table)),
+        });
         Ok(())
     }
 
     /// Table names in the catalog.
     #[must_use]
     pub fn table_names(&self) -> Vec<String> {
-        self.inner.catalog.read().keys().cloned().collect()
+        let mut names: Vec<String> = self
+            .inner
+            .catalog
+            .iter()
+            .map(|e| e.schema.name.clone())
+            .collect();
+        names.sort_unstable();
+        names
     }
 
     /// Number of rows in `table`.
     pub fn row_count(&self, table: &str) -> Result<usize> {
-        Ok(self.entry(table)?.1.read().len())
+        Ok(self.inner.catalog.get(table)?.data.read().len())
     }
 
     /// Approximate payload bytes stored in `table`.
     pub fn heap_bytes(&self, table: &str) -> Result<usize> {
-        Ok(self.entry(table)?.1.read().heap_bytes())
+        Ok(self.inner.catalog.get(table)?.data.read().heap_bytes())
     }
 
     /// The next transaction id this engine will hand out.
@@ -250,7 +338,7 @@ impl Database {
                     return Ok(v);
                 }
                 Err(Error::TxnAborted { .. }) => {
-                    self.inner.metrics.inc("relstore.txn.retries");
+                    self.note_retry();
                     drop(txn); // rolls back
                     std::thread::yield_now();
                 }
@@ -261,12 +349,9 @@ impl Database {
         }
     }
 
-    fn entry(&self, table: &str) -> Result<(u32, Arc<RwLock<Table>>)> {
-        let catalog = self.inner.catalog.read();
-        let e = catalog
-            .get(table)
-            .ok_or_else(|| Error::NoSuchTable(table.to_owned()))?;
-        Ok((e.id, Arc::clone(&e.data)))
+    /// Count one wait-die retry of a transaction closure.
+    pub(crate) fn note_retry(&self) {
+        self.inner.txn_metrics.retries.inc();
     }
 
     /// Lock-manager diagnostics: currently locked resource count.
@@ -278,7 +363,7 @@ impl Database {
     /// The schema of a table (a clone; schemas are immutable once
     /// created).
     pub fn schema_of(&self, table: &str) -> Result<TableSchema> {
-        Ok(self.entry(table)?.1.read().schema().clone())
+        Ok(self.inner.catalog.get(table)?.schema.clone())
     }
 
     /// Load rows with explicit ids, bypassing transaction machinery and
@@ -286,8 +371,7 @@ impl Database {
     /// integrity afterwards). Local constraints (types, uniqueness)
     /// still apply.
     pub(crate) fn bulk_load(&self, table: &str, rows: &[(RowId, Row)]) -> Result<()> {
-        let (_, data) = self.entry(table)?;
-        let mut t = data.write();
+        let mut t = self.inner.catalog.get(table)?.data.write();
         for (id, row) in rows {
             t.schema().check_row(row)?;
             for ix in t.indexes() {
@@ -318,8 +402,7 @@ impl Database {
     /// Re-apply a logged insert: place `row` at exactly `id`,
     /// maintaining indexes and the id allocator.
     pub fn redo_insert(&self, table: &str, id: RowId, row: Row) -> Result<()> {
-        let (_, data) = self.entry(table)?;
-        let mut t = data.write();
+        let mut t = self.inner.catalog.get(table)?.data.write();
         t.restore(id, row);
         t.sync_next_row();
         Ok(())
@@ -327,15 +410,18 @@ impl Database {
 
     /// Re-apply a logged update: replace the row at `id` with `row`.
     pub fn redo_update(&self, table: &str, id: RowId, row: Row) -> Result<()> {
-        let (_, data) = self.entry(table)?;
-        data.write().update(id, row)?;
+        self.inner
+            .catalog
+            .get(table)?
+            .data
+            .write()
+            .update(id, row)?;
         Ok(())
     }
 
     /// Re-apply a logged delete: remove the row at `id`.
     pub fn redo_delete(&self, table: &str, id: RowId) -> Result<()> {
-        let (_, data) = self.entry(table)?;
-        data.write().delete(id)?;
+        self.inner.catalog.get(table)?.data.write().delete(id)?;
         Ok(())
     }
 }
@@ -350,6 +436,8 @@ enum UndoOp {
 #[derive(Debug, Default)]
 struct TxnState {
     undo: Vec<UndoOp>,
+    /// The locks this transaction holds (see [`Held`]).
+    held: Held,
     closed: bool,
     /// Whether any mutation of this transaction reached the WAL sink
     /// (commit/abort notifications are skipped for read-only
@@ -391,16 +479,37 @@ impl Txn {
         }
     }
 
-    fn entry(&self, table: &str) -> Result<(u32, Arc<RwLock<Table>>)> {
-        let catalog = self.db.catalog.read();
-        let e = catalog
-            .get(table)
-            .ok_or_else(|| Error::NoSuchTable(table.to_owned()))?;
-        Ok((e.id, Arc::clone(&e.data)))
+    fn entry(&self, table: &str) -> Result<&TableEntry> {
+        self.db.catalog.get(table)
     }
 
     fn lock(&self, res: Resource, mode: LockMode) -> Result<()> {
-        self.db.locks.acquire(self.id, res, mode)
+        self.db
+            .locks
+            .acquire(self.id, &mut self.state.lock().held, res, mode)
+    }
+
+    /// Exclusively lock the key `row` has under each unique index of
+    /// `e`, except where `same_in` (the other image of an update) has
+    /// that very key. The table checks uniqueness against its index as
+    /// it stands, uncommitted entries and removals of other
+    /// transactions included; holding the key until commit makes each
+    /// such entry or removal final before anyone else's check can rest
+    /// on it. NULL-containing keys are unique-exempt and lock nothing.
+    fn lock_keys(&self, e: &TableEntry, row: &[Value], same_in: Option<&[Value]>) -> Result<()> {
+        for (pos, cols) in &e.uniques {
+            if cols.iter().any(|&c| row[c].is_null())
+                || same_in.is_some_and(|other| cols.iter().all(|&c| row[c] == other[c]))
+            {
+                continue;
+            }
+            let mut h = DefaultHasher::new();
+            for &c in cols {
+                row[c].hash(&mut h);
+            }
+            self.lock(Resource::Key(e.id, *pos, h.finish()), LockMode::Exclusive)?;
+        }
+        Ok(())
     }
 
     /// Report a mutation to the WAL sink and remember that this
@@ -416,25 +525,22 @@ impl Txn {
     /// Insert a row; returns its new id.
     pub fn insert(&self, table: &str, row: Row) -> Result<RowId> {
         self.check_open()?;
-        let (tid, data) = self.entry(table)?;
-        self.lock(Resource::Table(tid), LockMode::IntentExclusive)?;
+        let e = self.entry(table)?;
+        self.lock(Resource::Table(e.id), LockMode::IntentExclusive)?;
         // Validate types early (cheap, no locks needed beyond IX).
-        data.read().schema().check_row(&row)?;
+        e.schema.check_row(&row)?;
         // Forward FK checks: referenced rows must exist; S-lock them so
         // they cannot vanish before we commit.
-        let fks = data.read().schema().foreign_keys.clone();
-        self.check_forward_fks(table, &fks, &row)?;
-        let id = {
-            let mut t = data.write();
-            t.insert(row)?
-        };
-        self.lock(Resource::Row(tid, id), LockMode::Exclusive)?;
+        self.check_forward_fks(table, &e.schema.foreign_keys, &row)?;
+        self.lock_keys(e, &row, None)?;
+        let id = e.data.write().insert(row)?;
+        self.lock(Resource::Row(e.id, id), LockMode::Exclusive)?;
         self.state.lock().undo.push(UndoOp::Insert {
             table: table.to_owned(),
             id,
         });
         if let Some(sink) = self.db.sink() {
-            let t = data.read();
+            let t = e.data.read();
             let after = t.get(id)?;
             let lsn = self.log_op(
                 &sink,
@@ -454,38 +560,38 @@ impl Txn {
     /// Fetch a copy of the row at `id` (shared-locks it).
     pub fn get(&self, table: &str, id: RowId) -> Result<Row> {
         self.check_open()?;
-        let (tid, data) = self.entry(table)?;
-        self.lock(Resource::Table(tid), LockMode::IntentShared)?;
-        self.lock(Resource::Row(tid, id), LockMode::Shared)?;
-        let row = data.read().get(id)?;
+        let e = self.entry(table)?;
+        self.lock(Resource::Table(e.id), LockMode::IntentShared)?;
+        self.lock(Resource::Row(e.id, id), LockMode::Shared)?;
+        let row = e.data.read().get(id)?;
         Ok(row)
     }
 
     /// Replace the entire row at `id`.
     pub fn update(&self, table: &str, id: RowId, new_row: Row) -> Result<()> {
         self.check_open()?;
-        let (tid, data) = self.entry(table)?;
-        self.lock(Resource::Table(tid), LockMode::IntentExclusive)?;
-        self.lock(Resource::Row(tid, id), LockMode::Exclusive)?;
-        data.read().schema().check_row(&new_row)?;
-        let (old, old_page, schema) = {
-            let t = data.read();
-            (t.get(id)?, t.page_of(id), t.schema().clone())
+        let e = self.entry(table)?;
+        self.lock(Resource::Table(e.id), LockMode::IntentExclusive)?;
+        self.lock(Resource::Row(e.id, id), LockMode::Exclusive)?;
+        e.schema.check_row(&new_row)?;
+        let (old, old_page) = {
+            let t = e.data.read();
+            (t.get(id)?, t.page_of(id))
         };
-        rules::enforce_update(self, table, &schema, &old, &new_row)?;
+        rules::enforce_update(self, table, &e.schema, &old, &new_row)?;
+        // A key-changing update removes one key and adds another.
+        self.lock_keys(e, &old, Some(&new_row))?;
+        self.lock_keys(e, &new_row, Some(&old))?;
         let sink = self.db.sink();
         let before = sink.as_ref().map(|_| old.clone());
-        {
-            let mut t = data.write();
-            t.update(id, new_row)?;
-        }
+        e.data.write().update(id, new_row)?;
         self.state.lock().undo.push(UndoOp::Update {
             table: table.to_owned(),
             id,
             old,
         });
         if let (Some(sink), Some(before)) = (sink, before) {
-            let t = data.read();
+            let t = e.data.read();
             let after = t.get(id)?;
             let lsn = self.log_op(
                 &sink,
@@ -508,16 +614,14 @@ impl Txn {
     /// Update only the named columns of the row at `id`.
     pub fn update_cols(&self, table: &str, id: RowId, cols: &[(&str, Value)]) -> Result<()> {
         self.check_open()?;
-        let (tid, data) = self.entry(table)?;
+        let e = self.entry(table)?;
         // Take the write locks *before* reading the base row, so the
         // unchanged columns cannot be clobbered with stale values read
         // concurrently with another writer (lost update).
-        self.lock(Resource::Table(tid), LockMode::IntentExclusive)?;
-        self.lock(Resource::Row(tid, id), LockMode::Exclusive)?;
-        let row = {
-            let t = data.read();
-            rules::overlay_cols(t.schema(), t.get(id)?, cols)?
-        };
+        self.lock(Resource::Table(e.id), LockMode::IntentExclusive)?;
+        self.lock(Resource::Row(e.id, id), LockMode::Exclusive)?;
+        let base = e.data.read().get(id)?;
+        let row = rules::overlay_cols(&e.schema, base, cols)?;
         // `update` re-acquires the same locks (re-entrant joins).
         self.update(table, id, row)
     }
@@ -526,21 +630,18 @@ impl Txn {
     /// (RESTRICT refuses, CASCADE recurses, SET NULL nulls out).
     pub fn delete(&self, table: &str, id: RowId) -> Result<()> {
         self.check_open()?;
-        let (tid, data) = self.entry(table)?;
-        self.lock(Resource::Table(tid), LockMode::IntentExclusive)?;
-        self.lock(Resource::Row(tid, id), LockMode::Exclusive)?;
+        let e = self.entry(table)?;
+        self.lock(Resource::Table(e.id), LockMode::IntentExclusive)?;
+        self.lock(Resource::Row(e.id, id), LockMode::Exclusive)?;
         let (old, old_page) = {
-            let t = data.read();
+            let t = e.data.read();
             (t.get(id)?, t.page_of(id))
         };
-        let schema = data.read().schema().clone();
-        rules::enforce_delete(self, table, &schema, &old)?;
+        rules::enforce_delete(self, table, &e.schema, &old)?;
+        self.lock_keys(e, &old, None)?;
         let sink = self.db.sink();
         let before = sink.as_ref().map(|_| old.clone());
-        {
-            let mut t = data.write();
-            t.delete(id)?;
-        }
+        e.data.write().delete(id)?;
         self.state.lock().undo.push(UndoOp::Delete {
             table: table.to_owned(),
             id,
@@ -558,7 +659,7 @@ impl Txn {
             // The row is gone; stamp the page it was removed from (if
             // the page itself survived losing the row).
             if let Some(page) = old_page {
-                data.read().stamp_page_lsn(page, lsn);
+                e.data.read().stamp_page_lsn(page, lsn);
             }
         }
         Ok(())
@@ -572,10 +673,10 @@ impl Txn {
     /// a `<`/`<=`/`>`/`>=`/`=` bound there.
     pub fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, Row)>> {
         self.check_open()?;
-        let (tid, data) = self.entry(table)?;
-        self.lock(Resource::Table(tid), LockMode::Shared)?;
-        let t = data.read();
-        let mut compiled = pred.compile(t.schema())?;
+        let e = self.entry(table)?;
+        self.lock(Resource::Table(e.id), LockMode::Shared)?;
+        let t = e.data.read();
+        let mut compiled = pred.compile(&e.schema)?;
         let bindings = pred.eq_bindings();
         // Index selection: an index is usable if all its columns are
         // bound by equality.
@@ -583,7 +684,7 @@ impl Txn {
             let names: Vec<&str> = ix
                 .columns()
                 .iter()
-                .map(|&c| t.schema().columns[c].name.as_str())
+                .map(|&c| e.schema.columns[c].name.as_str())
                 .collect();
             if names.iter().all(|n| bindings.contains_key(n)) {
                 let key = Key(names.iter().map(|n| (*bindings[n]).clone()).collect());
@@ -604,14 +705,12 @@ impl Txn {
             }
             t.indexes().iter().find_map(|ix| {
                 let first = *ix.columns().first()?;
-                let name = t.schema().columns[first].name.as_str();
+                let name = e.schema.columns[first].name.as_str();
                 let r = ranges.get(name)?;
                 let ids = ix.scan_first_column(r.lo, r.hi);
                 let pruned = compiled.prune_covered(first, r.lo, r.hi);
                 if pruned > 0 {
-                    self.db
-                        .metrics
-                        .add("relstore.select.conjuncts_pruned", pruned as u64);
+                    self.db.conjuncts_pruned.add(pruned as u64);
                 }
                 Some(ids)
             })
@@ -646,9 +745,7 @@ impl Txn {
                 })?;
             }
         }
-        self.db
-            .metrics
-            .add("relstore.select.rows_examined", examined as u64);
+        self.db.txn_metrics.rows_examined.add(examined as u64);
         Ok(out)
     }
 
@@ -662,8 +759,7 @@ impl Txn {
         descending: bool,
         limit: Option<usize>,
     ) -> Result<Vec<(RowId, Row)>> {
-        let (_, data) = self.entry(table)?;
-        let col = data.read().schema().require_column(order_col)?;
+        let col = self.entry(table)?.schema.require_column(order_col)?;
         let rows = self.select(table, pred)?;
         Ok(rules::order_and_limit(rows, col, descending, limit))
     }
@@ -682,10 +778,8 @@ impl Txn {
         right_col: &str,
         right_pred: &Predicate,
     ) -> Result<Vec<(Row, Row)>> {
-        let (_, ldata) = self.entry(left)?;
-        let (_, rdata) = self.entry(right)?;
-        let lcol = ldata.read().schema().require_column(left_col)?;
-        let rcol = rdata.read().schema().require_column(right_col)?;
+        let lcol = self.entry(left)?.schema.require_column(left_col)?;
+        let rcol = self.entry(right)?.schema.require_column(right_col)?;
         let lrows = self.select(left, left_pred)?;
         let rrows = self.select(right, right_pred)?;
         Ok(rules::hash_join(&lrows, lcol, &rrows, rcol))
@@ -694,11 +788,11 @@ impl Txn {
     /// Sum an integer column over matching rows (NULLs contribute 0).
     pub fn sum_int(&self, table: &str, pred: &Predicate, col: &str) -> Result<i64> {
         self.check_open()?;
-        let (tid, data) = self.entry(table)?;
-        self.lock(Resource::Table(tid), LockMode::Shared)?;
-        let t = data.read();
-        let ci = t.schema().require_column(col)?;
-        let mut compiled = pred.compile(t.schema())?;
+        let e = self.entry(table)?;
+        self.lock(Resource::Table(e.id), LockMode::Shared)?;
+        let t = e.data.read();
+        let ci = e.schema.require_column(col)?;
+        let mut compiled = pred.compile(&e.schema)?;
         // Widen the raw walk to cover the summed column so its field is
         // already in the scratch when a row matches.
         compiled.widen(ci + 1);
@@ -719,10 +813,10 @@ impl Txn {
     /// Count rows matching `pred` without copying them.
     pub fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
         self.check_open()?;
-        let (tid, data) = self.entry(table)?;
-        self.lock(Resource::Table(tid), LockMode::Shared)?;
-        let t = data.read();
-        let compiled = pred.compile(t.schema())?;
+        let e = self.entry(table)?;
+        self.lock(Resource::Table(e.id), LockMode::Shared)?;
+        let t = e.data.read();
+        let compiled = pred.compile(&e.schema)?;
         let mut scratch = RowScratch::default();
         let mut n = 0usize;
         t.scan_encoded(|_, bytes| {
@@ -758,12 +852,12 @@ impl Txn {
             st.closed = true;
             st.undo.clear();
         }
-        self.db.locks.release_all(self.id);
-        self.db.metrics.inc("relstore.txn.commits");
-        self.db.metrics.observe(
-            "relstore.txn.commit_us",
-            self.born.elapsed().as_micros() as u64,
-        );
+        self.db
+            .locks
+            .release_all(self.id, &mut self.state.lock().held);
+        let m = &self.db.txn_metrics;
+        m.commits.inc();
+        m.commit_us.observe(self.born.elapsed().as_micros() as u64);
         Ok(())
     }
 
@@ -781,70 +875,74 @@ impl Txn {
             st.closed = true;
             (std::mem::take(&mut st.undo), st.logged)
         };
-        let catalog = self.db.catalog.read();
         for op in undo.into_iter().rev() {
             match op {
                 UndoOp::Insert { table, id } => {
-                    if let Some(e) = catalog.get(&table) {
+                    if let Ok(e) = self.entry(&table) {
                         let _ = e.data.write().delete(id);
                     }
                 }
                 UndoOp::Update { table, id, old } => {
-                    if let Some(e) = catalog.get(&table) {
+                    if let Ok(e) = self.entry(&table) {
                         let _ = e.data.write().update(id, old);
                     }
                 }
                 UndoOp::Delete { table, id, old } => {
-                    if let Some(e) = catalog.get(&table) {
+                    if let Ok(e) = self.entry(&table) {
                         e.data.write().restore(id, old);
                     }
                 }
             }
         }
-        drop(catalog);
         if logged {
             if let Some(sink) = self.db.sink() {
                 sink.on_abort(self.id);
             }
         }
-        self.db.locks.release_all(self.id);
-        self.db.metrics.inc("relstore.txn.aborts");
-        self.db.metrics.observe(
-            "relstore.txn.abort_us",
-            self.born.elapsed().as_micros() as u64,
-        );
+        self.db
+            .locks
+            .release_all(self.id, &mut self.state.lock().held);
+        let m = &self.db.txn_metrics;
+        m.aborts.inc();
+        m.abort_us.observe(self.born.elapsed().as_micros() as u64);
     }
 }
 
 /// The 2PL engine's side of the foreign-key rules: every answer takes
 /// the locks that keep it true until commit.
 impl RuleTxn for Txn {
+    /// Read off the catalog: tables in creation order, each one's
+    /// foreign keys in declaration order.
     fn referrers_of(&self, table: &str) -> Vec<(String, ForeignKey)> {
         self.db
-            .referrers
-            .read()
-            .get(table)
-            .cloned()
-            .unwrap_or_default()
+            .catalog
+            .iter()
+            .flat_map(|e| {
+                e.schema
+                    .foreign_keys
+                    .iter()
+                    .filter(|fk| fk.ref_table == table)
+                    .map(|fk| (e.schema.name.clone(), fk.clone()))
+            })
+            .collect()
     }
 
     /// Referenced rows must exist; they are S-locked so they cannot
     /// vanish before this transaction commits.
     fn check_forward_fks(&self, table: &str, fks: &[ForeignKey], row: &[Value]) -> Result<()> {
         for fk in fks {
-            let (_, data) = self.entry(table)?;
-            let cols = data.read().schema().resolve_columns(&fk.columns)?;
+            let cols = self.entry(table)?.schema.resolve_columns(&fk.columns)?;
             let key = Key::from_row(row, &cols);
             if key.has_null() {
                 continue; // NULL FKs reference nothing
             }
             // For self-referencing FKs the table lock is already held.
-            let (rtid, rdata) = self.entry(&fk.ref_table)?;
-            self.lock(Resource::Table(rtid), LockMode::IntentShared)?;
+            let r = self.entry(&fk.ref_table)?;
+            self.lock(Resource::Table(r.id), LockMode::IntentShared)?;
             let hits = {
-                let rt = rdata.read();
+                let rt = r.data.read();
                 let indexes = rt.indexes().iter().map(|ix| (ix.is_unique(), ix.columns()));
-                let (ix, lookup) = rules::fk_target(rt.schema(), indexes, &fk.ref_columns, &key)?;
+                let (ix, lookup) = rules::fk_target(&r.schema, indexes, &fk.ref_columns, &key)?;
                 rt.indexes()[ix].get(&lookup)
             };
             let violation = || Error::ForeignKeyViolation {
@@ -854,8 +952,8 @@ impl RuleTxn for Txn {
             let &hit = hits.first().ok_or_else(violation)?;
             // Pin the referenced row until commit, then re-check it
             // still exists post-lock.
-            self.lock(Resource::Row(rtid, hit), LockMode::Shared)?;
-            if rdata.read().try_get(hit)?.is_none() {
+            self.lock(Resource::Row(r.id, hit), LockMode::Shared)?;
+            if r.data.read().try_get(hit)?.is_none() {
                 return Err(violation());
             }
         }
@@ -865,10 +963,10 @@ impl RuleTxn for Txn {
     /// Uses an index on exactly `fk.columns` when one exists, else
     /// scans.
     fn find_referencing(&self, rtable: &str, fk: &ForeignKey, key: &Key) -> Result<Vec<RowId>> {
-        let (rtid, rdata) = self.entry(rtable)?;
-        self.lock(Resource::Table(rtid), LockMode::IntentShared)?;
-        let rt = rdata.read();
-        let cols = rt.schema().resolve_columns(&fk.columns)?;
+        let r = self.entry(rtable)?;
+        self.lock(Resource::Table(r.id), LockMode::IntentShared)?;
+        let cols = r.schema.resolve_columns(&fk.columns)?;
+        let rt = r.data.read();
         // Exact-column index?
         for ix in rt.indexes() {
             if ix.columns() == cols.as_slice() {
@@ -878,8 +976,8 @@ impl RuleTxn for Txn {
         // Fall back to a scan (requires a stronger table lock for
         // stability).
         drop(rt);
-        self.lock(Resource::Table(rtid), LockMode::Shared)?;
-        let rt = rdata.read();
+        self.lock(Resource::Table(r.id), LockMode::Shared)?;
+        let rt = r.data.read();
         Ok(rt
             .iter()
             .filter(|(_, row)| &Key::from_row(row, &cols) == key)

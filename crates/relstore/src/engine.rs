@@ -304,7 +304,7 @@ impl AnyEngine {
             match f(&txn).and_then(|v| txn.commit().map(|()| v)) {
                 Ok(v) => return Ok(v),
                 Err(Error::TxnAborted { .. } | Error::WriteConflict { .. }) => {
-                    self.metrics().inc("relstore.txn.retries");
+                    both!(self, db => db.note_retry());
                     std::thread::yield_now();
                 }
                 Err(e) => return Err(e),

@@ -63,6 +63,7 @@ pub mod pagestore;
 pub mod query;
 pub mod rules;
 pub mod schema;
+mod slots;
 pub mod snapshot;
 pub mod table;
 pub mod testkit;
@@ -72,7 +73,7 @@ pub mod wal;
 pub use database::{Database, Txn};
 pub use engine::{AnyEngine, AnyTxn, DocBackend, DocTxn, EngineKind};
 pub use error::{Error, Result};
-pub use lock::{LockManager, LockMode, Resource};
+pub use lock::{Held, LockManager, LockMode, Resource};
 pub use mvcc::{MvccDb, MvccTxn};
 pub use pagestore::{
     BufferPool, FlushGate, PageId, PoolBackend, PoolConfig, PoolStats, WritebackObserver,

@@ -17,9 +17,10 @@
 
 use crate::error::{Error, Result};
 use crate::table::RowId;
-use obs::Registry;
+use obs::{Counter, HistogramHandle, Registry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
 
 /// Lock modes, ordered by "strength" for upgrade purposes.
@@ -73,34 +74,143 @@ impl LockMode {
 }
 
 /// A lockable resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resource {
     /// A whole table (by catalog id).
     Table(u32),
     /// A single row.
     Row(u32, RowId),
+    /// One key of a unique index: table, index position, key hash.
+    /// Writers that add or remove the key take it exclusively, so a
+    /// uniqueness check never rests on another transaction's
+    /// uncommitted index entry. Two keys with one hash share a lock,
+    /// which only ever costs a false conflict.
+    Key(u32, u32, u64),
 }
+
+impl Resource {
+    /// A well-mixed 64-bit digest: its top bits pick the stripe, all
+    /// of it is the resource's hash in the lock maps. Resources are
+    /// ids this engine handed out (and, for keys, already a hash), so
+    /// nothing is lost by not keying the hash per process.
+    fn digest(self) -> u64 {
+        const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+        let (a, b) = match self {
+            Resource::Table(t) => (u64::from(t), 0),
+            Resource::Row(t, row) => (u64::from(t), row.0.wrapping_add(1)),
+            Resource::Key(t, ix, key) => (u64::from(t) << 32 | u64::from(ix), !key),
+        };
+        let h = (a.wrapping_mul(MIX) ^ b).wrapping_mul(MIX);
+        h ^ (h >> 32)
+    }
+}
+
+impl Hash for Resource {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest());
+    }
+}
+
+/// Passes [`Resource::digest`] through as the hash.
+#[derive(Default)]
+struct Digest(u64);
+
+impl Hasher for Digest {
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only resources, which hash as one u64, key the lock maps");
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type ResourceMap<V> = HashMap<Resource, V, BuildHasherDefault<Digest>>;
 
 /// Monotone transaction id; smaller is older (wait-die priority).
 pub type TxnId = u64;
 
+/// The locks one transaction holds, with the mode of each: the
+/// transaction's own record. Re-acquiring a lock it already holds
+/// strongly enough never reaches the shared table, and
+/// [`LockManager::release_all`] visits exactly these resources.
+#[derive(Debug, Default)]
+pub struct Held(ResourceMap<LockMode>);
+
+impl Held {
+    /// The mode held on `res`, if any.
+    #[must_use]
+    pub fn mode(&self, res: Resource) -> Option<LockMode> {
+        self.0.get(&res).copied()
+    }
+}
+
+/// Stripes of the lock table. A power of two: the stripe of a resource
+/// is the top bits of its hash.
+const STRIPES: usize = 64;
+
+/// One stripe: the granted locks of the resources that hash here, and
+/// where transactions waiting for one of them sleep. Aligned so that
+/// two stripes never share a cache line.
 #[derive(Default)]
-struct LockTable {
+#[repr(align(64))]
+struct Stripe {
+    state: Mutex<StripeState>,
+    released: Condvar,
+}
+
+#[derive(Default)]
+struct StripeState {
     /// Granted locks per resource. Absent entry == unlocked.
-    granted: HashMap<Resource, HashMap<TxnId, LockMode>>,
-    /// All resources each transaction holds, for O(held) release.
-    by_txn: HashMap<TxnId, Vec<Resource>>,
+    granted: ResourceMap<Vec<(TxnId, LockMode)>>,
+    /// Transactions asleep on `released`; a release with none skips
+    /// the wake-up (a system call on its own).
+    waiters: usize,
+}
+
+impl StripeState {
+    /// Grant `txn` the join of `mode` and whatever it holds on `res`,
+    /// or name a holder whose lock is incompatible with that.
+    fn grant(
+        &mut self,
+        txn: TxnId,
+        res: Resource,
+        mode: LockMode,
+    ) -> std::result::Result<LockMode, TxnId> {
+        let holders = self.granted.entry(res).or_default();
+        let mine = holders.iter().position(|&(id, _)| id == txn);
+        let want = mine.map_or(mode, |i| holders[i].1.join(mode));
+        let conflict = holders
+            .iter()
+            .find(|&&(id, m)| id != txn && !want.compatible(m));
+        if let Some(&(holder, _)) = conflict {
+            return Err(holder);
+        }
+        match mine {
+            Some(i) => holders[i].1 = want,
+            None => holders.push((txn, want)),
+        }
+        Ok(want)
+    }
 }
 
 /// The lock manager shared by all transactions of a database.
+///
+/// The table is striped by resource hash: each stripe has its own
+/// mutex and condition variable, so transactions working on different
+/// rows do not meet. Which locks a transaction holds is recorded in
+/// its own [`Held`], not here.
 ///
 /// Records `relstore.lock.*` metrics on its [`Registry`]: conflict
 /// waits, wall-clock wait time (excluded from the obs determinism
 /// contract — counts are exact, durations are not), and wait-die kills.
 pub struct LockManager {
-    state: Mutex<LockTable>,
-    released: Condvar,
-    metrics: Registry,
+    stripes: Box<[Stripe]>,
+    waits: Counter,
+    wait_us: HistogramHandle,
+    wait_die_aborts: Counter,
 }
 
 impl Default for LockManager {
@@ -121,52 +231,55 @@ impl LockManager {
     #[must_use]
     pub fn with_metrics(metrics: Registry) -> Self {
         LockManager {
-            state: Mutex::new(LockTable::default()),
-            released: Condvar::new(),
-            metrics,
+            stripes: (0..STRIPES).map(|_| Stripe::default()).collect(),
+            waits: metrics.counter_handle("relstore.lock.waits"),
+            wait_us: metrics.histogram_handle("relstore.lock.wait_us", obs::buckets::TIME_US),
+            wait_die_aborts: metrics.counter_handle("relstore.lock.wait_die_aborts"),
         }
+    }
+
+    fn stripe(&self, res: Resource) -> &Stripe {
+        &self.stripes[(res.digest() >> (u64::BITS - STRIPES.ilog2())) as usize]
     }
 
     /// Acquire `mode` on `res` for transaction `txn`, blocking if the
     /// wait-die rule says this (older) transaction may wait, or failing
-    /// with [`Error::TxnAborted`] if it must die.
-    pub fn acquire(&self, txn: TxnId, res: Resource, mode: LockMode) -> Result<()> {
-        let mut st = self.state.lock();
+    /// with [`Error::TxnAborted`] if it must die. `held` is `txn`'s own
+    /// record of its locks.
+    pub fn acquire(
+        &self,
+        txn: TxnId,
+        held: &mut Held,
+        res: Resource,
+        mode: LockMode,
+    ) -> Result<()> {
+        if held.mode(res).is_some_and(|h| h.join(mode) == h) {
+            return Ok(()); // already strong enough
+        }
+        let stripe = self.stripe(res);
+        let mut st = stripe.state.lock();
         loop {
-            let holders = st.granted.entry(res).or_default();
-            let held = holders.get(&txn).copied();
-            let want = held.map_or(mode, |h| h.join(mode));
-            if held == Some(want) {
-                return Ok(()); // already strong enough
-            }
-            let conflict = holders
-                .iter()
-                .filter(|(id, _)| **id != txn)
-                .find(|(_, m)| !want.compatible(**m));
-            match conflict {
-                None => {
-                    let newly = holders.insert(txn, want).is_none();
-                    if newly {
-                        st.by_txn.entry(txn).or_default().push(res);
-                    }
+            match st.grant(txn, res, mode) {
+                Ok(now) => {
+                    held.0.insert(res, now);
                     return Ok(());
                 }
-                Some((&holder, _)) => {
-                    if txn < holder {
-                        // Older: wait for a release, then re-examine.
-                        self.metrics.inc("relstore.lock.waits");
-                        let waited = Instant::now();
-                        self.released.wait(&mut st);
-                        self.metrics
-                            .observe("relstore.lock.wait_us", waited.elapsed().as_micros() as u64);
-                    } else {
-                        self.metrics.inc("relstore.lock.wait_die_aborts");
-                        return Err(Error::TxnAborted {
-                            reason: format!(
-                                "wait-die: txn {txn} is younger than lock holder {holder} on {res:?}"
-                            ),
-                        });
-                    }
+                Err(holder) if txn < holder => {
+                    // Older: wait for a release, then re-examine.
+                    self.waits.inc();
+                    let waited = Instant::now();
+                    st.waiters += 1;
+                    stripe.released.wait(&mut st);
+                    st.waiters -= 1;
+                    self.wait_us.observe(waited.elapsed().as_micros() as u64);
+                }
+                Err(holder) => {
+                    self.wait_die_aborts.inc();
+                    return Err(Error::TxnAborted {
+                        reason: format!(
+                            "wait-die: txn {txn} is younger than lock holder {holder} on {res:?}"
+                        ),
+                    });
                 }
             }
         }
@@ -174,68 +287,84 @@ impl LockManager {
 
     /// Try to acquire without ever blocking; `Ok(false)` means a
     /// conflicting holder exists.
-    pub fn try_acquire(&self, txn: TxnId, res: Resource, mode: LockMode) -> Result<bool> {
-        let mut st = self.state.lock();
-        let holders = st.granted.entry(res).or_default();
-        let held = holders.get(&txn).copied();
-        let want = held.map_or(mode, |h| h.join(mode));
-        if held == Some(want) {
-            return Ok(true);
+    pub fn try_acquire(
+        &self,
+        txn: TxnId,
+        held: &mut Held,
+        res: Resource,
+        mode: LockMode,
+    ) -> Result<bool> {
+        let granted = self.stripe(res).state.lock().grant(txn, res, mode);
+        if let Ok(now) = granted {
+            held.0.insert(res, now);
         }
-        let ok = holders
-            .iter()
-            .filter(|(id, _)| **id != txn)
-            .all(|(_, m)| want.compatible(*m));
-        if ok {
-            let newly = holders.insert(txn, want).is_none();
-            if newly {
-                st.by_txn.entry(txn).or_default().push(res);
-            }
-        }
-        Ok(ok)
+        Ok(granted.is_ok())
     }
 
-    /// Release every lock held by `txn` (commit or abort).
-    pub fn release_all(&self, txn: TxnId) {
-        let mut st = self.state.lock();
-        if let Some(resources) = st.by_txn.remove(&txn) {
-            for res in resources {
-                if let Some(holders) = st.granted.get_mut(&res) {
-                    holders.remove(&txn);
-                    if holders.is_empty() {
-                        st.granted.remove(&res);
-                    }
+    /// Release every lock `txn` holds (commit or abort), waking the
+    /// stripes — and only those — where someone waits.
+    pub fn release_all(&self, txn: TxnId, held: &mut Held) {
+        for (res, _) in held.0.drain() {
+            let stripe = self.stripe(res);
+            let mut st = stripe.state.lock();
+            if let Some(holders) = st.granted.get_mut(&res) {
+                holders.retain(|&(id, _)| id != txn);
+                if holders.is_empty() {
+                    st.granted.remove(&res);
                 }
             }
+            let wake = st.waiters > 0;
             drop(st);
-            self.released.notify_all();
+            if wake {
+                stripe.released.notify_all();
+            }
         }
     }
 
     /// Number of resources currently locked (diagnostics / tests).
     #[must_use]
     pub fn locked_resources(&self) -> usize {
-        self.state.lock().granted.len()
-    }
-
-    /// The modes `txn` currently holds on `res`, if any (tests).
-    #[must_use]
-    pub fn held(&self, txn: TxnId, res: Resource) -> Option<LockMode> {
-        self.state
-            .lock()
-            .granted
-            .get(&res)
-            .and_then(|h| h.get(&txn))
-            .copied()
+        self.stripes
+            .iter()
+            .map(|s| s.state.lock().granted.len())
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     const T: Resource = Resource::Table(1);
+
+    /// A transaction as the lock manager sees one: an id and its own
+    /// record of what it holds.
+    struct Tx<'a> {
+        lm: &'a LockManager,
+        id: TxnId,
+        held: Held,
+    }
+
+    impl<'a> Tx<'a> {
+        fn new(lm: &'a LockManager, id: TxnId) -> Self {
+            Tx {
+                lm,
+                id,
+                held: Held::default(),
+            }
+        }
+        fn acquire(&mut self, res: Resource, mode: LockMode) -> Result<()> {
+            self.lm.acquire(self.id, &mut self.held, res, mode)
+        }
+        fn try_acquire(&mut self, res: Resource, mode: LockMode) -> bool {
+            self.lm
+                .try_acquire(self.id, &mut self.held, res, mode)
+                .unwrap()
+        }
+        fn release_all(&mut self) {
+            self.lm.release_all(self.id, &mut self.held);
+        }
+    }
 
     #[test]
     fn compatibility_matrix() {
@@ -289,75 +418,149 @@ mod tests {
     #[test]
     fn shared_locks_coexist() {
         let lm = LockManager::new();
-        lm.acquire(1, T, Shared).unwrap();
-        lm.acquire(2, T, Shared).unwrap();
-        assert_eq!(lm.held(1, T), Some(Shared));
-        assert_eq!(lm.held(2, T), Some(Shared));
+        let (mut t1, mut t2) = (Tx::new(&lm, 1), Tx::new(&lm, 2));
+        t1.acquire(T, Shared).unwrap();
+        t2.acquire(T, Shared).unwrap();
+        assert_eq!(t1.held.mode(T), Some(Shared));
+        assert_eq!(t2.held.mode(T), Some(Shared));
     }
 
     #[test]
     fn younger_dies_on_conflict() {
         let lm = LockManager::new();
-        lm.acquire(1, T, Exclusive).unwrap();
-        let err = lm.acquire(2, T, Shared).unwrap_err();
+        Tx::new(&lm, 1).acquire(T, Exclusive).unwrap();
+        let err = Tx::new(&lm, 2).acquire(T, Shared).unwrap_err();
         assert!(matches!(err, Error::TxnAborted { .. }));
     }
 
     #[test]
     fn try_acquire_reports_conflict_without_blocking() {
         let lm = LockManager::new();
-        lm.acquire(5, T, Exclusive).unwrap();
-        assert!(!lm.try_acquire(1, T, Shared).unwrap());
-        lm.release_all(5);
-        assert!(lm.try_acquire(1, T, Shared).unwrap());
+        let (mut t1, mut t5) = (Tx::new(&lm, 1), Tx::new(&lm, 5));
+        t5.acquire(T, Exclusive).unwrap();
+        assert!(!t1.try_acquire(T, Shared));
+        assert_eq!(t1.held.mode(T), None);
+        t5.release_all();
+        assert!(t1.try_acquire(T, Shared));
+        assert_eq!(t1.held.mode(T), Some(Shared));
     }
 
     #[test]
     fn upgrade_when_sole_holder() {
         let lm = LockManager::new();
-        lm.acquire(1, T, Shared).unwrap();
-        lm.acquire(1, T, IntentExclusive).unwrap();
-        assert_eq!(lm.held(1, T), Some(SharedIntentExclusive));
+        let mut t1 = Tx::new(&lm, 1);
+        t1.acquire(T, Shared).unwrap();
+        t1.acquire(T, IntentExclusive).unwrap();
+        assert_eq!(t1.held.mode(T), Some(SharedIntentExclusive));
+        // The table agrees with the transaction's own record.
+        assert!(matches!(Tx::new(&lm, 2).acquire(T, IntentShared), Ok(())));
+        assert!(Tx::new(&lm, 3).acquire(T, IntentExclusive).is_err());
     }
 
     #[test]
     fn release_unblocks_older_waiter() {
-        let lm = Arc::new(LockManager::new());
+        let lm = LockManager::new();
         // Younger txn 9 holds X; older txn 1 will wait for it.
-        lm.acquire(9, T, Exclusive).unwrap();
-        let lm2 = Arc::clone(&lm);
-        let h = std::thread::spawn(move || lm2.acquire(1, T, Exclusive));
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        lm.release_all(9);
-        h.join().unwrap().unwrap();
-        assert_eq!(lm.held(1, T), Some(Exclusive));
+        let mut t9 = Tx::new(&lm, 9);
+        t9.acquire(T, Exclusive).unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let mut t1 = Tx::new(&lm, 1);
+                t1.acquire(T, Exclusive).map(|()| t1.held.mode(T))
+            });
+            // Release only once txn 1 is asleep on the stripe: a release
+            // that finds no waiter would skip the wake-up.
+            while lm.stripe(T).state.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+            t9.release_all();
+            assert_eq!(waiter.join().unwrap().unwrap(), Some(Exclusive));
+        });
     }
 
     #[test]
     fn release_all_clears_every_resource() {
         let lm = LockManager::new();
-        lm.acquire(1, Resource::Table(1), IntentExclusive).unwrap();
-        lm.acquire(1, Resource::Row(1, RowId(7)), Exclusive)
-            .unwrap();
-        assert_eq!(lm.locked_resources(), 2);
-        lm.release_all(1);
+        let mut t1 = Tx::new(&lm, 1);
+        t1.acquire(Resource::Table(1), IntentExclusive).unwrap();
+        t1.acquire(Resource::Row(1, RowId(7)), Exclusive).unwrap();
+        t1.acquire(Resource::Key(1, 0, 0xfeed), Exclusive).unwrap();
+        assert_eq!(lm.locked_resources(), 3);
+        t1.release_all();
         assert_eq!(lm.locked_resources(), 0);
+        assert_eq!(t1.held.mode(Resource::Table(1)), None);
     }
 
     #[test]
     fn intent_locks_coexist_rows_conflict() {
         let lm = LockManager::new();
-        lm.acquire(1, Resource::Table(1), IntentExclusive).unwrap();
-        lm.acquire(2, Resource::Table(1), IntentExclusive).unwrap();
-        lm.acquire(1, Resource::Row(1, RowId(1)), Exclusive)
-            .unwrap();
+        let (mut t1, mut t2) = (Tx::new(&lm, 1), Tx::new(&lm, 2));
+        t1.acquire(Resource::Table(1), IntentExclusive).unwrap();
+        t2.acquire(Resource::Table(1), IntentExclusive).unwrap();
+        t1.acquire(Resource::Row(1, RowId(1)), Exclusive).unwrap();
         // Different row: fine.
-        lm.acquire(2, Resource::Row(1, RowId(2)), Exclusive)
-            .unwrap();
+        t2.acquire(Resource::Row(1, RowId(2)), Exclusive).unwrap();
         // Same row: younger dies.
-        let err = lm
-            .acquire(3, Resource::Row(1, RowId(1)), Shared)
+        let err = Tx::new(&lm, 3)
+            .acquire(Resource::Row(1, RowId(1)), Shared)
             .unwrap_err();
         assert!(matches!(err, Error::TxnAborted { .. }));
+    }
+
+    /// Two resources that hash to different stripes.
+    fn two_stripes(lm: &LockManager) -> (Resource, Resource) {
+        let a = Resource::Row(1, RowId(1));
+        let b = (2..)
+            .map(|r| Resource::Row(1, RowId(r)))
+            .find(|&b| !std::ptr::eq(lm.stripe(a), lm.stripe(b)))
+            .unwrap();
+        (a, b)
+    }
+
+    #[test]
+    fn concurrent_opposite_orders_across_stripes_resolve_by_wait_die() {
+        // The classic deadlock shape, with the two resources under
+        // different mutexes: old takes A then wants B, young takes B
+        // then wants A. Wait-die decides per resource, so striping
+        // changes nothing: the younger dies, the older gets through.
+        let lm = LockManager::new();
+        let (a, b) = two_stripes(&lm);
+        let (mut old, mut young) = (Tx::new(&lm, 1), Tx::new(&lm, 2));
+        old.acquire(a, Exclusive).unwrap();
+        young.acquire(b, Exclusive).unwrap();
+        std::thread::scope(|s| {
+            let older = s.spawn(|| {
+                old.acquire(b, Exclusive).unwrap();
+                old.release_all();
+            });
+            while lm.stripe(b).state.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+            // The older transaction is now asleep on B's stripe.
+            let err = young.acquire(a, Exclusive).unwrap_err();
+            assert!(matches!(err, Error::TxnAborted { .. }));
+            young.release_all(); // the abort: wakes B's stripe
+            older.join().unwrap();
+        });
+        assert_eq!(lm.locked_resources(), 0);
+    }
+
+    #[test]
+    fn concurrent_release_wakes_only_stripes_with_a_waiter() {
+        let lm = LockManager::new();
+        let (a, b) = two_stripes(&lm);
+        let mut holder = Tx::new(&lm, 9);
+        holder.acquire(a, Exclusive).unwrap();
+        holder.acquire(b, Exclusive).unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| Tx::new(&lm, 1).acquire(a, Shared));
+            while lm.stripe(a).state.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(lm.stripe(b).state.lock().waiters, 0);
+            holder.release_all();
+            waiter.join().unwrap().unwrap();
+        });
+        assert_eq!(lm.stripe(a).state.lock().waiters, 0);
     }
 }

@@ -47,6 +47,7 @@
 //! `.write_conflicts` and `.gc_reclaimed` (counters), alongside the
 //! engine-neutral `relstore.txn.*` counters the 2PL engine maintains.
 
+use crate::database::TxnMetrics;
 use crate::error::{Error, Result};
 use crate::lock::TxnId;
 use crate::pagestore::page::{self, RowScratch, TAG_INT};
@@ -57,7 +58,7 @@ use crate::snapshot::{Snapshot, TableSnapshot};
 use crate::table::{Row, RowId};
 use crate::value::{Key, Value};
 use crate::wal::{RowOp, WalSink};
-use obs::Registry;
+use obs::{Counter, Registry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -352,6 +353,9 @@ struct MvccInner {
     versions: AtomicU64,
     wal: RwLock<Option<Arc<dyn WalSink>>>,
     metrics: Registry,
+    txn_metrics: TxnMetrics,
+    snapshot_reads: Counter,
+    write_conflicts: Counter,
 }
 
 impl MvccInner {
@@ -443,6 +447,7 @@ impl MvccDb {
     /// Create an empty MVCC database.
     #[must_use]
     pub fn new() -> Self {
+        let metrics = Registry::new();
         MvccDb {
             inner: Arc::new(MvccInner {
                 catalog: RwLock::new(BTreeMap::new()),
@@ -454,7 +459,10 @@ impl MvccDb {
                 commits: AtomicU64::new(0),
                 versions: AtomicU64::new(0),
                 wal: RwLock::new(None),
-                metrics: Registry::new(),
+                txn_metrics: TxnMetrics::new(&metrics),
+                snapshot_reads: metrics.counter_handle("relstore.mvcc.snapshot_reads"),
+                write_conflicts: metrics.counter_handle("relstore.mvcc.write_conflicts"),
+                metrics,
             }),
         }
     }
@@ -463,6 +471,11 @@ impl MvccDb {
     #[must_use]
     pub fn metrics(&self) -> &Registry {
         &self.inner.metrics
+    }
+
+    /// Count one first-committer-wins retry of a transaction closure.
+    pub(crate) fn note_retry(&self) {
+        self.inner.txn_metrics.retries.inc();
     }
 
     /// Install (or remove) a write-ahead-log sink. The sink sees each
@@ -581,7 +594,7 @@ impl MvccDb {
             match f(&txn).and_then(|v| txn.commit().map(|()| v)) {
                 Ok(v) => return Ok(v),
                 Err(Error::TxnAborted { .. } | Error::WriteConflict { .. }) => {
-                    self.inner.metrics.inc("relstore.txn.retries");
+                    self.note_retry();
                     std::thread::yield_now();
                 }
                 Err(e) => return Err(e),
@@ -885,7 +898,7 @@ impl MvccTxn {
     ) -> Result<usize> {
         self.check_open()?;
         let data = self.entry(table)?;
-        self.db.metrics.inc("relstore.mvcc.snapshot_reads");
+        self.db.snapshot_reads.inc();
         let t = data.read();
         let wide = wide_col.map(|c| t.schema.require_column(c)).transpose()?;
         let mut compiled = pred.compile(&t.schema)?;
@@ -933,7 +946,7 @@ impl MvccTxn {
     pub fn get(&self, table: &str, id: RowId) -> Result<Row> {
         self.check_open()?;
         let data = self.entry(table)?;
-        self.db.metrics.inc("relstore.mvcc.snapshot_reads");
+        self.db.snapshot_reads.inc();
         self.effective_get(table, &data, id)?
             .ok_or_else(|| Error::NoSuchRow {
                 table: table.to_owned(),
@@ -1012,9 +1025,7 @@ impl MvccTxn {
             Ok(())
         })?;
         out.sort_by_key(|(id, _)| *id);
-        self.db
-            .metrics
-            .add("relstore.select.rows_examined", examined as u64);
+        self.db.txn_metrics.rows_examined.add(examined as u64);
         Ok(out)
     }
 
@@ -1100,17 +1111,13 @@ impl MvccTxn {
         };
         if !has_writes {
             self.close_and_release();
-            self.db.metrics.inc("relstore.txn.commits");
-            self.db.metrics.observe(
-                "relstore.txn.commit_us",
-                self.born.elapsed().as_micros() as u64,
-            );
+            self.note_commit();
             return Ok(());
         }
         let fence = self.db.commit_lock.lock();
         if let Err(e) = self.validate() {
             drop(fence);
-            self.db.metrics.inc("relstore.mvcc.write_conflicts");
+            self.db.write_conflicts.inc();
             self.rollback_inner();
             return Err(e);
         }
@@ -1153,11 +1160,7 @@ impl MvccTxn {
         }
         self.db.release_snapshot(self.snap);
         drop(fence);
-        self.db.metrics.inc("relstore.txn.commits");
-        self.db.metrics.observe(
-            "relstore.txn.commit_us",
-            self.born.elapsed().as_micros() as u64,
-        );
+        self.note_commit();
         self.db.publish_versions_gauge();
         if (self.db.commits.fetch_add(1, Ordering::Relaxed) + 1) % GC_EVERY == 0 {
             self.db.gc();
@@ -1280,11 +1283,15 @@ impl MvccTxn {
             return;
         }
         self.close_and_release();
-        self.db.metrics.inc("relstore.txn.aborts");
-        self.db.metrics.observe(
-            "relstore.txn.abort_us",
-            self.born.elapsed().as_micros() as u64,
-        );
+        let m = &self.db.txn_metrics;
+        m.aborts.inc();
+        m.abort_us.observe(self.born.elapsed().as_micros() as u64);
+    }
+
+    fn note_commit(&self) {
+        let m = &self.db.txn_metrics;
+        m.commits.inc();
+        m.commit_us.observe(self.born.elapsed().as_micros() as u64);
     }
 }
 

@@ -225,8 +225,7 @@ impl RowHeap {
             .collect();
         candidates.sort_unstable();
         for pid in candidates {
-            let guard = self.pool.pin(pid)?;
-            let (slot, free) = guard.with_mut(|buf| {
+            let (slot, free) = self.pool.pin(pid)?.with_mut(|buf| {
                 let slot = page::insert(buf, bytes);
                 (slot, page::total_free(buf))
             });
@@ -242,8 +241,7 @@ impl RowHeap {
             }
         }
         let pid = self.pool.alloc(page::capacity_needed(bytes.len()))?;
-        let guard = self.pool.pin(pid)?;
-        let (slot, free) = guard.with_mut(|buf| {
+        let (slot, free) = self.pool.pin(pid)?.with_mut(|buf| {
             let slot = page::insert(buf, bytes).expect("fresh page fits its row");
             (slot, page::total_free(buf))
         });

@@ -168,6 +168,23 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
+/// Agrees with `Eq`: equal values have one variant and, floats
+/// included (total order), one bit pattern.
+impl std::hash::Hash for Value {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u8(self.type_rank());
+        match self {
+            Value::Null => {}
+            Value::Bool(b) => b.hash(state),
+            Value::Int(v) => v.hash(state),
+            Value::Float(v) => v.to_bits().hash(state),
+            Value::Text(s) => s.hash(state),
+            Value::Bytes(b) => b.hash(state),
+            Value::Timestamp(v) => v.hash(state),
+        }
+    }
+}
+
 impl PartialOrd for Value {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))

@@ -348,3 +348,50 @@ fn mvcc_abort_leaves_no_trace_but_burns_ids() {
         );
     }
 }
+
+/// A uniqueness check must not rest on another transaction's
+/// uncommitted removal of the key. T1 removes key 1 — by deleting the
+/// row, or by moving it to key 9 — and, before T1 ends, the younger T2
+/// inserts key 1. If T2 got through and committed, T1's rollback would
+/// put its row back beside T2's: two rows under one primary key.
+///
+/// 2PL: T1 holds the key exclusively from its removal on, so T2 dies at
+/// the key lock. MVCC: T1's removal is buffered, T2 still sees key 1
+/// taken and is refused. Either way key 1 names exactly one row once T1
+/// has rolled back.
+#[test]
+fn insert_cannot_slip_under_an_uncommitted_key_removal() {
+    type Removal = fn(&relstore::AnyTxn, relstore::RowId);
+    let removals: [Removal; 2] = [
+        |t, r1| t.delete("acct", r1).unwrap(),
+        |t, r1| {
+            t.update("acct", r1, vec![Value::Int(9), Value::Int(100)])
+                .unwrap();
+        },
+    ];
+    for kind in [EngineKind::TwoPl, EngineKind::Mvcc] {
+        for remove_key in removals {
+            let (db, r1, _) = seeded(kind);
+            let t1 = db.begin();
+            let t2 = db.begin();
+            remove_key(&t1, r1);
+            match t2.insert("acct", vec![Value::Int(1), Value::Int(5)]) {
+                Err(Error::TxnAborted { .. }) => assert_eq!(kind, EngineKind::TwoPl),
+                Err(Error::UniqueViolation { .. }) => assert_eq!(kind, EngineKind::Mvcc),
+                other => panic!("{kind:?}: insert under the removal gave {other:?}"),
+            }
+            t2.rollback();
+            t1.rollback();
+            let t = db.begin();
+            let rows = t.select("acct", &Predicate::eq("id", 1i64)).unwrap();
+            assert_eq!(rows.len(), 1, "{kind:?}: {rows:?}");
+            assert_eq!(rows[0].0, r1);
+            assert!(t
+                .select("acct", &Predicate::eq("id", 9i64))
+                .unwrap()
+                .is_empty());
+            t.commit().unwrap();
+            assert_eq!(db.locked_resources(), 0);
+        }
+    }
+}

@@ -773,3 +773,96 @@ fn range_scans_prune_covered_conjuncts() {
     assert_eq!(rows.len(), 3); // scores 96, 97, 98
     t.commit().unwrap();
 }
+
+#[test]
+fn every_way_a_transaction_ends_releases_all_its_locks() {
+    let db = courses_db();
+    for i in 0..30 {
+        let name = format!("s{i}");
+        let t = db.begin();
+        let id = t.insert("script", script(&name, "a")).unwrap();
+        t.insert("implementation", vec![format!("u{i}").into(), name.into()])
+            .unwrap();
+        t.update_cols("script", id, &[("version", Value::Int(2))])
+            .unwrap();
+        assert!(db.locked_resources() > 0);
+        match i % 3 {
+            0 => t.commit().unwrap(),
+            1 => t.rollback(),
+            _ => drop(t),
+        }
+        assert_eq!(db.locked_resources(), 0, "after ending txn {i}");
+    }
+    // A transaction killed by wait-die lets go of what it had, too.
+    let old = db.begin();
+    let young = db.begin();
+    old.select("script", &Predicate::True).unwrap();
+    young.select("implementation", &Predicate::True).unwrap();
+    let err = young.insert("script", script("late", "a")).unwrap_err();
+    assert!(matches!(err, Error::TxnAborted { .. }));
+    drop(young);
+    old.commit().unwrap();
+    assert_eq!(db.locked_resources(), 0);
+}
+
+#[test]
+fn concurrent_writers_of_one_key_never_duplicate_it() {
+    // Four threads fight over the same three primary keys, each step
+    // either inserting the key or deleting — by row id, so without the
+    // table-shared lock a select would take — the row last committed
+    // under it, and rolling a third of those writes back. An insert
+    // that slipped in under a delete which then rolled back would leave
+    // two rows under one key.
+    use std::sync::Mutex;
+    let db = courses_db();
+    let known: [Mutex<Option<RowId>>; 3] = Default::default();
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (db, known) = (&db, &known);
+            s.spawn(move || {
+                let mut x = t + 1;
+                for _ in 0..10_000 {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let k = (x >> 33) as usize % 3;
+                    let (delete, commit) = ((x >> 40) % 2 == 0, (x >> 41) % 3 != 0);
+                    let txn = db.begin();
+                    if delete {
+                        let Some(id) = *known[k].lock().unwrap() else {
+                            continue;
+                        };
+                        if txn.delete("script", id).is_ok() && commit {
+                            // Forget the id first: a committed delete
+                            // must not be retried by a later step.
+                            let mut slot = known[k].lock().unwrap();
+                            if *slot == Some(id) {
+                                *slot = None;
+                            }
+                            drop(slot);
+                            txn.commit().unwrap();
+                        }
+                    } else if let Ok(id) = txn.insert("script", script(&format!("k{k}"), "a")) {
+                        if commit {
+                            txn.commit().unwrap();
+                            *known[k].lock().unwrap() = Some(id);
+                        }
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(db.locked_resources(), 0);
+    let t = db.begin();
+    let all = t.select("script", &Predicate::True).unwrap();
+    for k in 0..3 {
+        let key = format!("k{k}");
+        let by_index = t
+            .select("script", &Predicate::eq("name", key.as_str()))
+            .unwrap();
+        let by_scan = all.iter().filter(|(_, r)| r[0] == key.as_str().into());
+        assert!(by_index.len() <= 1, "{key}: {by_index:?}");
+        assert_eq!(by_scan.count(), by_index.len(), "{key}");
+    }
+    t.commit().unwrap();
+}

@@ -61,7 +61,7 @@
 
 use crate::map::ShardMap;
 use crate::twopc::{self, Coordinator};
-use obs::Registry;
+use obs::{Counter, Registry};
 use relstore::schema::PRIMARY_INDEX;
 use relstore::{
     rules, AnyEngine, AnyTxn, DocTxn, EngineKind, Error, ForeignKey, Key, PoolBackend, Predicate,
@@ -231,22 +231,65 @@ impl TableDir {
     }
 }
 
+/// Handles on the router's `shard.router.*` counters.
+struct RouterCounters {
+    cross_shard_commits: Counter,
+    moves: Counter,
+    ops: Counter,
+    retries: Counter,
+    routed_selects: Counter,
+    scatter_batched: Counter,
+    scatter_checks: Counter,
+    single_shard_commits: Counter,
+    single_shard_ops: Counter,
+    txns: Counter,
+    unique_probe_skips: Counter,
+}
+
+impl RouterCounters {
+    fn new(metrics: &Registry) -> Self {
+        let c = |name: &str| metrics.counter_handle(&format!("shard.router.{name}"));
+        RouterCounters {
+            cross_shard_commits: c("cross_shard_commits"),
+            moves: c("moves"),
+            ops: c("ops"),
+            retries: c("retries"),
+            routed_selects: c("routed_selects"),
+            scatter_batched: c("scatter_batched"),
+            scatter_checks: c("scatter_checks"),
+            single_shard_commits: c("single_shard_commits"),
+            single_shard_ops: c("single_shard_ops"),
+            txns: c("txns"),
+            unique_probe_skips: c("unique_probe_skips"),
+        }
+    }
+}
+
+/// What DDL fixes about the registered tables. Published whole — a
+/// registration builds the next value and swaps it in — so a
+/// transaction reads the one it picked up without locking.
+#[derive(Default, Clone)]
+struct Registered {
+    routes: BTreeMap<String, Arc<TableRoute>>,
+    /// table → referencing (table, FK) pairs, in table-creation order
+    /// (mirrors the engine's referrer registry, which fixes the order
+    /// reverse-FK checks and cascades observe).
+    referrers: BTreeMap<String, Vec<(String, ForeignKey)>>,
+}
+
 /// A hash-partitioned database: per-shard engines behind a single
 /// engine-shaped interface. See the module docs.
 pub struct Router {
     shards: Vec<ShardNode>,
     map: ShardMap,
-    routes: Mutex<BTreeMap<String, Arc<TableRoute>>>,
-    /// table → referencing (table, FK) pairs, in table-creation order
-    /// (mirrors the engine's referrer registry, which fixes the order
-    /// reverse-FK checks and cascades observe).
-    referrers: Mutex<BTreeMap<String, Vec<(String, ForeignKey)>>>,
+    registered: Mutex<Arc<Registered>>,
     dirs: Mutex<BTreeMap<String, TableDir>>,
     /// table → one [`Bloom`] per unique index (engine check order;
     /// local indexes keep an unfed filter as a placeholder).
     blooms: Mutex<BTreeMap<String, Vec<Bloom>>>,
     coordinator: Coordinator,
     metrics: Registry,
+    counters: RouterCounters,
 }
 
 impl Router {
@@ -265,11 +308,11 @@ impl Router {
         Router {
             shards,
             map,
-            routes: Mutex::new(BTreeMap::new()),
-            referrers: Mutex::new(BTreeMap::new()),
+            registered: Mutex::default(),
             dirs: Mutex::new(BTreeMap::new()),
             blooms: Mutex::new(BTreeMap::new()),
             coordinator,
+            counters: RouterCounters::new(&metrics),
             metrics,
         }
     }
@@ -322,11 +365,11 @@ impl Router {
             Router {
                 shards,
                 map,
-                routes: Mutex::new(BTreeMap::new()),
-                referrers: Mutex::new(BTreeMap::new()),
+                registered: Mutex::default(),
                 dirs: Mutex::new(BTreeMap::new()),
                 blooms: Mutex::new(BTreeMap::new()),
                 coordinator,
+                counters: RouterCounters::new(&metrics),
                 metrics,
             },
             reports,
@@ -370,10 +413,15 @@ impl Router {
         &self.metrics
     }
 
+    /// The tables as registered right now.
+    fn registered(&self) -> Arc<Registered> {
+        Arc::clone(&self.registered.lock().unwrap())
+    }
+
     /// The registered route for `table`, if any.
     #[must_use]
     pub fn route_of(&self, table: &str) -> Option<Arc<TableRoute>> {
-        self.routes.lock().unwrap().get(table).cloned()
+        self.registered().routes.get(table).cloned()
     }
 
     /// Validate `spec` against `schema` and the registered parents.
@@ -390,8 +438,9 @@ impl Router {
             } => {
                 schema.require_column(col)?;
                 schema.require_column(fallback)?;
-                let routes = self.routes.lock().unwrap();
-                let proute = routes
+                let registered = self.registered();
+                let proute = registered
+                    .routes
                     .get(parent)
                     .ok_or_else(|| Error::NoSuchTable(parent.clone()))?;
                 if proute.schema.primary_key.len() != 1 {
@@ -425,15 +474,6 @@ impl Router {
                 cols,
             });
         }
-        {
-            let mut referrers = self.referrers.lock().unwrap();
-            for fk in &schema.foreign_keys {
-                referrers
-                    .entry(fk.ref_table.clone())
-                    .or_default()
-                    .push((schema.name.clone(), fk.clone()));
-            }
-        }
         self.blooms
             .lock()
             .unwrap()
@@ -444,10 +484,16 @@ impl Router {
             uniques,
             pk_cols,
         });
-        self.routes
-            .lock()
-            .unwrap()
-            .insert(route.schema.name.clone(), route.clone());
+        let mut registered = self.registered.lock().unwrap();
+        let mut next = Registered::clone(&registered);
+        for fk in &route.schema.foreign_keys {
+            next.referrers
+                .entry(fk.ref_table.clone())
+                .or_default()
+                .push((route.schema.name.clone(), fk.clone()));
+        }
+        next.routes.insert(route.schema.name.clone(), route.clone());
+        *registered = Arc::new(next);
         Ok(route)
     }
 
@@ -575,9 +621,10 @@ impl Router {
     /// open lazily on first touch.
     #[must_use]
     pub fn begin(&self) -> DistTxn<'_> {
-        self.metrics.inc("shard.router.txns");
+        self.counters.txns.inc();
         DistTxn {
             router: self,
+            registered: OnceCell::new(),
             txns: (0..self.shards.len()).map(|_| OnceCell::new()).collect(),
             dirty: (0..self.shards.len()).map(|_| Cell::new(false)).collect(),
             overlay: RefCell::new(BTreeMap::new()),
@@ -594,21 +641,12 @@ impl Router {
             match f(&txn).and_then(|v| txn.commit().map(|()| v)) {
                 Ok(v) => return Ok(v),
                 Err(Error::TxnAborted { .. } | Error::WriteConflict { .. }) => {
-                    self.metrics.inc("shard.router.retries");
+                    self.counters.retries.inc();
                     std::thread::yield_now();
                 }
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    fn referrers_of(&self, table: &str) -> Vec<(String, ForeignKey)> {
-        self.referrers
-            .lock()
-            .unwrap()
-            .get(table)
-            .cloned()
-            .unwrap_or_default()
     }
 }
 
@@ -714,6 +752,8 @@ enum ScatterMode {
 /// rolled-back inserts).
 pub struct DistTxn<'r> {
     router: &'r Router,
+    /// The tables as registered when this transaction first looked.
+    registered: OnceCell<Arc<Registered>>,
     txns: Vec<OnceCell<AnyTxn>>,
     dirty: Vec<Cell<bool>>,
     overlay: RefCell<Overlay>,
@@ -739,10 +779,23 @@ impl<'r> DistTxn<'r> {
         self.txns[s].get_or_init(|| self.router.shards[s].engine.begin())
     }
 
-    fn route(&self, table: &str) -> Result<Arc<TableRoute>> {
-        self.router
-            .route_of(table)
+    fn registered(&self) -> &Registered {
+        self.registered.get_or_init(|| self.router.registered())
+    }
+
+    fn route(&self, table: &str) -> Result<&TableRoute> {
+        self.registered()
+            .routes
+            .get(table)
+            .map(|r| &**r)
             .ok_or_else(|| Error::NoSuchTable(table.to_owned()))
+    }
+
+    fn referrers_of(&self, table: &str) -> &[(String, ForeignKey)] {
+        self.registered()
+            .referrers
+            .get(table)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// This transaction's view of gid → location.
@@ -905,7 +958,7 @@ impl<'r> DistTxn<'r> {
             if fresh.get(i).copied().unwrap_or(false) {
                 // The Bloom filter saw every key ever attempted;
                 // definite absence means no shard can hold a collision.
-                self.router.metrics.inc("shard.router.unique_probe_skips");
+                self.router.counters.unique_probe_skips.inc();
                 continue;
             }
             let pred = eq_pred(&route.schema, &ix.cols, &vals);
@@ -928,7 +981,7 @@ impl<'r> DistTxn<'r> {
                         }
                     }
                 };
-                self.router.metrics.inc("shard.router.scatter_checks");
+                self.router.counters.scatter_checks.inc();
                 if hit {
                     return Ok(Some(i));
                 }
@@ -948,7 +1001,7 @@ impl<'r> DistTxn<'r> {
 
     /// Insert a row; returns its global id.
     pub fn insert(&self, table: &str, row: Row) -> Result<RowId> {
-        self.router.metrics.inc("shard.router.ops");
+        self.router.counters.ops.inc();
         let route = self.route(table)?;
         if route.spec == RoutingSpec::Global {
             let lid0 = self.txn(0).insert(table, row.clone())?;
@@ -958,22 +1011,22 @@ impl<'r> DistTxn<'r> {
                 self.dirty[s].set(true);
                 debug_assert_eq!(lid, lid0, "replicas of a Global table diverged");
             }
-            let gid = self.alloc_gid(&route, &row, (0, lid0));
+            let gid = self.alloc_gid(route, &row, (0, lid0));
             return Ok(RowId(gid));
         }
-        let target = self.route_row(&route, &row);
+        let target = self.route_row(route, &row);
         // Probe-and-feed before the write: a prober racing between our
         // write and a later feed could wrongly see a clean filter.
-        let fresh = self.router.bloom_check_add(&route, &row);
+        let fresh = self.router.bloom_check_add(route, &row);
         let local = self.txn(target).insert(table, row.clone());
         let limit = match &local {
             Ok(_) => usize::MAX,
-            Err(Error::UniqueViolation { index, .. }) => Self::unique_pos(&route, index),
+            Err(Error::UniqueViolation { index, .. }) => Self::unique_pos(route, index),
             Err(_) => return local,
         };
         let remote = self.scatter_conflict(
             table,
-            &route,
+            route,
             &row,
             &ScatterMode::AfterLocal { home: target },
             limit,
@@ -982,8 +1035,8 @@ impl<'r> DistTxn<'r> {
         match (local, remote) {
             (Ok(lid), None) => {
                 self.dirty[target].set(true);
-                let gid = self.alloc_gid(&route, &row, (target, lid));
-                self.router.metrics.inc("shard.router.single_shard_ops");
+                let gid = self.alloc_gid(route, &row, (target, lid));
+                self.router.counters.single_shard_ops.inc();
                 Ok(RowId(gid))
             }
             (Ok(lid), Some(i)) => {
@@ -1008,7 +1061,7 @@ impl<'r> DistTxn<'r> {
 
     /// Fetch a copy of the row at `gid`.
     pub fn get(&self, table: &str, gid: RowId) -> Result<Row> {
-        self.router.metrics.inc("shard.router.ops");
+        self.router.counters.ops.inc();
         let route = self.route(table)?;
         let loc = if route.spec == RoutingSpec::Global {
             self.to_local(table, gid.0).map(|(_, lid)| (0, lid))
@@ -1029,7 +1082,7 @@ impl<'r> DistTxn<'r> {
 
     /// Replace the entire row at `gid`.
     pub fn update(&self, table: &str, gid: RowId, new_row: Row) -> Result<()> {
-        self.router.metrics.inc("shard.router.ops");
+        self.router.counters.ops.inc();
         let route = self.route(table)?;
         if route.spec == RoutingSpec::Global {
             let Some((_, lid)) = self.to_local(table, gid.0) else {
@@ -1055,11 +1108,11 @@ impl<'r> DistTxn<'r> {
                 .update(table, BOGUS_LID, new_row)
                 .map_err(|e| regid(table, gid.0, e));
         };
-        let target = self.route_row(&route, &new_row);
+        let target = self.route_row(route, &new_row);
         if target == shard {
-            return self.update_in_place(table, &route, gid.0, shard, lid, new_row);
+            return self.update_in_place(table, route, gid.0, shard, lid, new_row);
         }
-        self.move_row(table, &route, gid.0, shard, lid, new_row, target)
+        self.move_row(table, route, gid.0, shard, lid, new_row, target)
     }
 
     /// Update whose new routing value keeps the row on its shard: the
@@ -1138,7 +1191,7 @@ impl<'r> DistTxn<'r> {
         new_row: Row,
         target: usize,
     ) -> Result<()> {
-        self.router.metrics.inc("shard.router.moves");
+        self.router.counters.moves.inc();
         route.schema.check_row(&new_row)?;
         let old = self
             .txn(shard)
@@ -1172,7 +1225,7 @@ impl<'r> DistTxn<'r> {
         }
         // Reverse FKs: refuse changing a referenced key while rows
         // reference it (they are co-located with the old placement).
-        for (rtable, fk) in self.router.referrers_of(table) {
+        for (rtable, fk) in self.referrers_of(table) {
             if !fk.ref_columns.iter().any(|c| changed.contains(&c.as_str())) {
                 continue;
             }
@@ -1181,13 +1234,13 @@ impl<'r> DistTxn<'r> {
             if key.has_null() {
                 continue;
             }
-            let rroute = self.route(&rtable)?;
+            let rroute = self.route(rtable)?;
             let rcols = rroute.schema.resolve_columns(&fk.columns)?;
             let pred = eq_pred(&rroute.schema, &rcols, &key.0);
-            if self.txn(shard).count(&rtable, &pred)? > 0 {
+            if self.txn(shard).count(rtable, &pred)? > 0 {
                 return Err(Error::RestrictViolation {
                     table: table.to_owned(),
-                    referenced_by: rtable,
+                    referenced_by: rtable.clone(),
                 });
             }
         }
@@ -1212,11 +1265,7 @@ impl<'r> DistTxn<'r> {
         let old_pk = Key::from_row(&old, &route.pk_cols);
         let mut drags: Vec<(String, u64, Row)> = Vec::new();
         if old_pk.0.len() == 1 {
-            let routes: Vec<(String, Arc<TableRoute>)> = {
-                let r = self.router.routes.lock().unwrap();
-                r.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-            };
-            for (dname, droute) in routes {
+            for (dname, droute) in &self.registered().routes {
                 let RoutingSpec::ByParent { col, parent, .. } = &droute.spec else {
                     continue;
                 };
@@ -1225,11 +1274,11 @@ impl<'r> DistTxn<'r> {
                 }
                 let ci = droute.schema.require_column(col)?;
                 let pred = eq_pred(&droute.schema, &[ci], &old_pk.0);
-                for (dlid, drow) in self.txn(shard).select(&dname, &pred)? {
+                for (dlid, drow) in self.txn(shard).select(dname, &pred)? {
                     let dgid = self
-                        .to_gid(&dname, shard, dlid)
+                        .to_gid(dname, shard, dlid)
                         .expect("router owns every routed row");
-                    self.txn(shard).delete(&dname, dlid)?;
+                    self.txn(shard).delete(dname, dlid)?;
                     drags.push((dname.clone(), dgid, drow));
                 }
             }
@@ -1240,7 +1289,7 @@ impl<'r> DistTxn<'r> {
         for (dname, dgid, drow) in drags {
             let droute = self.route(&dname)?;
             let dlid = self.txn(target).insert(&dname, drow.clone())?;
-            self.remap_gid(&droute, dgid, &drow, (target, dlid));
+            self.remap_gid(droute, dgid, &drow, (target, dlid));
         }
         self.dirty[shard].set(true);
         self.dirty[target].set(true);
@@ -1249,7 +1298,7 @@ impl<'r> DistTxn<'r> {
 
     /// Update only the named columns of the row at `gid`.
     pub fn update_cols(&self, table: &str, gid: RowId, cols: &[(&str, Value)]) -> Result<()> {
-        self.router.metrics.inc("shard.router.ops");
+        self.router.counters.ops.inc();
         let route = self.route(table)?;
         let loc = if route.spec == RoutingSpec::Global {
             self.to_local(table, gid.0).map(|(_, lid)| (0usize, lid))
@@ -1294,7 +1343,7 @@ impl<'r> DistTxn<'r> {
                 Err(e) => return Err(e),
             };
             let troute = self.route(&t)?;
-            for (rtable, fk) in self.router.referrers_of(&t) {
+            for (rtable, fk) in self.referrers_of(&t) {
                 if fk.on_delete != relstore::FkAction::Cascade {
                     continue;
                 }
@@ -1303,10 +1352,10 @@ impl<'r> DistTxn<'r> {
                 if key.has_null() {
                     continue;
                 }
-                let rroute = self.route(&rtable)?;
+                let rroute = self.route(rtable)?;
                 let rcols = rroute.schema.resolve_columns(&fk.columns)?;
                 let pred = eq_pred(&rroute.schema, &rcols, &key.0);
-                for (rid, _) in self.txn(shard).select(&rtable, &pred)? {
+                for (rid, _) in self.txn(shard).select(rtable, &pred)? {
                     stack.push((rtable.clone(), rid));
                 }
             }
@@ -1319,7 +1368,7 @@ impl<'r> DistTxn<'r> {
     /// as the engine does (cascades and SET NULLs stay intra-shard by
     /// the co-location invariants).
     pub fn delete(&self, table: &str, gid: RowId) -> Result<()> {
-        self.router.metrics.inc("shard.router.ops");
+        self.router.counters.ops.inc();
         let route = self.route(table)?;
         if route.spec == RoutingSpec::Global {
             let Some((_, lid)) = self.to_local(table, gid.0) else {
@@ -1379,7 +1428,7 @@ impl<'r> DistTxn<'r> {
     /// All rows matching `pred`, gid-ascending — the scatter-gather
     /// mirror of the engine's id-ascending select.
     pub fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, Row)>> {
-        self.router.metrics.inc("shard.router.ops");
+        self.router.counters.ops.inc();
         let route = self.route(table)?;
         let mut out: Vec<(RowId, Row)> = Vec::new();
         if route.spec == RoutingSpec::Global {
@@ -1395,10 +1444,10 @@ impl<'r> DistTxn<'r> {
             // under ONE overlay borrow and ONE directory-lock
             // acquisition instead of a lock round-trip per row.
             let mut raw: Vec<(usize, Vec<(RowId, Row)>)> = Vec::new();
-            for s in self.pruned_shards(&route, pred) {
+            for s in self.pruned_shards(route, pred) {
                 raw.push((s, self.txn(s).select(table, pred)?));
             }
-            self.router.metrics.inc("shard.router.scatter_batched");
+            self.router.counters.scatter_batched.inc();
             let ov = self.overlay.borrow();
             let ovt = ov.get(table);
             let dirs = self.router.dirs.lock().unwrap();
@@ -1434,7 +1483,7 @@ impl<'r> DistTxn<'r> {
         }
         if let RoutingSpec::ByColumn(col) = &route.spec {
             if let Some(v) = conjunct_eq(pred, col) {
-                self.router.metrics.inc("shard.router.routed_selects");
+                self.router.counters.routed_selects.inc();
                 return vec![shard_of_value(&self.router.map, v)];
             }
         }
@@ -1452,7 +1501,7 @@ impl<'r> DistTxn<'r> {
         descending: bool,
         limit: Option<usize>,
     ) -> Result<Vec<(RowId, Row)>> {
-        self.router.metrics.inc("shard.router.ops");
+        self.router.counters.ops.inc();
         let route = self.route(table)?;
         let col = route.schema.require_column(order_col)?;
         let rows = self.select(table, pred)?;
@@ -1470,7 +1519,7 @@ impl<'r> DistTxn<'r> {
         right_col: &str,
         right_pred: &Predicate,
     ) -> Result<Vec<(Row, Row)>> {
-        self.router.metrics.inc("shard.router.ops");
+        self.router.counters.ops.inc();
         let lroute = self.route(left)?;
         let rroute = self.route(right)?;
         let lcol = lroute.schema.require_column(left_col)?;
@@ -1482,13 +1531,13 @@ impl<'r> DistTxn<'r> {
 
     /// Sum an integer column over matching rows (NULLs contribute 0).
     pub fn sum_int(&self, table: &str, pred: &Predicate, col: &str) -> Result<i64> {
-        self.router.metrics.inc("shard.router.ops");
+        self.router.counters.ops.inc();
         let route = self.route(table)?;
         if route.spec == RoutingSpec::Global {
             return self.txn(0).sum_int(table, pred, col);
         }
         let mut sum = 0i64;
-        for s in self.pruned_shards(&route, pred) {
+        for s in self.pruned_shards(route, pred) {
             sum += self.txn(s).sum_int(table, pred, col)?;
         }
         Ok(sum)
@@ -1496,13 +1545,13 @@ impl<'r> DistTxn<'r> {
 
     /// Count rows matching `pred`.
     pub fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
-        self.router.metrics.inc("shard.router.ops");
+        self.router.counters.ops.inc();
         let route = self.route(table)?;
         if route.spec == RoutingSpec::Global {
             return self.txn(0).count(table, pred);
         }
         let mut n = 0usize;
-        for s in self.pruned_shards(&route, pred) {
+        for s in self.pruned_shards(route, pred) {
             n += self.txn(s).count(table, pred)?;
         }
         Ok(n)
@@ -1563,7 +1612,7 @@ impl<'r> DistTxn<'r> {
             }
         };
         if dirty.len() <= 1 {
-            self.router.metrics.inc("shard.router.single_shard_commits");
+            self.router.counters.single_shard_commits.inc();
             let mut dirs = self.router.dirs.lock().unwrap();
             for (s, txn) in txns
                 .into_iter()
@@ -1579,7 +1628,7 @@ impl<'r> DistTxn<'r> {
             publish(&mut dirs);
             return Ok(());
         }
-        self.router.metrics.inc("shard.router.cross_shard_commits");
+        self.router.counters.cross_shard_commits.inc();
         let gtid = self.router.coordinator.begin();
         let mut held: Vec<(usize, AnyTxn)> = Vec::new();
         let mut prepared = true;

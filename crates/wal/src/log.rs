@@ -149,6 +149,28 @@ impl Segments {
     }
 }
 
+/// Handles on the metrics the log records per commit and per flush.
+struct WalCounters {
+    commits: obs::Counter,
+    flushes: obs::Counter,
+    fsyncs: obs::Counter,
+    flush_bytes: obs::HistogramHandle,
+    batch_commits: obs::HistogramHandle,
+}
+
+impl WalCounters {
+    fn new(metrics: &Registry) -> Self {
+        WalCounters {
+            commits: metrics.counter_handle("wal.commits"),
+            flushes: metrics.counter_handle("wal.flushes"),
+            fsyncs: metrics.counter_handle("wal.fsyncs"),
+            flush_bytes: metrics.histogram_handle("wal.flush.bytes", obs::buckets::BYTES),
+            batch_commits: metrics
+                .histogram_handle("wal.commit.batch_commits", obs::buckets::COUNT),
+        }
+    }
+}
+
 /// A durable write-ahead log bound to one segment directory.
 ///
 /// Implements [`WalSink`], so an `Arc<Wal>` can be installed on an
@@ -157,6 +179,7 @@ impl Segments {
 /// open-recover-attach flow.
 pub struct Wal {
     path: PathBuf,
+    counters: WalCounters,
     opts: WalOptions,
     state: Mutex<LogState>,
     file: Mutex<Segments>,
@@ -227,6 +250,7 @@ impl Wal {
     fn build(path: &Path, opts: WalOptions, durable_lsn: u64, sink: Segments) -> Arc<Wal> {
         Arc::new(Wal {
             path: path.to_owned(),
+            counters: WalCounters::new(&opts.metrics),
             opts,
             state: Mutex::new(LogState {
                 buf: Vec::new(),
@@ -315,7 +339,7 @@ impl Wal {
         seg.active_len += chunk.len() as u64;
         if self.opts.sync_data {
             seg.active.sync_data()?;
-            self.opts.metrics.inc("wal.fsyncs");
+            self.counters.fsyncs.inc();
         }
         if let Some(d) = self.opts.simulated_disk_latency {
             std::thread::sleep(d);
@@ -400,16 +424,10 @@ impl Wal {
     /// a checkpoint or explicit flush with no commits aboard — is not a
     /// batch and is skipped).
     fn record_flush(&self, bytes: u64, batch_commits: u64) {
-        self.opts.metrics.inc("wal.flushes");
-        self.opts
-            .metrics
-            .observe_with("wal.flush.bytes", obs::buckets::BYTES, bytes);
+        self.counters.flushes.inc();
+        self.counters.flush_bytes.observe(bytes);
         if batch_commits > 0 {
-            self.opts.metrics.observe_with(
-                "wal.commit.batch_commits",
-                obs::buckets::COUNT,
-                batch_commits,
-            );
+            self.counters.batch_commits.observe(batch_commits);
         }
     }
 
@@ -654,7 +672,7 @@ impl WalSink for Wal {
             self.append(&mut st, &WalRecord::Commit { txn })?;
             st.stats.commits += 1;
             st.pending_commits += 1;
-            self.opts.metrics.inc("wal.commits");
+            self.counters.commits.inc();
             st.end_lsn
         };
         self.wait_durable(target)?;
