@@ -1,10 +1,56 @@
 //! Criterion benches for the broadcast simulator (experiment E2/E3's
-//! microbenchmark companion): how fast the simulation itself runs, and
-//! the adaptive controller's planning cost.
+//! microbenchmark companion): how fast the simulation itself runs, its
+//! event queue against the binary-heap baseline, and the adaptive
+//! controller's planning cost.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use netsim::{LinkSpec, SimTime};
+use netsim::{EventQueue, LinkSpec, QueueKind, SimTime};
 use wdoc_dist::{broadcast_uniform, predict_completion, star_uniform, AdaptiveController};
+
+/// `pending` events at pseudo-random times within the wheel's first
+/// level, the same prefill for either queue kind.
+fn prefilled(kind: QueueKind, pending: u64) -> EventQueue<u64> {
+    let mut q = EventQueue::with_kind(kind);
+    let mut x = 0x243F_6A88_85A3_08D3u64;
+    for i in 0..pending {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        q.push(SimTime::from_micros(x % (1 << 20)), i);
+    }
+    q
+}
+
+/// The simulator's steady state: pop the minimum, schedule a
+/// near-future successor. Returns a checksum of the popped stream.
+fn hold(q: &mut EventQueue<u64>, ops: u64) -> u64 {
+    let mut sum = 0u64;
+    for _ in 0..ops {
+        let (at, item) = q.pop().expect("steady-state queue never empties");
+        let t = at.as_micros();
+        sum = sum
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(t ^ item);
+        let delta = 1 + (t.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(item) % 4_000);
+        q.push(SimTime::from_micros(t + delta), item);
+    }
+    sum
+}
+
+/// The timing wheel against the binary heap it replaced, on the hold
+/// workload (`queue_equiv` proves both pop the identical stream).
+fn bench_event_queue(c: &mut Criterion) {
+    let mut g = c.benchmark_group("event_queue_hold_10k");
+    for pending in [1_000u64, 100_000] {
+        for (name, kind) in [("wheel", QueueKind::Wheel), ("heap", QueueKind::Heap)] {
+            let mut q = prefilled(kind, pending);
+            g.bench_function(&format!("{name}/{pending}"), |b| {
+                b.iter(|| hold(&mut q, black_box(10_000)));
+            });
+        }
+    }
+    g.finish();
+}
 
 fn bench_broadcast_sim(c: &mut Criterion) {
     let link = LinkSpec::new(1_000_000, SimTime::from_millis(20));
@@ -46,6 +92,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_broadcast_sim, bench_adaptive
+    targets = bench_broadcast_sim, bench_event_queue, bench_adaptive
 }
 criterion_main!(benches);

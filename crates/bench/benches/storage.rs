@@ -1,10 +1,12 @@
 //! Criterion benches for the storage substrates: relstore point
-//! operations, index vs scan selection, and BLOB store throughput
-//! (experiment E4/E8's microbenchmark companion).
+//! operations, index vs scan selection, the raw full-scan path against
+//! decoding every row, and BLOB store throughput (experiment E4/E8's
+//! microbenchmark companion).
 
 use blobstore::{BlobStore, MediaKind};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use relstore::{ColumnType, Database, Predicate, TableSchema, Value};
+use relstore::pagestore::page;
+use relstore::{ColumnType, Database, Predicate, Table, TableSchema, Value};
 
 fn seeded_db(rows: i64) -> Database {
     let db = Database::new();
@@ -70,6 +72,62 @@ fn bench_relstore(c: &mut Criterion) {
     g.finish();
 }
 
+/// A full-table scan two ways: the compiled predicate over encoded rows
+/// (decode on match only, what `Txn::select` runs) against decoding
+/// every row and evaluating it (`scan_equiv` proves both keep the same
+/// rows).
+fn bench_scan(c: &mut Criterion) {
+    let schema = TableSchema::builder("doc")
+        .column("id", ColumnType::Int)
+        .column("cat", ColumnType::Int)
+        .column("title", ColumnType::Text)
+        .nullable_column("score", ColumnType::Int)
+        .primary_key(&["id"])
+        .build()
+        .unwrap();
+    let mut t = Table::new(schema).unwrap();
+    for i in 0..10_000i64 {
+        let score = if i % 7 == 0 {
+            Value::Null
+        } else {
+            Value::Int(i % 1_000)
+        };
+        t.insert(vec![
+            Value::Int(i),
+            Value::Int(i % 97),
+            Value::from(format!("course document {i:>8} — lecture notes")),
+            score,
+        ])
+        .unwrap();
+    }
+    let pred = Predicate::eq("cat", 7i64).and(Predicate::Contains("title".into(), "notes".into()));
+    let compiled = pred.compile(t.schema()).unwrap();
+
+    let mut g = c.benchmark_group("scan_10k_rows");
+    g.bench_function("raw", |b| {
+        let mut scratch = page::RowScratch::default();
+        b.iter(|| {
+            let mut hits = Vec::new();
+            t.scan_encoded(|id, bytes| {
+                if compiled.matches_raw(bytes, &mut scratch)? {
+                    hits.push((id, page::decode_row(bytes)?));
+                }
+                Ok(())
+            })
+            .unwrap();
+            hits
+        });
+    });
+    g.bench_function("decode_all", |b| {
+        b.iter(|| {
+            t.iter()
+                .filter(|(_, row)| compiled.eval(row))
+                .collect::<Vec<_>>()
+        });
+    });
+    g.finish();
+}
+
 fn bench_blobstore(c: &mut Criterion) {
     let mut g = c.benchmark_group("blobstore");
     let payload = vec![7u8; 64 * 1024];
@@ -106,6 +164,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_relstore, bench_blobstore
+    targets = bench_relstore, bench_scan, bench_blobstore
 }
 criterion_main!(benches);

@@ -1,98 +1,17 @@
 //! Tiny reporting helpers: every experiment binary prints both a
 //! human-readable table and one JSON object per row (machine-readable,
-//! so EXPERIMENTS.md numbers can be regenerated and diffed).
-//!
-//! Throughput experiments (E17) additionally need *wall-clock* numbers
-//! — the one place in this codebase where real time is allowed to
-//! matter. [`wall_clock`] runs a closure repeatedly, discards warmup
-//! iterations, and reports the median so a single scheduler hiccup
-//! cannot fake (or hide) a speedup; [`write_json_file`] lands the
-//! collected document where CI and EXPERIMENTS.md expect it.
+//! so EXPERIMENTS.md numbers can be regenerated and diffed);
+//! [`write_json_file`] lands a collected document where CI and
+//! EXPERIMENTS.md expect it.
 
-use obs::Snapshot;
 use serde::Serialize;
 use std::path::Path;
-use std::time::Instant;
 
 /// Print one experiment row as JSON on stdout, prefixed so tables and
 /// JSON can be separated with grep.
 pub fn emit<T: Serialize>(experiment: &str, row: &T) {
     let json = serde_json::to_string(row).expect("row serializes");
     println!("JSON {experiment} {json}");
-}
-
-/// Print an [`obs`] metrics snapshot as one JSON line, using the same
-/// `JSON <experiment> <object>` framing as [`emit`]. The snapshot's own
-/// deterministic encoder is used (sorted keys, integers only), so
-/// same-seed runs emit byte-identical lines.
-pub fn emit_metrics(experiment: &str, snapshot: &Snapshot) {
-    println!("JSON {experiment} {}", snapshot.to_json());
-}
-
-/// Print an [`obs`] metrics snapshot as an indented human-readable
-/// table under the given heading.
-pub fn print_metrics(heading: &str, snapshot: &Snapshot) {
-    println!("{heading}");
-    for line in snapshot.to_text().lines() {
-        println!("  {line}");
-    }
-}
-
-/// The wall-clock summary of one measured workload: the median of
-/// `runs` timed executions after `warmup` discarded ones, plus the
-/// spread. Produced by [`wall_clock`].
-#[derive(Debug, Clone, Serialize)]
-pub struct WallClock {
-    /// Discarded warmup executions before timing started.
-    pub warmup: u32,
-    /// Timed executions the summary is drawn from.
-    pub runs: u32,
-    /// Median timed duration, nanoseconds.
-    pub median_ns: u64,
-    /// Fastest timed duration, nanoseconds.
-    pub min_ns: u64,
-    /// Slowest timed duration, nanoseconds.
-    pub max_ns: u64,
-}
-
-impl WallClock {
-    /// Median duration in seconds.
-    #[must_use]
-    pub fn median_secs(&self) -> f64 {
-        self.median_ns as f64 / 1e9
-    }
-
-    /// Items per second at the median duration.
-    #[must_use]
-    pub fn throughput(&self, items: u64) -> f64 {
-        items as f64 / self.median_secs().max(1e-12)
-    }
-}
-
-/// Time `f` `warmup + runs` times and summarize the timed runs
-/// (median/min/max). The default experiment shape is `wall_clock(1, 5,
-/// ..)`: one warmup to fill caches and touch lazily-allocated state,
-/// then median-of-5 so outliers from the host machine do not land in
-/// the report.
-pub fn wall_clock(warmup: u32, runs: u32, mut f: impl FnMut()) -> WallClock {
-    assert!(runs > 0, "need at least one timed run");
-    let mut samples = Vec::with_capacity(runs as usize);
-    for i in 0..warmup + runs {
-        let t0 = Instant::now();
-        f();
-        let dt = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if i >= warmup {
-            samples.push(dt);
-        }
-    }
-    samples.sort_unstable();
-    WallClock {
-        warmup,
-        runs,
-        median_ns: samples[samples.len() / 2],
-        min_ns: samples[0],
-        max_ns: *samples.last().expect("runs > 0"),
-    }
 }
 
 /// Write `doc` to `path` as pretty-printed JSON with a trailing
@@ -175,12 +94,6 @@ impl Series {
         self.points.push((x, y));
     }
 
-    /// The collected points.
-    #[must_use]
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
     /// Render the y-values as a unicode sparkline — a one-line shape
     /// check printed under each experiment table.
     #[must_use]
@@ -260,12 +173,5 @@ mod tests {
         assert_eq!(stripped, compact);
         assert!(p.contains("\n  \"a\": [\n"));
         assert!(p.contains(r#"br{ace,s} and \"quo:tes\""#));
-    }
-
-    #[test]
-    fn points_accessible() {
-        let mut s = Series::new();
-        s.push(1.0, 2.0);
-        assert_eq!(s.points(), &[(1.0, 2.0)]);
     }
 }

@@ -51,6 +51,98 @@ fn apply(store: &LogStore, ops: &[Op], seq: &mut u64) {
     }
 }
 
+/// Compaction economy under churn: 48 keys of ~120 bytes overwritten
+/// `churn` times (then every 4th key removed and every 8th rewritten)
+/// on an append-only store and on the auto-compacting one, 2 KiB
+/// segments. The stores agree key for key; from churn 4 on, the
+/// compacted one needs at most half the disk, its advantage grows with
+/// churn, and its footprint follows the live set, not the history.
+#[test]
+fn compaction_bounds_disk_by_the_live_set() {
+    const SEG: u64 = 2048;
+    let tape = |store: &LogStore, churn: u64| {
+        let val = "x".repeat(120);
+        for g in 0..churn {
+            for k in 0..48 {
+                let v = format!("g{g}-{val}");
+                store
+                    .put(format!("doc/{k:05}").as_bytes(), v.as_bytes())
+                    .unwrap();
+            }
+        }
+        for k in (0..48).step_by(4) {
+            store.remove(format!("doc/{k:05}").as_bytes()).unwrap();
+        }
+        for k in (0..48).step_by(8) {
+            let v = format!("re-{}", "y".repeat(120));
+            store
+                .put(format!("doc/{k:05}").as_bytes(), v.as_bytes())
+                .unwrap();
+        }
+    };
+    let open = |auto_compact| {
+        let cfg = LogConfig {
+            segment_bytes: SEG,
+            auto_compact,
+            ..LogConfig::default()
+        };
+        let dir = scratch();
+        (LogStore::open(&dir, cfg).unwrap(), dir)
+    };
+    // (churn, appended, live, raw disk, compacted disk, raw segments,
+    // compacted segments, merges, reclaimed).
+    let cells = [
+        (1, 8_622, 6_426, 8_702, 8_702, 5, 5, 0, 0),
+        (4, 30_654, 6_426, 30_894, 6_490, 15, 4, 4, 67_327),
+        (8, 60_030, 6_426, 60_494, 9_636, 29, 6, 8, 140_990),
+    ];
+    let mut last_reduction = 0.0;
+    for (churn, appended, live, raw_disk, disk, raw_segs, segs, merges, reclaimed) in cells {
+        let ((raw, raw_dir), (merged, merged_dir)) = (open(false), open(true));
+        tape(&raw, churn);
+        tape(&merged, churn);
+        merged.maybe_merge().unwrap();
+        let contents = |s: &LogStore| s.entries().unwrap().into_iter().collect::<BTreeMap<_, _>>();
+        assert!(
+            contents(&raw) == contents(&merged),
+            "churn {churn}: compaction changed a lookup"
+        );
+        let (a, b) = (raw.stats(), merged.stats());
+        assert_eq!(
+            (a.appended_bytes, a.live_bytes, a.disk_bytes, a.segments),
+            (appended, live, raw_disk, raw_segs),
+            "churn {churn}: append-only store"
+        );
+        assert_eq!(
+            (
+                b.live_bytes,
+                b.disk_bytes,
+                b.segments,
+                b.merges,
+                b.reclaimed_bytes
+            ),
+            (live, disk, segs, merges, reclaimed),
+            "churn {churn}: compacting store"
+        );
+        if churn >= 4 {
+            assert!(
+                2 * disk <= raw_disk,
+                "churn {churn}: less than 2x reclaimed"
+            );
+        }
+        let reduction = raw_disk as f64 / disk as f64;
+        assert!(reduction >= last_reduction, "reduction shrank with churn");
+        last_reduction = reduction;
+        assert!(
+            disk <= 2 * live + 2 * SEG,
+            "churn {churn}: disk unmoored from the live set"
+        );
+        drop((raw, merged));
+        let _ = std::fs::remove_dir_all(raw_dir);
+        let _ = std::fs::remove_dir_all(merged_dir);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -18,8 +18,9 @@
 //! detaching them.
 //!
 //! A registry created with [`Registry::disabled`] turns every
-//! operation into a cheap early return; the `e15_observability`
-//! experiment uses it to measure what instrumentation costs.
+//! operation into a cheap early return; the benchmark's
+//! `obs.registry_overhead_ratio` uses it to measure what
+//! instrumentation costs.
 
 use crate::buckets;
 use crate::handle::{Counter, CounterCells, HistCells, HistogramHandle};

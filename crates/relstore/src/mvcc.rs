@@ -772,12 +772,6 @@ impl MvccTxn {
         self.id
     }
 
-    /// The snapshot timestamp this transaction reads at.
-    #[must_use]
-    pub fn snapshot_ts(&self) -> u64 {
-        self.snap
-    }
-
     fn check_open(&self) -> Result<()> {
         if self.state.lock().closed {
             Err(Error::TxnClosed)

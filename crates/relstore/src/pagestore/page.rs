@@ -388,26 +388,6 @@ impl RowScratch {
     }
 }
 
-/// Decode the single field `fr` (obtained from [`RowScratch::load`]
-/// over the same `bytes`) into an owned [`Value`].
-pub fn decode_field(bytes: &[u8], fr: FieldRef) -> Result<Value> {
-    let payload = &bytes[fr.start..fr.end];
-    Ok(match fr.tag {
-        TAG_NULL => Value::Null,
-        TAG_BOOL => Value::Bool(payload[0] != 0),
-        TAG_INT => Value::Int(i64::from_le_bytes(payload.try_into().unwrap())),
-        TAG_FLOAT => Value::Float(f64::from_le_bytes(payload.try_into().unwrap())),
-        TAG_TEXT => Value::Text(
-            std::str::from_utf8(payload)
-                .map_err(|_| Error::Page("row image holds invalid UTF-8".into()))?
-                .to_owned(),
-        ),
-        TAG_BYTES => Value::Bytes(payload.to_vec()),
-        TAG_TIMESTAMP => Value::Timestamp(u64::from_le_bytes(payload.try_into().unwrap())),
-        tag => return Err(Error::Page(format!("unknown value tag {tag}"))),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

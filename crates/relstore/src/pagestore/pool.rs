@@ -490,18 +490,6 @@ impl BufferPool {
         }
     }
 
-    /// Cumulative bytes the backend has ever been asked to store.
-    #[must_use]
-    pub fn store_bytes_written(&self) -> u64 {
-        self.store.bytes_written()
-    }
-
-    /// Bytes currently held by the backend.
-    #[must_use]
-    pub fn store_bytes_stored(&self) -> u64 {
-        self.store.bytes_stored()
-    }
-
     /// Pages currently held by the backend.
     #[must_use]
     pub fn store_page_count(&self) -> usize {
@@ -996,12 +984,6 @@ mod tests {
         }
         fn page_count(&self) -> usize {
             self.inner.page_count()
-        }
-        fn bytes_stored(&self) -> u64 {
-            self.inner.bytes_stored()
-        }
-        fn bytes_written(&self) -> u64 {
-            self.inner.bytes_written()
         }
     }
 

@@ -9,12 +9,14 @@
 //! [`super::pool`]) is still enforced so the on-disk state never runs
 //! ahead of the log, which the crash-point suite asserts.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 use std::sync::Mutex;
 
 use crate::error::{Error, Result};
+
+const POISONED: &str = "a panic while updating the page set leaves it suspect";
 
 /// Identifies one page within a [`PageStore`]. Allocated densely by the
 /// buffer pool, never reused within a process.
@@ -41,10 +43,6 @@ pub trait PageStore: Send + Sync + fmt::Debug {
     fn free(&self, id: PageId);
     /// Pages currently held by the store.
     fn page_count(&self) -> usize;
-    /// Bytes currently held by the store.
-    fn bytes_stored(&self) -> u64;
-    /// Cumulative bytes ever written to the store (writeback volume).
-    fn bytes_written(&self) -> u64;
     /// Reclaim dead space, if the backend supports it. Returns bytes
     /// reclaimed; the default (the memory backend) is a no-op.
     fn compact(&self) -> Result<u64> {
@@ -57,53 +55,33 @@ pub trait PageStore: Send + Sync + fmt::Debug {
 /// nothing is ever evicted into it, so it usually stays empty.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    inner: Mutex<MemInner>,
-}
-
-#[derive(Debug, Default)]
-struct MemInner {
-    pages: BTreeMap<PageId, Vec<u8>>,
-    bytes_stored: u64,
-    bytes_written: u64,
+    pages: Mutex<BTreeMap<PageId, Vec<u8>>>,
 }
 
 impl PageStore for MemStore {
     fn load(&self, id: PageId) -> Result<Vec<u8>> {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .pages
+        self.pages
+            .lock()
+            .expect(POISONED)
             .get(&id)
             .cloned()
             .ok_or_else(|| Error::Page(format!("{id} missing from memory store")))
     }
 
     fn save(&self, id: PageId, bytes: &[u8]) -> Result<()> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(old) = inner.pages.insert(id, bytes.to_vec()) {
-            inner.bytes_stored -= old.len() as u64;
-        }
-        inner.bytes_stored += bytes.len() as u64;
-        inner.bytes_written += bytes.len() as u64;
+        self.pages
+            .lock()
+            .expect(POISONED)
+            .insert(id, bytes.to_vec());
         Ok(())
     }
 
     fn free(&self, id: PageId) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(old) = inner.pages.remove(&id) {
-            inner.bytes_stored -= old.len() as u64;
-        }
+        self.pages.lock().expect(POISONED).remove(&id);
     }
 
     fn page_count(&self) -> usize {
-        self.inner.lock().unwrap().pages.len()
-    }
-
-    fn bytes_stored(&self) -> u64 {
-        self.inner.lock().unwrap().bytes_stored
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.inner.lock().unwrap().bytes_written
+        self.pages.lock().expect(POISONED).len()
     }
 }
 
@@ -115,17 +93,8 @@ impl PageStore for MemStore {
 /// self-compacts by policy as segments seal.
 pub struct LogPageStore {
     store: logstore::LogStore,
-    inner: Mutex<LogPageInner>,
-}
-
-#[derive(Default)]
-struct LogPageInner {
-    /// Live logical length per page (the store's own accounting
-    /// includes framing; the trait reports payload bytes like the
-    /// other backends).
-    lens: BTreeMap<PageId, u32>,
-    bytes_stored: u64,
-    bytes_written: u64,
+    /// Pages the store holds a live image of.
+    pages: Mutex<BTreeSet<PageId>>,
 }
 
 impl fmt::Debug for LogPageStore {
@@ -152,19 +121,17 @@ impl LogPageStore {
         metrics: obs::Registry,
     ) -> Result<LogPageStore> {
         let store = logstore::LogStore::open_with_metrics(dir, cfg, metrics).map_err(log_err)?;
-        let mut inner = LogPageInner::default();
         // A reopened spill may carry pages from a previous process.
-        for (k, v) in store.entries().map_err(log_err)? {
-            if let Ok(key) = <[u8; 8]>::try_from(k.as_slice()) {
-                inner
-                    .lens
-                    .insert(PageId(u64::from_be_bytes(key)), v.len() as u32);
-                inner.bytes_stored += v.len() as u64;
-            }
-        }
+        let pages = store
+            .entries()
+            .map_err(log_err)?
+            .into_iter()
+            .filter_map(|(k, _)| <[u8; 8]>::try_from(k.as_slice()).ok())
+            .map(|key| PageId(u64::from_be_bytes(key)))
+            .collect();
         Ok(LogPageStore {
             store,
-            inner: Mutex::new(inner),
+            pages: Mutex::new(pages),
         })
     }
 
@@ -185,12 +152,7 @@ impl PageStore for LogPageStore {
 
     fn save(&self, id: PageId, bytes: &[u8]) -> Result<()> {
         self.store.put(&page_key(id), bytes).map_err(log_err)?;
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(old) = inner.lens.insert(id, bytes.len() as u32) {
-            inner.bytes_stored -= u64::from(old);
-        }
-        inner.bytes_stored += bytes.len() as u64;
-        inner.bytes_written += bytes.len() as u64;
+        self.pages.lock().expect(POISONED).insert(id);
         Ok(())
     }
 
@@ -198,22 +160,11 @@ impl PageStore for LogPageStore {
         // A failed tombstone append leaves the page behind — harmless
         // for a cache spill (it is dead weight the next merge drops).
         let _ = self.store.remove(&page_key(id));
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(old) = inner.lens.remove(&id) {
-            inner.bytes_stored -= u64::from(old);
-        }
+        self.pages.lock().expect(POISONED).remove(&id);
     }
 
     fn page_count(&self) -> usize {
-        self.inner.lock().unwrap().lens.len()
-    }
-
-    fn bytes_stored(&self) -> u64 {
-        self.inner.lock().unwrap().bytes_stored
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.inner.lock().unwrap().bytes_written
+        self.pages.lock().expect(POISONED).len()
     }
 
     fn compact(&self) -> Result<u64> {
@@ -234,18 +185,15 @@ mod tests {
         assert_eq!(store.load(a).unwrap(), b"aaaa");
         assert_eq!(store.load(b).unwrap(), b"bbbbbbbb");
         assert_eq!(store.page_count(), 2);
-        assert_eq!(store.bytes_stored(), 12);
         // Shrink in place, then grow.
         store.save(a, b"aa").unwrap();
         assert_eq!(store.load(a).unwrap(), b"aa");
         store.save(a, b"aaaaaaaaaaaaaaaa").unwrap();
         assert_eq!(store.load(a).unwrap(), b"aaaaaaaaaaaaaaaa");
-        assert_eq!(store.bytes_stored(), 24);
-        assert_eq!(store.bytes_written(), 4 + 8 + 2 + 16);
+        assert_eq!(store.page_count(), 2);
         store.free(a);
         assert!(store.load(a).is_err());
         assert_eq!(store.page_count(), 1);
-        assert_eq!(store.bytes_stored(), 8);
     }
 
     #[test]
@@ -293,7 +241,7 @@ mod tests {
         for p in 0..4u64 {
             assert_eq!(store.load(PageId(p)).unwrap()[0], 49);
         }
-        // Reopen: directory (and the trait's accounting) survives.
+        // Reopen: the directory survives.
         drop(store);
         let store = LogPageStore::open(
             &dir,
@@ -302,7 +250,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(store.page_count(), 4);
-        assert_eq!(store.bytes_stored(), 800);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -136,12 +136,6 @@ impl Index {
     pub fn is_unique(&self) -> bool {
         self.def.unique
     }
-
-    /// Number of distinct keys (diagnostics).
-    #[must_use]
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// Physical address of a row image: which page, which slot.
@@ -488,12 +482,6 @@ impl Table {
         self.heap.heap_bytes
     }
 
-    /// Pages currently owned by this table's heap.
-    #[must_use]
-    pub fn heap_pages(&self) -> usize {
-        self.heap.pages.len()
-    }
-
     /// Insert a validated row, enforcing uniqueness; returns the new id.
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
         self.schema.check_row(&row)?;
@@ -656,12 +644,6 @@ impl Table {
     #[must_use]
     pub fn indexes(&self) -> &[Index] {
         &self.indexes
-    }
-
-    /// Row ids matching `key` on the primary index.
-    #[must_use]
-    pub fn lookup_primary(&self, key: &Key) -> Vec<RowId> {
-        self.indexes[0].get(key)
     }
 }
 

@@ -716,22 +716,6 @@ pub fn run_tape<A: TapeTarget, B: TapeTarget>(
     Ok(())
 }
 
-/// Apply one scripted op to a transaction — the building block for the
-/// deterministic anomaly scripts in the test tree. `Err` outcomes are
-/// returned, not panicked, so scripts can assert on them.
-pub fn txn_insert(t: &AnyTxn, table: &str, id: i64, extra: i64) -> Result<RowId> {
-    let row = match table {
-        "parent" => vec![
-            Value::Int(id),
-            Value::from(format!("p{id}")),
-            Value::from(format!("t{extra}")),
-        ],
-        "child" => vec![Value::Int(id), Value::Int(extra), Value::Int(0)],
-        _ => vec![Value::Int(id), Value::Int(extra), Value::Int(1)],
-    };
-    t.insert(table, row)
-}
-
 /// The [`DocBackend`] contract, asserted on one fresh in-memory backend
 /// (it creates its own `people` table). Every implementor runs this:
 /// commit on `Ok` and read back; `Err` from the closure rolls back —

@@ -78,14 +78,6 @@ impl RowOp<'_> {
             | RowOp::Delete { table, .. } => table,
         }
     }
-
-    /// The row id this operation touches.
-    #[must_use]
-    pub fn row_id(&self) -> RowId {
-        match self {
-            RowOp::Insert { id, .. } | RowOp::Update { id, .. } | RowOp::Delete { id, .. } => *id,
-        }
-    }
 }
 
 /// Receiver for the engine's logical mutation stream (see module docs

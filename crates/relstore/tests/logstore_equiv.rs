@@ -75,6 +75,116 @@ fn snapshot_json(db: &Database) -> String {
     serde_json::to_string(&db.snapshot().unwrap()).unwrap()
 }
 
+/// The buffer economy at five pool budgets: 400 rows of ~120 bytes (a
+/// 15-page working set), then 400 seeded point reads (80 %) and
+/// updates by primary key, on log-spilling pools of 1, 5, 25, 50 and
+/// 100 % of the working set and on the unbounded pool as the oracle.
+/// Answers never depend on the budget; the hit rate rises with it,
+/// resident memory stays inside it, and a budget covering the working
+/// set reproduces the oracle's counters exactly.
+#[test]
+fn pool_budget_sweep_counts() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    const PAGE: usize = 4096;
+    // (reads, bytes read, heap bytes, snapshot) — what every cell must
+    // answer identically.
+    let workload = |db: &Database| {
+        db.create_table(
+            TableSchema::builder("doc")
+                .column("id", ColumnType::Int)
+                .column("body", ColumnType::Text)
+                .primary_key(&["id"])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let t = db.begin();
+        for i in 0..400i64 {
+            t.insert("doc", vec![Value::Int(i), Value::from(format!("{i:<120}"))])
+                .unwrap();
+        }
+        t.commit().unwrap();
+        let mut rng = StdRng::seed_from_u64(16);
+        let (mut reads, mut read_bytes) = (0u64, 0usize);
+        for op in 0..400u64 {
+            let id = rng.gen_range(0..400i64);
+            let t = db.begin();
+            let rows = t.select("doc", &Predicate::eq("id", id)).unwrap();
+            if rng.gen_bool(0.8) {
+                reads += 1;
+                read_bytes += rows[0].1[1].as_text().unwrap().len();
+            } else {
+                t.update_cols(
+                    "doc",
+                    rows[0].0,
+                    &[("body", Value::from(format!("{op:<120}")))],
+                )
+                .unwrap();
+            }
+            t.commit().unwrap();
+        }
+        (
+            reads,
+            read_bytes,
+            db.heap_bytes("doc").unwrap(),
+            snapshot_json(db),
+        )
+    };
+
+    let oracle_db = Database::new();
+    let oracle = workload(&oracle_db);
+    let o = oracle_db.pool().stats();
+    assert_eq!(
+        (o.resident_pages, o.hits, o.misses, o.resident_peak),
+        (15, 1398, 0, 61_440)
+    );
+
+    // (pool %, pages, hits, misses, evictions, writeback bytes, peak).
+    let cells = [
+        (1, 1, 703, 695, 709, 774_144, 4096),
+        (5, 1, 703, 695, 709, 774_144, 4096),
+        (25, 4, 993, 405, 416, 598_016, 16_384),
+        (50, 8, 1137, 261, 268, 442_368, 32_768),
+        (100, 15, 1398, 0, 0, 0, 61_440),
+    ];
+    let mut last_hits = 0;
+    for (pct, pages, hits, misses, evictions, writeback, peak) in cells {
+        let max_pages = (15 * pct as usize).div_ceil(100);
+        assert_eq!(max_pages, pages);
+        let dir = scratch();
+        let db = Database::with_pool(&PoolConfig {
+            page_size: PAGE,
+            ..PoolConfig::log(&dir, max_pages)
+        })
+        .unwrap();
+        assert!(workload(&db) == oracle, "{pct}% pool changed an answer");
+        let s = db.pool().stats();
+        assert_eq!(
+            (
+                s.hits,
+                s.misses,
+                s.evictions,
+                s.writeback_bytes,
+                s.resident_peak
+            ),
+            (hits, misses, evictions, writeback, peak),
+            "{pct}% pool"
+        );
+        assert!(s.resident_peak <= ((max_pages + 2) * PAGE) as u64);
+        assert!(hits >= last_hits, "hit rate falls as the budget grows");
+        last_hits = hits;
+        if pct == 100 {
+            // The full budget is the unbounded pool, counter for counter.
+            assert_eq!(
+                (s.hits, s.misses, s.resident_peak),
+                (o.hits, o.misses, o.resident_peak)
+            );
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

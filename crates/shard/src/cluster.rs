@@ -263,9 +263,6 @@ pub struct SimCluster {
     stations: BTreeMap<StationId, Station>,
     next_gtid: Gtid,
     metrics: Registry,
-    /// Per-transaction (submitted, decided) sim times — the E19
-    /// sweep's latency axis.
-    timings: BTreeMap<Gtid, (SimTime, Option<SimTime>)>,
 }
 
 impl SimCluster {
@@ -287,7 +284,6 @@ impl SimCluster {
             stations,
             next_gtid: 1,
             metrics,
-            timings: BTreeMap::new(),
         }
     }
 
@@ -333,30 +329,9 @@ impl SimCluster {
         self.next_gtid += 1;
         let coord = self.primaries[lowest];
         let at = self.net.now();
-        self.timings.insert(gtid, (at, None));
         self.net
             .schedule(coord, at, ShardMsg::Begin { gtid, writes });
         gtid
-    }
-
-    /// Submit-to-decision latency of `gtid` in simulated time, once a
-    /// coordinator has reached its commit point (either way).
-    #[must_use]
-    pub fn latency_of(&self, gtid: Gtid) -> Option<SimTime> {
-        let (submitted, decided) = self.timings.get(&gtid)?;
-        decided.map(|d| SimTime(d.0.saturating_sub(submitted.0)))
-    }
-
-    /// When the last decided transaction reached its commit point.
-    #[must_use]
-    pub fn last_decision_at(&self) -> Option<SimTime> {
-        self.timings.values().filter_map(|(_, d)| *d).max()
-    }
-
-    /// How many submitted transactions have reached a decision.
-    #[must_use]
-    pub fn decided_count(&self) -> usize {
-        self.timings.values().filter(|(_, d)| d.is_some()).count()
     }
 
     /// Run the protocol until `deadline` (exclusive of later events).
@@ -365,9 +340,8 @@ impl SimCluster {
         let primaries = &mut self.primaries;
         let map = &self.map;
         let metrics = &self.metrics;
-        let timings = &mut self.timings;
         self.net.run_until(deadline, |net, msg| {
-            Self::handle(stations, primaries, map, metrics, timings, net, msg);
+            Self::handle(stations, primaries, map, metrics, net, msg);
         });
     }
 
@@ -463,7 +437,6 @@ impl SimCluster {
         primaries: &mut [StationId],
         map: &ShardMap,
         metrics: &Registry,
-        timings: &mut BTreeMap<Gtid, (SimTime, Option<SimTime>)>,
         net: &mut Network<ShardMsg>,
         msg: Message<ShardMsg>,
     ) {
@@ -554,9 +527,6 @@ impl SimCluster {
                 // leaves: this is the commit point.
                 st.decisions.insert(gtid, commit);
                 st.log.push(LogEntry::Frame(frame));
-                if let Some(t) = timings.get_mut(&gtid) {
-                    t.1.get_or_insert(net.now());
-                }
                 let shards: Vec<usize> = st
                     .coord
                     .get(&gtid)
@@ -674,9 +644,6 @@ impl SimCluster {
                         st.log
                             .push(LogEntry::Frame(WalRecord::AbortDecision { gtid }));
                         metrics.inc("shard.2pc.aborts");
-                        if let Some(t) = timings.get_mut(&gtid) {
-                            t.1.get_or_insert(net.now());
-                        }
                     }
                 }
                 // Presumed abort: no durable commit decision means

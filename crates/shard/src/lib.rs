@@ -30,4 +30,4 @@ pub use cluster::{LogEntry, ShardMsg, SimCluster, Write};
 pub use map::{hash_bytes, Placement, ShardMap};
 pub use router::{CommitStage, DistTxn, Router, RoutingSpec, ShardNode, TableRoute};
 pub use twopc::{Coordinator, Decision, Gtid, InDoubt};
-pub use wdoc::{committed_fingerprint, routing_spec_for, ShardedBackend};
+pub use wdoc::{routing_spec_for, ShardedBackend};

@@ -56,8 +56,8 @@
 //!   each participant's WAL, the coordinator's forced
 //!   `CommitDecision` is the commit point, and the participants'
 //!   ordinary `Commit` frames resolve them. With at most one dirty
-//!   shard the router commits directly (the single-shard fast path the
-//!   E19 sweep measures).
+//!   shard the router commits directly (the single-shard fast path,
+//!   counted by `shard.router.single_shard_commits`).
 
 use crate::map::ShardMap;
 use crate::twopc::{self, Coordinator};
@@ -1767,8 +1767,8 @@ impl DocTxn for DistTxn<'_> {
 
 /// The router plays the testkit's op tapes directly: this is what the
 /// sharded-vs-unsharded differential proof (`tests/router_equiv.rs`)
-/// and the E19 one-shard equivalence gate run on — the router's own
-/// semantics are the thing under test, so nothing is adapted here.
+/// runs on — the router's own semantics are the thing under test, so
+/// nothing is adapted here.
 impl relstore::testkit::TapeTarget for Router {
     type Txn<'a> = DistTxn<'a>;
     fn begin(&self) -> DistTxn<'_> {

@@ -27,7 +27,7 @@
 use crate::map::ShardMap;
 use crate::router::{Router, RoutingSpec};
 use obs::Registry;
-use relstore::{DocBackend, DocTxn, EngineKind, Result, RowId, TableSchema, Value};
+use relstore::{DocBackend, DocTxn, EngineKind, Result, TableSchema};
 use std::path::Path;
 use wdoc_core::tables::{
     self, Annotation, BugReport, HtmlFile, Implementation, ProgramFile, Script, TestRecord,
@@ -88,28 +88,6 @@ pub fn routing_spec_for(table: &str) -> Option<RoutingSpec> {
         .into_iter()
         .find(|(s, _)| s.name == table)
         .map(|(_, spec)| spec)
-}
-
-/// Sorted committed contents of every catalog table, as one canonical
-/// string — what the E19 one-shard gate compares byte-for-byte against
-/// the unsharded baseline. Row ids are included: the router must
-/// allocate the *same* ids the single engine does.
-pub fn committed_fingerprint<F>(mut select_all: F) -> String
-where
-    F: FnMut(&str) -> Vec<(RowId, Vec<Value>)>,
-{
-    let mut out = String::new();
-    for (schema, _) in catalog() {
-        out.push_str(&format!("== {} ==\n", schema.name));
-        for (id, row) in select_all(&schema.name) {
-            out.push_str(&format!("{}:", id.0));
-            for v in row {
-                out.push_str(&format!(" {v:?}"));
-            }
-            out.push('\n');
-        }
-    }
-    out
 }
 
 /// A [`Router`] behind [`wdoc_core::DocBackend`]: the storage facade

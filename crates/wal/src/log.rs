@@ -11,9 +11,9 @@
 //! writes it, syncs once, and wakes all waiters whose commit LSN is now
 //! durable. Committers arriving mid-flush append to the next batch and
 //! wait; N concurrent writers therefore share one fsync per batch
-//! instead of paying one each. (The per-commit-flush baseline the
-//! `e14_recovery` experiment measures against is this same path with
-//! committers serialised by the caller: one commit per flush.)
+//! instead of paying one each. (A per-commit-flush baseline is this
+//! same path with committers serialised by the caller: one commit per
+//! flush, as `tests/group_commit.rs` checks.)
 //!
 //! ## Checkpoints
 //!

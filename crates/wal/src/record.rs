@@ -115,7 +115,7 @@ pub enum WalRecord {
         /// last writeback. ARIES would use this to bound redo; here the
         /// snapshot already carries full state, so the table is
         /// informational — it records how far the pool lagged the log,
-        /// which the recovery report and E16 experiment surface.
+        /// which the recovery report surfaces.
         ///
         /// `default` so checkpoint records written before this field
         /// existed still decode (as an empty table) — the WAL frame

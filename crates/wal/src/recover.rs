@@ -36,8 +36,8 @@ use relstore::{AnyEngine, EngineKind, PoolConfig};
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
-/// What recovery found and did — reported for logging, tests and the
-/// E14 experiment.
+/// What recovery found and did — reported for logging and tests, and
+/// mirrored into the `wal.recover.*` counters.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Complete records scanned (whole log, including pre-checkpoint).

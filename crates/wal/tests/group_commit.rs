@@ -82,7 +82,7 @@ fn concurrent_commits_all_durable_and_flushes_shared() {
     std::fs::remove_dir_all(&path).unwrap();
 }
 
-/// The per-commit-flush baseline (what E14a measures group commit
+/// The per-commit-flush baseline (what E14a measured group commit
 /// against) is the same log with committers serialised by the caller:
 /// with at most one commit in flight, no flush can carry two.
 #[test]

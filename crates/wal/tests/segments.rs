@@ -210,6 +210,55 @@ fn pruned_prefix_without_checkpoint_is_refused() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Recovery work is bounded by the checkpoint interval, not by the
+/// history: 50 rows, then `txns` single-row updates with a checkpoint
+/// after every `every` of them. Every flush rolls a segment, so each
+/// checkpoint prunes all that precedes it and a reopen scans the last
+/// checkpoint plus three frames (begin, update, commit) per later
+/// transaction.
+#[test]
+fn recovery_scans_only_past_the_last_checkpoint() {
+    const ROWS: i64 = 50;
+    let run = |txns: i64, every: i64| {
+        let dir = temp_dir(&format!("bounded-{txns}-{every}"));
+        let (db, wal, _) = open_durable_any(&dir, opts(1)).unwrap();
+        make_table(&db);
+        let ids: Vec<_> = (0..ROWS)
+            .map(|i| {
+                db.with_txn(|t| t.insert("t", vec![Value::Int(i), Value::from("seed")]))
+                    .unwrap()
+            })
+            .collect();
+        for i in 0..txns {
+            let id = ids[(i % ROWS) as usize];
+            db.with_txn(|t| t.update_cols("t", id, &[("v", Value::from(format!("v{i}")))]))
+                .unwrap();
+            if every > 0 && (i + 1) % every == 0 {
+                wal.checkpoint_any(&db).unwrap();
+            }
+        }
+        drop((db, wal));
+        let metrics = obs::Registry::new();
+        let options = WalOptions {
+            metrics: metrics.clone(),
+            ..opts(1)
+        };
+        let (db, _wal, report) = open_durable_any(&dir, options).unwrap();
+        assert_eq!(db.row_count("t").unwrap(), ROWS as usize);
+        let scanned = metrics.counter("wal.recover.records_scanned");
+        assert_eq!(scanned, report.records_scanned as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
+        (scanned, report.redone_ops)
+    };
+    // Never checkpointed: the table, 110 transactions, all redone.
+    assert_eq!(run(60, 0), (331, 110));
+    assert_eq!(run(60, 16), (37, 12));
+    // 60 and 240 transactions both end 24 past a checkpoint: four
+    // times the history, the same recovery work.
+    assert_eq!(run(60, 36), (73, 24));
+    assert_eq!(run(240, 36), (73, 24));
+}
+
 /// The oracle: an in-memory engine that committed rows `0..rows`, one
 /// transaction each — or nothing at all when even the DDL was cut.
 fn oracle_json(table: bool, rows: i64) -> String {

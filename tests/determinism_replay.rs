@@ -323,3 +323,39 @@ fn healthy_broadcast_is_reproducible_across_registries() {
     };
     assert_eq!(run(), run());
 }
+
+/// The registry is a faithful witness of the E2 broadcast: for an 8 MB
+/// lecture over 1 MB/s, 20 ms links, `netsim.deliver.last_us` is the
+/// completion time, `netsim.deliver.bytes` the total bytes and
+/// `netsim.deliver.msgs` the arrival count — exactly, read from the
+/// metrics alone.
+#[test]
+fn broadcast_headline_numbers_fall_out_of_the_metrics() {
+    let link = LinkSpec::new(1_000_000, SimTime::from_millis(20));
+    // (stations, m, completion µs, total bytes)
+    for (n, m, completion_us, bytes) in [
+        (8, 2, 32_040_000, 56_000_000),
+        (8, 4, 32_040_000, 56_000_000),
+        (32, 2, 64_080_000, 248_000_000),
+        (32, 4, 64_040_000, 248_000_000),
+    ] {
+        let (mut net, ids) = Network::uniform(n, link);
+        let tree = BroadcastTree::new(ids, m);
+        let report = mmu_wdoc::dist::broadcast(&mut net, &tree, 8_000_000);
+        let snap = net.metrics().snapshot();
+        assert_eq!(
+            (
+                snap.gauge("netsim.deliver.last_us"),
+                snap.counter("netsim.deliver.bytes")
+            ),
+            (Some(completion_us), bytes),
+            "n={n} m={m}"
+        );
+        assert_eq!(report.completion.as_micros(), completion_us as u64);
+        assert_eq!(report.total_bytes, bytes);
+        assert_eq!(
+            snap.counter("netsim.deliver.msgs"),
+            report.arrivals.len() as u64
+        );
+    }
+}
