@@ -6,7 +6,7 @@
 use blobstore::{BlobStore, MediaKind};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use relstore::pagestore::page;
-use relstore::{ColumnType, Database, Predicate, Table, TableSchema, Value};
+use relstore::{ColumnType, Database, MvccDb, Predicate, Table, TableSchema, Value};
 
 fn seeded_db(rows: i64) -> Database {
     let db = Database::new();
@@ -75,7 +75,8 @@ fn bench_relstore(c: &mut Criterion) {
 /// A full-table scan two ways: the compiled predicate over encoded rows
 /// (decode on match only, what `Txn::select` runs) against decoding
 /// every row and evaluating it (`scan_equiv` proves both keep the same
-/// rows).
+/// rows). Beside them, the per-call cost of an MVCC point select on the
+/// same 10k rows, which reaches its row through the primary index.
 fn bench_scan(c: &mut Criterion) {
     let schema = TableSchema::builder("doc")
         .column("id", ColumnType::Int)
@@ -123,6 +124,24 @@ fn bench_scan(c: &mut Criterion) {
             t.iter()
                 .filter(|(_, row)| compiled.eval(row))
                 .collect::<Vec<_>>()
+        });
+    });
+    let mvcc = MvccDb::new();
+    mvcc.create_table(t.schema().clone()).unwrap();
+    let rows: Vec<_> = t.iter().map(|(_, row)| row).collect();
+    for chunk in rows.chunks(100) {
+        mvcc.with_txn(|txn| {
+            chunk
+                .iter()
+                .try_for_each(|row| txn.insert("doc", row.clone()).map(drop))
+        })
+        .unwrap();
+    }
+    let point = Predicate::eq("id", 5_000i64);
+    g.bench_function("mvcc_point_select", |b| {
+        b.iter(|| {
+            mvcc.with_txn(|txn| txn.select("doc", black_box(&point)))
+                .unwrap()
         });
     });
     g.finish();

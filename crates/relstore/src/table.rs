@@ -30,16 +30,38 @@ pub struct RowId(pub u64);
 /// A row is a vector of values, positionally matching the schema.
 pub type Row = Vec<Value>;
 
-/// One B-tree index over a table.
+/// One B-tree index over a table, the same type under both engines.
+/// The 2PL heap files each live row under its current key. The MVCC
+/// engine files each row under the key of every version it still
+/// retains, so a probe there is a superset that the caller checks
+/// against the version it can see (see [`crate::mvcc`]).
 #[derive(Debug, Clone)]
 pub struct Index {
     def: IndexDef,
     cols: Vec<usize>,
-    map: BTreeMap<Key, BTreeSet<RowId>>,
+    map: BTreeMap<Key, Ids>,
+}
+
+/// The rows filed under one key. Most keys file one row, which is held
+/// inline: an id set only for keys that file more.
+#[derive(Debug, Clone)]
+enum Ids {
+    One(RowId),
+    Many(BTreeSet<RowId>),
+}
+
+impl Ids {
+    fn iter(&self) -> impl Iterator<Item = RowId> + '_ {
+        let (one, many) = match self {
+            Ids::One(id) => (Some(*id), None),
+            Ids::Many(ids) => (None, Some(ids)),
+        };
+        one.into_iter().chain(many.into_iter().flatten().copied())
+    }
 }
 
 impl Index {
-    fn new(def: IndexDef, schema: &TableSchema) -> Result<Self> {
+    pub(crate) fn new(def: IndexDef, schema: &TableSchema) -> Result<Self> {
         let cols = schema.resolve_columns(&def.columns)?;
         Ok(Index {
             def,
@@ -59,7 +81,7 @@ impl Index {
     pub fn get(&self, key: &Key) -> Vec<RowId> {
         self.map
             .get(key)
-            .map(|s| s.iter().copied().collect())
+            .map(|ids| ids.iter().collect())
             .unwrap_or_default()
     }
 
@@ -68,7 +90,7 @@ impl Index {
     pub fn range(&self, lo: &Key, hi: &Key) -> Vec<RowId> {
         self.map
             .range(lo.clone()..=hi.clone())
-            .flat_map(|(_, ids)| ids.iter().copied())
+            .flat_map(|(_, ids)| ids.iter())
             .collect()
     }
 
@@ -91,7 +113,7 @@ impl Index {
                 Some(h) => key.0.first().is_some_and(|first| first <= h),
                 None => true,
             })
-            .flat_map(|(_, ids)| ids.iter().copied())
+            .flat_map(|(_, ids)| ids.iter())
             .collect()
     }
 
@@ -103,19 +125,41 @@ impl Index {
         }
         self.map
             .get(key)
-            .is_some_and(|ids| ids.iter().any(|id| Some(*id) != except))
+            .is_some_and(|ids| ids.iter().any(|id| Some(id) != except))
     }
 
-    fn insert(&mut self, key: Key, id: RowId) {
-        self.map.entry(key).or_default().insert(id);
+    /// True iff `row`'s key columns equal `key`, without allocating a
+    /// [`Key`].
+    pub(crate) fn row_holds(&self, row: &[Value], key: &Key) -> bool {
+        self.cols.len() == key.0.len() && self.cols.iter().zip(&key.0).all(|(&c, v)| &row[c] == v)
     }
 
-    fn remove(&mut self, key: &Key, id: RowId) {
-        if let Some(ids) = self.map.get_mut(key) {
-            ids.remove(&id);
-            if ids.is_empty() {
+    pub(crate) fn insert(&mut self, key: Key, id: RowId) {
+        let ids = self.map.entry(key).or_insert(Ids::One(id));
+        match ids {
+            Ids::One(one) if *one != id => *ids = Ids::Many(BTreeSet::from([*one, id])),
+            Ids::Many(set) => {
+                set.insert(id);
+            }
+            Ids::One(_) => {}
+        }
+    }
+
+    pub(crate) fn remove(&mut self, key: &Key, id: RowId) {
+        let Some(ids) = self.map.get_mut(key) else {
+            return;
+        };
+        match ids {
+            Ids::One(one) if *one == id => {
                 self.map.remove(key);
             }
+            Ids::Many(set) => {
+                set.remove(&id);
+                if let (1, Some(&one)) = (set.len(), set.first()) {
+                    *ids = Ids::One(one);
+                }
+            }
+            Ids::One(_) => {}
         }
     }
 
