@@ -1,7 +1,8 @@
 //! Criterion benches for the storage substrates: relstore point
 //! operations, index vs scan selection, the raw full-scan path against
-//! decoding every row, and BLOB store throughput (experiment E4/E8's
-//! microbenchmark companion).
+//! decoding every row, an update that overwrites its row in place
+//! against one that relocates it, and BLOB store throughput (experiment
+//! E4/E8's microbenchmark companion).
 
 use blobstore::{BlobStore, MediaKind};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -147,6 +148,37 @@ fn bench_scan(c: &mut Criterion) {
     g.finish();
 }
 
+/// One row's `update_cols` on a 10k-row 2PL table, both ways the heap
+/// takes it: a title of the same length overwrites the row's slot on its
+/// page, a longer one relocates the row to a page with room. The growing
+/// case's untimed setup shrinks the title back, which stays in place.
+fn bench_update(c: &mut Criterion) {
+    let db = seeded_db(10_000);
+    let id = db
+        .with_txn(|t| t.select("doc", &Predicate::eq("id", 5_000i64)))
+        .unwrap()[0]
+        .0;
+    let set = |title: &str| {
+        db.with_txn(|t| t.update_cols("doc", id, &[("title", Value::from(title))]))
+            .unwrap()
+    };
+    let mut g = c.benchmark_group("update_row");
+    let mut n = 0u32;
+    g.bench_function("same_length", |b| {
+        b.iter(|| {
+            n = (n + 1) % 10_000;
+            set(black_box(&format!(
+                "Lecture {n:04} on multimedia databases"
+            )))
+        });
+    });
+    let long = "Lecture 5000 on multimedia databases, with its worked examples";
+    g.bench_function("growing", |b| {
+        b.iter_with_setup(|| set("Lecture 5000"), |()| set(black_box(long)));
+    });
+    g.finish();
+}
+
 fn bench_blobstore(c: &mut Criterion) {
     let mut g = c.benchmark_group("blobstore");
     let payload = vec![7u8; 64 * 1024];
@@ -183,6 +215,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_relstore, bench_scan, bench_blobstore
+    targets = bench_relstore, bench_scan, bench_update, bench_blobstore
 }
 criterion_main!(benches);

@@ -533,25 +533,21 @@ impl Txn {
         // they cannot vanish before we commit.
         self.check_forward_fks(table, &e.schema.foreign_keys, &row)?;
         self.lock_keys(e, &row, None)?;
-        let id = e.data.write().insert(row)?;
+        let (id, page) = {
+            let mut t = e.data.write();
+            let id = t.insert_row(&row)?;
+            (id, t.page_of(id))
+        };
         self.lock(Resource::Row(e.id, id), LockMode::Exclusive)?;
         self.state.lock().undo.push(UndoOp::Insert {
             table: table.to_owned(),
             id,
         });
         if let Some(sink) = self.db.sink() {
-            let t = e.data.read();
-            let after = t.get(id)?;
-            let lsn = self.log_op(
-                &sink,
-                RowOp::Insert {
-                    table,
-                    id,
-                    after: &after,
-                },
-            )?;
-            if let Some(page) = t.page_of(id) {
-                t.stamp_page_lsn(page, lsn);
+            let after = &row;
+            let lsn = self.log_op(&sink, RowOp::Insert { table, id, after })?;
+            if let Some(page) = page {
+                self.db.pool.stamp_lsn(page, lsn);
             }
         }
         Ok(id)
@@ -574,41 +570,8 @@ impl Txn {
         self.lock(Resource::Table(e.id), LockMode::IntentExclusive)?;
         self.lock(Resource::Row(e.id, id), LockMode::Exclusive)?;
         e.schema.check_row(&new_row)?;
-        let (old, old_page) = {
-            let t = e.data.read();
-            (t.get(id)?, t.page_of(id))
-        };
-        rules::enforce_update(self, table, &e.schema, &old, &new_row)?;
-        // A key-changing update removes one key and adds another.
-        self.lock_keys(e, &old, Some(&new_row))?;
-        self.lock_keys(e, &new_row, Some(&old))?;
-        let sink = self.db.sink();
-        let before = sink.as_ref().map(|_| old.clone());
-        e.data.write().update(id, new_row)?;
-        self.state.lock().undo.push(UndoOp::Update {
-            table: table.to_owned(),
-            id,
-            old,
-        });
-        if let (Some(sink), Some(before)) = (sink, before) {
-            let t = e.data.read();
-            let after = t.get(id)?;
-            let lsn = self.log_op(
-                &sink,
-                RowOp::Update {
-                    table,
-                    id,
-                    before: &before,
-                    after: &after,
-                },
-            )?;
-            // The update may have moved the row: stamp both the page it
-            // left and the page it landed on.
-            for page in [old_page, t.page_of(id)].into_iter().flatten() {
-                t.stamp_page_lsn(page, lsn);
-            }
-        }
-        Ok(())
+        let old = e.data.read().get(id)?;
+        self.rewrite(table, e, id, old, new_row)
     }
 
     /// Update only the named columns of the row at `id`.
@@ -620,10 +583,51 @@ impl Txn {
         // concurrently with another writer (lost update).
         self.lock(Resource::Table(e.id), LockMode::IntentExclusive)?;
         self.lock(Resource::Row(e.id, id), LockMode::Exclusive)?;
-        let base = e.data.read().get(id)?;
-        let row = rules::overlay_cols(&e.schema, base, cols)?;
-        // `update` re-acquires the same locks (re-entrant joins).
-        self.update(table, id, row)
+        let old = e.data.read().get(id)?;
+        let new_row = rules::overlay_cols(&e.schema, old.clone(), cols)?;
+        e.schema.check_row(&new_row)?;
+        self.rewrite(table, e, id, old, new_row)
+    }
+
+    /// The rest of `update` and `update_cols`, under the row's X lock:
+    /// `old` is the row's current image, decoded once; `new` is valid.
+    fn rewrite(&self, table: &str, e: &TableEntry, id: RowId, old: Row, new: Row) -> Result<()> {
+        rules::enforce_update(self, table, &e.schema, &old, &new)?;
+        // A key-changing update removes one key and adds another.
+        self.lock_keys(e, &old, Some(&new))?;
+        self.lock_keys(e, &new, Some(&old))?;
+        let pages = {
+            let mut t = e.data.write();
+            let old_page = t.page_of(id);
+            t.rewrite(id, &old, &new)?;
+            [old_page, t.page_of(id).filter(|&p| Some(p) != old_page)]
+        };
+        let logged = self.db.sink().map(|sink| {
+            self.log_op(
+                &sink,
+                RowOp::Update {
+                    table,
+                    id,
+                    before: &old,
+                    after: &new,
+                },
+            )
+        });
+        // Undo before any log error surfaces, so a rollback reverts the
+        // heap either way.
+        self.state.lock().undo.push(UndoOp::Update {
+            table: table.to_owned(),
+            id,
+            old,
+        });
+        if let Some(lsn) = logged.transpose()? {
+            // A growing update moves the row: stamp both the page it
+            // left and the page it landed on.
+            for page in pages.into_iter().flatten() {
+                self.db.pool.stamp_lsn(page, lsn);
+            }
+        }
+        Ok(())
     }
 
     /// Delete the row at `id`, honouring reverse foreign keys
@@ -659,7 +663,7 @@ impl Txn {
             // The row is gone; stamp the page it was removed from (if
             // the page itself survived losing the row).
             if let Some(page) = old_page {
-                e.data.read().stamp_page_lsn(page, lsn);
+                self.db.pool.stamp_lsn(page, lsn);
             }
         }
         Ok(())

@@ -15,7 +15,7 @@
 //! `>= HEADER`), and dead slots are reused by later inserts. Removal
 //! leaves a hole in the data region; [`insert`] compacts the page
 //! lazily when contiguous free space runs out but total reclaimable
-//! space would fit the new row.
+//! space would fit the new row. An image that fits its slot overwrites it.
 //!
 //! Rows are encoded with a tiny self-describing codec (tag byte per
 //! value, little-endian scalars, `u32` length-prefixed payloads) so a
@@ -111,21 +111,19 @@ pub fn live_rows(buf: &[u8]) -> usize {
 }
 
 /// Slide all live rows to the end of the page, closing holes. Slot
-/// numbers are stable; only data offsets move.
+/// numbers are stable; only data offsets move. Rows land in slot order
+/// from the page end, copied out of one snapshot of the data region.
 fn compact(buf: &mut [u8]) {
-    let slots = n_slots(buf);
-    let mut live: Vec<(usize, Vec<u8>)> = Vec::new();
-    for slot in 0..slots {
+    let base = free_ptr(buf);
+    let data = buf[base..].to_vec();
+    let mut ptr = buf.len();
+    for slot in 0..n_slots(buf) {
         let (off, len) = slot_entry(buf, slot);
         if off != 0 {
-            live.push((slot, buf[off..off + len].to_vec()));
+            ptr -= len;
+            buf[ptr..ptr + len].copy_from_slice(&data[off - base..off - base + len]);
+            set_slot_entry(buf, slot, ptr, len);
         }
-    }
-    let mut ptr = buf.len();
-    for (slot, bytes) in live {
-        ptr -= bytes.len();
-        buf[ptr..ptr + bytes.len()].copy_from_slice(&bytes);
-        set_slot_entry(buf, slot, ptr, bytes.len());
     }
     write_u32(buf, 4, ptr as u32);
 }
@@ -174,6 +172,23 @@ pub fn get(buf: &[u8], slot: u32) -> Option<&[u8]> {
         return None;
     }
     Some(&buf[off..off + len])
+}
+
+/// Rewrite live `slot` with `bytes` in place if they fit its current
+/// length; returns whether they did. A shorter image's slack is left to
+/// the next compaction ([`total_free`] does not count it).
+pub(crate) fn overwrite(buf: &mut [u8], slot: u32, bytes: &[u8]) -> bool {
+    let slot = slot as usize;
+    if slot >= n_slots(buf) {
+        return false;
+    }
+    let (off, len) = slot_entry(buf, slot);
+    if off == 0 || bytes.len() > len {
+        return false;
+    }
+    buf[off..off + bytes.len()].copy_from_slice(bytes);
+    set_slot_entry(buf, slot, off, bytes.len());
+    true
 }
 
 /// Mark `slot` dead, leaving its data bytes as a reclaimable hole.
@@ -462,6 +477,81 @@ mod tests {
         assert_eq!(get(&buf, d).unwrap(), &[4u8; 10]);
         // And a row that genuinely does not fit is refused.
         assert_eq!(insert(&mut buf, &[5u8; 64]), None);
+    }
+
+    #[test]
+    fn overwrite_fits_in_place_or_refuses() {
+        let mut buf = Vec::new();
+        init(&mut buf, 128);
+        let a = insert(&mut buf, b"alpha").unwrap();
+        let b = insert(&mut buf, b"bravo").unwrap();
+        let (free, before) = (total_free(&buf), buf.clone());
+        assert!(overwrite(&mut buf, a, b"ALPHA"));
+        assert_eq!(get(&buf, a).unwrap(), b"ALPHA");
+        assert!(overwrite(&mut buf, a, b"al"));
+        assert_eq!(get(&buf, a).unwrap(), b"al");
+        // Only the slot's own bytes and length changed; the slack is
+        // not counted until a compaction reclaims it.
+        assert_eq!(
+            slot_entry(&buf, a as usize).0,
+            slot_entry(&before, a as usize).0
+        );
+        assert_eq!(get(&buf, b).unwrap(), b"bravo");
+        assert_eq!(total_free(&buf), free);
+        // Longer than the slot now holds, dead, or out of range: refused
+        // and untouched.
+        assert!(remove(&mut buf, b));
+        let snapshot = buf.clone();
+        assert!(!overwrite(&mut buf, a, b"alp"));
+        assert!(!overwrite(&mut buf, b, b"b"));
+        assert!(!overwrite(&mut buf, 9, b"x"));
+        assert_eq!(buf, snapshot);
+        compact(&mut buf);
+        assert_eq!(get(&buf, a).unwrap(), b"al");
+        assert_eq!(contiguous_free(&buf), 128 - HEADER - 2 * SLOT - 2);
+    }
+
+    /// The compaction `compact` replaced: one `Vec` per live row.
+    fn compact_reference(buf: &mut [u8]) {
+        let slots = n_slots(buf);
+        let mut live: Vec<(usize, Vec<u8>)> = Vec::new();
+        for slot in 0..slots {
+            let (off, len) = slot_entry(buf, slot);
+            if off != 0 {
+                live.push((slot, buf[off..off + len].to_vec()));
+            }
+        }
+        let mut ptr = buf.len();
+        for (slot, bytes) in live {
+            ptr -= bytes.len();
+            buf[ptr..ptr + bytes.len()].copy_from_slice(&bytes);
+            set_slot_entry(buf, slot, ptr, bytes.len());
+        }
+        write_u32(buf, 4, ptr as u32);
+    }
+
+    #[test]
+    fn compact_matches_the_per_row_reference() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(115);
+        for _ in 0..200 {
+            let mut buf = Vec::new();
+            init(&mut buf, rng.gen_range(64..1024));
+            for step in 0..rng.gen_range(1..60) {
+                let slots = n_slots(&buf).max(1) as u32;
+                let len = rng.gen_range(0..48);
+                let fill = vec![step as u8; len];
+                match rng.gen_range(0..3) {
+                    0 => drop(insert(&mut buf, &fill)),
+                    1 => drop(remove(&mut buf, rng.gen_range(0..slots))),
+                    _ => drop(overwrite(&mut buf, rng.gen_range(0..slots), &fill)),
+                }
+            }
+            let mut want = buf.clone();
+            compact_reference(&mut want);
+            compact(&mut buf);
+            assert_eq!(buf, want);
+        }
     }
 
     #[test]

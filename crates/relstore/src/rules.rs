@@ -26,7 +26,7 @@
 
 use crate::error::{Error, Result};
 use crate::query::{ColRange, Predicate};
-use crate::schema::{FkAction, ForeignKey, TableSchema, PRIMARY_INDEX};
+use crate::schema::{FkAction, ForeignKey, IndexDef, TableSchema, PRIMARY_INDEX};
 use crate::table::{Index, Row, RowId};
 use crate::value::{Key, Value};
 use std::collections::BTreeMap;
@@ -190,7 +190,9 @@ pub(crate) fn enforce_delete<T: RuleTxn>(
 /// The foreign-key checks of replacing `old` with `new` in `table`:
 /// forward keys are re-checked only where one of their columns
 /// changed, and changing a referenced key is refused while referencing
-/// rows exist (ON UPDATE actions are not supported).
+/// rows exist (ON UPDATE actions are not supported) — looked up only
+/// when a primary-key or unique-index column changed, the only keys a
+/// foreign key may target (`check_fk_targets`).
 #[inline]
 pub(crate) fn enforce_update<T: RuleTxn>(
     txn: &T,
@@ -199,15 +201,21 @@ pub(crate) fn enforce_update<T: RuleTxn>(
     old: &[Value],
     new: &[Value],
 ) -> Result<()> {
-    let changed = changed_columns(schema, old, new);
-    let touches = |cols: &[String]| cols.iter().any(|c| changed.contains(&c.as_str()));
+    let changed = |c: &String| schema.column_index(c).is_some_and(|i| old[i] != new[i]);
+    let touches = |cols: &[String]| cols.iter().any(changed);
     let affected: Vec<ForeignKey> = schema
         .foreign_keys
         .iter()
         .filter(|fk| touches(&fk.columns))
         .cloned()
         .collect();
-    txn.check_forward_fks(table, &affected, new)?;
+    if !affected.is_empty() {
+        txn.check_forward_fks(table, &affected, new)?;
+    }
+    let unique = |ix: &IndexDef| ix.unique && touches(&ix.columns);
+    if !touches(&schema.primary_key) && !schema.indexes.iter().any(unique) {
+        return Ok(());
+    }
     for (rtable, fk) in txn.referrers_of(table) {
         if touches(&fk.ref_columns) && !referencing(txn, schema, old, &rtable, &fk)?.is_empty() {
             return Err(Error::RestrictViolation {

@@ -11,8 +11,9 @@
 //!
 //! Indexes are keyed by logical [`RowId`], not by page address: ids are
 //! baked into the WAL record format and the public API, and keeping
-//! them stable means a row migrating between pages (update, page
-//! compaction) never touches an index entry.
+//! them stable means a row migrating between pages (a growing update,
+//! page compaction) never touches an index entry. An update whose image
+//! fits its slot rewrites it in place: one page dirtied, address kept.
 
 use crate::error::{Error, Result};
 use crate::pagestore::{page, BufferPool, PageId, PoolConfig};
@@ -318,9 +319,8 @@ impl RowHeap {
         let guard = self.pool.pin(addr.page)?;
         let (row, free) = guard.with_mut(|buf| -> Result<(Row, usize)> {
             let bytes = page::get(buf, addr.slot)
-                .ok_or_else(|| Error::Page(format!("row {id:?} missing from {}", addr.page)))?
-                .to_vec();
-            let row = page::decode_row(&bytes)?;
+                .ok_or_else(|| Error::Page(format!("row {id:?} missing from {}", addr.page)))?;
+            let row = page::decode_row(bytes)?;
             page::remove(buf, addr.slot);
             Ok((row, page::total_free(buf)))
         })?;
@@ -352,30 +352,33 @@ impl RowHeap {
         Ok(Some(row))
     }
 
-    /// Replace the row at `id` with `row`, returning the old image.
-    /// The new image is placed *before* the old slot is dropped, so a
-    /// pool/backend failure at any point leaves the previous image —
-    /// and every index entry pointing at `id` — valid.
-    fn replace(&mut self, id: RowId, row: &[Value]) -> Result<Row> {
+    /// Replace the row at `id`, whose current image is `old`, with
+    /// `row`: in place if the new image fits the row's slot (which
+    /// leaves the page's reclaimable bytes as they were), else placed
+    /// first-fit *before* the old slot is dropped. Pinning comes first,
+    /// so a pool/backend failure at any point leaves the previous image
+    /// — and every index entry pointing at `id` — valid.
+    fn replace(&mut self, id: RowId, old: &[Value], row: &[Value]) -> Result<()> {
         let Some(&old_addr) = self.dir.get(&id) else {
             return Err(Error::Page(format!("replace of missing row {id:?}")));
         };
-        let new_addr = self.place(&page::encode_row(row))?;
-        match self.erase(id, old_addr) {
-            Ok(old) => {
-                self.dir.insert(id, new_addr);
-                self.heap_bytes += Self::payload(row);
-                self.heap_bytes -= Self::payload(&old);
-                Ok(old)
-            }
-            Err(e) => {
+        let bytes = page::encode_row(row);
+        let pinned = self.pool.pin(old_addr.page)?;
+        if !pinned.with_mut(|buf| page::overwrite(buf, old_addr.slot, &bytes)) {
+            drop(pinned);
+            let new_addr = self.place(&bytes)?;
+            if let Err(e) = self.erase(id, old_addr) {
                 // The old slot is untouched; drop the freshly placed
                 // copy (best effort) so the heap returns to exactly the
                 // pre-call state.
                 let _ = self.erase(id, new_addr);
-                Err(e)
+                return Err(e);
             }
+            self.dir.insert(id, new_addr);
         }
+        self.heap_bytes += Self::payload(row);
+        self.heap_bytes -= Self::payload(old);
+        Ok(())
     }
 
     /// Run `f` over the encoded image of row `id` under the page pin,
@@ -528,9 +531,15 @@ impl Table {
 
     /// Insert a validated row, enforcing uniqueness; returns the new id.
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
-        self.schema.check_row(&row)?;
+        self.insert_row(&row)
+    }
+
+    /// [`Table::insert`] of a borrowed row, which the caller keeps (the
+    /// transaction logs it).
+    pub(crate) fn insert_row(&mut self, row: &[Value]) -> Result<RowId> {
+        self.schema.check_row(row)?;
         for ix in &self.indexes {
-            let key = ix.key_of(&row);
+            let key = ix.key_of(row);
             if ix.would_violate(&key, None) {
                 return Err(Error::UniqueViolation {
                     table: self.schema.name.clone(),
@@ -541,10 +550,10 @@ impl Table {
         let id = RowId(self.next_row);
         self.next_row += 1;
         for ix in &mut self.indexes {
-            let key = ix.key_of(&row);
+            let key = ix.key_of(row);
             ix.insert(key, id);
         }
-        self.heap.insert(id, &row)?;
+        self.heap.insert(id, row)?;
         Ok(id)
     }
 
@@ -582,47 +591,46 @@ impl Table {
         self.heap.read(id)
     }
 
-    /// The page currently holding row `id` (LSN stamping; see
-    /// [`Table::stamp_page_lsn`]).
+    /// The page currently holding row `id` (for LSN stamping; see
+    /// [`BufferPool::stamp_lsn`]).
     #[must_use]
     pub fn page_of(&self, id: RowId) -> Option<PageId> {
         self.heap.page_of(id)
-    }
-
-    /// Record that the WAL record ending at `lsn` covers the latest
-    /// change to `page`, so the buffer pool flushes the log that far
-    /// before writing the page back.
-    pub fn stamp_page_lsn(&self, page: PageId, lsn: u64) {
-        self.heap.pool.stamp_lsn(page, lsn);
     }
 
     /// Replace the whole row at `id`; returns the previous row.
     pub fn update(&mut self, id: RowId, new_row: Row) -> Result<Row> {
         self.schema.check_row(&new_row)?;
         let old = self.get(id)?;
+        self.rewrite(id, &old, &new_row)?;
+        Ok(old)
+    }
+
+    /// [`Table::update`] from `old`, the row's current image, to the
+    /// validated `new_row`. An index whose key is unchanged is neither
+    /// probed (the row holds the key already) nor rewritten.
+    pub(crate) fn rewrite(&mut self, id: RowId, old: &[Value], new_row: &[Value]) -> Result<()> {
+        let moved = |ix: &Index| ix.cols.iter().any(|&c| old[c] != new_row[c]);
         for ix in &self.indexes {
-            let key = ix.key_of(&new_row);
-            if ix.would_violate(&key, Some(id)) {
+            if moved(ix) && ix.would_violate(&ix.key_of(new_row), Some(id)) {
                 return Err(Error::UniqueViolation {
                     table: self.schema.name.clone(),
                     index: ix.name().to_owned(),
                 });
             }
         }
-        // Heap first, indexes after: `replace` writes the new image
-        // before dropping the old one, so a pool/backend failure here
-        // returns with the row, the indexes, and the byte accounting
-        // exactly as they were. The index rewrite below is infallible.
-        self.heap.replace(id, &new_row)?;
+        // Heap first, indexes after: `replace` leaves the old image in
+        // place on any pool/backend failure, so an error here returns
+        // with the row, the indexes, and the byte accounting exactly as
+        // they were. The index rewrite below is infallible.
+        self.heap.replace(id, old, new_row)?;
         for ix in &mut self.indexes {
-            let old_key = ix.key_of(&old);
-            let new_key = ix.key_of(&new_row);
-            if old_key != new_key {
-                ix.remove(&old_key, id);
-                ix.insert(new_key, id);
+            if moved(ix) {
+                ix.remove(&ix.key_of(old), id);
+                ix.insert(ix.key_of(new_row), id);
             }
         }
-        Ok(old)
+        Ok(())
     }
 
     /// Delete the row at `id`; returns it.
@@ -840,6 +848,61 @@ mod tests {
             .map(|id| t.get(*id).unwrap()[0].as_int().unwrap())
             .collect();
         assert_eq!(keys, vec![3, 4, 5, 6]);
+    }
+
+    /// On full pages, an update whose image fits its slot stays where it
+    /// is: same page, same slot, no page allocated, two pins (the read
+    /// of the old row and the overwrite). Only a growing update moves.
+    #[test]
+    fn update_rewrites_in_place_unless_the_row_grows() {
+        let mut t = Table::new(
+            TableSchema::builder("docs")
+                .column("id", ColumnType::Int)
+                .column("body", ColumnType::Text)
+                .primary_key(&["id"])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let doc = |i: i64, len: usize| vec![Value::Int(i), Value::from("x".repeat(len))];
+        // A 100-byte body encodes to 118 bytes: 32 rows fill a 4 KiB
+        // page, leaving 56 bytes no further row fits in.
+        let ids: Vec<RowId> = (0..96).map(|i| t.insert(doc(i, 100)).unwrap()).collect();
+        let pages: BTreeSet<PageId> = ids.iter().map(|&id| t.page_of(id).unwrap()).collect();
+        assert_eq!(pages.len(), 3);
+        let target = ids[40];
+        let (home, dir) = (t.page_of(target).unwrap(), t.heap.dir.clone());
+        let before = t.heap.pool.stats();
+        for k in 0..10 {
+            let body = format!("{k:<100}");
+            t.update(target, vec![Value::Int(40), Value::from(body.as_str())])
+                .unwrap();
+            assert_eq!(t.get(target).unwrap()[1], Value::from(body.as_str()));
+            assert_eq!(t.page_of(target), Some(home));
+        }
+        let after = t.heap.pool.stats();
+        assert_eq!(t.heap.dir, dir, "no row changed address");
+        assert_eq!(after.resident_pages, before.resident_pages);
+        // Per round: the update's read and overwrite, the check's read.
+        assert_eq!(after.hits - before.hits, 3 * 10);
+        // Shrinking stays on the page too.
+        t.update(target, doc(40, 60)).unwrap();
+        assert_eq!(t.heap.dir, dir);
+        assert_eq!(t.heap_bytes(), 95 * 100 + 60);
+        // Growing past the slot relocates to a fresh page; nobody else
+        // moves.
+        t.update(target, doc(40, 100)).unwrap();
+        let moved = t.page_of(target).unwrap();
+        assert!(moved != home && !pages.contains(&moved));
+        assert_eq!(
+            t.heap.pool.stats().resident_pages,
+            before.resident_pages + 1
+        );
+        for &id in ids.iter().filter(|&&id| id != target) {
+            assert_eq!(t.heap.dir[&id], dir[&id]);
+        }
+        assert_eq!(t.get(target).unwrap(), doc(40, 100));
+        assert_eq!(t.heap_bytes(), 96 * 100);
     }
 
     #[test]

@@ -136,16 +136,16 @@ fn pool_budget_sweep_counts() {
     let o = oracle_db.pool().stats();
     assert_eq!(
         (o.resident_pages, o.hits, o.misses, o.resident_peak),
-        (15, 1398, 0, 61_440)
+        (15, 993, 0, 61_440)
     );
 
     // (pool %, pages, hits, misses, evictions, writeback bytes, peak).
     let cells = [
-        (1, 1, 703, 695, 709, 774_144, 4096),
-        (5, 1, 703, 695, 709, 774_144, 4096),
-        (25, 4, 993, 405, 416, 598_016, 16_384),
-        (50, 8, 1137, 261, 268, 442_368, 32_768),
-        (100, 15, 1398, 0, 0, 0, 61_440),
+        (1, 1, 601, 392, 406, 425_984, 4096),
+        (5, 1, 601, 392, 406, 425_984, 4096),
+        (25, 4, 682, 311, 322, 413_696, 16_384),
+        (50, 8, 789, 204, 211, 385_024, 32_768),
+        (100, 15, 993, 0, 0, 0, 61_440),
     ];
     let mut last_hits = 0;
     for (pct, pages, hits, misses, evictions, writeback, peak) in cells {

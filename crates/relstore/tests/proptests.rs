@@ -23,6 +23,24 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// `op_strategy`'s ops plus updates that rewrite a row's value at its
+/// current length less `shrink` bytes (0: same length), the images an
+/// update overwrites in place; random payloads rarely are.
+#[derive(Debug, Clone)]
+enum HeapOp {
+    Op(Op),
+    Resize { key: i64, shrink: usize },
+}
+
+fn heap_op_strategy() -> impl Strategy<Value = HeapOp> {
+    prop_oneof![
+        op_strategy().prop_map(HeapOp::Op),
+        op_strategy().prop_map(HeapOp::Op),
+        (0i64..50).prop_map(|key| HeapOp::Resize { key, shrink: 0 }),
+        (0i64..50, 1usize..4).prop_map(|(key, shrink)| HeapOp::Resize { key, shrink }),
+    ]
+}
+
 fn fresh_table(db: &Database) {
     db.create_table(
         TableSchema::builder("t")
@@ -249,7 +267,7 @@ proptest! {
     #[test]
     fn heap_bytes_matches_recomputation(
         batches in proptest::collection::vec(
-            (proptest::collection::vec(op_strategy(), 1..12), any::<bool>()),
+            (proptest::collection::vec(heap_op_strategy(), 1..12), any::<bool>()),
             1..8,
         ),
     ) {
@@ -260,6 +278,21 @@ proptest! {
             let txn = db.begin();
             let mut added: Vec<i64> = Vec::new();
             for op in ops {
+                let op = match op {
+                    HeapOp::Op(op) => op,
+                    HeapOp::Resize { key, shrink } => {
+                        if let Some(id) = ids.get(key) {
+                            let old = txn.get("t", *id).unwrap()[1].as_text().unwrap().to_owned();
+                            let new: String = old
+                                .chars()
+                                .skip(*shrink)
+                                .map(|c| if c == 'z' { 'a' } else { 'z' })
+                                .collect();
+                            txn.update_cols("t", *id, &[("v", Value::from(new))]).unwrap();
+                        }
+                        continue;
+                    }
+                };
                 match op {
                     Op::Insert { key, payload } => {
                         if let Ok(id) = txn.insert("t", vec![Value::Int(*key), Value::from(payload.clone())]) {
