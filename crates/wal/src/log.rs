@@ -26,7 +26,7 @@
 //! snapshot, and every later committer appears wholly after it — so
 //! recovery may restore the snapshot and replay only the tail.
 
-use crate::record::{encode_frame, WalRecord, MAGIC};
+use crate::record::{checkpoint_frame, encode_frame, op_frame, WalRecord, MAGIC};
 use crate::segments::{self, SEG_HEADER};
 use crate::{Lsn, WalError};
 use obs::Registry;
@@ -294,24 +294,25 @@ impl Wal {
         self.state.lock().durable_lsn
     }
 
-    /// Append `record` to the pending buffer (no durability yet).
-    /// Returns the record's LSN.
-    fn append(&self, state: &mut LogState, record: &WalRecord) -> Result<Lsn, WalError> {
+    /// Append an encoded frame to the pending buffer (no durability
+    /// yet). Returns the frame's LSN. Callers encode before they take
+    /// the state lock, so the lock covers only this copy.
+    fn append(&self, state: &mut LogState, frame: &[u8]) -> Result<Lsn, WalError> {
         if state.poisoned {
             return Err(WalError::Poisoned);
         }
-        let frame = encode_frame(record)?;
         let lsn = state.end_lsn;
-        state.buf.extend_from_slice(&frame);
+        state.buf.extend_from_slice(frame);
         state.end_lsn += frame.len() as u64;
         state.stats.records += 1;
         Ok(lsn)
     }
 
-    /// Append under the state lock (the common entry).
+    /// Encode `record`, then append it under the state lock.
     fn append_record(&self, record: &WalRecord) -> Result<Lsn, WalError> {
+        let frame = encode_frame(record)?;
         let mut st = self.state.lock();
-        self.append(&mut st, record)
+        self.append(&mut st, &frame)
     }
 
     /// Perform one physical flush of `chunk`.
@@ -547,22 +548,21 @@ impl Wal {
             // here would invert that order and deadlock against a
             // concurrent eviction.
             let dirty_pages = db.dirty_page_table();
+            // Encode before taking the state lock, which then covers
+            // only the append. Reading `next_txn` here rather than at
+            // the append loses nothing: while the snapshot transaction
+            // holds every table's shared lock no transaction can log a
+            // row op, so every id logged before the checkpoint record
+            // is below this value, and analysis bumps past any id in
+            // the tail.
+            let frame = checkpoint_frame(&snapshot, db.next_txn_id(), &dirty_pages)?;
             let lsn = {
                 // Append while *both* the table locks and the append
                 // mutex are held: no commit record can slip between the
                 // snapshot's serialization point and the checkpoint
                 // record.
                 let mut st = self.state.lock();
-                let lsn = self.append(
-                    &mut st,
-                    &WalRecord::Checkpoint {
-                        snapshot,
-                        // Lock-free atomic load: safe under the state
-                        // lock, and exact at the append point.
-                        next_txn: db.next_txn_id(),
-                        dirty_pages,
-                    },
-                )?;
+                let lsn = self.append(&mut st, &frame)?;
                 st.stats.checkpoints += 1;
                 self.opts.metrics.inc("wal.checkpoints");
                 self.opts
@@ -600,15 +600,9 @@ impl Wal {
             AnyEngine::Mvcc(db) => {
                 let lsn = db
                     .fenced_snapshot(|snapshot, next_txn| -> Result<Lsn, WalError> {
+                        let frame = checkpoint_frame(&snapshot, next_txn, &[])?;
                         let mut st = self.state.lock();
-                        let lsn = self.append(
-                            &mut st,
-                            &WalRecord::Checkpoint {
-                                snapshot,
-                                next_txn,
-                                dirty_pages: Vec::new(),
-                            },
-                        )?;
+                        let lsn = self.append(&mut st, &frame)?;
                         st.stats.checkpoints += 1;
                         self.opts.metrics.inc("wal.checkpoints");
                         self.opts
@@ -627,37 +621,13 @@ impl Wal {
 
 impl WalSink for Wal {
     fn on_op(&self, txn: TxnId, op: RowOp<'_>) -> relstore::Result<u64> {
+        let frame = op_frame(txn, &op)?;
         let mut st = self.state.lock();
         if st.active.insert(txn) {
-            self.append(&mut st, &WalRecord::Begin { txn })?;
+            let begin = encode_frame(&WalRecord::Begin { txn })?;
+            self.append(&mut st, &begin)?;
         }
-        let record = match op {
-            RowOp::Insert { table, id, after } => WalRecord::Insert {
-                txn,
-                table: table.to_owned(),
-                row: id,
-                after: after.clone(),
-            },
-            RowOp::Update {
-                table,
-                id,
-                before,
-                after,
-            } => WalRecord::Update {
-                txn,
-                table: table.to_owned(),
-                row: id,
-                before: before.clone(),
-                after: after.clone(),
-            },
-            RowOp::Delete { table, id, before } => WalRecord::Delete {
-                txn,
-                table: table.to_owned(),
-                row: id,
-                before: before.clone(),
-            },
-        };
-        self.append(&mut st, &record)?;
+        self.append(&mut st, &frame)?;
         // The record's exclusive end offset: the engine stamps it as
         // the dirtied page's `page_lsn`, so the pool's flush rule
         // ("flush the log through page_lsn before writeback") covers
@@ -666,10 +636,11 @@ impl WalSink for Wal {
     }
 
     fn on_commit(&self, txn: TxnId) -> relstore::Result<()> {
+        let frame = encode_frame(&WalRecord::Commit { txn })?;
         let target = {
             let mut st = self.state.lock();
             st.active.remove(&txn);
-            self.append(&mut st, &WalRecord::Commit { txn })?;
+            self.append(&mut st, &frame)?;
             st.stats.commits += 1;
             st.pending_commits += 1;
             self.counters.commits.inc();
@@ -680,12 +651,15 @@ impl WalSink for Wal {
     }
 
     fn on_abort(&self, txn: TxnId) {
+        let Ok(frame) = encode_frame(&WalRecord::Abort { txn }) else {
+            return;
+        };
         let mut st = self.state.lock();
         if st.active.remove(&txn) {
             // Advisory only: in-memory rollback already ran, and
             // recovery treats any commit-less transaction as a loser
             // whether or not the abort record survived.
-            let _ = self.append(&mut st, &WalRecord::Abort { txn });
+            let _ = self.append(&mut st, &frame);
         }
     }
 

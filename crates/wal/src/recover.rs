@@ -32,7 +32,7 @@ use crate::record::{decode, scan_raw, RawScan, Tail, WalRecord, MAGIC};
 use crate::{Lsn, WalError};
 use obs::Registry;
 use relstore::lock::TxnId;
-use relstore::{AnyEngine, EngineKind, PoolConfig};
+use relstore::{AnyEngine, EngineKind, PoolConfig, RowOp};
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -204,56 +204,33 @@ pub fn recover_scan_any(
                 report.checkpoint_dirty_pages = dirty_pages.len();
                 AnyEngine::restore_with(kind, snapshot, cfg).map_err(WalError::Store)?
             }
-            _ => unreachable!("prefix test identified a checkpoint"),
+            _ => unreachable!("the tag byte identified a checkpoint"),
         }
     } else {
         AnyEngine::with_pool(kind, cfg).map_err(WalError::Store)?
     };
     db.resume_txn_ids(report.next_txn);
     // Per-loser undo stacks, filled while redoing.
-    let mut undo: HashMap<TxnId, Vec<&WalRecord>> = HashMap::new();
+    let mut undo: HashMap<TxnId, Vec<RowOp<'_>>> = HashMap::new();
     for (lsn, rec) in tail {
+        if let Some((txn, op)) = rec.op() {
+            match op {
+                RowOp::Insert { table, id, after } => db.redo_insert(table, id, after.clone()),
+                RowOp::Update {
+                    table, id, after, ..
+                } => db.redo_update(table, id, after.clone()),
+                RowOp::Delete { table, id, .. } => db.redo_delete(table, id),
+            }
+            .map_err(|e| redo_fail(*lsn, e))?;
+            report.redone_ops += 1;
+            if !committed.contains(&txn) {
+                undo.entry(txn).or_default().push(op);
+            }
+            continue;
+        }
         match rec {
             WalRecord::CreateTable { schema } => {
                 db.create_table(schema.clone()).map_err(WalError::Store)?;
-            }
-            WalRecord::Insert {
-                txn,
-                table,
-                row,
-                after,
-                ..
-            } => {
-                db.redo_insert(table, *row, after.clone())
-                    .map_err(|e| redo_fail(*lsn, e))?;
-                report.redone_ops += 1;
-                if !committed.contains(txn) {
-                    undo.entry(*txn).or_default().push(rec);
-                }
-            }
-            WalRecord::Update {
-                txn,
-                table,
-                row,
-                after,
-                ..
-            } => {
-                db.redo_update(table, *row, after.clone())
-                    .map_err(|e| redo_fail(*lsn, e))?;
-                report.redone_ops += 1;
-                if !committed.contains(txn) {
-                    undo.entry(*txn).or_default().push(rec);
-                }
-            }
-            WalRecord::Delete {
-                txn, table, row, ..
-            } => {
-                db.redo_delete(table, *row)
-                    .map_err(|e| redo_fail(*lsn, e))?;
-                report.redone_ops += 1;
-                if !committed.contains(txn) {
-                    undo.entry(*txn).or_default().push(rec);
-                }
             }
             WalRecord::Abort { txn } => {
                 // Repeat the rollback where history performed it: the
@@ -263,17 +240,13 @@ pub fn recover_scan_any(
                     report.undone_ops += undo_txn(&db, ops)?;
                 }
             }
-            // 2PC protocol frames carry no row images: the prepared
-            // local transaction's own op records were replayed above,
-            // and its fate was fixed *before* this routine ran (the
-            // shard layer resolves in-doubt outcomes by appending the
-            // decided Commit/Abort frame — see `shard::recovery`).
-            WalRecord::Begin { .. }
-            | WalRecord::Commit { .. }
-            | WalRecord::Checkpoint { .. }
-            | WalRecord::Prepare { .. }
-            | WalRecord::CommitDecision { .. }
-            | WalRecord::AbortDecision { .. } => {}
+            // Row operations were replayed above. 2PC protocol frames
+            // carry no row images: the prepared local transaction's own
+            // op records were replayed, and its fate was fixed *before*
+            // this routine ran (the shard layer resolves in-doubt
+            // outcomes by appending the decided Commit/Abort frame — see
+            // `shard::recovery`).
+            _ => {}
         }
     }
     let redo_done = Instant::now();
@@ -307,27 +280,17 @@ pub fn recover_scan_any(
 }
 
 /// Invert one transaction's replayed mutations, newest first.
-fn undo_txn(db: &AnyEngine, ops: Vec<&WalRecord>) -> Result<usize, WalError> {
+fn undo_txn(db: &AnyEngine, ops: Vec<RowOp<'_>>) -> Result<usize, WalError> {
     let n = ops.len();
-    for rec in ops.into_iter().rev() {
-        match rec {
-            WalRecord::Insert { table, row, .. } => {
-                db.redo_delete(table, *row).map_err(WalError::Store)?;
-            }
-            WalRecord::Update {
-                table, row, before, ..
-            } => {
-                db.redo_update(table, *row, before.clone())
-                    .map_err(WalError::Store)?;
-            }
-            WalRecord::Delete {
-                table, row, before, ..
-            } => {
-                db.redo_insert(table, *row, before.clone())
-                    .map_err(WalError::Store)?;
-            }
-            _ => unreachable!("only mutations are stacked for undo"),
+    for op in ops.into_iter().rev() {
+        match op {
+            RowOp::Insert { table, id, .. } => db.redo_delete(table, id),
+            RowOp::Update {
+                table, id, before, ..
+            } => db.redo_update(table, id, before.clone()),
+            RowOp::Delete { table, id, before } => db.redo_insert(table, id, before.clone()),
         }
+        .map_err(WalError::Store)?;
     }
     Ok(n)
 }

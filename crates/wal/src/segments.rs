@@ -23,15 +23,12 @@
 //! record survives by construction (`end > c`: the record itself ends
 //! inside it), so a reopened log always finds its checkpoint.
 
-use crate::record::MAGIC;
+use crate::record::{check_magic, MAGIC};
 use crate::{Lsn, WalError};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Per-segment file magic: identifies a wdoc WAL segment, version 0.
-pub const SEG_MAGIC: &[u8; 8] = b"wdocseg0";
-
-/// Segment file header: magic + base LSN (u64 LE).
+/// Segment file header: [`MAGIC`] + base LSN (u64 LE).
 pub const SEG_HEADER: usize = 16;
 
 /// Rotation threshold when [`WalOptions::segment_bytes`] is `None`.
@@ -75,7 +72,7 @@ pub struct SegmentScan {
 #[must_use]
 pub fn encode_seg_header(base: Lsn) -> [u8; SEG_HEADER] {
     let mut h = [0u8; SEG_HEADER];
-    h[..8].copy_from_slice(SEG_MAGIC);
+    h[..8].copy_from_slice(MAGIC);
     h[8..].copy_from_slice(&base.to_le_bytes());
     h
 }
@@ -100,7 +97,9 @@ pub fn create_segment(dir: &Path, base: Lsn) -> Result<std::fs::File, WalError> 
 /// A torn or alien header is tolerated only on the *newest* file (the
 /// only one a crash can have been writing); the file is ignored — and
 /// deleted, so a later [`create_segment`] at the same base cannot
-/// collide with the carcass. Anywhere else it is corruption. A gap
+/// collide with the carcass. Anywhere else it is corruption. A
+/// version-0 header is refused wherever it is
+/// ([`WalError::UnsupportedFormat`]). A gap
 /// between consecutive segments (`next.base != prev.base + prev.len`)
 /// is corruption too: pruning only ever removes a *prefix*.
 pub fn read_segments(dir: &Path) -> Result<SegmentScan, WalError> {
@@ -142,7 +141,10 @@ pub fn read_segments(dir: &Path) -> Result<SegmentScan, WalError> {
             }
         };
         let claimed = Lsn::from_le_bytes(header[8..].try_into().expect("8B"));
-        if !header_ok || &header[..8] != SEG_MAGIC || claimed != *base {
+        if let Err(e @ WalError::UnsupportedFormat { .. }) = check_magic(*base, &header[..8]) {
+            return Err(e);
+        }
+        if !header_ok || &header[..8] != MAGIC || claimed != *base {
             if newest {
                 // A crash mid-creation: the segment holds nothing
                 // durable. Remove the carcass so the writer can

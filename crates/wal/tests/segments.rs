@@ -280,7 +280,7 @@ fn recovery_equals_committed_prefix_at_every_cut_and_boundary() {
     let dir = temp_dir("sweep");
     let pre = temp_dir("sweep-pre");
     let work = temp_dir("sweep-work");
-    let o = || opts(256);
+    let o = || opts(96);
 
     // `marks[k]` is the durable LSN after the DDL (k = 0) or after row
     // k - 1 committed: a cut keeps exactly the units whose mark fits.
