@@ -1,13 +1,19 @@
 //! Criterion benches for the storage substrates: relstore point
 //! operations, index vs scan selection, the raw full-scan path against
 //! decoding every row, an update that overwrites its row in place
-//! against one that relocates it, and BLOB store throughput (experiment
-//! E4/E8's microbenchmark companion).
+//! against one that relocates it, BLOB store throughput (experiment
+//! E4/E8's microbenchmark companion), and the durable byte path: the
+//! frame CRC on a page and on an average BLOB, the BLOB digest, and a
+//! script-update WAL frame encoded and decoded.
 
 use blobstore::{BlobStore, MediaKind};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use relstore::pagestore::page;
 use relstore::{ColumnType, Database, MvccDb, Predicate, Table, TableSchema, Value};
+use wal::record::{encode_frame, FRAME_HEADER};
+use wal::WalRecord;
+use wdoc_core::ids::{DbName, ScriptName, UserId};
+use wdoc_core::tables::Script;
 
 fn seeded_db(rows: i64) -> Database {
     let db = Database::new();
@@ -204,6 +210,54 @@ fn bench_blobstore(c: &mut Criterion) {
     g.finish();
 }
 
+/// The average BLOB payload of the durable benchmark workload.
+const BLOB_BYTES: usize = 34 * 1024;
+
+fn bench_byte_path(c: &mut Criterion) {
+    let data: Vec<u8> = (0..BLOB_BYTES as u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    let mut g = c.benchmark_group("crc32");
+    g.bench_function("4k", |b| {
+        b.iter(|| logstore::crc32(black_box(&data[..4096])))
+    });
+    g.bench_function("34k", |b| b.iter(|| logstore::crc32(black_box(&data))));
+    g.finish();
+    let mut g = c.benchmark_group("blob_digest");
+    g.bench_function("34k", |b| {
+        b.iter(|| blobstore::BlobId::of(black_box(&data)))
+    });
+    g.finish();
+
+    let script = |percent: i64| Script {
+        name: ScriptName::new("week-01-intro"),
+        db: DbName::new("mm-course"),
+        keywords: vec!["lecture".into(), "multimedia".into()],
+        author: UserId::new("prof-shih"),
+        version: 3,
+        created: 1_700_000,
+        description: "Week one: media types, the BLOB layer and sharing".into(),
+        expected_completion: Some(1_800_000),
+        percent_complete: percent,
+    };
+    let update = WalRecord::Update {
+        txn: 4_711,
+        table: Script::TABLE.into(),
+        row: relstore::RowId(1_234),
+        before: script(40).to_row(),
+        after: script(45).to_row(),
+    };
+    let frame = encode_frame(&update).expect("frame encodes");
+    let mut g = c.benchmark_group("wal_frame");
+    g.bench_function("encode_update", |b| {
+        b.iter(|| encode_frame(black_box(&update)))
+    });
+    g.bench_function("decode_update", |b| {
+        b.iter(|| wal::record::decode(8, black_box(&frame[FRAME_HEADER..])))
+    });
+    g.finish();
+}
+
 fn quick() -> Criterion {
     // Single-core CI box: short, deterministic-enough runs.
     Criterion::default()
@@ -215,6 +269,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_relstore, bench_scan, bench_update, bench_blobstore
+    targets = bench_relstore, bench_scan, bench_update, bench_blobstore, bench_byte_path
 }
 criterion_main!(benches);
