@@ -1,11 +1,11 @@
-//! # wdoc-bench — experiment harness for the reproduction
+//! # wdoc-bench — the E18 sweep and the Criterion benches
 //!
-//! Shared helpers for the E1–E12 and E18 report binaries and the
-//! Criterion benches. See DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for recorded results.
+//! Reporting helpers for the `e18_mvcc_sweep` binary. The paper's
+//! claims E1–E12 are `cargo test`s in the root `tests/paper_claims.rs`;
+//! EXPERIMENTS.md records every result and names its carrier.
 
 #![warn(clippy::all)]
 
 pub mod report;
 
-pub use report::{emit, write_json_file, Series};
+pub use report::{emit, write_json_file};

@@ -1,7 +1,6 @@
-//! Tiny reporting helpers: every experiment binary prints both a
-//! human-readable table and one JSON object per row (machine-readable,
-//! so EXPERIMENTS.md numbers can be regenerated and diffed);
-//! [`write_json_file`] lands a collected document where CI and
+//! Reporting helpers for the E18 sweep: [`emit`] prints one JSON
+//! object per row beside its human-readable table, and
+//! [`write_json_file`] lands the collected document where CI and
 //! EXPERIMENTS.md expect it.
 
 use serde::Serialize;
@@ -76,74 +75,9 @@ fn pretty(compact: &str) -> String {
     out
 }
 
-/// A labelled numeric series for quick textual plots.
-#[derive(Debug, Default)]
-pub struct Series {
-    points: Vec<(f64, f64)>,
-}
-
-impl Series {
-    /// Create an empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a point.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.points.push((x, y));
-    }
-
-    /// Render the y-values as a unicode sparkline — a one-line shape
-    /// check printed under each experiment table.
-    #[must_use]
-    pub fn sparkline(&self) -> String {
-        const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-        if self.points.is_empty() {
-            return String::new();
-        }
-        let lo = self
-            .points
-            .iter()
-            .map(|p| p.1)
-            .fold(f64::INFINITY, f64::min);
-        let hi = self
-            .points
-            .iter()
-            .map(|p| p.1)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let span = (hi - lo).max(f64::MIN_POSITIVE);
-        self.points
-            .iter()
-            .map(|p| {
-                let t = ((p.1 - lo) / span * 7.0).round() as usize;
-                BARS[t.min(7)]
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sparkline_shapes() {
-        let mut s = Series::new();
-        for (i, y) in [1.0, 2.0, 4.0, 8.0].iter().enumerate() {
-            s.push(i as f64, *y);
-        }
-        let line = s.sparkline();
-        assert_eq!(line.chars().count(), 4);
-        assert!(line.starts_with('▁'));
-        assert!(line.ends_with('█'));
-        assert!(Series::new().sparkline().is_empty());
-        // A flat series renders without NaN panics.
-        let mut flat = Series::new();
-        flat.push(0.0, 5.0);
-        flat.push(1.0, 5.0);
-        assert_eq!(flat.sparkline().chars().count(), 2);
-    }
 
     #[test]
     fn pretty_preserves_json_and_strings() {

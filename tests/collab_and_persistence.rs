@@ -1,34 +1,12 @@
-//! Cross-crate tests: awareness/conferencing interplay and full
+//! Cross-crate tests: awareness (presence with discussion) and full
 //! station persistence through a serde format.
 
-use mmu_wdoc::collab::{Conference, DiscussionBoard, FanoutStrategy, PresenceBoard};
+use mmu_wdoc::collab::{DiscussionBoard, PresenceBoard};
 use mmu_wdoc::core::ids::{CourseId, UserId};
 use mmu_wdoc::core::{StationBackup, WebDocDb};
-use mmu_wdoc::netsim::{LinkSpec, Network, SimTime};
 use mmu_wdoc::workload::{generate_course, CourseSpec, MediaMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-#[test]
-fn conference_scales_where_direct_saturates() {
-    let link = LinkSpec::new(1_000_000, SimTime::from_millis(10));
-    let run = |n: usize, strategy| {
-        let (mut net, ids) = Network::uniform(n + 1, link);
-        Conference::new(ids, strategy).run(&mut net, 10, 4_000, SimTime::from_millis(50))
-    };
-    // Small class: both deliver everything with sane latency.
-    let d8 = run(8, FanoutStrategy::Direct);
-    let t8 = run(8, FanoutStrategy::Tree { m: 3 });
-    assert_eq!(d8.deliveries, 80);
-    assert_eq!(t8.deliveries, 80);
-    // Large class: direct max latency explodes past the tree's.
-    let d128 = run(128, FanoutStrategy::Direct);
-    let t128 = run(128, FanoutStrategy::Tree { m: 3 });
-    assert!(d128.max_latency_us > 5 * t128.max_latency_us);
-    // And the tree keeps the speaker's uplink constant in N.
-    let t16 = run(16, FanoutStrategy::Tree { m: 3 });
-    assert_eq!(t16.speaker_tx_bytes, t128.speaker_tx_bytes);
-}
 
 #[test]
 fn presence_and_discussion_compose_into_awareness() {

@@ -3,9 +3,9 @@
 
 use mmu_wdoc::dist::{
     broadcast, predict_completion, star_uniform, AdaptiveController, BroadcastTree, DemandSim,
-    DocSpec, LectureDoc, LectureSession, MigrationSim,
+    DocSpec,
 };
-use mmu_wdoc::netsim::{LinkSpec, Network, SimTime};
+use mmu_wdoc::netsim::{LinkSpec, Network};
 use mmu_wdoc::workload::{build_population_with, generate_trace, LinkMix, TraceSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,58 +86,4 @@ fn zipf_trace_duplicates_hot_documents_first() {
     };
     assert!(replicas("d0") >= replicas("d9"));
     assert!(replicas("d0") > 0);
-}
-
-#[test]
-fn migration_keeps_only_buffer_space() {
-    let (mut net, ids) = Network::uniform(6, LinkSpec::lan());
-    let tree = BroadcastTree::new(ids, 2);
-    let docs = vec![LectureDoc {
-        name: "lec".into(),
-        bytes: 3_000_000,
-    }];
-    let mut sim = MigrationSim::new(tree, docs, true);
-    let sessions: Vec<LectureSession> = (2..=6u64)
-        .map(|pos| LectureSession {
-            position: pos,
-            doc: 0,
-            start: SimTime::from_secs(pos),
-            end: SimTime::from_secs(pos + 600),
-        })
-        .collect();
-    let report = sim.run(&mut net, &sessions);
-    assert_eq!(report.steady_bytes, 0);
-    assert!(report.peak_bytes >= 3_000_000);
-    assert_eq!(report.copied_bytes, 5 * 3_000_000);
-    // The instructor root never gives up its persistent instance.
-    assert!(sim.stations()[&1].has_instance("lec"));
-}
-
-#[test]
-fn watermark_zero_vs_infinite_bracket_the_latency() {
-    let run = |watermark: u64| {
-        let docs = vec![DocSpec {
-            name: "d".into(),
-            view_bytes: 30_000,
-            full_bytes: 900_000,
-        }];
-        let (mut net, ids) =
-            Network::uniform(4, LinkSpec::new(5_000_000, SimTime::from_millis(30)));
-        let tree = BroadcastTree::new(ids, 2);
-        let mut sim = DemandSim::new(tree, docs, watermark);
-        let trace: Vec<_> = (0..10)
-            .map(|i| mmu_wdoc::dist::AccessEvent {
-                at: SimTime::from_secs(i * 10),
-                position: 2,
-                doc: 0,
-            })
-            .collect();
-        sim.run(&mut net, &trace)
-    };
-    let eager = run(0);
-    let never = run(u64::MAX);
-    assert!(eager.local_hits > never.local_hits);
-    assert!(eager.mean_latency_us < never.mean_latency_us);
-    assert_eq!(never.duplications, 0);
-    assert_eq!(never.replica_bytes, 0);
 }
