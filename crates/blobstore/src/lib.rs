@@ -774,7 +774,7 @@ mod tests {
         let dir = scratch("compact");
         let cfg = logstore::LogConfig {
             segment_bytes: 4096,
-            auto_compact: false,
+            min_sealed_segments: usize::MAX,
             ..logstore::LogConfig::default()
         };
         let bs = BlobStore::open_logged(&dir, cfg, obs::Registry::disabled()).unwrap();

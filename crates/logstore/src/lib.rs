@@ -14,13 +14,14 @@
 //! * **Hint files** — each sealed segment gets a `seg-<id>.hint`
 //!   digest of its surviving entries (tombstones included), so reopen
 //!   reads directories, not data.
-//! * **Merge compaction** — [`LogStore::merge`] rewrites live entries
-//!   into fresh segments and deletes the stale ones in an order proven
-//!   crash-safe (see `store.rs` module docs), reclaiming dead bytes.
-//!   [`LogStore::merge_concurrent`] does the same with the copy phase
-//!   off the writer's lock, and [`LogStore::spawn_compactor`] runs it
-//!   from a throttled janitor thread so foreground writes never wait
-//!   for a rewrite.
+//! * **Merge compaction** — [`LogStore::merge`], the one compaction
+//!   path, rewrites live entries into fresh segments without holding
+//!   the store lock while it copies, then deletes the merged segments
+//!   in ascending order of the highest record version each holds, so a
+//!   crash at any point can neither resurrect a deleted key nor shadow
+//!   a live one (see `store.rs` module docs). A `put` or `remove` that
+//!   seals a segment runs the policy ([`LogStore::maybe_merge`]) on its
+//!   own thread after releasing the lock.
 //!
 //! Upstack, `relstore` mounts this as its third `PageStore` backend,
 //! `blobstore` as a durable blob backend, and `wal` borrows the same
@@ -31,7 +32,7 @@ mod format;
 mod store;
 
 pub use format::{crc32, DATA_MAGIC, FILE_HEADER, FRAME_HEADER, HINT_MAGIC};
-pub use store::{data_path, hint_path, Compactor, LogStats, LogStore, MergeReport, SegmentInfo};
+pub use store::{data_path, hint_path, LogStats, LogStore, MergeReport, SegmentInfo};
 
 /// Errors a [`LogStore`] can surface.
 #[derive(Debug)]
@@ -98,8 +99,6 @@ pub struct LogConfig {
     /// store syncs at segment seal, merge, and [`LogStore::sync`], and
     /// layers with their own WAL (the paged backend) need no more.
     pub sync_writes: bool,
-    /// Run the merge policy automatically each time a segment seals.
-    pub auto_compact: bool,
 }
 
 impl Default for LogConfig {
@@ -109,23 +108,22 @@ impl Default for LogConfig {
             dead_ratio_pct: 40,
             min_sealed_segments: 2,
             sync_writes: false,
-            auto_compact: true,
         }
     }
 }
 
 impl LogConfig {
-    /// A small-segment config for tests: rotation and compaction fire
-    /// after a handful of records, `auto_compact` off so tests control
-    /// merge timing.
+    /// A small-segment config for tests: rotation fires after a
+    /// handful of records, and a merge is never due
+    /// (`min_sealed_segments` is `usize::MAX`), so tests control merge
+    /// timing.
     #[must_use]
     pub fn small_for_tests(segment_bytes: u64) -> Self {
         LogConfig {
             segment_bytes,
             dead_ratio_pct: 30,
-            min_sealed_segments: 2,
+            min_sealed_segments: usize::MAX,
             sync_writes: false,
-            auto_compact: false,
         }
     }
 }

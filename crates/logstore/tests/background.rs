@@ -1,12 +1,8 @@
-//! Background / concurrent compaction: foreground traffic must
-//! proceed while a merge is in flight, the version guard must keep
-//! mid-merge overwrites, and the janitor thread must reclaim space on
-//! its own and count its merges.
+//! Merge's unlocked copy window: foreground traffic must proceed while
+//! a merge is in flight, the version guard must keep mid-merge
+//! overwrites, and a second merge must not touch the sealed set.
 
 use logstore::{LogConfig, LogStore};
-use obs::Registry;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("logstore-bg-{tag}-{}", std::process::id()));
@@ -42,7 +38,7 @@ fn foreground_writes_proceed_during_in_flight_merge() {
     // live record but not yet swung the directory — the exact overlap
     // a real background merge exposes, made deterministic.
     let report = store
-        .merge_concurrent_hooked(|| {
+        .merge_hooked(|| {
             // A brand-new key, an overwrite of a key whose old record
             // was just copied, and a delete — all against the same
             // store the merge is compacting.
@@ -96,71 +92,12 @@ fn concurrent_merge_skips_when_one_is_in_flight() {
     let store = LogStore::open(&root, LogConfig::small_for_tests(512)).unwrap();
     churn(&store, 16, 3);
     let report = store
-        .merge_concurrent_hooked(|| {
-            // Both the locked foreground merge and a second concurrent
-            // merge must refuse to touch the sealed set mid-flight.
+        .merge_hooked(|| {
+            // A second merge must refuse to touch the sealed set
+            // mid-flight.
             assert!(store.merge().unwrap().merged.is_empty());
-            assert!(store.merge_concurrent().unwrap().merged.is_empty());
         })
         .unwrap();
     assert!(!report.merged.is_empty(), "the outer merge still runs");
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn background_compactor_reclaims_and_counts_merges() {
-    let root = tempdir("janitor");
-    let metrics = Registry::new();
-    let cfg = LogConfig {
-        segment_bytes: 512,
-        dead_ratio_pct: 30,
-        min_sealed_segments: 2,
-        sync_writes: false,
-        auto_compact: false, // reclaim is the janitor's job alone
-    };
-    let store = Arc::new(LogStore::open_with_metrics(&root, cfg, metrics.clone()).unwrap());
-    let mut compactor = store.spawn_compactor(Duration::from_millis(1));
-
-    // Keep writing while the janitor runs; every value must survive.
-    churn(&store, 24, 6);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while store.stats().merges == 0 {
-        assert!(Instant::now() < deadline, "janitor never merged");
-        churn(&store, 24, 1);
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    compactor.stop();
-
-    let stats = store.stats();
-    assert!(stats.merges >= 1);
-    assert!(stats.reclaimed_bytes > 0, "merges reclaimed dead bytes");
-    assert!(
-        metrics.counter("logstore.compaction.background_merges") >= 1,
-        "janitor merges are counted"
-    );
-    assert_eq!(
-        metrics.counter("logstore.compaction.background_merges"),
-        stats.merges,
-        "every merge this run was a background merge"
-    );
-    // Foreground writes that raced the janitor all survived.
-    let last_round = 6; // churn wrote rounds 0..=5 then possibly more singles
-    let _ = last_round;
-    for i in 0..24u32 {
-        let v = store.get(&key(i)).unwrap().unwrap();
-        assert!(
-            v.starts_with(format!("value-{i}-round-").as_bytes()),
-            "key {i} has a value from some completed round"
-        );
-    }
-    let fp = store.fingerprint().unwrap();
-    drop(compactor);
-    drop(store);
-    let reopened = LogStore::open(&root, LogConfig::small_for_tests(512)).unwrap();
-    assert_eq!(
-        reopened.fingerprint().unwrap(),
-        fp,
-        "reopen sees the same content"
-    );
     let _ = std::fs::remove_dir_all(&root);
 }

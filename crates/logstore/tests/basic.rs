@@ -166,7 +166,6 @@ fn auto_compaction_policy_fires_on_churn() {
         dead_ratio_pct: 30,
         min_sealed_segments: 2,
         sync_writes: false,
-        auto_compact: true,
     };
     let store = LogStore::open(&dir, cfg).unwrap();
     for round in 0..60u32 {

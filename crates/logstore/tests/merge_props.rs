@@ -80,12 +80,14 @@ fn compaction_bounds_disk_by_the_live_set() {
                 .unwrap();
         }
     };
-    let open = |auto_compact| {
-        let cfg = LogConfig {
+    let open = |compacting: bool| {
+        let mut cfg = LogConfig {
             segment_bytes: SEG,
-            auto_compact,
             ..LogConfig::default()
         };
+        if !compacting {
+            cfg.min_sealed_segments = usize::MAX;
+        }
         let dir = scratch();
         (LogStore::open(&dir, cfg).unwrap(), dir)
     };
@@ -154,8 +156,7 @@ proptest! {
         let dir = scratch();
         let cfg = LogConfig {
             segment_bytes: 384,
-            min_sealed_segments: 1,
-            auto_compact: false,
+            min_sealed_segments: usize::MAX,
             ..LogConfig::default()
         };
         let store = LogStore::open(&dir, cfg.clone()).unwrap();

@@ -208,8 +208,7 @@ proptest! {
                 log_dir.clone(),
                 logstore::LogConfig {
                     segment_bytes: 2048,
-                    min_sealed_segments: 1,
-                    auto_compact: false,
+                    min_sealed_segments: usize::MAX,
                     ..logstore::LogConfig::default()
                 },
             ),
