@@ -44,6 +44,8 @@ pub const HINT_MAGIC: &[u8; 8] = b"wdochnt0";
 pub const FILE_HEADER: usize = 16;
 /// Per-frame header: length + CRC.
 pub const FRAME_HEADER: usize = 8;
+/// Smallest data frame: the header plus a payload's fixed fields.
+pub const MIN_DATA_FRAME: u32 = FRAME_HEADER as u32 + 13;
 /// Upper bound on one frame payload; a larger length in a header can
 /// only come from bit rot (a torn write cannot invent bytes).
 pub const MAX_FRAME: u32 = 1 << 30;
