@@ -8,7 +8,9 @@
 //!    checkpoint, and partition the transactions that appear after it
 //!    into *winners* (a `Commit` record made it to disk) and *losers*
 //!    (no commit — whether the transaction was still in flight at the
-//!    crash or had aborted, its effects must not survive).
+//!    crash or had aborted, its effects must not survive). A retried
+//!    transaction reuses its id, so an id is classified by its *last*
+//!    `Commit` or `Abort` record.
 //! 2. **Redo** — restore the checkpoint snapshot (or an empty database
 //!    when none exists), then repeat history: re-apply every logged
 //!    mutation after the checkpoint, winners and losers alike, exactly
@@ -18,7 +20,10 @@
 //!    the rollback it stands for: the engine undid that transaction in
 //!    memory *before* appending the record and *before* releasing its
 //!    locks, so no later record can depend on the un-rolled-back state
-//!    — undoing at exactly that point repeats history faithfully.
+//!    — undoing at exactly that point repeats history faithfully. Every
+//!    id keeps an undo stack during redo: `Abort` unwinds it, `Commit`
+//!    drops it, so an aborted attempt is undone even when a later
+//!    attempt under the same id commits.
 //! 3. **Undo** — walk the remaining losers' (in flight at the crash,
 //!    neither committed nor aborted) operations in reverse log order
 //!    and invert each one from its before image: un-insert, un-update,
@@ -33,7 +38,7 @@ use crate::{Lsn, WalError};
 use obs::Registry;
 use relstore::lock::TxnId;
 use relstore::{AnyEngine, EngineKind, PoolConfig, RowOp};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// What recovery found and did — reported for logging and tests, and
@@ -157,32 +162,32 @@ pub fn recover_scan_any(
     } else {
         &decoded[..]
     };
-    let mut committed: BTreeSet<TxnId> = BTreeSet::new();
-    let mut aborted: BTreeSet<TxnId> = BTreeSet::new();
-    let mut seen: BTreeSet<TxnId> = BTreeSet::new();
+    // An id's *last* outcome classifies it: a wait-die retry reuses
+    // its id, so one id can log an `Abort` and later a `Commit`.
+    let mut last: BTreeMap<TxnId, Option<bool>> = BTreeMap::new();
     report.next_txn = 1;
     for (_, rec) in tail {
         if let Some(txn) = rec.txn() {
-            seen.insert(txn);
             report.next_txn = report.next_txn.max(txn + 1);
-            match rec {
-                WalRecord::Commit { .. } => {
-                    committed.insert(txn);
-                }
-                WalRecord::Abort { .. } => {
-                    aborted.insert(txn);
-                }
-                _ => {}
-            }
+            last.insert(
+                txn,
+                match rec {
+                    WalRecord::Commit { .. } => Some(true),
+                    WalRecord::Abort { .. } => Some(false),
+                    _ => None,
+                },
+            );
         }
     }
-    report.winners = committed.iter().copied().collect();
-    report.aborted = aborted.iter().copied().collect();
-    report.losers = seen
-        .difference(&committed)
-        .filter(|t| !aborted.contains(t))
-        .copied()
-        .collect();
+    let with = |o: Option<bool>| -> Vec<TxnId> {
+        last.iter()
+            .filter(|&(_, &l)| l == o)
+            .map(|(&t, _)| t)
+            .collect()
+    };
+    report.winners = with(Some(true));
+    report.aborted = with(Some(false));
+    report.losers = with(None);
     metrics.gauge_set(
         "wal.recover.analysis_us",
         phase_start.elapsed().as_micros() as i64,
@@ -210,8 +215,9 @@ pub fn recover_scan_any(
         AnyEngine::with_pool(kind, cfg).map_err(WalError::Store)?
     };
     db.resume_txn_ids(report.next_txn);
-    // Per-loser undo stacks, filled while redoing.
-    let mut undo: HashMap<TxnId, Vec<RowOp<'_>>> = HashMap::new();
+    // One undo stack per id, filled while redoing: `Commit` clears it,
+    // `Abort` unwinds it, and what is left at the end is the losers'.
+    let mut undo: BTreeMap<TxnId, Vec<RowOp<'_>>> = BTreeMap::new();
     for (lsn, rec) in tail {
         if let Some((txn, op)) = rec.op() {
             match op {
@@ -223,14 +229,15 @@ pub fn recover_scan_any(
             }
             .map_err(|e| redo_fail(*lsn, e))?;
             report.redone_ops += 1;
-            if !committed.contains(&txn) {
-                undo.entry(txn).or_default().push(op);
-            }
+            undo.entry(txn).or_default().push(op);
             continue;
         }
         match rec {
             WalRecord::CreateTable { schema } => {
                 db.create_table(schema.clone()).map_err(WalError::Store)?;
+            }
+            WalRecord::Commit { txn } => {
+                undo.remove(txn);
             }
             WalRecord::Abort { txn } => {
                 // Repeat the rollback where history performed it: the
@@ -258,11 +265,8 @@ pub fn recover_scan_any(
     // --- Undo ---------------------------------------------------------
     // Strict two-phase locking means no two in-flight transactions ever
     // touched the same row, so per-transaction reverse order suffices;
-    // iterate losers deterministically all the same.
-    for txn in report.losers.clone() {
-        let Some(ops) = undo.remove(&txn) else {
-            continue;
-        };
+    // iterate losers deterministically (id order) all the same.
+    for ops in undo.into_values() {
         report.undone_ops += undo_txn(&db, ops)?;
     }
     metrics.gauge_set(

@@ -353,6 +353,36 @@ fn recovered_losers_stay_dead_after_later_commits() {
     std::fs::remove_dir_all(&path).unwrap();
 }
 
+/// A wait-die retry reuses its transaction id, so one id can log an
+/// `Abort` and later a `Commit`. Recovery must undo the aborted
+/// attempt's ops although the id as a whole committed.
+#[test]
+fn retried_attempt_under_one_id_is_not_resurrected() {
+    let path = temp_log("retry");
+    {
+        let (db, wal, _) = open_durable_any(&path, WalOptions::default()).unwrap();
+        db.create_table(parent_schema()).unwrap();
+        let runs = AtomicU64::new(0);
+        db.with_txn(|txn| {
+            apply(txn, Op::InsPar(1, "alpha"));
+            if runs.fetch_add(1, Ordering::Relaxed) == 0 {
+                return Err(relstore::Error::TxnAborted {
+                    reason: "first run loses".to_owned(),
+                });
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(runs.load(Ordering::Relaxed), 2);
+        wal.flush().unwrap();
+    }
+    let (db, report) = recover_bytes(&crash::read_log(&path)).unwrap();
+    let rows = db.begin().select("parent", &Predicate::True).unwrap();
+    assert_eq!(rows.len(), 1, "one committed attempt, one row: {rows:?}");
+    assert!(report.losers.is_empty());
+    std::fs::remove_dir_all(&path).unwrap();
+}
+
 // ---------------------------------------------------------------------
 // Randomized generalization
 // ---------------------------------------------------------------------
