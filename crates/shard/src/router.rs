@@ -13,10 +13,11 @@
 //! * a **homes directory** — for every routed row, the shard its
 //!   primary key lives on. [`RoutingSpec::ByParent`] tables consult it
 //!   to co-locate children with parents. Entries are *refreshed* by
-//!   every successful insert/update and never eagerly deleted; a stale
-//!   entry is harmless because the engine on the stale shard produces
-//!   exactly the error (usually a foreign-key violation) the single
-//!   engine would.
+//!   every insert, move and key-changing update and never eagerly
+//!   deleted; a stale entry is harmless because the engine on the
+//!   stale shard produces exactly the error (usually a foreign-key
+//!   violation) the single engine would, and a key whose entry is
+//!   stale has no live parent, hence no children to read.
 //!
 //! # Co-location invariants
 //!
@@ -39,6 +40,30 @@
 //!
 //! The testkit schemas used by the differential satisfy all three by
 //! construction; [`crate::wdoc`] documents how the paper's tables do.
+//!
+//! # Reads go where the rows are
+//!
+//! A select, count or sum whose predicate fixes the routing column by
+//! a top-level equality reads one shard. For `ByColumn` that is the
+//! value's hash. For `ByParent` it is the parent's home: a child with
+//! a non-NULL parent key lives with its parent (its FK held there when
+//! it was written, and a move drags it along), so the home holds every
+//! match. The home is looked up again after the read; a move that
+//! published a new home in between sends the read to every shard.
+//! Everything else scatters to all shards and merges gid-ascending.
+//!
+//! # The directory lock
+//!
+//! The gid and homes directories sit behind one reader-writer lock.
+//! Translating ids and looking up homes share it; reserving a gid, DDL
+//! and publishing a commit's directory changes write. A commit that
+//! changes the directories (inserts, deletes, moves, key changes)
+//! takes the write guard *before* its engine commits and drops it
+//! after publishing, so a reader that sees one of its rows waits for
+//! the row's gid, and a routed read's second home lookup sees a move
+//! that committed under it. A commit that changes nothing there —
+//! read-only, or in-place updates — takes no guard at all. The guard
+//! is never held across an engine call that can block on a row lock.
 //!
 //! # Cross-shard checks
 //!
@@ -70,7 +95,7 @@ use relstore::{
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wal::{Wal, WalError, WalOptions};
 
 /// A local row id no real row can have: engine ids start at 1 and
@@ -283,7 +308,9 @@ pub struct Router {
     shards: Vec<ShardNode>,
     map: ShardMap,
     registered: Mutex<Arc<Registered>>,
-    dirs: Mutex<BTreeMap<String, TableDir>>,
+    /// Gid and homes directories. Readers share it; only gid
+    /// allocation, publish and DDL write (see the module docs).
+    dirs: RwLock<BTreeMap<String, TableDir>>,
     /// table → one [`Bloom`] per unique index (engine check order;
     /// local indexes keep an unfed filter as a placeholder).
     blooms: Mutex<BTreeMap<String, Vec<Bloom>>>,
@@ -309,7 +336,7 @@ impl Router {
             shards,
             map,
             registered: Mutex::default(),
-            dirs: Mutex::new(BTreeMap::new()),
+            dirs: RwLock::new(BTreeMap::new()),
             blooms: Mutex::new(BTreeMap::new()),
             coordinator,
             counters: RouterCounters::new(&metrics),
@@ -366,7 +393,7 @@ impl Router {
                 shards,
                 map,
                 registered: Mutex::default(),
-                dirs: Mutex::new(BTreeMap::new()),
+                dirs: RwLock::new(BTreeMap::new()),
                 blooms: Mutex::new(BTreeMap::new()),
                 coordinator,
                 counters: RouterCounters::new(&metrics),
@@ -416,6 +443,16 @@ impl Router {
     /// The tables as registered right now.
     fn registered(&self) -> Arc<Registered> {
         Arc::clone(&self.registered.lock().unwrap())
+    }
+
+    /// The directories, shared for a lookup.
+    fn dirs(&self) -> Result<RwLockReadGuard<'_, BTreeMap<String, TableDir>>> {
+        self.dirs.read().map_err(|_| poisoned())
+    }
+
+    /// The directories, exclusive for a gid allocation or DDL.
+    fn dirs_mut(&self) -> Result<RwLockWriteGuard<'_, BTreeMap<String, TableDir>>> {
+        self.dirs.write().map_err(|_| poisoned())
     }
 
     /// The registered route for `table`, if any.
@@ -538,9 +575,7 @@ impl Router {
         for node in &self.shards {
             node.engine.create_table(schema.clone())?;
         }
-        self.dirs
-            .lock()
-            .unwrap()
+        self.dirs_mut()?
             .insert(schema.name.clone(), TableDir::new());
         self.register_route(schema, spec)?;
         Ok(())
@@ -595,7 +630,7 @@ impl Router {
             dir.homes.insert(Key::from_row(row, &route.pk_cols), *s);
             self.bloom_check_add(&route, row);
         }
-        self.dirs.lock().unwrap().insert(table, dir);
+        self.dirs_mut()?.insert(table, dir);
         Ok(())
     }
 
@@ -715,6 +750,27 @@ fn regid(table: &str, gid: u64, e: Error) -> Error {
     }
 }
 
+/// The error for a directory lock a panicking writer left poisoned.
+fn poisoned() -> Error {
+    Error::Unsupported("router directory lock poisoned by a panicked writer".to_owned())
+}
+
+/// The error for a shard row the directory cannot name. A reader that
+/// sees a newly committed row finds its gid: the committer holds the
+/// directory write guard from before its engine commit until it has
+/// published, so the reader's lookup waits for the publish. An MVCC part's
+/// snapshot, though, can still show a row that a newer commit deleted
+/// or moved away. Retrying at a fresh snapshot is the remedy, so the
+/// error is the retryable abort.
+fn unowned(table: &str, shard: usize, lid: RowId) -> Error {
+    Error::TxnAborted {
+        reason: format!(
+            "router directory has no gid for `{table}` row {} on shard {shard}",
+            lid.0
+        ),
+    }
+}
+
 /// Per-table transaction-local directory changes, merged into the
 /// committed [`TableDir`] at commit and simply dropped at rollback
 /// (the gids themselves were reserved eagerly in `alloc_gid`, so a
@@ -730,6 +786,13 @@ struct TableOverlay {
     removed: BTreeSet<u64>,
     /// homes refreshes.
     homes: BTreeMap<Key, usize>,
+}
+
+impl TableOverlay {
+    /// Whether merging this overlay changes the committed directory.
+    fn publishes(&self) -> bool {
+        !(self.added.is_empty() && self.removed.is_empty() && self.homes.is_empty())
+    }
 }
 
 type Overlay = BTreeMap<String, TableOverlay>;
@@ -799,64 +862,61 @@ impl<'r> DistTxn<'r> {
     }
 
     /// This transaction's view of gid → location.
-    fn to_local(&self, table: &str, gid: u64) -> Option<(usize, RowId)> {
+    fn to_local(&self, table: &str, gid: u64) -> Result<Option<(usize, RowId)>> {
         let ov = self.overlay.borrow();
         if let Some(t) = ov.get(table) {
             if let Some(&loc) = t.added.get(&gid) {
-                return Some(loc);
+                return Ok(Some(loc));
             }
             if t.removed.contains(&gid) {
-                return None;
+                return Ok(None);
             }
         }
         drop(ov);
-        self.router
-            .dirs
-            .lock()
-            .unwrap()
+        Ok(self
+            .router
+            .dirs()?
             .get(table)
-            .and_then(|d| d.fwd.get(&gid).copied())
+            .and_then(|d| d.fwd.get(&gid).copied()))
     }
 
-    /// This transaction's view of (shard, local id) → gid.
-    fn to_gid(&self, table: &str, shard: usize, lid: RowId) -> Option<u64> {
+    /// This transaction's gid for a row the router must own.
+    fn to_gid(&self, table: &str, shard: usize, lid: RowId) -> Result<u64> {
         let ov = self.overlay.borrow();
         if let Some(t) = ov.get(table) {
             if let Some(&gid) = t.added_rev.get(&(shard, lid.0)) {
-                return Some(gid);
+                return Ok(gid);
             }
         }
         drop(ov);
         self.router
-            .dirs
-            .lock()
-            .unwrap()
+            .dirs()?
             .get(table)
             .and_then(|d| d.rev.get(&(shard, lid.0)).copied())
+            .ok_or_else(|| unowned(table, shard, lid))
     }
 
     /// This transaction's view of the homes directory.
-    fn home_of(&self, table: &str, key: &Key) -> Option<usize> {
+    fn home_of(&self, table: &str, key: &Key) -> Result<Option<usize>> {
         let ov = self.overlay.borrow();
         if let Some(t) = ov.get(table) {
             if let Some(&s) = t.homes.get(key) {
-                return Some(s);
+                return Ok(Some(s));
             }
         }
         drop(ov);
-        self.router
-            .dirs
-            .lock()
-            .unwrap()
+        Ok(self
+            .router
+            .dirs()?
             .get(table)
-            .and_then(|d| d.homes.get(key).copied())
+            .and_then(|d| d.homes.get(key).copied()))
     }
 
     /// Target shard for a (valid-enough) row of `table`. Defensive on
     /// malformed rows: routing falls back to shard 0, whose engine
     /// then produces the same validation error a single engine would.
-    fn route_row(&self, route: &TableRoute, row: &[Value]) -> usize {
-        match &route.spec {
+    fn route_row(&self, route: &TableRoute, row: &[Value]) -> Result<usize> {
+        Ok(match &route.spec {
             RoutingSpec::Global => 0,
             RoutingSpec::ByColumn(col) => match route.schema.column_index(col) {
                 Some(c) if c < row.len() => shard_of_value(&self.router.map, &row[c]),
@@ -874,19 +934,19 @@ impl<'r> DistTxn<'r> {
                         if row[c].is_null() {
                             shard_of_value(&self.router.map, &row[f])
                         } else {
-                            self.home_of(parent, &Key(vec![row[c].clone()]))
+                            self.home_of(parent, &Key(vec![row[c].clone()]))?
                                 .unwrap_or_else(|| shard_of_value(&self.router.map, &row[f]))
                         }
                     }
                     _ => 0,
                 }
             }
-        }
+        })
     }
 
     /// Record a fresh gid for a row that landed at `loc`, refreshing
     /// the homes directory. Returns the gid.
-    fn alloc_gid(&self, route: &TableRoute, row: &[Value], loc: (usize, RowId)) -> u64 {
+    fn alloc_gid(&self, route: &TableRoute, row: &[Value], loc: (usize, RowId)) -> Result<u64> {
         let mut ov = self.overlay.borrow_mut();
         let t = ov.entry(route.schema.name.clone()).or_default();
         // Reserve the gid eagerly: `next_gid` advances the moment the
@@ -896,7 +956,7 @@ impl<'r> DistTxn<'r> {
         // can never mint the same gid (a lazy commit-time burn would
         // let both read the same base and collide).
         let gid = {
-            let mut dirs = self.router.dirs.lock().unwrap();
+            let mut dirs = self.router.dirs_mut()?;
             let dir = dirs.entry(route.schema.name.clone()).or_default();
             let gid = dir.next_gid;
             dir.next_gid += 1;
@@ -905,7 +965,7 @@ impl<'r> DistTxn<'r> {
         t.added.insert(gid, loc);
         t.added_rev.insert((loc.0, (loc.1).0), gid);
         t.homes.insert(Key::from_row(row, &route.pk_cols), loc.0);
-        gid
+        Ok(gid)
     }
 
     /// Move `gid`'s mapping to `loc` and refresh its home.
@@ -1011,10 +1071,10 @@ impl<'r> DistTxn<'r> {
                 self.dirty[s].set(true);
                 debug_assert_eq!(lid, lid0, "replicas of a Global table diverged");
             }
-            let gid = self.alloc_gid(route, &row, (0, lid0));
+            let gid = self.alloc_gid(route, &row, (0, lid0))?;
             return Ok(RowId(gid));
         }
-        let target = self.route_row(route, &row);
+        let target = self.route_row(route, &row)?;
         // Probe-and-feed before the write: a prober racing between our
         // write and a later feed could wrongly see a clean filter.
         let fresh = self.router.bloom_check_add(route, &row);
@@ -1035,7 +1095,7 @@ impl<'r> DistTxn<'r> {
         match (local, remote) {
             (Ok(lid), None) => {
                 self.dirty[target].set(true);
-                let gid = self.alloc_gid(route, &row, (target, lid));
+                let gid = self.alloc_gid(route, &row, (target, lid))?;
                 self.router.counters.single_shard_ops.inc();
                 Ok(RowId(gid))
             }
@@ -1064,9 +1124,9 @@ impl<'r> DistTxn<'r> {
         self.router.counters.ops.inc();
         let route = self.route(table)?;
         let loc = if route.spec == RoutingSpec::Global {
-            self.to_local(table, gid.0).map(|(_, lid)| (0, lid))
+            self.to_local(table, gid.0)?.map(|(_, lid)| (0, lid))
         } else {
-            self.to_local(table, gid.0)
+            self.to_local(table, gid.0)?
         };
         match loc {
             Some((s, lid)) => self
@@ -1085,7 +1145,7 @@ impl<'r> DistTxn<'r> {
         self.router.counters.ops.inc();
         let route = self.route(table)?;
         if route.spec == RoutingSpec::Global {
-            let Some((_, lid)) = self.to_local(table, gid.0) else {
+            let Some((_, lid)) = self.to_local(table, gid.0)? else {
                 return self
                     .txn(0)
                     .update(table, BOGUS_LID, new_row)
@@ -1102,13 +1162,13 @@ impl<'r> DistTxn<'r> {
                 .insert(Key::from_row(&new_row, &route.pk_cols), 0);
             return Ok(());
         }
-        let Some((shard, lid)) = self.to_local(table, gid.0) else {
+        let Some((shard, lid)) = self.to_local(table, gid.0)? else {
             return self
                 .txn(0)
                 .update(table, BOGUS_LID, new_row)
                 .map_err(|e| regid(table, gid.0, e));
         };
-        let target = self.route_row(route, &new_row);
+        let target = self.route_row(route, &new_row)?;
         if target == shard {
             return self.update_in_place(table, route, gid.0, shard, lid, new_row);
         }
@@ -1149,11 +1209,16 @@ impl<'r> DistTxn<'r> {
         match (local, remote) {
             (Ok(()), None) => {
                 self.dirty[shard].set(true);
-                let mut ov = self.overlay.borrow_mut();
-                ov.entry(table.to_owned())
-                    .or_default()
-                    .homes
-                    .insert(Key::from_row(&new_row, &route.pk_cols), shard);
+                // The row's key already has this home unless the update
+                // changed the key: only a new key has a home to publish.
+                let key = Key::from_row(&new_row, &route.pk_cols);
+                if key != Key::from_row(&old, &route.pk_cols) {
+                    let mut ov = self.overlay.borrow_mut();
+                    ov.entry(table.to_owned())
+                        .or_default()
+                        .homes
+                        .insert(key, shard);
+                }
                 Ok(())
             }
             (Ok(()), Some(i)) => {
@@ -1275,9 +1340,7 @@ impl<'r> DistTxn<'r> {
                 let ci = droute.schema.require_column(col)?;
                 let pred = eq_pred(&droute.schema, &[ci], &old_pk.0);
                 for (dlid, drow) in self.txn(shard).select(dname, &pred)? {
-                    let dgid = self
-                        .to_gid(dname, shard, dlid)
-                        .expect("router owns every routed row");
+                    let dgid = self.to_gid(dname, shard, dlid)?;
                     self.txn(shard).delete(dname, dlid)?;
                     drags.push((dname.clone(), dgid, drow));
                 }
@@ -1301,9 +1364,9 @@ impl<'r> DistTxn<'r> {
         self.router.counters.ops.inc();
         let route = self.route(table)?;
         let loc = if route.spec == RoutingSpec::Global {
-            self.to_local(table, gid.0).map(|(_, lid)| (0usize, lid))
+            self.to_local(table, gid.0)?.map(|(_, lid)| (0usize, lid))
         } else {
-            self.to_local(table, gid.0)
+            self.to_local(table, gid.0)?
         };
         let Some((shard, lid)) = loc else {
             return self
@@ -1371,7 +1434,7 @@ impl<'r> DistTxn<'r> {
         self.router.counters.ops.inc();
         let route = self.route(table)?;
         if route.spec == RoutingSpec::Global {
-            let Some((_, lid)) = self.to_local(table, gid.0) else {
+            let Some((_, lid)) = self.to_local(table, gid.0)? else {
                 return self
                     .txn(0)
                     .delete(table, BOGUS_LID)
@@ -1397,15 +1460,13 @@ impl<'r> DistTxn<'r> {
                         }
                         continue;
                     }
-                    let g = self
-                        .to_gid(&t, s, id)
-                        .expect("router owns every routed row");
+                    let g = self.to_gid(&t, s, id)?;
                     self.drop_gid(&t, g);
                 }
             }
             return Ok(());
         }
-        let Some((shard, lid)) = self.to_local(table, gid.0) else {
+        let Some((shard, lid)) = self.to_local(table, gid.0)? else {
             return self
                 .txn(0)
                 .delete(table, BOGUS_LID)
@@ -1417,9 +1478,7 @@ impl<'r> DistTxn<'r> {
             .map_err(|e| regid(table, gid.0, e))?;
         self.dirty[shard].set(true);
         for (t, id) in closure {
-            let g = self
-                .to_gid(&t, shard, id)
-                .expect("router owns every routed row");
+            let g = self.to_gid(&t, shard, id)?;
             self.drop_gid(&t, g);
         }
         Ok(())
@@ -1430,48 +1489,53 @@ impl<'r> DistTxn<'r> {
     pub fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, Row)>> {
         self.router.counters.ops.inc();
         let route = self.route(table)?;
-        let mut out: Vec<(RowId, Row)> = Vec::new();
-        if route.spec == RoutingSpec::Global {
-            for (lid, row) in self.txn(0).select(table, pred)? {
-                let gid = self
-                    .to_gid(table, 0, lid)
-                    .expect("router owns every Global row");
-                out.push((RowId(gid), row));
-            }
+        let read = |s: usize| self.txn(s).select(table, pred);
+        // Two phases: collect every read shard's raw rows first, then
+        // translate all local ids under ONE overlay borrow and ONE
+        // directory read guard instead of a lock round-trip per row.
+        let raw = if route.spec == RoutingSpec::Global {
+            vec![(0, read(0)?)]
         } else {
-            // Scatter-gather in two phases: collect every probed
-            // shard's raw rows first, then translate all local ids
-            // under ONE overlay borrow and ONE directory-lock
-            // acquisition instead of a lock round-trip per row.
-            let mut raw: Vec<(usize, Vec<(RowId, Row)>)> = Vec::new();
-            for s in self.pruned_shards(route, pred) {
-                raw.push((s, self.txn(s).select(table, pred)?));
-            }
+            let raw = self.read_owners(route, pred, read)?;
             self.router.counters.scatter_batched.inc();
-            let ov = self.overlay.borrow();
-            let ovt = ov.get(table);
-            let dirs = self.router.dirs.lock().unwrap();
-            let dir = dirs.get(table);
-            for (s, rows) in raw {
-                for (lid, row) in rows {
-                    let gid = ovt
-                        .and_then(|t| t.added_rev.get(&(s, lid.0)).copied())
-                        .or_else(|| dir.and_then(|d| d.rev.get(&(s, lid.0)).copied()))
-                        .expect("router owns every routed row");
-                    out.push((RowId(gid), row));
-                }
+            raw
+        };
+        let ov = self.overlay.borrow();
+        let ovt = ov.get(table);
+        let dirs = self.router.dirs()?;
+        let dir = dirs.get(table);
+        let mut out: Vec<(RowId, Row)> = Vec::new();
+        for (s, rows) in raw {
+            for (lid, row) in rows {
+                let gid = ovt
+                    .and_then(|t| t.added_rev.get(&(s, lid.0)).copied())
+                    .or_else(|| dir.and_then(|d| d.rev.get(&(s, lid.0)).copied()))
+                    .ok_or_else(|| unowned(table, s, lid))?;
+                out.push((RowId(gid), row));
             }
         }
         out.sort_by_key(|&(id, _)| id);
         Ok(out)
     }
 
-    /// The shards a scatter for `pred` must visit: a `ByColumn` table
-    /// whose predicate pins the routing column with a top-level
-    /// equality conjunct lives on exactly one shard (rows route by the
-    /// column's value, NULL included, so the pinned value names the
-    /// only shard that can match). Everything else scatters to all.
-    fn pruned_shards(&self, route: &TableRoute, pred: &Predicate) -> Vec<usize> {
+    /// Run `read` on every shard that can hold a row of `route`'s
+    /// (non-Global) table matching `pred`, as `(shard, result)` pairs.
+    ///
+    /// A top-level equality conjunct on the routing column pins the
+    /// read to one shard:
+    /// * `ByColumn`: rows route by the column's value, NULL included,
+    ///   so the value's hash names the only shard that can match;
+    /// * `ByParent`: a non-NULL parent key whose home is known reads
+    ///   that home only — a row with a non-NULL parent key lives with
+    ///   its parent, and a move drags it along.
+    ///
+    /// Everything else reads every shard.
+    fn read_owners<T>(
+        &self,
+        route: &TableRoute,
+        pred: &Predicate,
+        read: impl Fn(usize) -> Result<T>,
+    ) -> Result<Vec<(usize, T)>> {
         // Walks `And`/`Eq` only — any other connective could widen the
         // match set beyond one routing value.
         fn conjunct_eq<'p>(pred: &'p Predicate, col: &str) -> Option<&'p Value> {
@@ -1481,13 +1545,36 @@ impl<'r> DistTxn<'r> {
                 _ => None,
             }
         }
-        if let RoutingSpec::ByColumn(col) = &route.spec {
-            if let Some(v) = conjunct_eq(pred, col) {
-                self.router.counters.routed_selects.inc();
-                return vec![shard_of_value(&self.router.map, v)];
+        match &route.spec {
+            RoutingSpec::ByColumn(col) => {
+                if let Some(v) = conjunct_eq(pred, col) {
+                    let s = shard_of_value(&self.router.map, v);
+                    self.router.counters.routed_selects.inc();
+                    return Ok(vec![(s, read(s)?)]);
+                }
             }
+            RoutingSpec::ByParent { col, parent, .. } => {
+                if let Some(v) = conjunct_eq(pred, col).filter(|v| !v.is_null()) {
+                    let key = Key(vec![v.clone()]);
+                    if let Some(s) = self.home_of(parent, &key)? {
+                        let got = read(s)?;
+                        // A move that published a new home between the
+                        // lookup and the read took the rows with it, so
+                        // scatter instead. Its commit holds the
+                        // directory write guard across its engine
+                        // commits, so this second lookup sees the move.
+                        if self.home_of(parent, &key)? == Some(s) {
+                            self.router.counters.routed_selects.inc();
+                            return Ok(vec![(s, got)]);
+                        }
+                    }
+                }
+            }
+            RoutingSpec::Global => {}
         }
-        (0..self.router.shards()).collect()
+        (0..self.router.shards())
+            .map(|s| Ok((s, read(s)?)))
+            .collect()
     }
 
     /// Like [`DistTxn::select`], sorted by `order_col` and truncated —
@@ -1536,11 +1623,8 @@ impl<'r> DistTxn<'r> {
         if route.spec == RoutingSpec::Global {
             return self.txn(0).sum_int(table, pred, col);
         }
-        let mut sum = 0i64;
-        for s in self.pruned_shards(route, pred) {
-            sum += self.txn(s).sum_int(table, pred, col)?;
-        }
-        Ok(sum)
+        let sums = self.read_owners(route, pred, |s| self.txn(s).sum_int(table, pred, col))?;
+        Ok(sums.into_iter().map(|(_, n)| n).sum())
     }
 
     /// Count rows matching `pred`.
@@ -1550,11 +1634,8 @@ impl<'r> DistTxn<'r> {
         if route.spec == RoutingSpec::Global {
             return self.txn(0).count(table, pred);
         }
-        let mut n = 0usize;
-        for s in self.pruned_shards(route, pred) {
-            n += self.txn(s).count(table, pred)?;
-        }
-        Ok(n)
+        let counts = self.read_owners(route, pred, |s| self.txn(s).count(table, pred))?;
+        Ok(counts.into_iter().map(|(_, n)| n).sum())
     }
 
     /// Shards this transaction has written to.
@@ -1585,13 +1666,17 @@ impl<'r> DistTxn<'r> {
             .collect();
         let overlay = std::mem::take(&mut *self.overlay.borrow_mut());
         self.done.set(true);
-        // Publish the overlay into the committed directories. Callers
-        // hold the `dirs` guard across the engine commit(s) AND this
-        // merge: an engine commit is what makes the new rows visible
-        // to concurrent transactions, so any reader that observes one
-        // then blocks on the directory until its gid is published.
-        // (Rollback needs no directory work at all — the gids were
-        // reserved eagerly in `alloc_gid`, so they burn on their own.)
+        // Publish the overlay into the committed directories. A commit
+        // that adds, removes or re-homes rows holds the `dirs` write
+        // guard across the engine commit(s) AND this merge: an engine
+        // commit is what makes the new rows visible to concurrent
+        // transactions, so any reader that observes one then blocks on
+        // the directory until its gid is published. Every other commit
+        // (reads, in-place updates that keep the key) publishes nothing
+        // and takes no guard. (Rollback needs no directory work at all — the gids
+        // were reserved eagerly in `alloc_gid`, so they burn on their
+        // own.)
+        let publishes = overlay.values().any(TableOverlay::publishes);
         let publish = |dirs: &mut BTreeMap<String, TableDir>| {
             for (table, ov) in &overlay {
                 let dir = dirs.entry(table.clone()).or_default();
@@ -1613,7 +1698,7 @@ impl<'r> DistTxn<'r> {
         };
         if dirty.len() <= 1 {
             self.router.counters.single_shard_commits.inc();
-            let mut dirs = self.router.dirs.lock().unwrap();
+            let mut dirs = publishes.then(|| self.router.dirs_mut()).transpose()?;
             for (s, txn) in txns
                 .into_iter()
                 .enumerate()
@@ -1625,7 +1710,9 @@ impl<'r> DistTxn<'r> {
                     txn.rollback();
                 }
             }
-            publish(&mut dirs);
+            if let Some(dirs) = &mut dirs {
+                publish(dirs);
+            }
             return Ok(());
         }
         self.router.counters.cross_shard_commits.inc();
@@ -1679,15 +1766,19 @@ impl<'r> DistTxn<'r> {
             return Ok(());
         }
         // Participant commits make the rows visible shard by shard;
-        // hold the directory lock across them (see `publish`).
-        let mut dirs = self.router.dirs.lock().unwrap();
+        // hold the directory write guard across them (see `publish`).
+        // Past the commit point even a poisoned guard must not stop
+        // the participants from committing; it is reported after.
+        let dirs = publishes.then(|| self.router.dirs.write());
         for (_, txn) in held {
             // Past the commit point the promise must hold; a commit
             // failure here is a broken participant, surfaced loudly.
             txn.commit()?;
         }
         self.router.coordinator.resolved(gtid);
-        publish(&mut dirs);
+        if let Some(dirs) = dirs {
+            publish(&mut *dirs.map_err(|_| poisoned())?);
+        }
         Ok(())
     }
 

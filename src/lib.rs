@@ -37,8 +37,10 @@
 //! * [`collab`] — awareness: presence, discussion, conferencing;
 //! * [`workload`] — synthetic courseware generators.
 //!
-//! See `examples/` for runnable walkthroughs and `crates/bench` for the
-//! E1–E10 experiment suite documented in EXPERIMENTS.md.
+//! See `examples/` for runnable walkthroughs. The paper's claims E1–E12
+//! are `cargo test`s in `tests/paper_claims.rs`; EXPERIMENTS.md records
+//! every result and names its carrier, and `benchmark/` measures the
+//! station end to end.
 
 pub use blobstore;
 pub use logstore;
