@@ -72,12 +72,14 @@
 #![warn(clippy::all)]
 
 pub mod buckets;
+mod cpu;
 pub mod handle;
 pub mod hist;
 pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
+pub use cpu::time_on_cpu;
 pub use handle::{Counter, HistogramHandle};
 pub use hist::Histogram;
 pub use registry::Registry;

@@ -4,8 +4,8 @@
 //! this crate adds the missing half of "distributed": document tables
 //! hash-partitioned across station groups, with
 //!
-//! * [`map`] — a deterministic consistent-hash [`ShardMap`] whose
-//!   replica placement follows the m-ary distribution tree;
+//! * [`map`] — a deterministic consistent-hash [`ShardMap`] from
+//!   table keys to shards;
 //! * [`router`] — a [`Router`] that executes engine-level operations
 //!   against the owning shard (single-shard fast path) or spans shards
 //!   with a distributed transaction, preserving single-engine
@@ -14,20 +14,15 @@
 //! * [`twopc`] — presumed-abort two-phase commit whose coordinator and
 //!   participant states are durable `wal` frames, recovered through
 //!   the ordinary analysis/redo/undo machinery;
-//! * [`cluster`] — the protocol riding simulated links: prepare/vote/
-//!   decision/ack message flow over `netsim`, replica failover driven
-//!   by `FaultSchedule`, deterministic partition/heal convergence;
 //! * [`wdoc`] — routing specs for the paper's document tables and a
 //!   sharded storage backend over them.
 
-pub mod cluster;
 pub mod map;
 pub mod router;
 pub mod twopc;
 pub mod wdoc;
 
-pub use cluster::{LogEntry, ShardMsg, SimCluster, Write};
-pub use map::{hash_bytes, Placement, ShardMap};
+pub use map::{hash_bytes, ShardMap};
 pub use router::{CommitStage, DistTxn, Router, RoutingSpec, ShardNode, TableRoute};
 pub use twopc::{Coordinator, Decision, Gtid, InDoubt};
 pub use wdoc::{routing_spec_for, ShardedBackend};

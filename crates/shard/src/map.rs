@@ -1,5 +1,5 @@
 //! The shard map: a deterministic consistent-hash ring over table
-//! keys, with replica placement along the m-ary distribution tree.
+//! keys.
 //!
 //! Every station in the topology owns a fixed set of *virtual nodes*
 //! (ring points derived by hashing `(station, vnode)`); a key belongs
@@ -12,19 +12,11 @@
 //! * **Minimal disruption** — removing a station deletes only that
 //!   station's ring points, so only keys it owned remap; every other
 //!   key keeps its owner. This is the classic consistent-hashing
-//!   argument (Karger et al.) and is what makes failover cheap: a
-//!   crashed primary's keys move to its successors, nobody else's do.
-//!
-//! Replicas are *not* taken from the ring. The paper distributes
-//! courseware down an m-ary broadcast tree, so copies are cheapest
-//! along existing tree edges: a shard's replicas are its primary's
-//! nearest tree neighbours (parent first, then children, then the next
-//! ring in breadth-first order), which keeps replica traffic on links
-//! the distribution layer already exercises.
+//!   argument (Karger et al.): a removed station's keys move to its
+//!   ring successors, nobody else's do.
 
 use netsim::StationId;
 use std::collections::BTreeSet;
-use wdoc_dist::BroadcastTree;
 
 /// Stable 64-bit hash: FNV-1a over the bytes, finished with a
 /// splitmix64 avalanche. Deliberately hand-rolled — placement must not
@@ -43,26 +35,11 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Where one key lives: the owning shard plus the stations that hold
-/// copies of it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Placement {
-    /// Index of the owning shard (position of its primary in the
-    /// topology's station list).
-    pub shard: usize,
-    /// Station acting as the shard's primary.
-    pub primary: StationId,
-    /// Replica stations, nearest tree neighbour first.
-    pub replicas: Vec<StationId>,
-}
-
 /// Deterministic hash-ring shard map over a station topology.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     stations: Vec<StationId>,
     ring: Vec<(u64, StationId)>,
-    tree: BroadcastTree,
-    replication: usize,
     vnodes: u32,
 }
 
@@ -71,17 +48,14 @@ impl ShardMap {
     /// within 2× of ideal balance (pinned by a property test).
     pub const DEFAULT_VNODES: u32 = 96;
 
-    /// Build a map over `stations` (order fixes tree positions),
-    /// an m-ary distribution tree of fanout `m`, and `replication`
-    /// total copies of every key (primary included).
+    /// Build a map over `stations` (order fixes shard indices) with
+    /// `vnodes` ring points per station.
     ///
     /// # Panics
-    /// Panics if `stations` is empty, contains duplicates, or
-    /// `replication == 0`.
+    /// Panics if `stations` is empty or contains duplicates.
     #[must_use]
-    pub fn new(stations: Vec<StationId>, m: u64, replication: usize, vnodes: u32) -> Self {
+    pub fn new(stations: Vec<StationId>, vnodes: u32) -> Self {
         assert!(!stations.is_empty(), "a shard map needs stations");
-        assert!(replication >= 1, "replication counts the primary");
         let distinct: BTreeSet<_> = stations.iter().collect();
         assert_eq!(distinct.len(), stations.len(), "duplicate station");
         let mut ring = Vec::with_capacity(stations.len() * vnodes as usize);
@@ -97,26 +71,17 @@ impl ShardMap {
         // Point collisions are broken by station id so the ring is a
         // pure function of the topology *set*, not of insertion order.
         ring.sort_by_key(|&(h, s)| (h, s.0));
-        let tree = BroadcastTree::new(stations.clone(), m);
         ShardMap {
             stations,
             ring,
-            tree,
-            replication,
             vnodes,
         }
     }
 
-    /// Convenience: `n` stations with ids `1..=n`, binary tree,
-    /// `replication` copies, default vnode count.
+    /// Convenience: `n` stations with ids `1..=n`, default vnode count.
     #[must_use]
-    pub fn uniform(n: u32, replication: usize) -> Self {
-        Self::new(
-            (1..=n).map(StationId).collect(),
-            2,
-            replication,
-            Self::DEFAULT_VNODES,
-        )
+    pub fn uniform(n: u32) -> Self {
+        Self::new((1..=n).map(StationId).collect(), Self::DEFAULT_VNODES)
     }
 
     /// Number of shards (= stations; every station primaries one
@@ -126,22 +91,10 @@ impl ShardMap {
         self.stations.len()
     }
 
-    /// The topology, in tree order.
+    /// The topology, in shard order.
     #[must_use]
     pub fn stations(&self) -> &[StationId] {
         &self.stations
-    }
-
-    /// Total copies of every key (primary included).
-    #[must_use]
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// The distribution tree replicas ride on.
-    #[must_use]
-    pub fn tree(&self) -> &BroadcastTree {
-        &self.tree
     }
 
     /// The station owning `key`: first ring point clockwise of the
@@ -164,57 +117,6 @@ impl ShardMap {
             .expect("ring points only at topology stations")
     }
 
-    /// Full placement of `key`: owning shard, primary, and the
-    /// `replication - 1` replica stations nearest the primary in the
-    /// distribution tree (parent first, then children, breadth-first
-    /// outwards; deterministic).
-    #[must_use]
-    pub fn placement_of(&self, key: &[u8]) -> Placement {
-        let shard = self.shard_of(key);
-        self.placement_of_shard(shard)
-    }
-
-    /// Placement by shard index (what failover uses: "who can take
-    /// over for this primary?").
-    #[must_use]
-    pub fn placement_of_shard(&self, shard: usize) -> Placement {
-        let primary = self.stations[shard];
-        let pos = self
-            .tree
-            .position_of(primary)
-            .expect("primary is in the tree");
-        // Breadth-first over tree edges from the primary: parent
-        // before children at every step, visited-set keeps it a walk
-        // of the (undirected) tree.
-        let mut replicas = Vec::new();
-        let mut visited = BTreeSet::from([pos]);
-        let mut frontier = vec![pos];
-        while replicas.len() + 1 < self.replication && !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &p in &frontier {
-                let mut neighbours = Vec::new();
-                if let Some(parent) = self.tree.parent_of(p) {
-                    neighbours.push(parent);
-                }
-                neighbours.extend(self.tree.children_of(p));
-                for n in neighbours {
-                    if visited.insert(n) {
-                        if replicas.len() + 1 < self.replication {
-                            replicas.push(self.tree.station_at(n).expect("position in tree"));
-                        }
-                        next.push(n);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        Placement {
-            shard,
-            primary,
-            replicas,
-        }
-    }
-
     /// A new map with `station` removed from the topology (its ring
     /// points vanish; everyone else's survive). Keys the removed
     /// station owned remap to their ring successors; all other keys
@@ -235,12 +137,7 @@ impl ShardMap {
             remaining.len() < self.stations.len(),
             "station {station:?} not in topology"
         );
-        Self::new(
-            remaining,
-            self.tree.fanout(),
-            self.replication.min(self.stations.len() - 1),
-            self.vnodes,
-        )
+        Self::new(remaining, self.vnodes)
     }
 }
 
@@ -250,40 +147,17 @@ mod tests {
 
     #[test]
     fn placement_is_deterministic() {
-        let a = ShardMap::uniform(8, 3);
-        let b = ShardMap::uniform(8, 3);
+        let a = ShardMap::uniform(8);
+        let b = ShardMap::uniform(8);
         for k in 0..200u32 {
             let key = format!("doc-{k}");
-            assert_eq!(
-                a.placement_of(key.as_bytes()),
-                b.placement_of(key.as_bytes())
-            );
-        }
-    }
-
-    #[test]
-    fn replicas_are_distinct_tree_neighbours() {
-        let map = ShardMap::uniform(8, 3);
-        for shard in 0..map.shards() {
-            let p = map.placement_of_shard(shard);
-            assert_eq!(p.replicas.len(), 2);
-            assert!(!p.replicas.contains(&p.primary));
-            assert_eq!(
-                p.replicas.iter().collect::<BTreeSet<_>>().len(),
-                p.replicas.len()
-            );
-            // First replica is a direct tree neighbour of the primary.
-            let pos = map.tree().position_of(p.primary).unwrap();
-            let mut near: Vec<u64> = map.tree().children_of(pos);
-            near.extend(map.tree().parent_of(pos));
-            let rpos = map.tree().position_of(p.replicas[0]).unwrap();
-            assert!(near.contains(&rpos), "first replica not adjacent");
+            assert_eq!(a.shard_of(key.as_bytes()), b.shard_of(key.as_bytes()));
         }
     }
 
     #[test]
     fn single_station_owns_everything() {
-        let map = ShardMap::uniform(1, 1);
+        let map = ShardMap::uniform(1);
         for k in 0..50u32 {
             assert_eq!(map.shard_of(format!("k{k}").as_bytes()), 0);
         }

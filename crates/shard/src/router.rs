@@ -95,7 +95,7 @@ use relstore::{
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wal::{Wal, WalError, WalOptions};
 
 /// A local row id no real row can have: engine ids start at 1 and
@@ -321,8 +321,8 @@ pub struct Router {
 
 impl Router {
     /// In-memory router: one engine of `kind` per shard of `map`, no
-    /// WALs (commits are still atomic per the engines; 2PC degenerates
-    /// to its in-memory decision table).
+    /// WALs (commits are still atomic per the engines; 2PC logs no
+    /// decisions).
     #[must_use]
     pub fn new(kind: EngineKind, map: ShardMap, metrics: Registry) -> Self {
         let shards = (0..map.shards())
@@ -387,7 +387,7 @@ impl Router {
             });
             reports.push(report);
         }
-        let coordinator = Coordinator::resume(shards[0].wal.clone(), decisions, metrics.clone());
+        let coordinator = Coordinator::resume(shards[0].wal.clone(), &decisions, metrics.clone());
         Ok((
             Router {
                 shards,
@@ -428,12 +428,6 @@ impl Router {
         &self.map
     }
 
-    /// The 2PC coordinator.
-    #[must_use]
-    pub fn coordinator(&self) -> &Coordinator {
-        &self.coordinator
-    }
-
     /// The router's metric registry (`shard.router.*`, `shard.2pc.*`).
     #[must_use]
     pub fn metrics(&self) -> &Registry {
@@ -442,7 +436,21 @@ impl Router {
 
     /// The tables as registered right now.
     fn registered(&self) -> Arc<Registered> {
-        Arc::clone(&self.registered.lock().unwrap())
+        Arc::clone(&self.registered_guard())
+    }
+
+    /// The registration slot, through poison: it only ever holds an
+    /// `Arc` that is swapped whole, so no panic leaves it half-written.
+    fn registered_guard(&self) -> std::sync::MutexGuard<'_, Arc<Registered>> {
+        self.registered
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The Bloom filters, through poison: a filter only ever gains
+    /// bits, and a stray bit costs one extra scatter probe.
+    fn blooms(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Vec<Bloom>>> {
+        self.blooms.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The directories, shared for a lookup.
@@ -511,9 +519,7 @@ impl Router {
                 cols,
             });
         }
-        self.blooms
-            .lock()
-            .unwrap()
+        self.blooms()
             .insert(schema.name.clone(), vec![Bloom::new(); uniques.len()]);
         let route = Arc::new(TableRoute {
             schema,
@@ -521,7 +527,7 @@ impl Router {
             uniques,
             pk_cols,
         });
-        let mut registered = self.registered.lock().unwrap();
+        let mut registered = self.registered_guard();
         let mut next = Registered::clone(&registered);
         for fk in &route.schema.foreign_keys {
             next.referrers
@@ -547,7 +553,7 @@ impl Router {
         if row.len() != route.schema.columns.len() {
             return fresh; // malformed row: let the engine report it
         }
-        let mut blooms = self.blooms.lock().unwrap();
+        let mut blooms = self.blooms();
         let Some(filters) = blooms.get_mut(&route.schema.name) else {
             return fresh;
         };
@@ -824,7 +830,7 @@ pub struct DistTxn<'r> {
 }
 
 /// How far [`DistTxn::commit_until`] runs before "crashing" — the
-/// failover and recovery tests inject crashes between 2PC stages.
+/// recovery tests inject crashes between 2PC stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitStage {
     /// Stop after participants are prepared (forced `Prepare` frames),
@@ -1656,7 +1662,7 @@ impl<'r> DistTxn<'r> {
 
     /// [`DistTxn::commit`] with a crash-injection point: stop (leaking
     /// engine transactions un-resolved, as a crash would) after the
-    /// named 2PC stage. The failover and recovery tests drive this;
+    /// named 2PC stage. The recovery tests drive this;
     /// production callers use [`DistTxn::commit`].
     pub fn commit_until(mut self, stage: CommitStage) -> Result<()> {
         let dirty = self.dirty_shards();
@@ -1870,5 +1876,67 @@ impl relstore::testkit::TapeTarget for Router {
     }
     fn rollback(&self, txn: DistTxn<'_>) {
         txn.rollback();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use relstore::ColumnType;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Panic while holding `lock`, as a bug in code under it would.
+    fn poison<T>(lock: &Mutex<T>) {
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let _held = lock.lock();
+            panic!("poisoned on purpose");
+        }));
+        assert!(lock.is_poisoned());
+    }
+
+    #[test]
+    fn commits_and_ddl_go_through_poisoned_locks() {
+        let dir = std::env::temp_dir().join(format!("shard-router-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (router, _) =
+            Router::recover(ShardMap::uniform(4), &dir, WalOptions::default()).unwrap();
+        let schema = |name: &str| {
+            TableSchema::builder(name)
+                .column("id", ColumnType::Int)
+                .column("k", ColumnType::Int)
+                .primary_key(&["id"])
+                .build()
+                .unwrap()
+        };
+        // Routed off its key, so the primary key is global and fed to a
+        // Bloom filter on every insert.
+        let spec = || RoutingSpec::ByColumn("k".into());
+        router.create_table(schema("t"), spec()).unwrap();
+        poison(&router.registered);
+        poison(&router.blooms);
+        poison(&router.coordinator.open);
+
+        // A cross-shard commit reads the registration, feeds the filter
+        // and pins its decision in the coordinator's open set.
+        let txn = router.begin();
+        for i in 0..8i64 {
+            txn.insert("t", vec![Value::Int(i), Value::Int(i)]).unwrap();
+        }
+        assert!(txn.dirty_shards().len() > 1, "the commit must run 2PC");
+        txn.commit().unwrap();
+        // DDL swaps the registration and adds filters.
+        router.create_table(schema("u"), spec()).unwrap();
+        router
+            .with_txn(|t| t.insert("u", vec![Value::Int(1), Value::Int(1)]))
+            .unwrap();
+
+        let rows = router
+            .with_txn(|t| t.select("t", &Predicate::True))
+            .unwrap();
+        assert_eq!(rows.len(), 8);
+        let dup = router.with_txn(|t| t.insert("t", vec![Value::Int(3), Value::Int(99)]));
+        assert!(dup.is_err(), "the filter still reports every fed key");
+        drop(router);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -31,9 +31,10 @@
 //!
 //! **Recovery** reuses the WAL's ordinary analysis/redo/undo pipeline:
 //! [`resolve_log`] scans a participant log for in-doubt prepared
-//! transactions, asks a decision oracle (the coordinator's recovered
-//! decision table), and appends the decided `Commit`/`Abort` frame to
-//! the log. After the patch, plain [`wal::open_durable_any`] recovery
+//! transactions, asks a decision oracle (the decision table
+//! [`read_decisions`] recovers from the coordinator's log), and
+//! appends the decided `Commit`/`Abort` frame to the log. After the
+//! patch, plain [`wal::open_durable_any`] recovery
 //! classifies the transaction as an ordinary winner or loser — no
 //! second redo/undo implementation exists.
 //!
@@ -51,7 +52,7 @@ use relstore::engine::AnyEngine;
 use relstore::lock::TxnId;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use wal::{Lsn, RecoveryReport, Wal, WalError, WalOptions, WalRecord};
 
 /// Global (distributed) transaction id.
@@ -77,16 +78,17 @@ pub fn prepare(wal: &Wal, gtid: Gtid, txn: TxnId, metrics: &Registry) -> Result<
 }
 
 /// The coordinator side: gtid allocation and the durable decision
-/// table. The write-ahead log is optional so purely in-memory routers
+/// log. The write-ahead log is optional so purely in-memory routers
 /// (differential tests) can run the same commit path; when present,
-/// every commit decision is forced before it is revealed.
+/// every commit decision is forced before it is revealed. Decisions
+/// live only in the log: recovery reads them back with
+/// [`read_decisions`].
 pub struct Coordinator {
     wal: Option<Arc<Wal>>,
     next_gtid: std::sync::atomic::AtomicU64,
-    decisions: std::sync::Mutex<BTreeMap<Gtid, Decision>>,
     /// Commit decisions some participant has not yet resolved, each
     /// with an LSN at or below its `CommitDecision` frame.
-    open: std::sync::Mutex<BTreeMap<Gtid, Lsn>>,
+    pub(crate) open: Mutex<BTreeMap<Gtid, Lsn>>,
     metrics: Registry,
 }
 
@@ -96,24 +98,24 @@ impl Coordinator {
     /// interleave harmlessly with row traffic).
     #[must_use]
     pub fn new(wal: Option<Arc<Wal>>, metrics: Registry) -> Self {
-        Self::resume(wal, BTreeMap::new(), metrics)
+        Self::resume(wal, &BTreeMap::new(), metrics)
     }
 
-    /// Restore a coordinator from its recovered decision table
-    /// ([`read_decisions`] over the log it previously wrote). No
-    /// decision is open: recovery resolved every participant first.
+    /// Restore a coordinator after recovery: gtids continue past the
+    /// highest one in `decisions` ([`read_decisions`] over the log it
+    /// previously wrote). No decision is open: recovery resolved every
+    /// participant first.
     #[must_use]
     pub fn resume(
         wal: Option<Arc<Wal>>,
-        decisions: BTreeMap<Gtid, Decision>,
+        decisions: &BTreeMap<Gtid, Decision>,
         metrics: Registry,
     ) -> Self {
         let next = decisions.keys().next_back().map_or(1, |g| g + 1);
         Coordinator {
             wal,
             next_gtid: std::sync::atomic::AtomicU64::new(next),
-            decisions: std::sync::Mutex::new(decisions),
-            open: std::sync::Mutex::new(BTreeMap::new()),
+            open: Mutex::new(BTreeMap::new()),
             metrics,
         }
     }
@@ -124,7 +126,7 @@ impl Coordinator {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Commit point: force the decision durable, then record it. After
+    /// Commit point: force the decision durable. After
     /// this returns, every participant must eventually commit `gtid`,
     /// crash or no crash — so the decision is *open*, and pinned in
     /// the log, until [`Coordinator::resolved`] closes it.
@@ -143,10 +145,6 @@ impl Coordinator {
                 return Err(e);
             }
         }
-        self.decisions
-            .lock()
-            .unwrap()
-            .insert(gtid, Decision::Commit);
         self.metrics.inc("shard.2pc.commit_decisions");
         Ok(())
     }
@@ -164,7 +162,10 @@ impl Coordinator {
     /// Edit the open set and move the log's prune floor to its oldest
     /// entry, atomically with respect to other edits.
     fn hold(&self, wal: &Wal, edit: impl FnOnce(&mut BTreeMap<Gtid, Lsn>)) {
-        let mut open = self.open.lock().unwrap();
+        // Through poison: every edit is one whole insert or remove and
+        // the floor is recomputed from the whole set, so a panic leaves
+        // at worst an entry holding the floor low (more log kept).
+        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
         edit(&mut open);
         wal.set_prune_floor(open.values().min().copied());
     }
@@ -175,27 +176,7 @@ impl Coordinator {
         if let Some(wal) = &self.wal {
             let _ = wal.log_dist(&WalRecord::AbortDecision { gtid });
         }
-        self.decisions.lock().unwrap().insert(gtid, Decision::Abort);
         self.metrics.inc("shard.2pc.abort_decisions");
-    }
-
-    /// The verdict on `gtid`. Unknown gtids are aborted — that *is*
-    /// presumed abort.
-    #[must_use]
-    pub fn decision_of(&self, gtid: Gtid) -> Decision {
-        self.decisions
-            .lock()
-            .unwrap()
-            .get(&gtid)
-            .copied()
-            .unwrap_or(Decision::Abort)
-    }
-
-    /// Snapshot of the explicit decision table (tests and scenario
-    /// assertions; presumed aborts are by definition absent).
-    #[must_use]
-    pub fn decisions(&self) -> BTreeMap<Gtid, Decision> {
-        self.decisions.lock().unwrap().clone()
     }
 }
 
@@ -351,15 +332,6 @@ mod tests {
         }
         seg.write_all(torn).unwrap();
         dir
-    }
-
-    #[test]
-    fn presumed_abort_for_unknown_gtid() {
-        let c = Coordinator::new(None, Registry::disabled());
-        assert_eq!(c.decision_of(999), Decision::Abort);
-        let g = c.begin();
-        c.decide_commit(g, &[0, 1]).unwrap();
-        assert_eq!(c.decision_of(g), Decision::Commit);
     }
 
     #[test]

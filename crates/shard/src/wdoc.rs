@@ -107,7 +107,7 @@ impl ShardedBackend {
     #[must_use]
     pub fn new(kind: EngineKind, shards: u32, metrics: Registry) -> Self {
         ShardedBackend {
-            router: Router::new(kind, ShardMap::uniform(shards, 1), metrics),
+            router: Router::new(kind, ShardMap::uniform(shards), metrics),
         }
     }
 
@@ -124,7 +124,7 @@ impl ShardedBackend {
         dir: &Path,
         opts: wal::WalOptions,
     ) -> std::result::Result<(Self, Vec<wal::RecoveryReport>), wal::WalError> {
-        let (router, reports) = Router::recover(ShardMap::uniform(shards, 1), dir, opts)?;
+        let (router, reports) = Router::recover(ShardMap::uniform(shards), dir, opts)?;
         Ok((ShardedBackend { router }, reports))
     }
 

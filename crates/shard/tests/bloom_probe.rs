@@ -28,7 +28,7 @@ fn users() -> TableSchema {
 fn router() -> Router {
     let r = Router::new(
         EngineKind::TwoPl,
-        ShardMap::uniform(SHARDS, 1),
+        ShardMap::uniform(SHARDS),
         Registry::new(),
     );
     r.create_table(users(), RoutingSpec::ByColumn("id".into()))

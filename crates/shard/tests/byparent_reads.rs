@@ -42,7 +42,7 @@ fn part() -> TableSchema {
 fn router() -> Router {
     let r = Router::new(
         EngineKind::TwoPl,
-        ShardMap::uniform(SHARDS, 1),
+        ShardMap::uniform(SHARDS),
         Registry::new(),
     );
     r.create_table(doc(), RoutingSpec::ByColumn("site".into()))

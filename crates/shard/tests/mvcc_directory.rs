@@ -10,7 +10,7 @@ use shard::{Router, RoutingSpec, ShardMap};
 
 #[test]
 fn snapshot_read_of_a_row_deleted_since_aborts_and_retries() {
-    let r = Router::new(EngineKind::Mvcc, ShardMap::uniform(4, 1), Registry::new());
+    let r = Router::new(EngineKind::Mvcc, ShardMap::uniform(4), Registry::new());
     r.create_table(
         TableSchema::builder("t")
             .column("id", ColumnType::Int)

@@ -35,7 +35,7 @@ fn pair(shards: u32) -> (AnyEngine, Router) {
     let single = AnyEngine::new(EngineKind::TwoPl);
     let router = Router::new(
         EngineKind::TwoPl,
-        ShardMap::uniform(shards, 1),
+        ShardMap::uniform(shards),
         Registry::new(),
     );
     for schema in standard_schemas() {
@@ -128,7 +128,7 @@ fn global_tables_stay_identical() {
         .expect("static schema");
     let single = AnyEngine::new(EngineKind::TwoPl);
     single.create_table(schema.clone()).unwrap();
-    let router = Router::new(EngineKind::TwoPl, ShardMap::uniform(4, 1), Registry::new());
+    let router = Router::new(EngineKind::TwoPl, ShardMap::uniform(4), Registry::new());
     router.create_table(schema, RoutingSpec::Global).unwrap();
 
     let ts = TapeTarget::begin(&single);

@@ -61,7 +61,7 @@ fn durable_router(dir: &Path) -> Router {
 
 fn open_router(dir: &Path, shards: u32, opts: WalOptions) -> Router {
     let (router, _reports) =
-        Router::recover(ShardMap::uniform(shards, 1), dir, opts).expect("open durable router");
+        Router::recover(ShardMap::uniform(shards), dir, opts).expect("open durable router");
     for schema in standard_schemas() {
         let spec = spec_of(schema.name.as_str());
         router.mount_table(schema, spec).expect("sharded catalog");

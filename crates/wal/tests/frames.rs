@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use relstore::{ColumnType, FkAction, Row, RowId, Snapshot, TableSchema, TableSnapshot, Value};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wal::record::{decode, encode_frame, scan_raw, FRAME_HEADER, MAGIC};
 use wal::{WalError, WalRecord};
 
@@ -189,14 +189,11 @@ fn forged_counts_are_refused_without_allocating() {
     }
 }
 
-/// Best of nine decodes of `payload`.
+/// Best of nine decodes of `payload`, by the decoding thread's own
+/// run time.
 fn decode_time(payload: &[u8]) -> Duration {
     (0..9)
-        .map(|_| {
-            let start = Instant::now();
-            decode(8, payload).unwrap();
-            start.elapsed()
-        })
+        .map(|_| obs::time_on_cpu(|| decode(8, payload).unwrap()).1)
         .min()
         .unwrap()
 }

@@ -15,7 +15,7 @@
 //! routing directories from the recovered rows. (The torn-transaction
 //! demonstration needs raw engine access and runs in the unsharded
 //! mode only — a sharded crash is exercised end to end by the shard
-//! crate's failover tests.)
+//! crate's 2PC recovery tests.)
 //!
 //! With `--sim-threads N` (N > 1) the recovered station's course
 //! pre-broadcast to the classroom is simulated on the island-parallel

@@ -23,9 +23,8 @@
 //!   bounded event tracing, timestamped in simulated time so traces
 //!   replay byte-for-byte under a fixed seed;
 //! * [`shard`] — hash-partitioned tables over per-shard engines:
-//!   consistent-hash placement with tree-aligned replicas, a router
-//!   with exact single-engine parity, WAL-backed presumed-abort
-//!   two-phase commit, and the simulated cluster protocol;
+//!   consistent-hash placement, a router with exact single-engine
+//!   parity, and WAL-backed presumed-abort two-phase commit;
 //! * [`core`] — the Web document DBMS: three-layer hierarchy, five
 //!   document tables, referential integrity alerts, hierarchical
 //!   locking, class/instance/reference objects, SCM, quizzes,
