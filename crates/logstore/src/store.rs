@@ -392,7 +392,14 @@ impl LogStore {
             );
         }
 
-        let active = ids.last().map_or(1, |m| m + 1);
+        // A trailing segment that is a bare header (no frames, no hint)
+        // is the active segment of a store closed without a write since
+        // its last open: adopt it, or every reopen leaves one more.
+        let adopted = segs.last_key_value().and_then(|(&id, s)| {
+            let bare = s.records == 0 && s.file.metadata().ok()?.len() == FILE_HEADER as u64;
+            (bare && !hint_path(root, id).exists()).then_some(id)
+        });
+        let active = adopted.unwrap_or_else(|| ids.last().map_or(1, |m| m + 1));
         let store = LogStore {
             root: root.to_path_buf(),
             cfg,
@@ -410,7 +417,18 @@ impl LogStore {
         };
         {
             let mut inner = store.inner.lock().unwrap();
-            let seg = store.new_segment(active, false)?;
+            let seg = match inner.segs.remove(&active) {
+                Some(seg) => SegMeta {
+                    file: OpenOptions::new()
+                        .read(true)
+                        .write(true)
+                        .open(data_path(root, active))
+                        .map_err(LogError::Io)?,
+                    sealed: false,
+                    ..seg
+                },
+                None => store.new_segment(active, false)?,
+            };
             inner.segs.insert(active, seg);
             store.refresh_stats(&mut inner);
         }

@@ -218,3 +218,39 @@ fn merge_then_reopen_from_hints_matches() {
     assert_eq!(store.get(b"key05").unwrap(), None);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn reopening_an_unchanged_store_adds_no_segment() {
+    let dir = scratch("reopen-flat");
+    let cfg = LogConfig::small_for_tests(256);
+    let store = LogStore::open(&dir, cfg.clone()).unwrap();
+    for i in 0..20u32 {
+        store.put(format!("k{i:03}").as_bytes(), b"value").unwrap();
+    }
+    drop(store);
+    let files = || std::fs::read_dir(&dir).unwrap().count();
+    let reopen = || {
+        let store = LogStore::open(&dir, cfg.clone()).unwrap();
+        let stats = store.stats();
+        (stats.segments, stats.segments_scanned, files())
+    };
+    // The first open finds the written segment active and starts a
+    // fresh one; from then on nothing changes between opens.
+    reopen();
+    let first = reopen();
+    for _ in 0..4 {
+        assert_eq!(reopen(), first, "an open of an unchanged store");
+    }
+
+    // A write into the adopted segment survives the next open.
+    let store = LogStore::open(&dir, cfg.clone()).unwrap();
+    store.put(b"after", b"reopen").unwrap();
+    drop(store);
+    let store = LogStore::open(&dir, cfg).unwrap();
+    assert_eq!(
+        store.get(b"after").unwrap().as_deref(),
+        Some(b"reopen".as_ref())
+    );
+    assert_eq!(store.len(), 21);
+    let _ = std::fs::remove_dir_all(&dir);
+}
