@@ -1087,10 +1087,11 @@ impl MvccTxn {
     /// Count rows matching `pred` without copying them.
     pub fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
         let mut n = 0usize;
-        self.scan(table, pred, 0, |_, _, _| {
+        let examined = self.scan(table, pred, 0, |_, _, _| {
             n += 1;
             Ok(())
         })?;
+        self.db.txn_metrics.count_rows_examined.add(examined as u64);
         Ok(n)
     }
 
@@ -1652,6 +1653,12 @@ mod tests {
                 .unwrap()
         };
         let (small, large) = (snapshot(2_000), snapshot(4_000));
+        // Exactly: each child's foreign key probes one parent row.
+        let examined = |snap: &Snapshot| {
+            let db = MvccDb::restore(snap).unwrap();
+            db.metrics().counter("relstore.count.rows_examined")
+        };
+        assert_eq!((examined(&small), examined(&large)), (2_000, 4_000));
         let (t1, t2) = (time(&small), time(&large));
         assert!(
             t2 < t1 * 3,
