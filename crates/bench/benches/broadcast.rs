@@ -1,11 +1,22 @@
 //! Criterion benches for the broadcast simulator (experiment E2/E3's
 //! microbenchmark companion): how fast the simulation itself runs, its
-//! event queue against the binary-heap baseline, and the adaptive
-//! controller's planning cost.
+//! event queue against the binary-heap baseline, the adaptive
+//! controller's planning cost, and the demand simulator's replica
+//! tables at the lecture benchmark's size.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use netsim::{EventQueue, LinkSpec, QueueKind, SimTime};
-use wdoc_dist::{broadcast_uniform, predict_completion, star_uniform, AdaptiveController};
+use netsim::{EventQueue, LinkSpec, Network, QueueKind, SimTime};
+use wdoc_dist::{
+    broadcast_uniform, predict_completion, star_uniform, AccessEvent, AdaptiveController,
+    BroadcastTree, DemandSim, DocSpec,
+};
+
+fn xorshift(x: &mut u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    *x
+}
 
 /// `pending` events at pseudo-random times within the wheel's first
 /// level, the same prefill for either queue kind.
@@ -13,10 +24,7 @@ fn prefilled(kind: QueueKind, pending: u64) -> EventQueue<u64> {
     let mut q = EventQueue::with_kind(kind);
     let mut x = 0x243F_6A88_85A3_08D3u64;
     for i in 0..pending {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        q.push(SimTime::from_micros(x % (1 << 20)), i);
+        q.push(SimTime::from_micros(xorshift(&mut x) % (1 << 20)), i);
     }
     q
 }
@@ -81,6 +89,48 @@ fn bench_adaptive(c: &mut Criterion) {
     g.finish();
 }
 
+/// `DemandSim` at the `lecture_broadcast` benchmark's size: building
+/// the replica tables of 10 240 stations over 48 documents, and a run
+/// of a 20 000-access trace from 2 048 attending stations (the smaller
+/// of two uniform draws picks the document, so low indices are hot).
+fn bench_demand_sim(c: &mut Criterion) {
+    const STATIONS: usize = 10_240;
+    let link = LinkSpec::new(1_000_000, SimTime::from_millis(3));
+    let docs: Vec<DocSpec> = (0..48u64)
+        .map(|i| DocSpec {
+            name: format!("lecture-{i:02}"),
+            view_bytes: 8 << 10,
+            full_bytes: 20_000 + 50_000 * i,
+        })
+        .collect();
+    let (mut x, mut at) = (0x9E37_79B9_7F4A_7C15u64, 0u64);
+    let trace: Vec<AccessEvent> = (0..20_000)
+        .map(|_| {
+            at += xorshift(&mut x) % 40_000;
+            let doc = (xorshift(&mut x) % 48).min(xorshift(&mut x) % 48);
+            AccessEvent {
+                at: SimTime::from_micros(at),
+                position: 2 + xorshift(&mut x) % 2_048,
+                doc: doc as usize,
+            }
+        })
+        .collect();
+    let sim = |ids| DemandSim::new(BroadcastTree::new(ids, 4), docs.clone(), 3);
+    let (_, ids) = Network::<()>::uniform(STATIONS, link);
+    let mut g = c.benchmark_group("demand_sim");
+    g.bench_function("new/10240x48", |b| b.iter(|| sim(black_box(ids.clone()))));
+    g.bench_function("run/20000", |b| {
+        b.iter_with_setup(
+            || {
+                let (net, ids) = Network::uniform(STATIONS, link);
+                (sim(ids), net)
+            },
+            |(mut demand, mut net)| demand.run(&mut net, &trace),
+        );
+    });
+    g.finish();
+}
+
 fn quick() -> Criterion {
     // Single-core CI box: short, deterministic-enough runs.
     Criterion::default()
@@ -92,6 +142,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_broadcast_sim, bench_event_queue, bench_adaptive
+    targets = bench_broadcast_sim, bench_event_queue, bench_adaptive, bench_demand_sim
 }
 criterion_main!(benches);

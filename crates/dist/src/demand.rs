@@ -16,7 +16,7 @@
 //! document (structure + BLOBs) is copied and subsequent accesses are
 //! local.
 
-use crate::station::StationDocs;
+use crate::station::{course_tables, StationDocs};
 use crate::tree::BroadcastTree;
 use netsim::{Network, SimTime};
 use serde::{Deserialize, Serialize};
@@ -78,6 +78,8 @@ pub enum Fetch {
     Duplicate {
         /// Index of the duplicated document.
         doc: usize,
+        /// Tree position (1-based) of the requester.
+        position: u64,
     },
 }
 
@@ -98,18 +100,7 @@ impl DemandSim {
     /// every other station starts with references only.
     #[must_use]
     pub fn new(tree: BroadcastTree, docs: Vec<DocSpec>, watermark: u64) -> Self {
-        let mut stations: BTreeMap<u64, StationDocs> = BTreeMap::new();
-        for pos in 1..=tree.len() as u64 {
-            let mut sd = StationDocs::new();
-            for d in &docs {
-                if pos == 1 {
-                    sd.materialize(&d.name, d.full_bytes);
-                } else {
-                    sd.add_reference(&d.name);
-                }
-            }
-            stations.insert(pos, sd);
-        }
+        let stations = course_tables(tree.len(), &docs, |d| (&d.name, d.full_bytes));
         DemandSim {
             tree,
             docs,
@@ -135,12 +126,10 @@ impl DemandSim {
     /// holding an instance of `doc`.
     #[must_use]
     pub fn nearest_holder(&self, pos: u64, doc: &str) -> u64 {
-        for anc in self.tree.ancestors_of(pos) {
-            if self.stations[&anc].has_instance(doc) {
-                return anc;
-            }
-        }
-        1 // the instructor root always holds everything
+        // The instructor root always holds everything.
+        std::iter::successors(self.tree.parent_of(pos), |&p| self.tree.parent_of(p))
+            .find(|p| self.stations[p].has_instance(doc))
+            .unwrap_or(1)
     }
 
     /// Replay a trace (must be sorted by time). Returns the aggregate
@@ -160,15 +149,9 @@ impl DemandSim {
 
         for ev in trace {
             // Drain network activity up to this access.
-            drain_until(
-                net,
-                ev.at,
-                &self.tree,
-                &mut self.stations,
-                &mut self.pending,
-                &self.docs,
-                &mut latency_sum,
-            );
+            net.run_until(ev.at, |net, msg| {
+                self.deliver(net.now(), &msg, &mut latency_sum);
+            });
             report.accesses += 1;
             let doc = &self.docs[ev.doc];
             let sd = self.stations.get_mut(&ev.position).expect("station exists");
@@ -195,20 +178,17 @@ impl DemandSim {
             if count > self.watermark && self.pending.insert((ev.position, ev.doc)) {
                 report.duplications += 1;
                 report.duplicated_bytes += doc.full_bytes;
-                net.send(src, dst, doc.full_bytes, Fetch::Duplicate { doc: ev.doc });
+                let copy = Fetch::Duplicate {
+                    doc: ev.doc,
+                    position: ev.position,
+                };
+                net.send(src, dst, doc.full_bytes, copy);
             }
         }
         // Drain everything outstanding (without a deadline, so the
         // clock advances only to the last real delivery and the sim can
         // be reused for later phases).
-        drain_all(
-            net,
-            &self.tree,
-            &mut self.stations,
-            &mut self.pending,
-            &self.docs,
-            &mut latency_sum,
-        );
+        net.run(|net, msg| self.deliver(net.now(), &msg, &mut latency_sum));
 
         report.mean_latency_us = if report.accesses == 0 {
             0.0
@@ -224,6 +204,23 @@ impl DemandSim {
         report
     }
 
+    /// A delivery: credit a page view's latency, or materialize a
+    /// completed duplication at its receiving station.
+    fn deliver(&mut self, now: SimTime, msg: &netsim::Message<Fetch>, latency_sum: &mut u64) {
+        match msg.payload {
+            Fetch::View { latency_start } => {
+                *latency_sum += (now - latency_start).as_micros();
+            }
+            Fetch::Duplicate { doc, position } => {
+                self.pending.remove(&(position, doc));
+                let d = &self.docs[doc];
+                if let Some(sd) = self.stations.get_mut(&position) {
+                    sd.materialize(&d.name, d.full_bytes);
+                }
+            }
+        }
+    }
+
     /// Access the per-station replica tables (for reports).
     #[must_use]
     pub fn stations(&self) -> &BTreeMap<u64, StationDocs> {
@@ -235,61 +232,6 @@ impl DemandSim {
     pub fn watermark(&self) -> u64 {
         self.watermark
     }
-}
-
-/// Drain deliveries up to `deadline`, crediting view latencies and
-/// materializing completed duplications at their receiving stations.
-fn handle(
-    now: SimTime,
-    msg: &netsim::Message<Fetch>,
-    tree: &BroadcastTree,
-    stations: &mut BTreeMap<u64, StationDocs>,
-    pending: &mut std::collections::BTreeSet<(u64, usize)>,
-    docs: &[DocSpec],
-    latency_sum: &mut u64,
-) {
-    match msg.payload {
-        Fetch::View { latency_start } => {
-            *latency_sum += (now - latency_start).as_micros();
-        }
-        Fetch::Duplicate { doc } => {
-            let d = &docs[doc];
-            let pos = tree
-                .position_of(msg.dst)
-                .expect("receiver is in the broadcast vector");
-            pending.remove(&(pos, doc));
-            if let Some(sd) = stations.get_mut(&pos) {
-                sd.materialize(&d.name, d.full_bytes);
-            }
-        }
-    }
-}
-
-fn drain_until(
-    net: &mut Network<Fetch>,
-    deadline: SimTime,
-    tree: &BroadcastTree,
-    stations: &mut BTreeMap<u64, StationDocs>,
-    pending: &mut std::collections::BTreeSet<(u64, usize)>,
-    docs: &[DocSpec],
-    latency_sum: &mut u64,
-) {
-    net.run_until(deadline, |net, msg| {
-        handle(net.now(), &msg, tree, stations, pending, docs, latency_sum);
-    });
-}
-
-fn drain_all(
-    net: &mut Network<Fetch>,
-    tree: &BroadcastTree,
-    stations: &mut BTreeMap<u64, StationDocs>,
-    pending: &mut std::collections::BTreeSet<(u64, usize)>,
-    docs: &[DocSpec],
-    latency_sum: &mut u64,
-) {
-    net.run(|net, msg| {
-        handle(net.now(), &msg, tree, stations, pending, docs, latency_sum);
-    });
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! stations and samples per-station disk usage over time, with the
 //! migration policy on or off — the difference is experiment E6.
 
-use crate::station::{DiskSample, StationDocs};
+use crate::station::{course_tables, DiskSample, StationDocs};
 use crate::tree::BroadcastTree;
 use netsim::{Network, SimTime};
 use serde::{Deserialize, Serialize};
@@ -52,11 +52,15 @@ pub enum MigrateEvent {
     CopyArrived {
         /// Document index.
         doc: usize,
+        /// Tree position of the receiving station.
+        position: u64,
     },
     /// A lecture presentation finished at this station.
     LectureEnded {
         /// Document index.
         doc: usize,
+        /// Tree position of the station.
+        position: u64,
     },
 }
 
@@ -86,18 +90,7 @@ impl MigrationSim {
     /// references. `migrate_after_lecture` toggles the §4 policy.
     #[must_use]
     pub fn new(tree: BroadcastTree, docs: Vec<LectureDoc>, migrate_after_lecture: bool) -> Self {
-        let mut stations = BTreeMap::new();
-        for pos in 1..=tree.len() as u64 {
-            let mut sd = StationDocs::new();
-            for d in &docs {
-                if pos == 1 {
-                    sd.materialize(&d.name, d.bytes);
-                } else {
-                    sd.add_reference(&d.name);
-                }
-            }
-            stations.insert(pos, sd);
-        }
+        let stations = course_tables(tree.len(), &docs, |d| (&d.name, d.bytes));
         MigrationSim {
             tree,
             docs,
@@ -120,15 +113,9 @@ impl MigrationSim {
             // The copy is requested at session start (a timer at the
             // root triggers the send, so root-uplink contention applies
             // only among concurrent sessions).
-            net.schedule(
-                root,
-                s.start,
-                MigrateEvent::RequestCopy {
-                    doc: s.doc,
-                    position: s.position,
-                },
-            );
-            net.schedule(dst, s.end, MigrateEvent::LectureEnded { doc: s.doc });
+            let (doc, position) = (s.doc, s.position);
+            net.schedule(root, s.start, MigrateEvent::RequestCopy { doc, position });
+            net.schedule(dst, s.end, MigrateEvent::LectureEnded { doc, position });
         }
 
         let mut samples: Vec<DiskSample> = Vec::new();
@@ -137,41 +124,30 @@ impl MigrationSim {
         let docs = &self.docs;
         let stations = &mut self.stations;
         let migrate = self.migrate_after_lecture;
-        net.run(|net, msg| {
-            let pos = tree
-                .position_of(msg.dst)
-                .expect("stations are in the vector");
-            match msg.payload {
-                MigrateEvent::RequestCopy { doc, position } => {
-                    let d = &docs[doc];
-                    let dst = tree.station_at(position).expect("requester exists");
-                    net.send(msg.dst, dst, d.bytes, MigrateEvent::CopyArrived { doc });
-                }
-                MigrateEvent::CopyArrived { doc } => {
-                    let d = &docs[doc];
-                    copied += d.bytes;
-                    stations
-                        .get_mut(&pos)
-                        .expect("exists")
-                        .materialize(&d.name, d.bytes);
-                    samples.push(DiskSample {
-                        at: net.now().as_micros(),
-                        station: msg.dst,
-                        bytes: stations[&pos].disk_bytes(),
-                    });
-                }
-                MigrateEvent::LectureEnded { doc } => {
-                    if migrate {
-                        let d = &docs[doc];
-                        stations.get_mut(&pos).expect("exists").demote(&d.name);
-                        samples.push(DiskSample {
-                            at: net.now().as_micros(),
-                            station: msg.dst,
-                            bytes: stations[&pos].disk_bytes(),
-                        });
-                    }
-                }
+        let sample = |at: SimTime, station, sd: &StationDocs| DiskSample {
+            at: at.as_micros(),
+            station,
+            bytes: sd.disk_bytes(),
+        };
+        net.run(|net, msg| match msg.payload {
+            MigrateEvent::RequestCopy { doc, position } => {
+                let d = &docs[doc];
+                let dst = tree.station_at(position).expect("requester exists");
+                let copy = MigrateEvent::CopyArrived { doc, position };
+                net.send(msg.dst, dst, d.bytes, copy);
             }
+            MigrateEvent::CopyArrived { doc, position } => {
+                let (d, sd) = (&docs[doc], stations.get_mut(&position).expect("exists"));
+                copied += d.bytes;
+                sd.materialize(&d.name, d.bytes);
+                samples.push(sample(net.now(), msg.dst, sd));
+            }
+            MigrateEvent::LectureEnded { doc, position } if migrate => {
+                let sd = stations.get_mut(&position).expect("exists");
+                sd.demote(&docs[doc].name);
+                samples.push(sample(net.now(), msg.dst, sd));
+            }
+            MigrateEvent::LectureEnded { .. } => {}
         });
 
         // Reconstruct the total-usage series to find the peak.

@@ -78,6 +78,8 @@ pub enum Packet {
     SendData {
         /// Position the relay should serve.
         target: u64,
+        /// Position of the relay itself.
+        relay: u64,
     },
     /// Root-local timer: position's ACK is overdue.
     Timeout {
@@ -337,13 +339,12 @@ pub fn resilient_broadcast(
                 }
             }
         }
-        Packet::SendData { target } => {
+        Packet::SendData { target, relay } => {
             // A relay asked to serve `target` from its copy. If the
             // relay lost its copy (crash epoch), it ignores the request
             // and the root's timer escalates on the next attempt.
             let station = msg.dst;
-            let my_pos = tree.position_of(station).expect("relay is in the tree");
-            if holds_live_copy(have_data[my_pos as usize], net.last_crash(station)) {
+            if holds_live_copy(have_data[relay as usize], net.last_crash(station)) {
                 let dst = tree.station_at(target).expect("position exists");
                 net.send(
                     station,
@@ -351,7 +352,7 @@ pub fn resilient_broadcast(
                     object_bytes,
                     Packet::Data {
                         position: target,
-                        from_pos: my_pos,
+                        from_pos: relay,
                     },
                 );
             }
@@ -390,7 +391,10 @@ pub fn resilient_broadcast(
                     root,
                     sender,
                     policy.ctrl_bytes,
-                    Packet::SendData { target: position },
+                    Packet::SendData {
+                        target: position,
+                        relay: sender_pos,
+                    },
                 );
                 let ctrl_leg = leg(net.topology().path(root, sender), policy.ctrl_bytes);
                 let data_leg = leg(net.topology().path(sender, target), object_bytes);

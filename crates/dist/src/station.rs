@@ -3,10 +3,16 @@
 //! Tracks, for each (station, document) pair, whether the station holds
 //! a physical instance or only a reference, plus the byte accounting
 //! the migration and watermark experiments sample.
+//!
+//! A table is one slot per known document, in name order. The names
+//! live once, in a list every table cloned from one template shares, so
+//! N stations over D documents cost D names plus N·D 32-byte slots, and
+//! a lookup of a known document allocates nothing.
 
 use netsim::StationId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What a station holds for one document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -20,6 +26,55 @@ pub enum Replica {
     },
 }
 
+/// Document names in ascending order, packed into one string.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    text: String,
+    /// `text[spans[i].0..spans[i].1]` is the `i`-th name.
+    spans: Vec<(usize, usize)>,
+}
+
+impl Names {
+    fn get(&self, i: usize) -> &str {
+        let (start, end) = self.spans[i];
+        &self.text[start..end]
+    }
+
+    /// Where `name` is, or where it would go.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        let text = self.text.as_bytes();
+        self.spans
+            .binary_search_by(|&(start, end)| text[start..end].cmp(name.as_bytes()))
+    }
+
+    fn insert(&mut self, i: usize, name: &str) {
+        let start = self.text.len();
+        self.text.push_str(name);
+        self.spans.insert(i, (start, self.text.len()));
+    }
+}
+
+/// One document's state in one station's table.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// `None` for a document only ever accessed, never referenced.
+    replica: Option<Replica>,
+    /// Running access counter (watermark input).
+    count: u64,
+    /// LRU clock: the table's tick at the last touch.
+    tick: u64,
+}
+
+impl Slot {
+    /// The size of a resident instance; `None` without one.
+    fn instance(&self) -> Option<u64> {
+        match self.replica {
+            Some(Replica::Instance { bytes }) => Some(bytes),
+            _ => None,
+        }
+    }
+}
+
 /// Replica table of one simulated station.
 ///
 /// Optionally space-bounded: with a quota set, materializing a new
@@ -27,16 +82,47 @@ pub enum Replica {
 /// until the new copy fits — §4's answer to "one may argue that disk
 /// spaces are wasted": replicas are buffer space, and a bounded buffer
 /// self-cleans.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StationDocs {
-    docs: BTreeMap<String, Replica>,
-    /// Running access counters per document (watermark input).
-    access_counts: BTreeMap<String, u64>,
+    /// Shared with every table cloned from the same template until this
+    /// one learns a name of its own.
+    names: Arc<Names>,
+    /// `slots[i]` is the state of the `i`-th name.
+    slots: Vec<Slot>,
     /// Optional instance-byte quota (None = unbounded).
     quota: Option<u64>,
-    /// LRU clock: document → last-touch tick.
-    recency: BTreeMap<String, u64>,
     tick: u64,
+}
+
+/// The replica tables of a fresh simulator over `docs`, each read as
+/// (name, bytes) by `doc`: the instructor root (position 1) holds an
+/// instance of every document and each of the other `stations - 1` a
+/// reference, cloned from one template. The template is sized up
+/// front, so it costs the same allocations for any number of documents.
+pub(crate) fn course_tables<T>(
+    stations: usize,
+    docs: &[T],
+    doc: impl Fn(&T) -> (&str, u64),
+) -> BTreeMap<u64, StationDocs> {
+    let names = Names {
+        text: String::with_capacity(docs.iter().map(|d| doc(d).0.len()).sum()),
+        spans: Vec::with_capacity(docs.len()),
+    };
+    let mut student = StationDocs {
+        names: Arc::new(names),
+        slots: Vec::with_capacity(docs.len()),
+        ..StationDocs::default()
+    };
+    docs.iter().for_each(|d| student.add_reference(doc(d).0));
+    let mut root = student.clone();
+    for (name, bytes) in docs.iter().map(doc) {
+        root.materialize(name, bytes);
+    }
+    let mut tables: BTreeMap<u64, StationDocs> = (2..=stations as u64)
+        .map(|pos| (pos, student.clone()))
+        .collect();
+    tables.insert(1, root);
+    tables
 }
 
 impl StationDocs {
@@ -67,24 +153,42 @@ impl StationDocs {
         self.quota
     }
 
-    fn touch(&mut self, doc: &str) {
-        self.tick += 1;
-        self.recency.insert(doc.to_owned(), self.tick);
+    fn slot(&self, doc: &str) -> Option<&Slot> {
+        self.names.find(doc).ok().map(|i| &self.slots[i])
     }
 
-    /// Least-recently-touched resident instance other than `except`.
-    fn lru_victim(&self, except: &str) -> Option<String> {
-        self.docs
-            .iter()
-            .filter(|(name, r)| name.as_str() != except && matches!(r, Replica::Instance { .. }))
-            .min_by_key(|(name, _)| self.recency.get(*name).copied().unwrap_or(0))
-            .map(|(name, _)| name.clone())
+    /// The slot of `doc`, created empty if the document is unknown.
+    fn slot_mut(&mut self, doc: &str) -> &mut Slot {
+        let i = self.names.find(doc).unwrap_or_else(|i| {
+            Arc::make_mut(&mut self.names).insert(i, doc);
+            self.slots.insert(i, Slot::default());
+            i
+        });
+        &mut self.slots[i]
+    }
+
+    fn touch(&mut self, doc: &str) -> &mut Slot {
+        self.tick += 1;
+        let tick = self.tick;
+        let slot = self.slot_mut(doc);
+        slot.tick = tick;
+        slot
+    }
+
+    /// Least-recently-touched resident instance other than slot
+    /// `except`; ties go to the first name.
+    fn lru_victim(&self, except: Option<usize>) -> Option<usize> {
+        (0..self.slots.len())
+            .filter(|&i| Some(i) != except && self.slots[i].instance().is_some())
+            .min_by_key(|&i| self.slots[i].tick)
     }
 
     /// Record a broadcast reference ("references to the instance are
     /// broadcasted and stored in many remote stations").
-    pub fn add_reference(&mut self, doc: impl Into<String>) {
-        self.docs.entry(doc.into()).or_insert(Replica::Reference);
+    pub fn add_reference(&mut self, doc: impl AsRef<str>) {
+        self.slot_mut(doc.as_ref())
+            .replica
+            .get_or_insert(Replica::Reference);
     }
 
     /// Materialize an instance of `bytes` bytes. Under a quota, LRU
@@ -92,93 +196,79 @@ impl StationDocs {
     /// demoted (name, bytes) pairs are returned. A copy larger than the
     /// whole quota is refused (the station keeps its reference) and the
     /// return value is empty.
-    pub fn materialize(&mut self, doc: impl Into<String>, bytes: u64) -> Vec<(String, u64)> {
-        let doc = doc.into();
+    pub fn materialize(&mut self, doc: impl AsRef<str>, bytes: u64) -> Vec<(String, u64)> {
+        let doc = doc.as_ref();
         let mut evicted = Vec::new();
         if let Some(q) = self.quota {
             if bytes > q {
                 return evicted; // cannot ever fit
             }
             // Replacing an existing instance frees its bytes first.
-            let current = match self.docs.get(&doc) {
-                Some(Replica::Instance { bytes }) => *bytes,
-                _ => 0,
-            };
+            let at = self.names.find(doc).ok();
+            let current = at.and_then(|i| self.slots[i].instance()).unwrap_or(0);
             while self.disk_bytes() - current + bytes > q {
-                match self.lru_victim(&doc) {
+                match self.lru_victim(at) {
                     Some(victim) => {
-                        let freed = self.demote(&victim);
-                        evicted.push((victim, freed));
+                        let name = self.names.get(victim).to_owned();
+                        let freed = self.demote(&name);
+                        evicted.push((name, freed));
                     }
                     None => break, // nothing left to evict
                 }
             }
         }
-        self.touch(&doc);
-        self.docs.insert(doc, Replica::Instance { bytes });
+        self.touch(doc).replica = Some(Replica::Instance { bytes });
         evicted
     }
 
     /// Demote an instance back to a reference; returns the bytes freed.
     pub fn demote(&mut self, doc: &str) -> u64 {
-        match self.docs.get_mut(doc) {
-            Some(r @ Replica::Instance { .. }) => {
-                let Replica::Instance { bytes } = *r else {
-                    unreachable!()
-                };
-                *r = Replica::Reference;
-                bytes
-            }
-            _ => 0,
+        let Ok(i) = self.names.find(doc) else {
+            return 0;
+        };
+        let freed = self.slots[i].instance();
+        if freed.is_some() {
+            self.slots[i].replica = Some(Replica::Reference);
         }
+        freed.unwrap_or(0)
     }
 
     /// The replica state of a document.
     #[must_use]
     pub fn replica(&self, doc: &str) -> Option<Replica> {
-        self.docs.get(doc).copied()
+        self.slot(doc).and_then(|s| s.replica)
     }
 
     /// True if a physical copy is resident.
     #[must_use]
     pub fn has_instance(&self, doc: &str) -> bool {
-        matches!(self.docs.get(doc), Some(Replica::Instance { .. }))
+        self.slot(doc).is_some_and(|s| s.instance().is_some())
     }
 
     /// Bump and return the access count for a document (also refreshes
     /// its LRU recency).
     pub fn record_access(&mut self, doc: &str) -> u64 {
-        self.touch(doc);
-        let c = self.access_counts.entry(doc.to_owned()).or_insert(0);
-        *c += 1;
-        *c
+        let slot = self.touch(doc);
+        slot.count += 1;
+        slot.count
     }
 
     /// Current access count.
     #[must_use]
     pub fn access_count(&self, doc: &str) -> u64 {
-        self.access_counts.get(doc).copied().unwrap_or(0)
+        self.slot(doc).map_or(0, |s| s.count)
     }
 
     /// Total bytes of resident instances.
     #[must_use]
     pub fn disk_bytes(&self) -> u64 {
-        self.docs
-            .values()
-            .map(|r| match r {
-                Replica::Instance { bytes } => *bytes,
-                Replica::Reference => 0,
-            })
-            .sum()
+        self.slots.iter().filter_map(Slot::instance).sum()
     }
 
     /// Number of resident instances.
     #[must_use]
     pub fn instance_count(&self) -> usize {
-        self.docs
-            .values()
-            .filter(|r| matches!(r, Replica::Instance { .. }))
-            .count()
+        self.slots.iter().filter_map(Slot::instance).count()
     }
 }
 

@@ -25,6 +25,7 @@
 
 use netsim::StationId;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Position (1-based) of the `i`-th child (1 ≤ i ≤ m) of the station at
 /// position `n` in the linear joining order. The paper's first formula.
@@ -41,14 +42,7 @@ pub fn child_position(n: u64, i: u64, m: u64) -> u64 {
 pub fn parent_position(k: u64, m: u64) -> u64 {
     debug_assert!(k >= 2, "the root has no parent");
     debug_assert!(m >= 1);
-    let i = {
-        let r = (k - 1) % m;
-        if r != 0 {
-            r
-        } else {
-            m
-        }
-    };
+    let i = child_index(k, m);
     (k - i - 1) / m + 1
 }
 
@@ -122,22 +116,13 @@ impl BroadcastTree {
         self.stations.get(pos as usize - 1).copied()
     }
 
-    /// 1-based position of a station, if present.
+    /// Children of the station at position `pos`, in order: the
+    /// positions [`child_position`]`(pos, 1..=m)` are consecutive, so
+    /// they are one range, clipped to the population.
     #[must_use]
-    pub fn position_of(&self, id: StationId) -> Option<u64> {
-        self.stations
-            .iter()
-            .position(|&s| s == id)
-            .map(|p| p as u64 + 1)
-    }
-
-    /// Children of the station at position `pos`, in order.
-    #[must_use]
-    pub fn children_of(&self, pos: u64) -> Vec<u64> {
-        (1..=self.m)
-            .map(|i| child_position(pos, i, self.m))
-            .filter(|&c| c <= self.stations.len() as u64)
-            .collect()
+    pub fn children_of(&self, pos: u64) -> Range<u64> {
+        let end = (child_position(pos, self.m, self.m) + 1).min(self.stations.len() as u64 + 1);
+        child_position(pos, 1, self.m).min(end)..end
     }
 
     /// Parent position of the station at `pos` (None for the root).
@@ -225,9 +210,9 @@ mod tests {
     #[test]
     fn tree_children_clip_to_population() {
         let t = BroadcastTree::new(ids(6), 2);
-        assert_eq!(t.children_of(1), vec![2, 3]);
-        assert_eq!(t.children_of(3), vec![6]); // 7 would exceed N=6
-        assert_eq!(t.children_of(4), Vec::<u64>::new());
+        assert_eq!(t.children_of(1), 2..4);
+        assert_eq!(t.children_of(3), 6..7); // 7 would exceed N=6
+        assert!(t.children_of(4).is_empty());
     }
 
     #[test]
@@ -280,8 +265,6 @@ mod tests {
         assert_eq!(t.root(), StationId(9));
         assert_eq!(t.station_at(2), Some(StationId(4)));
         assert_eq!(t.station_at(5), None);
-        assert_eq!(t.position_of(StationId(7)), Some(3));
-        assert_eq!(t.position_of(StationId(0)), None);
         assert_eq!(t.len(), 3);
     }
 }
