@@ -1,6 +1,7 @@
 //! Criterion benches for the broadcast simulator (experiment E2/E3's
 //! microbenchmark companion): how fast the simulation itself runs, its
-//! event queue against the binary-heap baseline, the adaptive
+//! event queue against the binary-heap baseline (on a hold workload and
+//! on a relay's tied times), the adaptive
 //! controller's planning cost, and the demand simulator's replica
 //! tables at the lecture benchmark's size.
 
@@ -56,6 +57,44 @@ fn bench_event_queue(c: &mut Criterion) {
                 b.iter(|| hold(&mut q, black_box(10_000)));
             });
         }
+    }
+    g.finish();
+}
+
+/// One object's relay down a 4-ary tree of 10 240 stations, replayed
+/// on a bare queue: each pop pushes the station's children on its
+/// uplink's lane one serialization time apart, as netsim's relay does,
+/// so only lane heads sit in the queue. Uniform links tie up to
+/// hundreds of arrivals on one microsecond. Returns a checksum of the
+/// popped stream.
+fn relay_replay(kind: QueueKind) -> u64 {
+    const STATIONS: u64 = 10_240;
+    const M: u64 = 4;
+    const SERIALIZE_US: u64 = 100_000;
+    const LATENCY_US: u64 = 3_000;
+    let relay = |q: &mut EventQueue<u64>, pos: u64, now: u64| {
+        for (i, child) in (M * (pos - 1) + 2..=(M * pos + 1).min(STATIONS)).enumerate() {
+            let at = now + (i as u64 + 1) * SERIALIZE_US + LATENCY_US;
+            q.push_lane(pos as usize, SimTime::from_micros(at), child);
+        }
+    };
+    let mut q = EventQueue::with_kind(kind);
+    relay(&mut q, 1, 0);
+    let mut sum = 0u64;
+    while let Some((at, pos)) = q.pop() {
+        sum = sum.wrapping_mul(31).wrapping_add(at.as_micros() ^ pos);
+        relay(&mut q, pos, at.as_micros());
+    }
+    sum
+}
+
+/// The wheel against the heap on the relay's heavily tied times.
+fn bench_event_queue_ties(c: &mut Criterion) {
+    let mut g = c.benchmark_group("event_queue_ties");
+    for (name, kind) in [("wheel", QueueKind::Wheel), ("heap", QueueKind::Heap)] {
+        g.bench_function(&format!("{name}/relay_10240"), |b| {
+            b.iter(|| relay_replay(black_box(kind)));
+        });
     }
     g.finish();
 }
@@ -142,6 +181,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_broadcast_sim, bench_event_queue, bench_adaptive, bench_demand_sim
+    targets = bench_broadcast_sim, bench_event_queue, bench_event_queue_ties, bench_adaptive, bench_demand_sim
 }
 criterion_main!(benches);

@@ -282,17 +282,18 @@ pub fn broadcast_course(
     for (oi, _) in objects.iter().enumerate() {
         relay_children(net, &trees[oi], objects, oi, 1);
     }
-    let mut per_kind: BTreeMap<String, SimTime> = BTreeMap::new();
+    // Delivery times only grow, so an object's last one is its latest.
+    let mut last = vec![None; objects.len()];
     net.run(|net, msg| {
         let CourseRelay { object, position } = msg.payload;
-        let label = objects[object].kind.label().to_owned();
-        let now = net.now();
-        per_kind
-            .entry(label)
-            .and_modify(|t| *t = (*t).max(now))
-            .or_insert(now);
+        last[object] = Some(net.now());
         relay_children(net, &trees[object], objects, object, position);
     });
+    let mut per_kind: BTreeMap<String, SimTime> = BTreeMap::new();
+    for (o, t) in objects.iter().zip(last).filter_map(|(o, t)| Some((o, t?))) {
+        let latest = per_kind.entry(o.kind.label().to_owned()).or_insert(t);
+        *latest = (*latest).max(t);
+    }
     CourseBroadcastReport {
         completion: net.last_delivery(),
         per_kind,

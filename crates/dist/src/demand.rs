@@ -89,6 +89,8 @@ pub struct DemandSim {
     docs: Vec<DocSpec>,
     watermark: u64,
     stations: BTreeMap<u64, StationDocs>,
+    /// `slot_of[d]`: document `d`'s slot in every table's shared names.
+    slot_of: Vec<usize>,
     /// (position, doc) pairs with a full copy already in flight, so a
     /// burst of accesses past the watermark triggers exactly one
     /// duplication.
@@ -101,11 +103,16 @@ impl DemandSim {
     #[must_use]
     pub fn new(tree: BroadcastTree, docs: Vec<DocSpec>, watermark: u64) -> Self {
         let stations = course_tables(tree.len(), &docs, |d| (&d.name, d.full_bytes));
+        let slot_of = docs
+            .iter()
+            .map(|d| stations[&1].index_of(&d.name).expect("a course name"))
+            .collect();
         DemandSim {
             tree,
             docs,
             watermark,
             stations,
+            slot_of,
             pending: std::collections::BTreeSet::new(),
         }
     }
@@ -126,9 +133,16 @@ impl DemandSim {
     /// holding an instance of `doc`.
     #[must_use]
     pub fn nearest_holder(&self, pos: u64, doc: &str) -> u64 {
+        let root = &self.stations[&1];
+        root.index_of(doc)
+            .map_or(1, |i| self.nearest_holder_at(pos, i))
+    }
+
+    /// [`DemandSim::nearest_holder`] of the document at slot `i`.
+    fn nearest_holder_at(&self, pos: u64, i: usize) -> u64 {
         // The instructor root always holds everything.
         std::iter::successors(self.tree.parent_of(pos), |&p| self.tree.parent_of(p))
-            .find(|p| self.stations[p].has_instance(doc))
+            .find(|p| self.stations[p].has_instance_at(i))
             .unwrap_or(1)
     }
 
@@ -146,6 +160,8 @@ impl DemandSim {
             replica_bytes: 0,
         };
         let mut latency_sum: u64 = 0;
+        let root = &self.stations[&1];
+        debug_assert!(self.stations.values().all(|sd| sd.shares_names(root)));
 
         for ev in trace {
             // Drain network activity up to this access.
@@ -155,12 +171,13 @@ impl DemandSim {
             report.accesses += 1;
             let doc = &self.docs[ev.doc];
             let sd = self.stations.get_mut(&ev.position).expect("station exists");
-            let count = sd.record_access(&doc.name);
-            if sd.has_instance(&doc.name) {
+            let slot = self.slot_of[ev.doc];
+            let count = sd.record_access_at(slot);
+            if sd.has_instance_at(slot) {
                 report.local_hits += 1;
                 continue; // zero network latency
             }
-            let holder = self.nearest_holder(ev.position, &doc.name);
+            let holder = self.nearest_holder_at(ev.position, slot);
             let src = self.tree.station_at(holder).expect("holder exists");
             let dst = self.tree.station_at(ev.position).expect("requester exists");
             report.remote_fetches += 1;

@@ -153,25 +153,29 @@ impl StationDocs {
         self.quota
     }
 
-    fn slot(&self, doc: &str) -> Option<&Slot> {
-        self.names.find(doc).ok().map(|i| &self.slots[i])
+    /// The slot index of `doc`, the same in every clone of one template.
+    pub(crate) fn index_of(&self, doc: &str) -> Option<usize> {
+        self.names.find(doc).ok()
     }
 
-    /// The slot of `doc`, created empty if the document is unknown.
-    fn slot_mut(&mut self, doc: &str) -> &mut Slot {
-        let i = self.names.find(doc).unwrap_or_else(|i| {
+    /// True while this table still shares `other`'s name list.
+    pub(crate) fn shares_names(&self, other: &StationDocs) -> bool {
+        Arc::ptr_eq(&self.names, &other.names)
+    }
+
+    /// The slot index of `doc`, created empty if the document is unknown.
+    fn index_or_insert(&mut self, doc: &str) -> usize {
+        self.names.find(doc).unwrap_or_else(|i| {
             Arc::make_mut(&mut self.names).insert(i, doc);
             self.slots.insert(i, Slot::default());
             i
-        });
-        &mut self.slots[i]
+        })
     }
 
-    fn touch(&mut self, doc: &str) -> &mut Slot {
+    fn touch_at(&mut self, i: usize) -> &mut Slot {
         self.tick += 1;
-        let tick = self.tick;
-        let slot = self.slot_mut(doc);
-        slot.tick = tick;
+        let slot = &mut self.slots[i];
+        slot.tick = self.tick;
         slot
     }
 
@@ -186,9 +190,8 @@ impl StationDocs {
     /// Record a broadcast reference ("references to the instance are
     /// broadcasted and stored in many remote stations").
     pub fn add_reference(&mut self, doc: impl AsRef<str>) {
-        self.slot_mut(doc.as_ref())
-            .replica
-            .get_or_insert(Replica::Reference);
+        let i = self.index_or_insert(doc.as_ref());
+        self.slots[i].replica.get_or_insert(Replica::Reference);
     }
 
     /// Materialize an instance of `bytes` bytes. Under a quota, LRU
@@ -217,7 +220,8 @@ impl StationDocs {
                 }
             }
         }
-        self.touch(doc).replica = Some(Replica::Instance { bytes });
+        let i = self.index_or_insert(doc);
+        self.touch_at(i).replica = Some(Replica::Instance { bytes });
         evicted
     }
 
@@ -236,19 +240,28 @@ impl StationDocs {
     /// The replica state of a document.
     #[must_use]
     pub fn replica(&self, doc: &str) -> Option<Replica> {
-        self.slot(doc).and_then(|s| s.replica)
+        self.index_of(doc).and_then(|i| self.slots[i].replica)
     }
 
     /// True if a physical copy is resident.
     #[must_use]
     pub fn has_instance(&self, doc: &str) -> bool {
-        self.slot(doc).is_some_and(|s| s.instance().is_some())
+        self.index_of(doc).is_some_and(|i| self.has_instance_at(i))
+    }
+
+    pub(crate) fn has_instance_at(&self, i: usize) -> bool {
+        self.slots[i].instance().is_some()
     }
 
     /// Bump and return the access count for a document (also refreshes
     /// its LRU recency).
     pub fn record_access(&mut self, doc: &str) -> u64 {
-        let slot = self.touch(doc);
+        let i = self.index_or_insert(doc);
+        self.record_access_at(i)
+    }
+
+    pub(crate) fn record_access_at(&mut self, i: usize) -> u64 {
+        let slot = self.touch_at(i);
         slot.count += 1;
         slot.count
     }
@@ -256,7 +269,7 @@ impl StationDocs {
     /// Current access count.
     #[must_use]
     pub fn access_count(&self, doc: &str) -> u64 {
-        self.slot(doc).map_or(0, |s| s.count)
+        self.index_of(doc).map_or(0, |i| self.slots[i].count)
     }
 
     /// Total bytes of resident instances.

@@ -87,3 +87,100 @@ proptest! {
         prop_assert_eq!(wheel.pop(), None);
     }
 }
+
+/// An operation of the keyed and tie-heavy arms. Pushes carry a key
+/// prefix; a keyed run pushes with key `(prefix << 20) | item`, so keys
+/// are unique but not in push order.
+#[derive(Debug, Clone, Copy)]
+enum KeyedOp {
+    /// At a time, with a key prefix.
+    Push(u64, u64),
+    /// On a lane, at a time.
+    PushLane(usize, u64),
+    /// `d` µs after the last popped time, with a key prefix: `d = 0`
+    /// lands in the tick being drained.
+    PushNow(u64, u64),
+    Pop,
+}
+
+/// Replay `ops` on a wheel and on the heap oracle, with caller keys
+/// (`keyed`) or the queue's own push counter, and compare every pop,
+/// peek and length, then the whole remaining order.
+fn replay(ops: impl IntoIterator<Item = KeyedOp>, keyed: bool) {
+    let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
+    let mut heap = EventQueue::with_kind(QueueKind::Heap);
+    let (mut item, mut now) = (0u64, 0u64);
+    for op in ops {
+        let (lane, at, prefix) = match op {
+            KeyedOp::Pop => {
+                assert_eq!(wheel.peek_time(), heap.peek_time());
+                let popped = wheel.pop();
+                assert_eq!(popped, heap.pop());
+                now = popped.map_or(now, |(t, _)| t.as_micros());
+                continue;
+            }
+            KeyedOp::Push(t, prefix) => (None, t, prefix),
+            KeyedOp::PushNow(d, prefix) => (None, now + d, prefix),
+            // One prefix per lane: its keys grow in push order, as
+            // netsim's `(station, counter)` keys do on a station's
+            // uplink lane.
+            KeyedOp::PushLane(l, t) => (Some(l), t, 150 * (l as u64 + 1)),
+        };
+        let (at, key) = (SimTime::from_micros(at), (prefix << 20) | item);
+        for q in [&mut wheel, &mut heap] {
+            match (lane, keyed) {
+                (None, true) => q.push_keyed(at, key, item),
+                (None, false) => q.push(at, item),
+                (Some(l), true) => q.push_lane_keyed(l, at, key, item),
+                (Some(l), false) => q.push_lane(l, at, item),
+            }
+        }
+        item += 1;
+        assert_eq!(wheel.len(), heap.len());
+    }
+    while let Some(e) = heap.pop() {
+        assert_eq!(wheel.pop(), Some(e));
+    }
+    assert_eq!(wheel.pop(), None);
+}
+
+/// Pushes at the given times: plain, on a lane, or into the tick
+/// being drained.
+fn keyed_pushes(times: fn() -> BoxedStrategy<u64>) -> BoxedStrategy<KeyedOp> {
+    prop_oneof![
+        (times(), 0u64..1024).prop_map(|(t, k)| KeyedOp::Push(t, k)),
+        (times(), 0u64..1024).prop_map(|(t, k)| KeyedOp::Push(t, k)),
+        (0usize..6, times()).prop_map(|(l, t)| KeyedOp::PushLane(l, t)),
+        (0u64..2, 0u64..1024).prop_map(|(d, k)| KeyedOp::PushNow(d, k)),
+    ]
+    .boxed()
+}
+
+/// A few adjacent ticks, so hundreds of events share each one.
+fn tied_times() -> BoxedStrategy<u64> {
+    prop_oneof![1_000u64..1_004, Just(1_000u64), 0u64..2].boxed()
+}
+
+proptest! {
+    #[test]
+    fn keyed_pushes_match_heap(
+        ops in proptest::collection::vec(
+            prop_oneof![keyed_pushes(times), keyed_pushes(times), Just(KeyedOp::Pop)],
+            1..400,
+        )
+    ) {
+        replay(ops, true);
+    }
+
+    #[test]
+    fn tied_ticks_match_heap(
+        fill in proptest::collection::vec(keyed_pushes(tied_times), 200..600),
+        mixed in proptest::collection::vec(
+            prop_oneof![keyed_pushes(tied_times), Just(KeyedOp::Pop), Just(KeyedOp::Pop)],
+            1..800,
+        ),
+        keyed in 0u8..2,
+    ) {
+        replay(fill.into_iter().chain(mixed), keyed == 1);
+    }
+}
