@@ -3,17 +3,21 @@
 //! decoding every row, an update that overwrites its row in place
 //! against one that relocates it, BLOB store throughput (experiment
 //! E4/E8's microbenchmark companion), and the durable byte path: the
-//! frame CRC on a page and on an average BLOB, the BLOB digest, and a
-//! script-update WAL frame encoded and decoded.
+//! frame CRC on a page and on an average BLOB, the BLOB digest, a
+//! script-update WAL frame encoded and decoded, and typed reads decoded
+//! from copied rows against decoded from the stored images.
 
 use blobstore::{BlobStore, MediaKind};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use relstore::pagestore::page;
-use relstore::{ColumnType, Database, MvccDb, Predicate, Table, TableSchema, Value};
+use relstore::{
+    AnyEngine, ColumnType, Database, EngineKind, MvccDb, Predicate, RowRef, Table, TableSchema,
+    Value,
+};
 use wal::record::{encode_frame, FRAME_HEADER};
 use wal::WalRecord;
 use wdoc_core::ids::{DbName, ScriptName, UserId};
-use wdoc_core::tables::Script;
+use wdoc_core::tables::{self, Script};
 
 fn seeded_db(rows: i64) -> Database {
     let db = Database::new();
@@ -258,6 +262,78 @@ fn bench_byte_path(c: &mut Criterion) {
     g.finish();
 }
 
+/// A typed read of 64 `Script` rows (one author's) on each engine, the
+/// two ways: `select` copies each row out as a `Vec<Value>` and
+/// `Script::from_row` decodes the copy, or `select_with` hands each
+/// stored image to `Script::from_row` as a view.
+fn bench_row_views(c: &mut Criterion) {
+    let mut g = c.benchmark_group("row_views");
+    let by_author = Predicate::eq("author", "author07");
+    for kind in [EngineKind::TwoPl, EngineKind::Mvcc] {
+        let db = AnyEngine::new(kind);
+        db.create_table(tables::database_schema()).unwrap();
+        db.create_table(Script::schema()).unwrap();
+        db.with_txn(|t| {
+            t.insert(
+                "wdoc_database",
+                vec![
+                    "mmu".into(),
+                    "".into(),
+                    "shih".into(),
+                    Value::Int(1),
+                    Value::Timestamp(0),
+                ],
+            )?;
+            for i in 0..64u64 {
+                let s = Script {
+                    name: ScriptName::new(format!("s{i:05}")),
+                    db: DbName::new("mmu"),
+                    keywords: vec!["lecture".into(), format!("week{}", i % 13)],
+                    author: UserId::new("author07"),
+                    version: 1,
+                    created: 1_000 + i,
+                    description: format!("lecture script s{i:05}: outline, media list, quiz plan"),
+                    expected_completion: (i % 2 == 0).then_some(9_000 + i),
+                    percent_complete: (i % 101) as i64,
+                };
+                t.insert(Script::TABLE, s.to_row())?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        g.bench_function(&format!("select_then_from_row/{kind}"), |b| {
+            b.iter(|| {
+                let rows = db
+                    .with_txn(|t| t.select(Script::TABLE, black_box(&by_author)))
+                    .unwrap();
+                let scripts: Vec<Script> = rows
+                    .iter()
+                    .map(|(_, r)| Script::from_row(RowRef::decoded(r)).unwrap())
+                    .collect();
+                assert_eq!(scripts.len(), 64);
+                scripts
+            });
+        });
+        g.bench_function(&format!("select_with/{kind}"), |b| {
+            b.iter(|| {
+                let scripts = db
+                    .with_txn(|t| {
+                        let mut out = Vec::new();
+                        t.select_with(Script::TABLE, black_box(&by_author), &mut |_, row| {
+                            out.push(Script::from_row(row)?);
+                            Ok(())
+                        })?;
+                        Ok(out)
+                    })
+                    .unwrap();
+                assert_eq!(scripts.len(), 64);
+                scripts
+            });
+        });
+    }
+    g.finish();
+}
+
 fn quick() -> Criterion {
     // Single-core CI box: short, deterministic-enough runs.
     Criterion::default()
@@ -269,6 +345,7 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_relstore, bench_scan, bench_update, bench_blobstore, bench_byte_path
+    targets = bench_relstore, bench_scan, bench_update, bench_blobstore, bench_byte_path,
+        bench_row_views
 }
 criterion_main!(benches);

@@ -17,7 +17,7 @@ use crate::tables::{
 };
 use blobstore::{BlobExport, BlobId, BlobMeta, BlobStore, MediaKind};
 use bytes::Bytes;
-use relstore::{AnyEngine, EngineKind, Predicate, Value};
+use relstore::{AnyEngine, EngineKind, Predicate, RowId, RowRef, Value};
 use serde::{Deserialize, Serialize};
 
 /// A full station backup: the relational state plus the BLOB layer.
@@ -254,6 +254,35 @@ impl WebDocDb {
         Ok(slot.expect("with_txn_dyn runs the closure before Ok"))
     }
 
+    /// Rows of `table` matching `pred`, each decoded by `decode`
+    /// straight from the row view [`DocTxn::select_with`] hands over.
+    fn select_as<T>(
+        &self,
+        table: &str,
+        pred: &Predicate,
+        decode: impl Fn(RowRef<'_>) -> relstore::Result<T>,
+    ) -> Result<Vec<T>> {
+        Ok(self.with_txn(|t| {
+            let mut out = Vec::new();
+            t.select_with(table, pred, &mut |_, row| {
+                out.push(decode(row)?);
+                Ok(())
+            })?;
+            Ok(out)
+        })?)
+    }
+
+    /// The first row of `table` matching `pred`, decoded by `decode`.
+    fn first_as<T>(
+        &self,
+        table: &str,
+        pred: &Predicate,
+        decode: impl Fn(RowRef<'_>) -> relstore::Result<T>,
+    ) -> Result<Option<T>> {
+        let first = self.with_txn(|t| first_with(t, table, pred, &decode))?;
+        Ok(first.map(|(_, v)| v))
+    }
+
     /// The relational substrate (escape hatch for tools and tests).
     ///
     /// # Panics
@@ -314,18 +343,15 @@ impl WebDocDb {
 
     /// All registered databases.
     pub fn databases(&self) -> Result<Vec<DatabaseInfo>> {
-        let rows = self.with_txn(|t| t.select("wdoc_database", &Predicate::True))?;
-        rows.iter()
-            .map(|(_, r)| {
-                Ok(DatabaseInfo {
-                    name: DbName::new(r[0].as_text().unwrap_or_default()),
-                    keywords: tables::split_keywords(r[1].as_text().unwrap_or_default()),
-                    author: UserId::new(r[2].as_text().unwrap_or_default()),
-                    version: r[3].as_int().unwrap_or_default(),
-                    created: r[4].as_timestamp().unwrap_or_default(),
-                })
+        self.select_as("wdoc_database", &Predicate::True, |r| {
+            Ok(DatabaseInfo {
+                name: DbName::new(r.text(0)?.unwrap_or_default()),
+                keywords: tables::split_keywords(r.text(1)?.unwrap_or_default()),
+                author: UserId::new(r.text(2)?.unwrap_or_default()),
+                version: r.int(3)?.unwrap_or_default(),
+                created: r.timestamp(4)?.unwrap_or_default(),
             })
-            .collect()
+        })
     }
 
     // ------------------------------------------------------------------
@@ -340,28 +366,27 @@ impl WebDocDb {
 
     /// Fetch a script by name.
     pub fn script(&self, name: &ScriptName) -> Result<Script> {
-        let rows =
-            self.with_txn(|t| t.select(Script::TABLE, &Predicate::eq("name", name.as_str())))?;
-        match rows.first() {
-            Some((_, row)) => Ok(Script::from_row(row)?),
-            None => Err(CoreError::NotFound {
+        let pred = Predicate::eq("name", name.as_str());
+        self.first_as(Script::TABLE, &pred, Script::from_row)?
+            .ok_or_else(|| CoreError::NotFound {
                 kind: ObjectKind::Script,
                 name: name.to_string(),
-            }),
-        }
+            })
     }
 
     /// Scripts belonging to one database.
     pub fn scripts_in(&self, db: &DbName) -> Result<Vec<Script>> {
-        let rows = self.with_txn(|t| t.select(Script::TABLE, &Predicate::eq("db", db.as_str())))?;
-        rows.iter().map(|(_, r)| Ok(Script::from_row(r)?)).collect()
+        self.select_as(
+            Script::TABLE,
+            &Predicate::eq("db", db.as_str()),
+            Script::from_row,
+        )
     }
 
     /// Scripts by author.
     pub fn scripts_by_author(&self, author: &UserId) -> Result<Vec<Script>> {
-        let rows =
-            self.with_txn(|t| t.select(Script::TABLE, &Predicate::eq("author", author.as_str())))?;
-        rows.iter().map(|(_, r)| Ok(Script::from_row(r)?)).collect()
+        let pred = Predicate::eq("author", author.as_str());
+        self.select_as(Script::TABLE, &pred, Script::from_row)
     }
 
     /// Update a script through a closure; returns the integrity alerts
@@ -376,21 +401,21 @@ impl WebDocDb {
         // Read-modify-write inside one transaction, so a concurrent
         // committed update cannot be clobbered by a stale full-row
         // write (the closure may run again if wait-die retries).
+        let pred = Predicate::eq("name", name.as_str());
         let renamed = self.with_txn(|t| {
-            let rows = t.select(Script::TABLE, &Predicate::eq("name", name.as_str()))?;
-            let (id, row) = rows.first().ok_or(relstore::Error::NoSuchRow {
+            let missing = |row| relstore::Error::NoSuchRow {
                 table: Script::TABLE.into(),
-                row: relstore::RowId(0),
-            })?;
-            let mut s = Script::from_row(row).map_err(|_| relstore::Error::NoSuchRow {
-                table: Script::TABLE.into(),
-                row: *id,
-            })?;
+                row,
+            };
+            // Decoded under the read; updated once the read is over.
+            let found = first_with(t, Script::TABLE, &pred, &|row| Ok(Script::from_row(row)))?;
+            let (id, s) = found.ok_or_else(|| missing(RowId(0)))?;
+            let mut s = s.map_err(|_| missing(id))?;
             mutate(&mut s);
             if s.name != *name {
                 return Ok(true); // rename attempted; reject outside
             }
-            t.update(Script::TABLE, *id, s.to_row())?;
+            t.update(Script::TABLE, id, s.to_row())?;
             Ok(false)
         });
         let renamed = match renamed {
@@ -420,13 +445,13 @@ impl WebDocDb {
         for imp in self.implementations_of(name)? {
             metas.extend(self.implementation_resources(&imp.url)?);
         }
-        self.with_txn(|t| {
-            let rows = t.select(Script::TABLE, &Predicate::eq("name", name.as_str()))?;
-            match rows.first() {
-                Some((id, _)) => t.delete(Script::TABLE, *id),
+        let pred = Predicate::eq("name", name.as_str());
+        self.with_txn(
+            |t| match first_with(t, Script::TABLE, &pred, &|_| Ok(()))? {
+                Some((id, ())) => t.delete(Script::TABLE, id),
                 None => Ok(()),
-            }
-        })?;
+            },
+        )?;
         for m in metas {
             self.blobs.release(m.id);
         }
@@ -461,15 +486,18 @@ impl WebDocDb {
     /// payload is evicted once no reference remains).
     pub fn detach_script_resource(&self, name: &ScriptName, id: BlobId) -> Result<()> {
         let blob = id.to_string();
+        let pred = Predicate::eq("owner", name.as_str());
         let removed = self.with_txn(|t| {
-            let rows = t.select(Script::RESOURCES, &Predicate::eq("owner", name.as_str()))?;
-            for (rid, row) in rows {
-                if row.get(1).and_then(Value::as_text) == Some(blob.as_str()) {
-                    t.delete(Script::RESOURCES, rid)?;
-                    return Ok(true);
+            let mut hit = None;
+            t.select_with(Script::RESOURCES, &pred, &mut |rid, row| {
+                if hit.is_none() && row.text(1)? == Some(blob.as_str()) {
+                    hit = Some(rid);
                 }
-            }
-            Ok(false)
+                Ok(())
+            })?;
+            hit.map(|rid| t.delete(Script::RESOURCES, rid))
+                .transpose()?;
+            Ok(hit.is_some())
         })?;
         if !removed {
             return Err(CoreError::NotFound {
@@ -483,11 +511,8 @@ impl WebDocDb {
 
     /// Descriptors of a script's multimedia resources.
     pub fn script_resources(&self, name: &ScriptName) -> Result<Vec<BlobMeta>> {
-        let rows =
-            self.with_txn(|t| t.select(Script::RESOURCES, &Predicate::eq("owner", name.as_str())))?;
-        rows.iter()
-            .map(|(_, r)| Ok(tables::resource_from_row(r)?))
-            .collect()
+        let pred = Predicate::eq("owner", name.as_str());
+        self.select_as(Script::RESOURCES, &pred, tables::resource_from_row)
     }
 
     // ------------------------------------------------------------------
@@ -527,54 +552,39 @@ impl WebDocDb {
 
     /// Fetch an implementation by starting URL.
     pub fn implementation(&self, url: &StartUrl) -> Result<Implementation> {
-        let rows = self
-            .with_txn(|t| t.select(Implementation::TABLE, &Predicate::eq("url", url.as_str())))?;
-        match rows.first() {
-            Some((_, row)) => Ok(Implementation::from_row(row)?),
-            None => Err(CoreError::NotFound {
+        let pred = Predicate::eq("url", url.as_str());
+        self.first_as(Implementation::TABLE, &pred, Implementation::from_row)?
+            .ok_or_else(|| CoreError::NotFound {
                 kind: ObjectKind::Implementation,
                 name: url.to_string(),
-            }),
-        }
+            })
     }
 
     /// Every implementation in the database (global testing scope).
     pub fn all_implementations(&self) -> Result<Vec<Implementation>> {
-        let rows = self.with_txn(|t| t.select(Implementation::TABLE, &Predicate::True))?;
-        rows.iter()
-            .map(|(_, r)| Ok(Implementation::from_row(r)?))
-            .collect()
+        self.select_as(
+            Implementation::TABLE,
+            &Predicate::True,
+            Implementation::from_row,
+        )
     }
 
     /// All implementation tries of a script.
     pub fn implementations_of(&self, script: &ScriptName) -> Result<Vec<Implementation>> {
-        let rows = self.with_txn(|t| {
-            t.select(
-                Implementation::TABLE,
-                &Predicate::eq("script", script.as_str()),
-            )
-        })?;
-        rows.iter()
-            .map(|(_, r)| Ok(Implementation::from_row(r)?))
-            .collect()
+        let pred = Predicate::eq("script", script.as_str());
+        self.select_as(Implementation::TABLE, &pred, Implementation::from_row)
     }
 
     /// HTML files of an implementation.
     pub fn html_files(&self, url: &StartUrl) -> Result<Vec<HtmlFile>> {
-        let rows =
-            self.with_txn(|t| t.select(HtmlFile::TABLE, &Predicate::eq("url", url.as_str())))?;
-        rows.iter()
-            .map(|(_, r)| Ok(HtmlFile::from_row(r)?))
-            .collect()
+        let pred = Predicate::eq("url", url.as_str());
+        self.select_as(HtmlFile::TABLE, &pred, HtmlFile::from_row)
     }
 
     /// Program files of an implementation.
     pub fn program_files(&self, url: &StartUrl) -> Result<Vec<ProgramFile>> {
-        let rows =
-            self.with_txn(|t| t.select(ProgramFile::TABLE, &Predicate::eq("url", url.as_str())))?;
-        rows.iter()
-            .map(|(_, r)| Ok(ProgramFile::from_row(r)?))
-            .collect()
+        let pred = Predicate::eq("url", url.as_str());
+        self.select_as(ProgramFile::TABLE, &pred, ProgramFile::from_row)
     }
 
     /// Attach a multimedia resource to an implementation.
@@ -601,15 +611,8 @@ impl WebDocDb {
 
     /// Descriptors of an implementation's multimedia resources.
     pub fn implementation_resources(&self, url: &StartUrl) -> Result<Vec<BlobMeta>> {
-        let rows = self.with_txn(|t| {
-            t.select(
-                Implementation::RESOURCES,
-                &Predicate::eq("owner", url.as_str()),
-            )
-        })?;
-        rows.iter()
-            .map(|(_, r)| Ok(tables::resource_from_row(r)?))
-            .collect()
+        let pred = Predicate::eq("owner", url.as_str());
+        self.select_as(Implementation::RESOURCES, &pred, tables::resource_from_row)
     }
 
     // ------------------------------------------------------------------
@@ -624,24 +627,18 @@ impl WebDocDb {
 
     /// Test records of a script.
     pub fn test_records_of(&self, script: &ScriptName) -> Result<Vec<TestRecord>> {
-        let rows = self
-            .with_txn(|t| t.select(TestRecord::TABLE, &Predicate::eq("script", script.as_str())))?;
-        rows.iter()
-            .map(|(_, r)| Ok(TestRecord::from_row(r)?))
-            .collect()
+        let pred = Predicate::eq("script", script.as_str());
+        self.select_as(TestRecord::TABLE, &pred, TestRecord::from_row)
     }
 
     /// Fetch one test record.
     pub fn test_record(&self, name: &TestRecordName) -> Result<TestRecord> {
-        let rows =
-            self.with_txn(|t| t.select(TestRecord::TABLE, &Predicate::eq("name", name.as_str())))?;
-        match rows.first() {
-            Some((_, row)) => Ok(TestRecord::from_row(row)?),
-            None => Err(CoreError::NotFound {
+        let pred = Predicate::eq("name", name.as_str());
+        self.first_as(TestRecord::TABLE, &pred, TestRecord::from_row)?
+            .ok_or_else(|| CoreError::NotFound {
                 kind: ObjectKind::TestRecord,
                 name: name.to_string(),
-            }),
-        }
+            })
     }
 
     /// File a bug report against a test record.
@@ -652,11 +649,8 @@ impl WebDocDb {
 
     /// Bug reports of a test record.
     pub fn bug_reports_of(&self, tr: &TestRecordName) -> Result<Vec<BugReport>> {
-        let rows = self
-            .with_txn(|t| t.select(BugReport::TABLE, &Predicate::eq("test_record", tr.as_str())))?;
-        rows.iter()
-            .map(|(_, r)| Ok(BugReport::from_row(r)?))
-            .collect()
+        let pred = Predicate::eq("test_record", tr.as_str());
+        self.select_as(BugReport::TABLE, &pred, BugReport::from_row)
     }
 
     /// All bug reports filed against any test record of a script — a
@@ -674,7 +668,7 @@ impl WebDocDb {
         })?;
         pairs
             .iter()
-            .map(|(_, bug_row)| Ok(BugReport::from_row(bug_row)?))
+            .map(|(_, bug_row)| Ok(BugReport::from_row(RowRef::decoded(bug_row))?))
             .collect()
     }
 
@@ -686,34 +680,25 @@ impl WebDocDb {
 
     /// Fetch one annotation.
     pub fn annotation(&self, name: &AnnotationName) -> Result<Annotation> {
-        let rows =
-            self.with_txn(|t| t.select(Annotation::TABLE, &Predicate::eq("name", name.as_str())))?;
-        match rows.first() {
-            Some((_, row)) => Ok(Annotation::from_row(row)?),
-            None => Err(CoreError::NotFound {
+        let pred = Predicate::eq("name", name.as_str());
+        self.first_as(Annotation::TABLE, &pred, Annotation::from_row)?
+            .ok_or_else(|| CoreError::NotFound {
                 kind: ObjectKind::Annotation,
                 name: name.to_string(),
-            }),
-        }
+            })
     }
 
     /// Annotations over an implementation — "an implementation may have
     /// different annotations created by different instructors" (§3).
     pub fn annotations_of(&self, url: &StartUrl) -> Result<Vec<Annotation>> {
-        let rows =
-            self.with_txn(|t| t.select(Annotation::TABLE, &Predicate::eq("url", url.as_str())))?;
-        rows.iter()
-            .map(|(_, r)| Ok(Annotation::from_row(r)?))
-            .collect()
+        let pred = Predicate::eq("url", url.as_str());
+        self.select_as(Annotation::TABLE, &pred, Annotation::from_row)
     }
 
     /// Bug reports filed by one QA engineer (assessment support).
     pub fn bug_reports_by(&self, qa: &UserId) -> Result<Vec<BugReport>> {
-        let rows = self
-            .with_txn(|t| t.select(BugReport::TABLE, &Predicate::eq("qa_engineer", qa.as_str())))?;
-        rows.iter()
-            .map(|(_, r)| Ok(BugReport::from_row(r)?))
-            .collect()
+        let pred = Predicate::eq("qa_engineer", qa.as_str());
+        self.select_as(BugReport::TABLE, &pred, BugReport::from_row)
     }
 
     // ------------------------------------------------------------------
@@ -740,59 +725,27 @@ impl WebDocDb {
         }
     }
 
+    /// Names of `obj`'s children of kind `child`: one text column of the
+    /// child rows that reference `obj`, and nothing else of them read.
     fn children_of(&self, obj: &ObjectRef, child: ObjectKind) -> Result<Vec<String>> {
         use ObjectKind as K;
-        Ok(match (obj.kind, child) {
-            (K::Database, K::Script) => self
-                .scripts_in(&DbName::new(obj.name.clone()))?
-                .into_iter()
-                .map(|s| s.name.0)
-                .collect(),
-            (K::Script, K::Implementation) => self
-                .implementations_of(&ScriptName::new(obj.name.clone()))?
-                .into_iter()
-                .map(|i| i.url.0)
-                .collect(),
-            (K::Script, K::MultimediaResource) => self
-                .script_resources(&ScriptName::new(obj.name.clone()))?
-                .into_iter()
-                .map(|m| m.id.to_string())
-                .collect(),
-            (K::Implementation, K::HtmlFile) => self
-                .html_files(&StartUrl::new(obj.name.clone()))?
-                .into_iter()
-                .map(|h| h.path)
-                .collect(),
-            (K::Implementation, K::ProgramFile) => self
-                .program_files(&StartUrl::new(obj.name.clone()))?
-                .into_iter()
-                .map(|p| p.path)
-                .collect(),
-            (K::Implementation, K::MultimediaResource) => self
-                .implementation_resources(&StartUrl::new(obj.name.clone()))?
-                .into_iter()
-                .map(|m| m.id.to_string())
-                .collect(),
-            (K::Implementation, K::TestRecord) => {
-                let rows = self.with_txn(|t| {
-                    t.select(TestRecord::TABLE, &Predicate::eq("url", obj.name.as_str()))
-                })?;
-                rows.iter()
-                    .filter_map(|(_, r)| r[0].as_text().map(str::to_owned))
-                    .collect()
-            }
-            (K::TestRecord, K::BugReport) => self
-                .bug_reports_of(&TestRecordName::new(obj.name.clone()))?
-                .into_iter()
-                .map(|b| b.name.0)
-                .collect(),
-            (K::Implementation, K::Annotation) => self
-                .annotations_of(&StartUrl::new(obj.name.clone()))?
-                .into_iter()
-                .map(|a| a.name.0)
-                .collect(),
-            (K::Annotation, K::AnnotationFile) => vec![format!("{}.ann", obj.name)],
-            _ => Vec::new(),
+        // (child table, column referencing the parent, column returned)
+        let (table, parent, name) = match (obj.kind, child) {
+            (K::Database, K::Script) => (Script::TABLE, "db", 0),
+            (K::Script, K::Implementation) => (Implementation::TABLE, "script", 0),
+            (K::Script, K::MultimediaResource) => (Script::RESOURCES, "owner", 1),
+            (K::Implementation, K::HtmlFile) => (HtmlFile::TABLE, "url", 1),
+            (K::Implementation, K::ProgramFile) => (ProgramFile::TABLE, "url", 1),
+            (K::Implementation, K::MultimediaResource) => (Implementation::RESOURCES, "owner", 1),
+            (K::Implementation, K::TestRecord) => (TestRecord::TABLE, "url", 0),
+            (K::TestRecord, K::BugReport) => (BugReport::TABLE, "test_record", 0),
+            (K::Implementation, K::Annotation) => (Annotation::TABLE, "url", 0),
+            (K::Annotation, K::AnnotationFile) => return Ok(vec![format!("{}.ann", obj.name)]),
+            _ => return Ok(Vec::new()),
+        };
+        let pred = Predicate::eq(parent, obj.name.as_str());
+        self.select_as(table, &pred, |row| {
+            Ok(tables::text(row, name, "name")?.to_owned())
         })
     }
 
@@ -880,4 +833,22 @@ impl WebDocDb {
             blob_logical_bytes: blob.logical_bytes,
         })
     }
+}
+
+/// The id of the first row of `table` matching `pred`, with `decode`
+/// of its view; later matches are skipped undecoded.
+fn first_with<T>(
+    t: &dyn DocTxn,
+    table: &str,
+    pred: &Predicate,
+    decode: &dyn Fn(RowRef<'_>) -> relstore::Result<T>,
+) -> relstore::Result<Option<(RowId, T)>> {
+    let mut first = None;
+    t.select_with(table, pred, &mut |id, row| {
+        if first.is_none() {
+            first = Some((id, decode(row)?));
+        }
+        Ok(())
+    })?;
+    Ok(first)
 }

@@ -7,10 +7,10 @@
 //! *file* (see [`crate::sci::AnnotationOverlay`]), stored inline as
 //! bytes.
 
-use super::{int, text, timestamp};
+use super::{bytes, int, text, timestamp};
 use crate::ids::{AnnotationName, ScriptName, StartUrl, UserId};
 use crate::sci::AnnotationOverlay;
-use relstore::{ColumnType, FkAction, Result, Row, TableSchema, Value};
+use relstore::{ColumnType, FkAction, Result, Row, RowRef, TableSchema, Value};
 use serde::{Deserialize, Serialize};
 
 /// An annotation over an implementation.
@@ -71,11 +71,9 @@ impl Annotation {
         ]
     }
 
-    /// Decode from a row.
-    pub fn from_row(row: &Row) -> Result<Self> {
-        let file = row[6]
-            .as_bytes()
-            .ok_or_else(|| super::bad("file", &row[6].to_string()))?;
+    /// Decode from a row view: a stored image or a decoded row.
+    pub fn from_row(row: RowRef<'_>) -> Result<Self> {
+        let file = bytes(row, 6, "file")?;
         let overlay =
             AnnotationOverlay::decode(file).ok_or_else(|| super::bad("file", "<binary>"))?;
         Ok(Annotation {
@@ -84,7 +82,7 @@ impl Annotation {
             version: int(row, 2, "version")?,
             created: timestamp(row, 3, "created")?,
             script: ScriptName::new(text(row, 4, "script")?),
-            url: row[5].as_text().map(StartUrl::new),
+            url: row.text(5)?.map(StartUrl::new),
             overlay,
         })
     }
@@ -120,14 +118,20 @@ mod tests {
     #[test]
     fn row_roundtrip() {
         let a = sample();
-        assert_eq!(Annotation::from_row(&a.to_row()).unwrap(), a);
+        assert_eq!(
+            Annotation::from_row(RowRef::decoded(&a.to_row())).unwrap(),
+            a
+        );
     }
 
     #[test]
     fn roundtrip_null_url() {
         let mut a = sample();
         a.url = None;
-        assert_eq!(Annotation::from_row(&a.to_row()).unwrap(), a);
+        assert_eq!(
+            Annotation::from_row(RowRef::decoded(&a.to_row())).unwrap(),
+            a
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use super::{text, timestamp};
 use crate::ids::{BugReportName, TestRecordName, UserId};
-use relstore::{ColumnType, FkAction, Result, Row, TableSchema, Value};
+use relstore::{ColumnType, FkAction, Result, Row, RowRef, TableSchema, Value};
 use serde::{Deserialize, Serialize};
 
 fn join_list(items: &[String]) -> String {
@@ -113,8 +113,8 @@ impl BugReport {
         ]
     }
 
-    /// Decode from a row.
-    pub fn from_row(row: &Row) -> Result<Self> {
+    /// Decode from a row view: a stored image or a decoded row.
+    pub fn from_row(row: RowRef<'_>) -> Result<Self> {
         Ok(BugReport {
             name: BugReportName::new(text(row, 0, "name")?),
             qa_engineer: UserId::new(text(row, 1, "qa_engineer")?),
@@ -152,7 +152,10 @@ mod tests {
     #[test]
     fn row_roundtrip() {
         let b = sample();
-        assert_eq!(BugReport::from_row(&b.to_row()).unwrap(), b);
+        assert_eq!(
+            BugReport::from_row(RowRef::decoded(&b.to_row())).unwrap(),
+            b
+        );
     }
 
     #[test]
@@ -164,7 +167,10 @@ mod tests {
         b.redundant_objects.clear();
         assert!(b.is_clean());
         assert_eq!(b.finding_count(), 0);
-        assert_eq!(BugReport::from_row(&b.to_row()).unwrap(), b);
+        assert_eq!(
+            BugReport::from_row(RowRef::decoded(&b.to_row())).unwrap(),
+            b
+        );
     }
 
     #[test]

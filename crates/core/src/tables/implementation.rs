@@ -5,10 +5,10 @@
 //! file, and some optional program files, which may use some multimedia
 //! resources."
 
-use super::{int, text, timestamp};
+use super::{bytes, int, text, timestamp};
 use crate::ids::{ScriptName, StartUrl, UserId};
 use bytes::Bytes;
-use relstore::{ColumnType, FkAction, Result, Row, TableSchema, Value};
+use relstore::{ColumnType, FkAction, Result, Row, RowRef, TableSchema, Value};
 use serde::{Deserialize, Serialize};
 
 /// An implementation of a script, keyed by its unique starting URL.
@@ -57,8 +57,8 @@ impl Implementation {
         ]
     }
 
-    /// Decode from a row.
-    pub fn from_row(row: &Row) -> Result<Self> {
+    /// Decode from a row view: a stored image or a decoded row.
+    pub fn from_row(row: RowRef<'_>) -> Result<Self> {
         Ok(Implementation {
             url: StartUrl::new(text(row, 0, "url")?),
             script: ScriptName::new(text(row, 1, "script")?),
@@ -109,11 +109,9 @@ impl HtmlFile {
         ]
     }
 
-    /// Decode from a row.
-    pub fn from_row(row: &Row) -> Result<Self> {
-        let content = row[2]
-            .as_bytes()
-            .ok_or_else(|| super::bad("content", &row[2].to_string()))?;
+    /// Decode from a row view: a stored image or a decoded row.
+    pub fn from_row(row: RowRef<'_>) -> Result<Self> {
+        let content = bytes(row, 2, "content")?;
         let _ = int(row, 3, "size")?;
         Ok(HtmlFile {
             url: StartUrl::new(text(row, 0, "url")?),
@@ -199,14 +197,12 @@ impl ProgramFile {
         ]
     }
 
-    /// Decode from a row.
-    pub fn from_row(row: &Row) -> Result<Self> {
+    /// Decode from a row view: a stored image or a decoded row.
+    pub fn from_row(row: RowRef<'_>) -> Result<Self> {
         let lang_label = text(row, 2, "lang")?;
         let lang =
             ProgramLang::from_label(lang_label).ok_or_else(|| super::bad("lang", lang_label))?;
-        let content = row[3]
-            .as_bytes()
-            .ok_or_else(|| super::bad("content", &row[3].to_string()))?;
+        let content = bytes(row, 3, "content")?;
         Ok(ProgramFile {
             url: StartUrl::new(text(row, 0, "url")?),
             path: text(row, 1, "path")?.to_owned(),
@@ -228,7 +224,10 @@ mod tests {
             author: UserId::new("shih"),
             created: 77,
         };
-        assert_eq!(Implementation::from_row(&i.to_row()).unwrap(), i);
+        assert_eq!(
+            Implementation::from_row(RowRef::decoded(&i.to_row())).unwrap(),
+            i
+        );
         assert_eq!(Implementation::schema().columns.len(), i.to_row().len());
     }
 
@@ -239,7 +238,7 @@ mod tests {
             path: "index.html".into(),
             content: Bytes::from_static(b"<html><body>L3</body></html>"),
         };
-        assert_eq!(HtmlFile::from_row(&h.to_row()).unwrap(), h);
+        assert_eq!(HtmlFile::from_row(RowRef::decoded(&h.to_row())).unwrap(), h);
     }
 
     #[test]
@@ -250,7 +249,10 @@ mod tests {
             lang: ProgramLang::JavaApplet,
             content: Bytes::from_static(&[0xCA, 0xFE, 0xBA, 0xBE]),
         };
-        assert_eq!(ProgramFile::from_row(&p.to_row()).unwrap(), p);
+        assert_eq!(
+            ProgramFile::from_row(RowRef::decoded(&p.to_row())).unwrap(),
+            p
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub use script::Script;
 pub use test_record::{TestRecord, TestScope};
 
 use blobstore::{BlobId, BlobMeta, MediaKind};
-use relstore::{ColumnType, Error, FkAction, Result, Row, TableSchema, Value};
+use relstore::{ColumnType, Error, FkAction, Result, Row, RowRef, TableSchema, Value};
 
 /// Join keywords for storage.
 #[must_use]
@@ -93,7 +93,7 @@ pub fn resource_row(owner: &str, meta: &BlobMeta) -> Row {
 }
 
 /// Decode a junction-table row back into a descriptor.
-pub fn resource_from_row(row: &Row) -> Result<BlobMeta> {
+pub fn resource_from_row(row: RowRef<'_>) -> Result<BlobMeta> {
     let blob = text(row, 1, "blob")?;
     let id: BlobId = blob.parse().map_err(|_| bad("blob", blob))?;
     let kind_label = text(row, 2, "kind")?;
@@ -113,24 +113,26 @@ pub(crate) fn bad(column: &str, got: &str) -> Error {
     }
 }
 
-pub(crate) fn text<'r>(row: &'r Row, i: usize, col: &str) -> Result<&'r str> {
-    row[i]
-        .as_text()
-        .ok_or_else(|| bad(col, &row[i].to_string()))
+/// Field `i` shown in a decode error.
+fn shown(row: RowRef<'_>, i: usize) -> String {
+    row.value(i)
+        .map_or_else(|e| e.to_string(), |v| v.to_string())
 }
 
-pub(crate) fn int(row: &Row, i: usize, col: &str) -> Result<i64> {
-    row[i].as_int().ok_or_else(|| bad(col, &row[i].to_string()))
+pub(crate) fn text<'r>(row: RowRef<'r>, i: usize, col: &str) -> Result<&'r str> {
+    row.text(i)?.ok_or_else(|| bad(col, &shown(row, i)))
 }
 
-pub(crate) fn timestamp(row: &Row, i: usize, col: &str) -> Result<u64> {
-    row[i]
-        .as_timestamp()
-        .ok_or_else(|| bad(col, &row[i].to_string()))
+pub(crate) fn bytes<'r>(row: RowRef<'r>, i: usize, col: &str) -> Result<&'r [u8]> {
+    row.bytes(i)?.ok_or_else(|| bad(col, &shown(row, i)))
 }
 
-pub(crate) fn opt_timestamp(row: &Row, i: usize) -> Option<u64> {
-    row[i].as_timestamp()
+pub(crate) fn int(row: RowRef<'_>, i: usize, col: &str) -> Result<i64> {
+    row.int(i)?.ok_or_else(|| bad(col, &shown(row, i)))
+}
+
+pub(crate) fn timestamp(row: RowRef<'_>, i: usize, col: &str) -> Result<u64> {
+    row.timestamp(i)?.ok_or_else(|| bad(col, &shown(row, i)))
 }
 
 #[cfg(test)]
@@ -160,8 +162,12 @@ mod tests {
             size: 4,
         };
         let row = resource_row("script-1", &meta);
-        let back = resource_from_row(&row).unwrap();
-        assert_eq!(back, meta);
+        assert_eq!(resource_from_row(RowRef::decoded(&row)).unwrap(), meta);
+        // The stored image decodes to the same descriptor.
+        let image = relstore::pagestore::page::encode_row(&row);
+        let mut scratch = relstore::pagestore::page::RowScratch::default();
+        scratch.load(&image, row.len()).unwrap();
+        assert_eq!(resource_from_row(scratch.view(&image)).unwrap(), meta);
     }
 
     #[test]
@@ -172,13 +178,15 @@ mod tests {
             "video".into(),
             Value::Int(4),
         ];
-        assert!(resource_from_row(&row).is_err());
+        assert!(resource_from_row(RowRef::decoded(&row)).is_err());
         let row: Row = vec![
             "o".into(),
             BlobId::of(b"x").to_string().into(),
             "holodeck".into(),
             Value::Int(4),
         ];
-        assert!(resource_from_row(&row).is_err());
+        assert!(resource_from_row(RowRef::decoded(&row)).is_err());
+        // A short row is an error, not a panic.
+        assert!(resource_from_row(RowRef::decoded(&row[..2])).is_err());
     }
 }

@@ -3,9 +3,9 @@
 //! "A script, similar to a software system specification, can describe
 //! a course material, or a quiz."
 
-use super::{int, join_keywords, opt_timestamp, split_keywords, text, timestamp};
+use super::{int, join_keywords, split_keywords, text, timestamp};
 use crate::ids::{DbName, ScriptName, UserId};
-use relstore::{ColumnType, FkAction, Result, Row, TableSchema, Value};
+use relstore::{ColumnType, FkAction, Result, Row, RowRef, TableSchema, Value};
 use serde::{Deserialize, Serialize};
 
 /// A document script.
@@ -76,8 +76,8 @@ impl Script {
         ]
     }
 
-    /// Decode from a row.
-    pub fn from_row(row: &Row) -> Result<Self> {
+    /// Decode from a row view: a stored image or a decoded row.
+    pub fn from_row(row: RowRef<'_>) -> Result<Self> {
         Ok(Script {
             name: ScriptName::new(text(row, 0, "name")?),
             db: DbName::new(text(row, 1, "db")?),
@@ -86,7 +86,7 @@ impl Script {
             version: int(row, 4, "version")?,
             created: timestamp(row, 5, "created")?,
             description: text(row, 6, "description")?.to_owned(),
-            expected_completion: opt_timestamp(row, 7),
+            expected_completion: row.timestamp(7)?,
             percent_complete: int(row, 8, "percent_complete")?,
         })
     }
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn row_roundtrip() {
         let s = sample();
-        assert_eq!(Script::from_row(&s.to_row()).unwrap(), s);
+        assert_eq!(Script::from_row(RowRef::decoded(&s.to_row())).unwrap(), s);
     }
 
     #[test]
@@ -121,7 +121,7 @@ mod tests {
         let mut s = sample();
         s.expected_completion = None;
         s.keywords.clear();
-        assert_eq!(Script::from_row(&s.to_row()).unwrap(), s);
+        assert_eq!(Script::from_row(RowRef::decoded(&s.to_row())).unwrap(), s);
     }
 
     #[test]

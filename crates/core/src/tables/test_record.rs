@@ -7,7 +7,7 @@
 
 use super::{text, timestamp};
 use crate::ids::{ScriptName, StartUrl, TestRecordName};
-use relstore::{ColumnType, FkAction, Result, Row, TableSchema, Value};
+use relstore::{ColumnType, FkAction, Result, Row, RowRef, TableSchema, Value};
 use serde::{Deserialize, Serialize};
 
 /// Scope of a test: a single document subtree or the whole database.
@@ -154,8 +154,8 @@ impl TestRecord {
         ]
     }
 
-    /// Decode from a row.
-    pub fn from_row(row: &Row) -> Result<Self> {
+    /// Decode from a row view: a stored image or a decoded row.
+    pub fn from_row(row: RowRef<'_>) -> Result<Self> {
         let scope_label = text(row, 1, "scope")?;
         let scope =
             TestScope::from_label(scope_label).ok_or_else(|| super::bad("scope", scope_label))?;
@@ -164,7 +164,7 @@ impl TestRecord {
             scope,
             messages: TraversalMsg::decode_seq(text(row, 2, "messages")?),
             script: ScriptName::new(text(row, 3, "script")?),
-            url: row[4].as_text().map(StartUrl::new),
+            url: row.text(4)?.map(StartUrl::new),
             created: timestamp(row, 5, "created")?,
         })
     }
@@ -194,7 +194,10 @@ mod tests {
     #[test]
     fn row_roundtrip() {
         let t = sample();
-        assert_eq!(TestRecord::from_row(&t.to_row()).unwrap(), t);
+        assert_eq!(
+            TestRecord::from_row(RowRef::decoded(&t.to_row())).unwrap(),
+            t
+        );
     }
 
     #[test]
@@ -203,7 +206,10 @@ mod tests {
         t.url = None;
         t.messages.clear();
         t.scope = TestScope::Global;
-        assert_eq!(TestRecord::from_row(&t.to_row()).unwrap(), t);
+        assert_eq!(
+            TestRecord::from_row(RowRef::decoded(&t.to_row())).unwrap(),
+            t
+        );
     }
 
     #[test]

@@ -208,6 +208,11 @@ struct Inner {
     /// Tombstone hint records of the *active* segment, kept so the
     /// hint written at seal time can shadow older segments on reopen.
     active_tombs: Vec<HintRecord>,
+    /// Whole segments the open scanned for want of a valid hint (the
+    /// one active when the store last dropped, at least), with their
+    /// hint records. Written before this session's first append, so an
+    /// open that writes nothing leaves the directory as it found it.
+    unhinted: Vec<(u64, Vec<HintRecord>)>,
     stats: LogStats,
 }
 
@@ -275,14 +280,15 @@ impl LogStore {
         let mut stats = LogStats::default();
         let mut segs: BTreeMap<u64, SegMeta> = BTreeMap::new();
         let mut next_version = 1u64;
+        let mut unhinted: Vec<(u64, Vec<HintRecord>)> = Vec::new();
         for &id in &ids {
             let path = data_path(root, id);
             let data_len = std::fs::metadata(&path).map_err(LogError::Io)?.len();
-            let (valid_len, records, entries) = match Self::load_hint(root, id, data_len) {
+            let (valid_len, records, entries, whole) = match Self::load_hint(root, id, data_len) {
                 Some(hints) => {
                     stats.hints_loaded += 1;
                     let n = hints.len() as u64;
-                    (data_len, n, hints)
+                    (data_len, n, hints, false)
                 }
                 None => {
                     stats.segments_scanned += 1;
@@ -305,7 +311,9 @@ impl LogStore {
                         });
                     }
                     let FrameScan {
-                        frames, valid_len, ..
+                        frames,
+                        valid_len,
+                        torn_at,
                     } = format::scan_frames(id, &bytes)?;
                     let mut out = Vec::with_capacity(frames.len());
                     for (off, payload) in &frames {
@@ -323,11 +331,11 @@ impl LogStore {
                             key: key.to_vec(),
                         });
                     }
-                    (valid_len, frames.len() as u64, out)
+                    (valid_len, frames.len() as u64, out, torn_at.is_none())
                 }
             };
             let mut max_version = 0;
-            for h in entries {
+            for h in &entries {
                 max_version = max_version.max(h.version);
                 next_version = next_version.max(h.version.checked_add(1).ok_or_else(|| {
                     LogError::Corrupt {
@@ -368,6 +376,12 @@ impl LogStore {
                     max_version,
                 },
             );
+            // A torn tail is cut by the next append, and a segment with
+            // no frames may be adopted as the active one: neither is
+            // hinted.
+            if whole && records > 0 {
+                unhinted.push((id, entries));
+            }
         }
 
         // Keep only live values: tombstones have done their shadowing
@@ -411,6 +425,7 @@ impl LogStore {
                 next_seg: active + 1,
                 next_version,
                 active_tombs: Vec::new(),
+                unhinted,
                 stats,
             }),
             merging: AtomicBool::new(false),
@@ -565,6 +580,12 @@ impl LogStore {
     }
 
     fn append_active(&self, inner: &mut Inner, frame: &[u8], version: u64) -> Result<(u64, u32)> {
+        // A merge may have deleted a scanned segment since the open.
+        for (id, hints) in std::mem::take(&mut inner.unhinted) {
+            if inner.segs.contains_key(&id) {
+                self.write_hint(id, &hints)?;
+            }
+        }
         let active = inner.active;
         let seg = inner.segs.get_mut(&active).expect("active exists");
         let off = seg.len;

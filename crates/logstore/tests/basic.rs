@@ -254,3 +254,49 @@ fn reopening_an_unchanged_store_adds_no_segment() {
     assert_eq!(store.len(), 21);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The segment that was active when the store dropped has no hint: the
+/// next open scans it, and that session's first write hints it, so the
+/// opens after load the hint. An open that writes nothing hints nothing.
+#[test]
+fn the_segment_active_at_drop_is_hinted_by_the_next_session() {
+    let dir = scratch("active-hint");
+    let cfg = LogConfig::small_for_tests(1 << 20);
+    let store = LogStore::open(&dir, cfg.clone()).unwrap();
+    for i in 0..20u32 {
+        store
+            .put(format!("k{i:03}").as_bytes(), format!("v{i}").as_bytes())
+            .unwrap();
+    }
+    drop(store);
+    let opened = |write: bool| {
+        let store = LogStore::open(&dir, cfg.clone()).unwrap();
+        let stats = store.stats();
+        if write {
+            store.put(b"k007", b"seven").unwrap();
+        }
+        assert_eq!(store.len(), 20);
+        (stats.hints_loaded, stats.segments_scanned)
+    };
+    assert_eq!(opened(false), (0, 1));
+    // From here on the empty active segment the first open made is
+    // scanned too (an empty segment has nothing to hint).
+    for _ in 0..3 {
+        assert_eq!(opened(false), (0, 2), "a read-only open wrote a hint");
+    }
+    assert_eq!(opened(true), (0, 2));
+    // The 20-record segment now comes from its hint.
+    for _ in 0..4 {
+        assert_eq!(opened(false).0, 1);
+    }
+    let store = LogStore::open(&dir, cfg).unwrap();
+    assert_eq!(
+        store.get(b"k007").unwrap().as_deref(),
+        Some(b"seven".as_ref())
+    );
+    assert_eq!(
+        store.get(b"k019").unwrap().as_deref(),
+        Some(b"v19".as_ref())
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -15,10 +15,10 @@
 
 use crate::error::{Error, Result};
 use crate::lock::{Held, LockManager, LockMode, Resource, TxnId};
-use crate::pagestore::page::{self, RowScratch, TAG_INT};
+use crate::pagestore::page::{self, RowRef, RowScratch, TAG_INT};
 use crate::pagestore::{BufferPool, FlushGate, PoolConfig};
 use crate::query::Predicate;
-use crate::rules::{self, AccessPath, RuleTxn};
+use crate::rules::{self, AccessPath, RuleTxn, ScanBufs};
 use crate::schema::{ForeignKey, TableSchema};
 use crate::slots::{OwnLine, Slots};
 use crate::table::{Row, RowId, Table};
@@ -455,6 +455,9 @@ pub struct Txn {
     db: Arc<DbInner>,
     id: TxnId,
     state: Mutex<TxnState>,
+    /// Reused by every scan of the transaction (one that finds it in
+    /// use takes a fresh one). A `std` mutex for its `try_lock`.
+    bufs: std::sync::Mutex<ScanBufs>,
     /// Wall-clock birth, for commit/abort latency histograms.
     born: Instant,
 }
@@ -465,6 +468,7 @@ impl Txn {
             db,
             id,
             state: Mutex::new(TxnState::default()),
+            bufs: std::sync::Mutex::default(),
             born: Instant::now(),
         }
     }
@@ -687,10 +691,30 @@ impl Txn {
         Ok(out)
     }
 
-    /// The read under `select`, `count` and `sum_int`: table-shared
-    /// lock, the planned access path, and each row it reaches tested
-    /// raw. `on_match` gets the matches, their first `width` fields at
-    /// least walked into the scratch. Returns rows examined.
+    /// Visit each row matching `pred` as a borrowed [`RowRef`] of its
+    /// stored image, in the order [`Txn::select`] returns them, under
+    /// the same locks. Nothing is decoded unless `f` reads it.
+    ///
+    /// `f` runs under the row's page pin and the table's read guard, so
+    /// it must not call this transaction (or write the table).
+    pub fn select_with(
+        &self,
+        table: &str,
+        pred: &Predicate,
+        f: &mut dyn FnMut(RowId, RowRef<'_>) -> Result<()>,
+    ) -> Result<()> {
+        let examined = self.scan(table, pred, usize::MAX, |id, bytes, scratch| {
+            f(id, scratch.view(bytes))
+        })?;
+        self.db.txn_metrics.rows_examined.add(examined as u64);
+        Ok(())
+    }
+
+    /// The read under `select`, `select_with`, `count` and `sum_int`:
+    /// table-shared lock, the planned access path, and each row it
+    /// reaches tested raw. `on_match` gets the matches, their first
+    /// `width` fields at least (capped at the table's arity) walked into
+    /// the scratch. Returns rows examined.
     fn scan(
         &self,
         table: &str,
@@ -703,7 +727,7 @@ impl Txn {
         self.lock(Resource::Table(e.id), LockMode::Shared)?;
         let t = e.data.read();
         let mut compiled = pred.compile(&e.schema)?;
-        compiled.widen(width);
+        compiled.widen(width.min(e.schema.columns.len()));
         let path = rules::plan(&e.schema, t.indexes(), pred);
         // Each candidate is filed under its current key, so a range
         // scan's hull satisfies the conjuncts it covers.
@@ -712,28 +736,25 @@ impl Txn {
             let pruned = compiled.prune_covered(col, range.lo, range.hi);
             self.db.conjuncts_pruned.add(pruned as u64);
         }
-        let ids = path.candidates(t.indexes());
-        let mut scratch = RowScratch::default();
+        let mut held = self.bufs.try_lock().ok();
+        let mut spare = ScanBufs::default();
+        let ScanBufs { ids, scratch } = held.as_deref_mut().unwrap_or(&mut spare);
         let mut visit = |id, bytes: &[u8]| {
-            if compiled.matches_raw(bytes, &mut scratch)? {
-                on_match(id, bytes, &scratch)?;
+            if compiled.matches_raw(bytes, scratch)? {
+                on_match(id, bytes, scratch)?;
             }
             Ok(())
         };
-        let examined = match ids {
-            Some(mut ids) => {
-                ids.sort_unstable();
-                for &id in &ids {
-                    t.with_encoded(id, |bytes| visit(id, bytes))?;
-                }
-                ids.len()
+        if path.candidates(t.indexes(), ids) {
+            ids.sort_unstable();
+            for &id in ids.iter() {
+                t.with_encoded(id, |bytes| visit(id, bytes))?;
             }
-            None => {
-                t.scan_encoded(visit)?;
-                t.len()
-            }
-        };
-        Ok(examined)
+            Ok(ids.len())
+        } else {
+            t.scan_encoded(visit)?;
+            Ok(t.len())
+        }
     }
 
     /// Like [`Txn::select`], but sorted by `order_col` (ascending or
@@ -940,7 +961,7 @@ impl RuleTxn for Txn {
         if let AccessPath::IndexProbe { ix, key } = rules::plan(&r.schema, rt.indexes(), &pred) {
             let ix = &rt.indexes()[ix];
             if ix.columns().len() == cols.len() {
-                return Ok(ix.get(&key));
+                return Ok(ix.ids(&key).collect());
             }
         }
         // Fall back to a scan (requires a stronger table lock for

@@ -7,8 +7,10 @@
 //!
 //! * [`DocTxn`] — the ten data-plane verbs of one transaction
 //!   (insert / get / update / update-cols / delete, select / ordered
-//!   select / join / sum / count). Commit and rollback are not on it:
-//!   the backend's transaction runner owns the protocol.
+//!   select / join / sum / count), plus the provided `select_with`,
+//!   which visits the rows `select` would return as borrowed views.
+//!   Commit and rollback are not on it: the backend's transaction
+//!   runner owns the protocol.
 //! * [`DocBackend`] — what a station needs from its storage: DDL, the
 //!   retrying transaction runner [`DocBackend::with_txn_dyn`]
 //!   (object-safe, hence `&mut dyn FnMut`; the facade recovers the
@@ -38,6 +40,7 @@ use crate::database::{Database, Txn};
 use crate::error::{Error, Result};
 use crate::lock::TxnId;
 use crate::mvcc::{MvccDb, MvccTxn};
+use crate::pagestore::page::RowRef;
 use crate::pagestore::{FlushGate, PoolConfig};
 use crate::query::Predicate;
 use crate::schema::TableSchema;
@@ -94,6 +97,28 @@ pub trait DocTxn {
     fn delete(&self, table: &str, id: RowId) -> Result<()>;
     /// All rows matching `pred` (copies), ordered by row id.
     fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, Row)>>;
+    /// Visit the rows `select` would return, in its order and counting
+    /// the rows examined as it does, each as a borrowed [`RowRef`]: the
+    /// engines hand over the stored image, so a caller that decodes
+    /// straight into its own types pays one decode per row. `f`'s first
+    /// error stops the walk and is returned.
+    ///
+    /// `f` runs under the engine's page pin and table read guard: it
+    /// must not call this transaction. Read what is needed, then write
+    /// after `select_with` returns.
+    ///
+    /// The provided method runs `select` and passes each decoded row.
+    fn select_with(
+        &self,
+        table: &str,
+        pred: &Predicate,
+        f: &mut dyn FnMut(RowId, RowRef<'_>) -> Result<()>,
+    ) -> Result<()> {
+        for (id, row) in self.select(table, pred)? {
+            f(id, RowRef::decoded(&row))?;
+        }
+        Ok(())
+    }
     /// Like `select`, sorted by `order_col` and truncated to `limit`.
     fn select_ordered(
         &self,
@@ -479,6 +504,16 @@ impl AnyTxn {
         both!(self, t => t.select(table, pred))
     }
 
+    /// [`DocTxn::select_with`] on the engine's own scan.
+    pub fn select_with(
+        &self,
+        table: &str,
+        pred: &Predicate,
+        f: &mut dyn FnMut(RowId, RowRef<'_>) -> Result<()>,
+    ) -> Result<()> {
+        both!(self, t => t.select_with(table, pred, f))
+    }
+
     /// Like [`AnyTxn::select`], sorted by `order_col` and truncated.
     pub fn select_ordered(
         &self,
@@ -549,6 +584,14 @@ impl DocTxn for AnyTxn {
     }
     fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<(RowId, Row)>> {
         AnyTxn::select(self, table, pred)
+    }
+    fn select_with(
+        &self,
+        table: &str,
+        pred: &Predicate,
+        f: &mut dyn FnMut(RowId, RowRef<'_>) -> Result<()>,
+    ) -> Result<()> {
+        AnyTxn::select_with(self, table, pred, f)
     }
     fn select_ordered(
         &self,

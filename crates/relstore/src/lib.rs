@@ -75,6 +75,7 @@ pub use engine::{AnyEngine, AnyTxn, DocBackend, DocTxn, EngineKind};
 pub use error::{Error, Result};
 pub use lock::{Held, LockManager, LockMode, Resource};
 pub use mvcc::{MvccDb, MvccTxn};
+pub use pagestore::page::RowRef;
 pub use pagestore::{
     BufferPool, FlushGate, PageId, PoolBackend, PoolConfig, PoolStats, WritebackObserver,
 };

@@ -61,9 +61,9 @@
 use crate::database::TxnMetrics;
 use crate::error::{Error, Result};
 use crate::lock::TxnId;
-use crate::pagestore::page::{self, RowScratch, TAG_INT};
+use crate::pagestore::page::{self, RowRef, RowScratch, TAG_INT};
 use crate::query::{Compiled, Predicate};
-use crate::rules::{self, RuleTxn};
+use crate::rules::{self, RuleTxn, ScanBufs};
 use crate::schema::{ForeignKey, IndexDef, TableSchema, PRIMARY_INDEX};
 use crate::snapshot::{Snapshot, TableSnapshot};
 use crate::table::{Index, Row, RowId};
@@ -127,7 +127,8 @@ impl Chain {
 /// over every retained version.
 #[derive(Debug)]
 struct MvccTable {
-    schema: TableSchema,
+    /// Fixed at creation: writers take a handle, not a copy.
+    schema: Arc<TableSchema>,
     chains: BTreeMap<RowId, Chain>,
     next_row: u64,
     /// `indexes[0]` is always the implicit primary index — same order
@@ -156,7 +157,7 @@ impl MvccTable {
             indexes.push(Index::new(def.clone(), &schema)?);
         }
         Ok(MvccTable {
-            schema,
+            schema: Arc::new(schema),
             chains: BTreeMap::new(),
             next_row: 1,
             indexes,
@@ -513,7 +514,9 @@ impl MvccDb {
             return Err(Error::TableExists(schema.name));
         }
         rules::check_fk_targets(&schema, |t| {
-            catalog.get(t).map(|data| data.read().schema.clone())
+            catalog
+                .get(t)
+                .map(|data| TableSchema::clone(&data.read().schema))
         })?;
         let name = schema.name.clone();
         let fks = schema.foreign_keys.clone();
@@ -544,7 +547,7 @@ impl MvccDb {
 
     /// The schema of a table.
     pub fn schema_of(&self, table: &str) -> Result<TableSchema> {
-        Ok(self.inner.entry(table)?.read().schema.clone())
+        Ok(TableSchema::clone(&self.inner.entry(table)?.read().schema))
     }
 
     /// Number of rows live in the latest-committed state of `table`.
@@ -659,7 +662,7 @@ impl MvccDb {
             tables.insert(
                 name.clone(),
                 TableSnapshot {
-                    schema: t.schema.clone(),
+                    schema: TableSchema::clone(&t.schema),
                     rows,
                 },
             );
@@ -762,12 +765,38 @@ impl MvccDb {
 #[derive(Debug, Default)]
 struct MvccTxnState {
     closed: bool,
-    /// The transaction's private write set: (table, row) → its image in
+    /// The transaction's private write set: table → row → its image in
     /// this transaction's view. Overlays the snapshot on every read.
-    local: BTreeMap<(String, RowId), LocalRow>,
+    local: BTreeMap<String, Local>,
     /// Buffered mutations in execution order, appended to the WAL and
     /// applied to the version store at commit.
     log: Vec<LoggedOp>,
+    /// Reused by every scan of the transaction.
+    bufs: ScanBufs,
+}
+
+/// One table's part of a transaction's write set.
+type Local = BTreeMap<RowId, LocalRow>;
+
+/// The write set of a table the transaction has not written.
+static UNWRITTEN: Local = BTreeMap::new();
+
+impl MvccTxnState {
+    /// The transaction's own image of row `id` of `table`, if it wrote
+    /// the row.
+    fn local_row(&self, table: &str, id: RowId) -> Option<&LocalRow> {
+        self.local.get(table)?.get(&id)
+    }
+
+    /// Record the transaction's own image of row `id` of `table`.
+    fn put_local(&mut self, table: &str, id: RowId, row: LocalRow) {
+        if let Some(rows) = self.local.get_mut(table) {
+            rows.insert(id, row);
+        } else {
+            self.local
+                .insert(table.to_owned(), BTreeMap::from([(id, row)]));
+        }
+    }
 }
 
 /// An MVCC transaction: lock-free snapshot reads, buffered writes,
@@ -811,7 +840,7 @@ impl MvccTxn {
         data: &RwLock<MvccTable>,
         id: RowId,
     ) -> Result<Option<Row>> {
-        if let Some(local) = self.state.lock().local.get(&(table.to_owned(), id)) {
+        if let Some(local) = self.state.lock().local_row(table, id) {
             return Ok(match local {
                 LocalRow::Put(row) => Some(row.clone()),
                 LocalRow::Deleted => None,
@@ -822,17 +851,6 @@ impl MvccTxn {
             Some(v) => Ok(Some(page::decode_row(&v.bytes)?)),
             None => Ok(None),
         }
-    }
-
-    /// This transaction's local overrides for `table`, cloned out so no
-    /// state lock is held while table locks are taken.
-    fn local_for(&self, table: &str) -> BTreeMap<RowId, LocalRow> {
-        self.state
-            .lock()
-            .local
-            .range((table.to_owned(), RowId(0))..=(table.to_owned(), RowId(u64::MAX)))
-            .map(|((_, id), lr)| (*id, lr.clone()))
-            .collect()
     }
 
     /// Uniqueness check against the *latest-committed* state overlaid
@@ -848,14 +866,13 @@ impl MvccTxn {
         except: Option<RowId>,
     ) -> Result<()> {
         let t = data.read();
-        // Iterated in place under the txn-state mutex rather than via
-        // `local_for`: that mutex is private to this transaction (no
-        // other thread can hold it while waiting on a table lock), and
-        // cloning the whole write buffer here made batch writes
-        // quadratic in batch size — this check runs on every
-        // insert/update.
+        // Iterated in place under the txn-state mutex: that mutex is
+        // private to this transaction (no other thread can hold it
+        // while waiting on a table lock), and cloning the whole write
+        // buffer here made batch writes quadratic in batch size — this
+        // check runs on every insert/update.
         let st = self.state.lock();
-        let span = (table.to_owned(), RowId(0))..=(table.to_owned(), RowId(u64::MAX));
+        let local = st.local.get(table).unwrap_or(&UNWRITTEN);
         for (i, ix) in t.indexes.iter().enumerate() {
             if !ix.is_unique() {
                 continue;
@@ -865,14 +882,12 @@ impl MvccTxn {
                 continue;
             }
             // A locally deleted or re-keyed row no longer holds the key.
-            let committed_hit = t.committed_holder(i, &key, except, |cid| {
-                st.local.get(&(table.to_owned(), cid))
-            })?;
+            let committed_hit = t.committed_holder(i, &key, except, |cid| local.get(&cid))?;
             // Any local Put holding the key counts: fresh inserts, but
             // also committed rows this transaction re-keyed *into* the
             // key (the index need not file those under it, so
             // `committed_hit` can miss them).
-            let local_hit = st.local.range(span.clone()).any(|((_, id), lr)| {
+            let local_hit = local.iter().any(|(id, lr)| {
                 Some(*id) != except && matches!(lr, LocalRow::Put(r) if ix.row_holds(r, &key))
             });
             if committed_hit || local_hit {
@@ -885,12 +900,14 @@ impl MvccTxn {
         Ok(())
     }
 
-    /// The scan under `select`, `count` and `sum_int`: a pure snapshot
-    /// read over the planned access path. Committed versions are tested
-    /// *raw* through the compiled predicate (the 2PL heap's hot path),
-    /// this transaction's own rows decoded; `on_match` gets the matches,
-    /// their first `width` fields at least walked into the scratch.
-    /// Returns rows examined.
+    /// The scan under `select`, `select_with`, `count` and `sum_int`:
+    /// a pure snapshot read over the planned access path, under the
+    /// table's read guard and this transaction's state mutex (the write
+    /// set is read in place). Committed versions are tested *raw*
+    /// through the compiled predicate (the 2PL heap's hot path), this
+    /// transaction's own rows decoded; `on_match` gets the matches in
+    /// id order, their first `width` fields at least (capped at the
+    /// table's arity) walked into the scratch. Returns rows examined.
     #[inline]
     fn scan(
         &self,
@@ -904,15 +921,18 @@ impl MvccTxn {
         self.db.snapshot_reads.inc();
         let t = data.read();
         let mut compiled = pred.compile(&t.schema)?;
-        compiled.widen(width);
+        compiled.widen(width.min(t.schema.columns.len()));
+        // Table guard first, then the state mutex, as `check_unique`.
+        let mut st = self.state.lock();
+        let MvccTxnState { local, bufs, .. } = &mut *st;
+        let local = local.get(table).unwrap_or(&UNWRITTEN);
+        let ScanBufs { ids, scratch } = bufs;
         // Every candidate is re-filtered in full: none is pruned, since
         // a candidate may be filed under a key its visible version lacks.
-        let ids = rules::plan(&t.schema, &t.indexes, pred).candidates(&t.indexes);
-        let local = self.local_for(table);
-        let mut scratch = RowScratch::default();
-        effective_view(&t, &local, self.snap, ids, |id, seen| {
-            if seen.matches(&compiled, &mut scratch)? {
-                on_match(id, seen, &scratch)?;
+        let planned = rules::plan(&t.schema, &t.indexes, pred).candidates(&t.indexes, ids);
+        effective_view(&t, local, self.snap, planned.then_some(ids), |id, seen| {
+            if seen.matches(&compiled, scratch)? {
+                on_match(id, seen, scratch)?;
             }
             Ok(())
         })
@@ -923,14 +943,13 @@ impl MvccTxn {
     pub fn insert(&self, table: &str, row: Row) -> Result<RowId> {
         self.check_open()?;
         let data = self.entry(table)?;
-        data.read().schema.check_row(&row)?;
-        let fks = data.read().schema.foreign_keys.clone();
-        self.check_forward_fks(table, &fks, &row)?;
+        let schema = Arc::clone(&data.read().schema);
+        schema.check_row(&row)?;
+        self.check_forward_fks(table, &schema.foreign_keys, &row)?;
         self.check_unique(table, &data, &row, None)?;
         let id = data.write().alloc_row_id();
         let mut st = self.state.lock();
-        st.local
-            .insert((table.to_owned(), id), LocalRow::Put(row.clone()));
+        st.put_local(table, id, LocalRow::Put(row.clone()));
         st.log.push(LoggedOp::Insert {
             table: table.to_owned(),
             id,
@@ -955,19 +974,18 @@ impl MvccTxn {
     pub fn update(&self, table: &str, id: RowId, new_row: Row) -> Result<()> {
         self.check_open()?;
         let data = self.entry(table)?;
-        data.read().schema.check_row(&new_row)?;
+        let schema = Arc::clone(&data.read().schema);
+        schema.check_row(&new_row)?;
         let old = self
             .effective_get(table, &data, id)?
             .ok_or_else(|| Error::NoSuchRow {
                 table: table.to_owned(),
                 row: id,
             })?;
-        let schema = data.read().schema.clone();
         rules::enforce_update(self, table, &schema, &old, &new_row)?;
         self.check_unique(table, &data, &new_row, Some(id))?;
         let mut st = self.state.lock();
-        st.local
-            .insert((table.to_owned(), id), LocalRow::Put(new_row.clone()));
+        st.put_local(table, id, LocalRow::Put(new_row.clone()));
         st.log.push(LoggedOp::Update {
             table: table.to_owned(),
             id,
@@ -1002,10 +1020,10 @@ impl MvccTxn {
                 table: table.to_owned(),
                 row: id,
             })?;
-        let schema = data.read().schema.clone();
+        let schema = Arc::clone(&data.read().schema);
         rules::enforce_delete(self, table, &schema, &old)?;
         let mut st = self.state.lock();
-        st.local.insert((table.to_owned(), id), LocalRow::Deleted);
+        st.put_local(table, id, LocalRow::Deleted);
         st.log.push(LoggedOp::Delete {
             table: table.to_owned(),
             id,
@@ -1021,9 +1039,28 @@ impl MvccTxn {
             out.push((id, seen.to_row()?));
             Ok(())
         })?;
-        out.sort_by_key(|(id, _)| *id);
         self.db.txn_metrics.rows_examined.add(examined as u64);
         Ok(out)
+    }
+
+    /// Visit each row matching `pred` as a borrowed [`RowRef`] — of the
+    /// stored version, or of this transaction's own buffered image — in
+    /// the order [`MvccTxn::select`] returns them. Nothing is decoded
+    /// unless `f` reads it.
+    ///
+    /// `f` runs under the table's read guard and this transaction's
+    /// state mutex, so it must not call this transaction.
+    pub fn select_with(
+        &self,
+        table: &str,
+        pred: &Predicate,
+        f: &mut dyn FnMut(RowId, RowRef<'_>) -> Result<()>,
+    ) -> Result<()> {
+        let examined = self.scan(table, pred, usize::MAX, |id, seen, scratch| {
+            f(id, seen.view(scratch))
+        })?;
+        self.db.txn_metrics.rows_examined.add(examined as u64);
+        Ok(())
     }
 
     /// Like [`MvccTxn::select`], but sorted by `order_col` (ascending
@@ -1201,26 +1238,26 @@ impl MvccTxn {
                 });
             }
         }
-        for ((table, id), lr) in &st.local {
-            let LocalRow::Put(row) = lr else { continue };
+        for (table, local) in &st.local {
             let data = self.db.entry(table)?;
             let t = data.read();
-            for (i, ix) in t.indexes.iter().enumerate() {
-                if !ix.is_unique() {
-                    continue;
-                }
-                let key = ix.key_of(row);
-                if key.has_null() {
-                    continue;
-                }
-                let clash = t.committed_holder(i, &key, Some(*id), |cid| {
-                    st.local.get(&(table.clone(), cid))
-                })?;
-                if clash {
-                    return Err(Error::WriteConflict {
-                        table: table.clone(),
-                        row: *id,
-                    });
+            for (id, lr) in local {
+                let LocalRow::Put(row) = lr else { continue };
+                for (i, ix) in t.indexes.iter().enumerate() {
+                    if !ix.is_unique() {
+                        continue;
+                    }
+                    let key = ix.key_of(row);
+                    if key.has_null() {
+                        continue;
+                    }
+                    let clash = t.committed_holder(i, &key, Some(*id), |cid| local.get(&cid))?;
+                    if clash {
+                        return Err(Error::WriteConflict {
+                            table: table.clone(),
+                            row: *id,
+                        });
+                    }
                 }
             }
         }
@@ -1311,15 +1348,16 @@ impl LoggedOp {
 
 /// A transaction's effective view of `t`: the versions visible at
 /// `snap`, overlaid with its own puts (`local`) minus its deletes — the
-/// one walk under `select`, `count`, `sum_int` and `find_referencing`.
-/// Given `ids` (a plan's candidates), visits those and the local puts,
-/// each once; else every row, stored ones first in id order. Returns
-/// rows examined: every candidate, or every row a full walk visits.
+/// one walk under `select`, `select_with`, `count`, `sum_int` and
+/// `find_referencing`, always in id order. Given `ids` (a plan's
+/// candidates, reordered here), visits those and the local puts, each
+/// once; else every row. Returns rows examined: every candidate, or
+/// every row a full walk visits.
 fn effective_view<'a>(
     t: &'a MvccTable,
-    local: &'a BTreeMap<RowId, LocalRow>,
+    local: &'a Local,
     snap: u64,
-    ids: Option<Vec<RowId>>,
+    ids: Option<&mut Vec<RowId>>,
     mut f: impl FnMut(RowId, Seen<'a>) -> Result<()>,
 ) -> Result<usize> {
     let seen = move |id: &RowId| match local.get(id) {
@@ -1331,7 +1369,11 @@ fn effective_view<'a>(
             .visible(snap)
             .map(|v| Seen::Stored(&v.bytes)),
     };
-    let Some(mut ids) = ids else {
+    let Some(ids) = ids else {
+        // Stored rows, then the rows only this transaction inserted: in
+        // id order, since ids are allocated in order and a row another
+        // transaction got a higher id for committed after this one's
+        // snapshot, so it is not seen.
         let mut examined = 0;
         let inserted = local.keys().filter(|id| !t.chains.contains_key(id));
         for id in t.chains.keys().chain(inserted) {
@@ -1349,7 +1391,7 @@ fn effective_view<'a>(
     );
     ids.sort_unstable();
     ids.dedup();
-    for id in &ids {
+    for id in ids.iter() {
         if let Some(row) = seen(id) {
             f(*id, row)?;
         }
@@ -1366,7 +1408,7 @@ enum Seen<'a> {
     Stored(&'a [u8]),
 }
 
-impl Seen<'_> {
+impl<'a> Seen<'a> {
     fn matches(self, compiled: &Compiled, scratch: &mut RowScratch) -> Result<bool> {
         match self {
             Seen::Local(r) => Ok(compiled.eval(r)),
@@ -1378,6 +1420,15 @@ impl Seen<'_> {
         match self {
             Seen::Local(r) => Ok(r.clone()),
             Seen::Stored(bytes) => page::decode_row(bytes),
+        }
+    }
+
+    /// The row as a view; a stored image must have been walked into
+    /// `scratch`.
+    fn view(self, scratch: &'a RowScratch) -> RowRef<'a> {
+        match self {
+            Seen::Local(r) => RowRef::decoded(r),
+            Seen::Stored(bytes) => scratch.view(bytes),
         }
     }
 }
@@ -1408,16 +1459,13 @@ impl RuleTxn for MvccTxn {
             let ix = &rt.indexes[i];
             // In place under the txn-state mutex, as in `check_unique`.
             let st = self.state.lock();
-            let span = (fk.ref_table.clone(), RowId(0))..=(fk.ref_table.clone(), RowId(u64::MAX));
-            let committed_hit = rt.committed_holder(i, &lookup, None, |cid| {
-                st.local.get(&(fk.ref_table.clone(), cid))
-            })?;
+            let local = st.local.get(&fk.ref_table).unwrap_or(&UNWRITTEN);
+            let committed_hit = rt.committed_holder(i, &lookup, None, |cid| local.get(&cid))?;
             // As in `check_unique`: local Puts cover both fresh inserts
             // and committed rows re-keyed into the looked-up key.
-            let local_hit = st
-                .local
-                .range(span)
-                .any(|(_, lr)| matches!(lr, LocalRow::Put(r) if ix.row_holds(r, &lookup)));
+            let local_hit = local
+                .values()
+                .any(|lr| matches!(lr, LocalRow::Put(r) if ix.row_holds(r, &lookup)));
             drop(st);
             if !committed_hit && !local_hit {
                 return Err(Error::ForeignKeyViolation {
@@ -1434,17 +1482,18 @@ impl RuleTxn for MvccTxn {
         let rt = rdata.read();
         let pred = rules::key_predicate(&fk.columns, key);
         let compiled = pred.compile(&rt.schema)?;
-        let ids = rules::plan(&rt.schema, &rt.indexes, &pred).candidates(&rt.indexes);
-        let local = self.local_for(rtable);
-        let mut scratch = RowScratch::default();
+        let mut st = self.state.lock();
+        let MvccTxnState { local, bufs, .. } = &mut *st;
+        let local = local.get(rtable).unwrap_or(&UNWRITTEN);
+        let ScanBufs { ids, scratch } = bufs;
+        let planned = rules::plan(&rt.schema, &rt.indexes, &pred).candidates(&rt.indexes, ids);
         let mut hits = Vec::new();
-        effective_view(&rt, &local, self.snap, ids, |id, seen| {
-            if seen.matches(&compiled, &mut scratch)? {
+        effective_view(&rt, local, self.snap, planned.then_some(ids), |id, seen| {
+            if seen.matches(&compiled, scratch)? {
                 hits.push(id);
             }
             Ok(())
         })?;
-        hits.sort_unstable();
         Ok(hits)
     }
 
@@ -1644,14 +1693,6 @@ mod tests {
             }
             db.snapshot().unwrap()
         }
-        // By the restoring thread's own run time: a test thread that
-        // shares the core cannot make the larger restore look slow.
-        let time = |snap: &Snapshot| {
-            (0..3)
-                .map(|_| obs::time_on_cpu(|| MvccDb::restore(snap).unwrap()).1)
-                .min()
-                .unwrap()
-        };
         let (small, large) = (snapshot(2_000), snapshot(4_000));
         // Exactly: each child's foreign key probes one parent row.
         let examined = |snap: &Snapshot| {
@@ -1659,7 +1700,17 @@ mod tests {
             db.metrics().counter("relstore.count.rows_examined")
         };
         assert_eq!((examined(&small), examined(&large)), (2_000, 4_000));
-        let (t1, t2) = (time(&small), time(&large));
+        // By the restoring thread's own run time, so a test thread that
+        // shares the core cannot make the larger restore look slow; the
+        // n and 2n samples alternate, so a slow stretch of the host
+        // (a build beside the tests) lands on both sizes, and the
+        // minimum of each is kept.
+        let time = |snap: &Snapshot| obs::time_on_cpu(|| MvccDb::restore(snap).unwrap()).1;
+        let (mut t1, mut t2) = (time(&small), time(&large));
+        for _ in 1..7 {
+            t1 = t1.min(time(&small));
+            t2 = t2.min(time(&large));
+        }
         assert!(
             t2 < t1 * 3,
             "restore of 2n rows took {t2:?}, of n rows {t1:?}"

@@ -275,7 +275,7 @@ struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if n > self.buf.len() - self.at {
-            return Err(Error::Page("row image truncated".into()));
+            return Err(truncated());
         }
         let out = &self.buf[self.at..self.at + n];
         self.at += n;
@@ -297,10 +297,69 @@ impl<'a> Cursor<'a> {
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
+
+    /// Walk one field: its tag, then past its payload. (Fixed widths
+    /// are constants here: a width looked up per tag and then taken
+    /// made the walk 2.5× slower.)
+    #[inline]
+    fn field(&mut self) -> Result<FieldRef> {
+        let tag = self.u8()?;
+        let (start, end) = match tag {
+            TAG_NULL => (self.at, self.at),
+            TAG_BOOL => {
+                self.take(1)?;
+                (self.at - 1, self.at)
+            }
+            TAG_INT | TAG_FLOAT | TAG_TIMESTAMP => {
+                self.take(8)?;
+                (self.at - 8, self.at)
+            }
+            TAG_TEXT | TAG_BYTES => {
+                let len = self.u32()? as usize;
+                self.take(len)?;
+                (self.at - len, self.at)
+            }
+            tag => return Err(unknown_tag(tag)),
+        };
+        Ok(FieldRef { tag, start, end })
+    }
+}
+
+fn unknown_tag(tag: u8) -> Error {
+    Error::Page(format!("unknown value tag {tag}"))
+}
+
+fn truncated() -> Error {
+    Error::Page("row image truncated".into())
+}
+
+fn utf8(payload: &[u8]) -> Result<&str> {
+    std::str::from_utf8(payload).map_err(|_| Error::Page("row image holds invalid UTF-8".into()))
+}
+
+/// A fixed-width payload as an array (a short one is a truncation).
+fn fixed<const N: usize>(payload: &[u8]) -> Result<[u8; N]> {
+    payload.try_into().map_err(|_| truncated())
+}
+
+/// The value of one field, from its tag and payload bytes.
+fn field_value(tag: u8, payload: &[u8]) -> Result<Value> {
+    Ok(match tag {
+        TAG_NULL => Value::Null,
+        TAG_BOOL => Value::Bool(fixed::<1>(payload)?[0] != 0),
+        TAG_INT => Value::Int(i64::from_le_bytes(fixed(payload)?)),
+        TAG_FLOAT => Value::Float(f64::from_le_bytes(fixed(payload)?)),
+        TAG_TEXT => Value::Text(utf8(payload)?.to_owned()),
+        TAG_BYTES => Value::Bytes(payload.to_vec()),
+        TAG_TIMESTAMP => Value::Timestamp(u64::from_le_bytes(fixed(payload)?)),
+        tag => return Err(unknown_tag(tag)),
+    })
 }
 
 /// Decode a row image produced by [`encode_row`].
 pub fn decode_row(bytes: &[u8]) -> Result<Row> {
+    // Its own walk, not `Cursor::field` then `field_value`: dispatching
+    // on the tag twice made it 1.4× slower.
     let mut c = Cursor { buf: bytes, at: 0 };
     let arity = c.u32()? as usize;
     // The header is untrusted: reserve no more than the image can
@@ -314,23 +373,25 @@ pub fn decode_row(bytes: &[u8]) -> Result<Row> {
             TAG_FLOAT => Value::Float(f64::from_le_bytes(c.take(8)?.try_into().unwrap())),
             TAG_TEXT => {
                 let len = c.u32()? as usize;
-                let s = std::str::from_utf8(c.take(len)?)
-                    .map_err(|_| Error::Page("row image holds invalid UTF-8".into()))?;
-                Value::Text(s.to_owned())
+                Value::Text(utf8(c.take(len)?)?.to_owned())
             }
             TAG_BYTES => {
                 let len = c.u32()? as usize;
                 Value::Bytes(c.take(len)?.to_vec())
             }
             TAG_TIMESTAMP => Value::Timestamp(c.u64()?),
-            tag => return Err(Error::Page(format!("unknown value tag {tag}"))),
+            tag => return Err(unknown_tag(tag)),
         };
         row.push(v);
     }
     if c.at != bytes.len() {
-        return Err(Error::Page("trailing bytes after row image".into()));
+        return Err(trailing());
     }
     Ok(row)
+}
+
+fn trailing() -> Error {
+    Error::Page("trailing bytes after row image".into())
 }
 
 /// Borrowed handle on one encoded field of a row image: the value's tag
@@ -368,7 +429,8 @@ impl RowScratch {
     /// Walk the first `upto` fields of `bytes`. Errors on truncated or
     /// garbage images and on rows with fewer than `upto` fields (which
     /// would mean the image does not belong to the schema the caller
-    /// compiled against).
+    /// compiled against); a walk of every field also refuses trailing
+    /// bytes, as [`decode_row`] does.
     pub fn load(&mut self, bytes: &[u8], upto: usize) -> Result<()> {
         self.fields.clear();
         let mut c = Cursor { buf: bytes, at: 0 };
@@ -379,25 +441,10 @@ impl RowScratch {
             )));
         }
         for _ in 0..upto {
-            let tag = c.u8()?;
-            let (start, end) = match tag {
-                TAG_NULL => (c.at, c.at),
-                TAG_BOOL => {
-                    c.take(1)?;
-                    (c.at - 1, c.at)
-                }
-                TAG_INT | TAG_FLOAT | TAG_TIMESTAMP => {
-                    c.take(8)?;
-                    (c.at - 8, c.at)
-                }
-                TAG_TEXT | TAG_BYTES => {
-                    let len = c.u32()? as usize;
-                    c.take(len)?;
-                    (c.at - len, c.at)
-                }
-                tag => return Err(Error::Page(format!("unknown value tag {tag}"))),
-            };
-            self.fields.push(FieldRef { tag, start, end });
+            self.fields.push(c.field()?);
+        }
+        if upto == arity && c.at != bytes.len() {
+            return Err(trailing());
         }
         Ok(())
     }
@@ -409,6 +456,140 @@ impl RowScratch {
     #[must_use]
     pub fn field(&self, i: usize) -> FieldRef {
         self.fields[i]
+    }
+
+    /// A view of `bytes`, the image the last [`RowScratch::load`]
+    /// walked, over the fields that load walked.
+    #[must_use]
+    pub fn view<'a>(&'a self, bytes: &'a [u8]) -> RowRef<'a> {
+        RowRef(Repr::Image {
+            bytes,
+            fields: &self.fields,
+        })
+    }
+}
+
+/// A borrowed view of one row: either a stored image whose fields a
+/// [`RowScratch`] has walked ([`RowScratch::view`]), or a decoded row
+/// ([`RowRef::decoded`]). The accessors mirror [`Value`]'s: a field of
+/// another type reads as `None`. Reading a field of an image allocates
+/// nothing — text and bytes borrow the image.
+///
+/// Nothing here panics: a field past the view's end, a payload outside
+/// the image, a short fixed-width payload or invalid UTF-8 is an
+/// [`Error::Page`].
+#[derive(Debug, Clone, Copy)]
+pub struct RowRef<'a>(Repr<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Repr<'a> {
+    Image {
+        bytes: &'a [u8],
+        fields: &'a [FieldRef],
+    },
+    Decoded(&'a [Value]),
+}
+
+/// One field of a [`RowRef`].
+enum Field<'a> {
+    Raw(u8, &'a [u8]),
+    Value(&'a Value),
+}
+
+impl<'a> RowRef<'a> {
+    /// A view of an already decoded row.
+    #[must_use]
+    pub fn decoded(row: &'a [Value]) -> Self {
+        RowRef(Repr::Decoded(row))
+    }
+
+    /// Fields in the view.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Repr::Image { fields, .. } => fields.len(),
+            Repr::Decoded(row) => row.len(),
+        }
+    }
+
+    /// True if the view has no fields.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn field(&self, i: usize) -> Result<Field<'a>> {
+        let past_end = || {
+            Error::Page(format!(
+                "field {i} asked of a row view with {} fields",
+                self.len()
+            ))
+        };
+        match self.0 {
+            Repr::Image { bytes, fields } => {
+                let f = fields.get(i).ok_or_else(past_end)?;
+                let payload = bytes.get(f.start..f.end).ok_or_else(truncated)?;
+                Ok(Field::Raw(f.tag, payload))
+            }
+            Repr::Decoded(row) => row.get(i).map(Field::Value).ok_or_else(past_end),
+        }
+    }
+
+    /// Whether field `i` is NULL.
+    pub fn is_null(&self, i: usize) -> Result<bool> {
+        Ok(match self.field(i)? {
+            Field::Raw(tag, _) => tag == TAG_NULL,
+            Field::Value(v) => v.is_null(),
+        })
+    }
+
+    /// Field `i` as text, borrowed from the row.
+    pub fn text(&self, i: usize) -> Result<Option<&'a str>> {
+        match self.field(i)? {
+            Field::Raw(TAG_TEXT, payload) => utf8(payload).map(Some),
+            Field::Raw(..) => Ok(None),
+            Field::Value(v) => Ok(v.as_text()),
+        }
+    }
+
+    /// Field `i` as bytes, borrowed from the row.
+    pub fn bytes(&self, i: usize) -> Result<Option<&'a [u8]>> {
+        Ok(match self.field(i)? {
+            Field::Raw(TAG_BYTES, payload) => Some(payload),
+            Field::Raw(..) => None,
+            Field::Value(v) => v.as_bytes(),
+        })
+    }
+
+    /// Field `i` as an integer.
+    pub fn int(&self, i: usize) -> Result<Option<i64>> {
+        Ok(match self.field(i)? {
+            Field::Raw(TAG_INT, payload) => Some(i64::from_le_bytes(fixed(payload)?)),
+            Field::Raw(..) => None,
+            Field::Value(v) => v.as_int(),
+        })
+    }
+
+    /// Field `i` as a timestamp.
+    pub fn timestamp(&self, i: usize) -> Result<Option<u64>> {
+        Ok(match self.field(i)? {
+            Field::Raw(TAG_TIMESTAMP, payload) => Some(u64::from_le_bytes(fixed(payload)?)),
+            Field::Raw(..) => None,
+            Field::Value(v) => v.as_timestamp(),
+        })
+    }
+
+    /// Field `i` as an owned [`Value`].
+    pub fn value(&self, i: usize) -> Result<Value> {
+        match self.field(i)? {
+            Field::Raw(tag, payload) => field_value(tag, payload),
+            Field::Value(v) => Ok(v.clone()),
+        }
+    }
+
+    /// The whole view as an owned row.
+    pub fn to_row(&self) -> Result<Row> {
+        (0..self.len()).map(|i| self.value(i)).collect()
     }
 }
 
@@ -446,6 +627,36 @@ mod tests {
         // A hostile arity must be an error, not a 4-billion-slot
         // reservation (which aborts the process).
         assert!(decode_row(&[0xff; 4]).is_err());
+    }
+
+    #[test]
+    fn row_view_reads_like_the_decoded_row() {
+        let row = sample_row();
+        let image = encode_row(&row);
+        let mut scratch = RowScratch::default();
+        scratch.load(&image, row.len()).unwrap();
+        for view in [scratch.view(&image), RowRef::decoded(&row)] {
+            assert_eq!(view.len(), 7);
+            assert!(view.is_null(0).unwrap() && !view.is_null(1).unwrap());
+            assert_eq!(view.int(2).unwrap(), Some(-42));
+            assert_eq!(view.text(4).unwrap(), Some("héllo"));
+            assert_eq!(view.bytes(5).unwrap(), Some(&[0, 255, 7][..]));
+            assert_eq!(view.timestamp(6).unwrap(), Some(123_456));
+            // A field of another type reads as none; past the end, as
+            // an error.
+            assert_eq!(view.text(2).unwrap(), None);
+            assert!(matches!(view.int(7), Err(Error::Page(_))));
+            assert_eq!(view.to_row().unwrap(), row);
+        }
+        let mut bad = encode_row(&[Value::Text("ab".into())]);
+        let last = bad.len() - 1;
+        bad[last] = 0xff;
+        scratch.load(&bad, 1).unwrap();
+        assert!(matches!(scratch.view(&bad).text(0), Err(Error::Page(_))));
+        assert_eq!(
+            scratch.load(&[&bad[..], &[0]].concat(), 1),
+            Err(Error::Page("trailing bytes after row image".into()))
+        );
     }
 
     #[test]

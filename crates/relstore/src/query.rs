@@ -28,9 +28,9 @@
 //! (`raw_agrees_with_eval` below, plus the proptest in
 //! `tests/scan_equiv.rs`).
 //!
-//! [`Predicate::eq_bindings`] and [`Predicate::range_bindings`] extract
-//! the equality/range conjuncts so `select` can satisfy them from an
-//! index instead of a full scan; after an index range scan is chosen,
+//! [`Predicate::eq_binding`] and [`Predicate::range_binding`] find
+//! the equality/range conjuncts on a column so `select` can satisfy
+//! them from an index instead of a full scan; after an index range scan is chosen,
 //! [`Compiled::prune_covered`] drops the conjuncts the scan provably
 //! satisfied so candidates are not re-checked against them.
 
@@ -42,7 +42,6 @@ use crate::pagestore::page::{
 use crate::schema::TableSchema;
 use crate::value::{ColumnType, Value};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// A boolean predicate over a row.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,14 +91,15 @@ impl Predicate {
     }
 
     /// Compile against a schema, resolving column names to ordinals and
-    /// picking typed comparators from the declared column types.
-    pub fn compile(&self, schema: &TableSchema) -> Result<Compiled> {
+    /// picking typed comparators from the declared column types. The
+    /// compiled form borrows its text and byte comparands from `self`.
+    pub fn compile(&self, schema: &TableSchema) -> Result<Compiled<'_>> {
         let node = self.compile_node(schema)?;
         let width = node.max_col().map_or(0, |c| c + 1);
         Ok(Compiled { node, width })
     }
 
-    fn compile_node(&self, schema: &TableSchema) -> Result<Node> {
+    fn compile_node(&self, schema: &TableSchema) -> Result<Node<'_>> {
         use Predicate as P;
         Ok(match self {
             P::True => Node::True,
@@ -114,7 +114,7 @@ impl Predicate {
                 // A substring match on a non-text column is false for
                 // every row; fold it away.
                 if schema.columns[col].ty == ColumnType::Text {
-                    Node::Contains(col, s.clone().into_bytes())
+                    Node::Contains(col, s.as_bytes())
                 } else {
                     Node::False
                 }
@@ -130,75 +130,78 @@ impl Predicate {
         })
     }
 
-    /// Column→value pairs that must hold by equality for the whole
-    /// predicate to hold (the top-level AND-chain of `Eq` leaves).
-    /// Used for index selection.
+    /// The value the top-level AND chain binds `col` to by equality
+    /// (its last `Eq` leaf on `col`), if any. Used for index selection.
     #[must_use]
-    pub fn eq_bindings(&self) -> BTreeMap<&str, &Value> {
-        let mut out = BTreeMap::new();
-        self.collect_eq(&mut out);
-        out
-    }
-
-    fn collect_eq<'a>(&'a self, out: &mut BTreeMap<&'a str, &'a Value>) {
+    pub fn eq_binding(&self, col: &str) -> Option<&Value> {
         match self {
-            Predicate::Eq(c, v) => {
-                out.insert(c.as_str(), v);
-            }
-            Predicate::And(a, b) => {
-                a.collect_eq(out);
-                b.collect_eq(out);
-            }
-            _ => {}
+            Predicate::Eq(c, v) if c == col => Some(v),
+            Predicate::And(a, b) => b.eq_binding(col).or_else(|| a.eq_binding(col)),
+            _ => None,
         }
     }
 
-    /// The inclusive-hull range each column is bound to by the
-    /// `<`/`<=`/`>`/`>=`/`=` conjuncts of the top-level AND chain.
-    /// Strictness is deliberately dropped (an index range scan over
-    /// the hull is a superset; evaluation re-filters), and repeated
-    /// bounds on one column tighten the hull. NULL comparands are
-    /// skipped — SQL comparison with NULL never matches, so they bound
-    /// nothing an index could use.
+    /// The inclusive-hull range the `<`/`<=`/`>`/`>=`/`=` conjuncts of
+    /// the top-level AND chain bind `col` to, if any. Strictness is
+    /// deliberately dropped (an index range scan over the hull is a
+    /// superset; evaluation re-filters), and repeated bounds on the
+    /// column tighten the hull. NULL comparands are skipped — SQL
+    /// comparison with NULL never matches, so they bound nothing an
+    /// index could use.
     #[must_use]
-    pub fn range_bindings(&self) -> BTreeMap<&str, ColRange<'_>> {
-        let mut out = BTreeMap::new();
-        self.collect_ranges(&mut out);
-        out
+    pub fn range_binding(&self, col: &str) -> Option<ColRange<'_>> {
+        let mut range = None;
+        self.fold_range(col, &mut range);
+        range
     }
 
-    fn collect_ranges<'a>(&'a self, out: &mut BTreeMap<&'a str, ColRange<'a>>) {
-        let mut bound = |col: &'a str, lo: Option<&'a Value>, hi: Option<&'a Value>| {
-            let r = out.entry(col).or_default();
-            if let Some(lo) = lo {
-                r.lo = Some(r.lo.map_or(lo, |cur| if lo > cur { lo } else { cur }));
+    fn fold_range<'a>(&'a self, col: &str, range: &mut Option<ColRange<'a>>) {
+        match self.range_leaf() {
+            Some((c, lo, hi)) if c == col => {
+                range.get_or_insert_with(ColRange::default).tighten(lo, hi);
             }
-            if let Some(hi) = hi {
-                r.hi = Some(r.hi.map_or(hi, |cur| if hi < cur { hi } else { cur }));
+            Some(_) => {}
+            None => {
+                if let Predicate::And(a, b) = self {
+                    a.fold_range(col, range);
+                    b.fold_range(col, range);
+                }
             }
-        };
+        }
+    }
+
+    /// The column and bounds of a non-NULL `=`/`<`/`<=`/`>`/`>=` leaf.
+    fn range_leaf(&self) -> Option<(&str, Option<&Value>, Option<&Value>)> {
         match self {
-            Predicate::Eq(c, v) if !v.is_null() => bound(c, Some(v), Some(v)),
-            Predicate::Lt(c, v) | Predicate::Le(c, v) if !v.is_null() => bound(c, None, Some(v)),
-            Predicate::Gt(c, v) | Predicate::Ge(c, v) if !v.is_null() => bound(c, Some(v), None),
-            Predicate::And(a, b) => {
-                a.collect_ranges(out);
-                b.collect_ranges(out);
-            }
-            _ => {}
+            Predicate::Eq(c, v) if !v.is_null() => Some((c, Some(v), Some(v))),
+            Predicate::Lt(c, v) | Predicate::Le(c, v) if !v.is_null() => Some((c, None, Some(v))),
+            Predicate::Gt(c, v) | Predicate::Ge(c, v) if !v.is_null() => Some((c, Some(v), None)),
+            _ => None,
         }
     }
 }
 
 /// Inclusive hull of the values a column may take under a predicate's
 /// top-level AND chain: `lo <= column <= hi`, either side optionally
-/// unbounded. Produced by [`Predicate::range_bindings`].
+/// unbounded. Produced by [`Predicate::range_binding`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ColRange<'a> {
     /// Inclusive lower bound, if any.
     pub lo: Option<&'a Value>,
     /// Inclusive upper bound, if any.
     pub hi: Option<&'a Value>,
+}
+
+impl<'a> ColRange<'a> {
+    /// Narrow the hull by one conjunct's bounds.
+    fn tighten(&mut self, lo: Option<&'a Value>, hi: Option<&'a Value>) {
+        if let Some(lo) = lo {
+            self.lo = Some(self.lo.map_or(lo, |cur| if lo > cur { lo } else { cur }));
+        }
+        if let Some(hi) = hi {
+            self.hi = Some(self.hi.map_or(hi, |cur| if hi < cur { hi } else { cur }));
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,12 +255,13 @@ fn rank_of_type(t: ColumnType) -> u8 {
 }
 
 /// A compiled predicate node. Comparison leaves are typed: the
-/// comparand is stored unboxed in its native representation and the
-/// column ordinal is resolved. `Text` comparands are kept as bytes —
-/// `str`'s `Ord` is byte-wise lexicographic, so encoded UTF-8 payloads
-/// compare correctly without validation or decoding.
+/// comparand is stored unboxed in its native representation (text and
+/// byte comparands borrowed from the predicate) and the column ordinal
+/// is resolved. `Text` comparands are kept as bytes — `str`'s `Ord` is
+/// byte-wise lexicographic, so encoded UTF-8 payloads compare correctly
+/// without validation or decoding.
 #[derive(Debug, Clone)]
-enum Node {
+enum Node<'p> {
     True,
     False,
     /// Cheap residue of a conjunct an index scan (or a constant-folded
@@ -267,19 +271,19 @@ enum Node {
     Bool(usize, CmpOp, bool),
     Int(usize, CmpOp, i64),
     Float(usize, CmpOp, f64),
-    Text(usize, CmpOp, Vec<u8>),
-    Bytes(usize, CmpOp, Vec<u8>),
+    Text(usize, CmpOp, &'p [u8]),
+    Bytes(usize, CmpOp, &'p [u8]),
     Ts(usize, CmpOp, u64),
-    Contains(usize, Vec<u8>),
-    And(Vec<Node>),
-    Or(Vec<Node>),
-    Not(Box<Node>),
+    Contains(usize, &'p [u8]),
+    And(Vec<Node<'p>>),
+    Or(Vec<Node<'p>>),
+    Not(Box<Node<'p>>),
 }
 
-impl Node {
+impl<'p> Node<'p> {
     /// Build a typed comparison leaf, constant-folding NULL and
     /// cross-type comparands.
-    fn cmp(schema: &TableSchema, col: &str, op: CmpOp, v: &Value) -> Result<Node> {
+    fn cmp(schema: &TableSchema, col: &str, op: CmpOp, v: &'p Value) -> Result<Node<'p>> {
         let idx = schema.require_column(col)?;
         if v.is_null() {
             // `cell OP NULL` is false for every row.
@@ -290,8 +294,8 @@ impl Node {
             (ColumnType::Bool, Value::Bool(b)) => Node::Bool(idx, op, *b),
             (ColumnType::Int, Value::Int(i)) => Node::Int(idx, op, *i),
             (ColumnType::Float, Value::Float(x)) => Node::Float(idx, op, *x),
-            (ColumnType::Text, Value::Text(s)) => Node::Text(idx, op, s.clone().into_bytes()),
-            (ColumnType::Bytes, Value::Bytes(b)) => Node::Bytes(idx, op, b.clone()),
+            (ColumnType::Text, Value::Text(s)) => Node::Text(idx, op, s.as_bytes()),
+            (ColumnType::Bytes, Value::Bytes(b)) => Node::Bytes(idx, op, b),
             (ColumnType::Timestamp, Value::Timestamp(t)) => Node::Ts(idx, op, *t),
             _ => {
                 // Mismatched types: every non-null cell compares to the
@@ -307,7 +311,7 @@ impl Node {
     }
 
     /// `a AND b`, flattening chains and absorbing constants.
-    fn and2(a: Node, b: Node) -> Node {
+    fn and2(a: Node<'p>, b: Node<'p>) -> Node<'p> {
         let mut kids = Vec::new();
         for n in [a, b] {
             match n {
@@ -325,7 +329,7 @@ impl Node {
     }
 
     /// `a OR b`, flattening chains and absorbing constants.
-    fn or2(a: Node, b: Node) -> Node {
+    fn or2(a: Node<'p>, b: Node<'p>) -> Node<'p> {
         let mut kids = Vec::new();
         for n in [a, b] {
             match n {
@@ -360,6 +364,48 @@ impl Node {
         }
     }
 
+    /// Column and operator of a typed comparison leaf.
+    fn leaf(&self) -> Option<(usize, CmpOp)> {
+        match self {
+            Node::Bool(c, op, _)
+            | Node::Int(c, op, _)
+            | Node::Float(c, op, _)
+            | Node::Text(c, op, _)
+            | Node::Bytes(c, op, _)
+            | Node::Ts(c, op, _) => Some((*c, *op)),
+            _ => None,
+        }
+    }
+
+    /// `v` against a comparison leaf's comparand under [`Value`]'s
+    /// total order (a bound of another type compares by type rank), so
+    /// cross-type hull bounds compare as `range_binding` compared
+    /// them. Only called on leaves.
+    fn comparand_cmp(&self, v: &Value) -> Ordering {
+        match (self, v) {
+            (Node::Bool(_, _, k), Value::Bool(x)) => x.cmp(k),
+            (Node::Int(_, _, k), Value::Int(x)) => x.cmp(k),
+            (Node::Float(_, _, k), Value::Float(x)) => x.total_cmp(k),
+            (Node::Text(_, _, k), Value::Text(x)) => x.as_bytes().cmp(k),
+            (Node::Bytes(_, _, k), Value::Bytes(x)) => x[..].cmp(k),
+            (Node::Ts(_, _, k), Value::Timestamp(x)) => x.cmp(k),
+            (n, v) => rank(v).cmp(&n.rank()),
+        }
+    }
+
+    /// Type rank of a comparison leaf's comparand.
+    fn rank(&self) -> u8 {
+        match self {
+            Node::Bool(..) => TAG_BOOL,
+            Node::Int(..) => TAG_INT,
+            Node::Float(..) => TAG_FLOAT,
+            Node::Text(..) => TAG_TEXT,
+            Node::Bytes(..) => TAG_BYTES,
+            Node::Ts(..) => TAG_TIMESTAMP,
+            _ => unreachable!("only comparison leaves have a comparand"),
+        }
+    }
+
     /// Evaluate over a decoded row. Matches the raw path exactly: NULL
     /// cells fail every comparison, cross-type cells (possible only
     /// through `eval` on hand-built rows) compare by rank.
@@ -386,12 +432,12 @@ impl Node {
             },
             Node::Text(c, op, k) => match &row[*c] {
                 Value::Null => false,
-                Value::Text(x) => op.test(x.as_bytes().cmp(&k[..])),
+                Value::Text(x) => op.test(x.as_bytes().cmp(k)),
                 other => op.test(rank(other).cmp(&TAG_TEXT)),
             },
             Node::Bytes(c, op, k) => match &row[*c] {
                 Value::Null => false,
-                Value::Bytes(x) => op.test(x[..].cmp(&k[..])),
+                Value::Bytes(x) => op.test(x[..].cmp(k)),
                 other => op.test(rank(other).cmp(&TAG_BYTES)),
             },
             Node::Ts(c, op, k) => match &row[*c] {
@@ -455,7 +501,7 @@ impl Node {
                 match f.tag {
                     TAG_NULL => false,
                     // UTF-8 compares byte-wise exactly like `str`.
-                    TAG_TEXT => op.test(payload(bytes, f).cmp(&k[..])),
+                    TAG_TEXT => op.test(payload(bytes, f).cmp(k)),
                     t => op.test(t.cmp(&TAG_TEXT)),
                 }
             }
@@ -463,7 +509,7 @@ impl Node {
                 let f = scratch.field(*c);
                 match f.tag {
                     TAG_NULL => false,
-                    TAG_BYTES => op.test(payload(bytes, f).cmp(&k[..])),
+                    TAG_BYTES => op.test(payload(bytes, f).cmp(k)),
                     t => op.test(t.cmp(&TAG_BYTES)),
                 }
             }
@@ -500,14 +546,14 @@ fn contains_bytes(hay: &[u8], needle: &[u8]) -> bool {
 /// A predicate compiled against one table's schema. See the module docs
 /// for what compilation precomputes.
 #[derive(Debug, Clone)]
-pub struct Compiled {
-    node: Node,
+pub struct Compiled<'p> {
+    node: Node<'p>,
     /// Leading fields a raw evaluation must walk: max referenced column
     /// ordinal + 1.
     width: usize,
 }
 
-impl Compiled {
+impl Compiled<'_> {
     /// Evaluate against a decoded row. NULL comparisons follow SQL-ish
     /// semantics: any comparison with NULL is false, except `IsNull`.
     #[must_use]
@@ -534,7 +580,7 @@ impl Compiled {
 
     /// Drop top-level AND conjuncts on column `col` that an index range
     /// scan over the inclusive hull `[lo, hi]` (the *applied* scan
-    /// bounds, from [`Predicate::range_bindings`]) provably satisfies:
+    /// bounds, from [`Predicate::range_binding`]) provably satisfies:
     /// `Ge(col, v)` with `lo >= v`, `Le(col, v)` with `hi <= v`, and
     /// `Eq(col, v)` with `lo == hi == v`. Strict bounds are never
     /// dropped — the hull is inclusive, so the scan over-approximates
@@ -546,30 +592,18 @@ impl Compiled {
     /// NULL cell even when the scan guarantee holds for every non-null
     /// one. Returns how many conjuncts were covered.
     pub fn prune_covered(&mut self, col: usize, lo: Option<&Value>, hi: Option<&Value>) -> usize {
-        fn covered(n: &Node, col: usize, lo: Option<&Value>, hi: Option<&Value>) -> bool {
-            // Reconstruct the comparand as a Value so cross-type hull
-            // bounds (possible when conjuncts mix types) compare under
-            // the same total order `range_bindings` used.
-            let (c, op, v) = match n {
-                Node::Bool(c, op, k) => (*c, *op, Value::Bool(*k)),
-                Node::Int(c, op, k) => (*c, *op, Value::Int(*k)),
-                Node::Float(c, op, k) => (*c, *op, Value::Float(*k)),
-                Node::Text(c, op, k) => (
-                    *c,
-                    *op,
-                    Value::Text(String::from_utf8(k.clone()).expect("comparand was a String")),
-                ),
-                Node::Bytes(c, op, k) => (*c, *op, Value::Bytes(k.clone())),
-                Node::Ts(c, op, k) => (*c, *op, Value::Timestamp(*k)),
-                _ => return false,
+        fn covered(n: &Node<'_>, col: usize, lo: Option<&Value>, hi: Option<&Value>) -> bool {
+            let Some((c, op)) = n.leaf() else {
+                return false;
             };
             if c != col {
                 return false;
             }
+            let vs = |b: &Value| n.comparand_cmp(b);
             match op {
-                CmpOp::Ge => lo.is_some_and(|l| l >= &v),
-                CmpOp::Le => hi.is_some_and(|h| h <= &v),
-                CmpOp::Eq => lo == Some(&v) && hi == Some(&v),
+                CmpOp::Ge => lo.is_some_and(|l| vs(l).is_ge()),
+                CmpOp::Le => hi.is_some_and(|h| vs(h).is_le()),
+                CmpOp::Eq => lo.is_some_and(|l| vs(l).is_eq()) && hi.is_some_and(|h| vs(h).is_eq()),
                 _ => false,
             }
         }
@@ -613,14 +647,14 @@ mod tests {
     #[test]
     fn eq_and_range() {
         let s = schema();
-        let p = Predicate::eq("id", 3i64).compile(&s).unwrap();
+        let p = Predicate::eq("id", 3i64);
+        let p = p.compile(&s).unwrap();
         assert!(p.eval(&row(3, "x", None)));
         assert!(!p.eval(&row(4, "x", None)));
 
         let p = Predicate::Ge("id".into(), Value::Int(3))
-            .and(Predicate::Lt("id".into(), Value::Int(5)))
-            .compile(&s)
-            .unwrap();
+            .and(Predicate::Lt("id".into(), Value::Int(5)));
+        let p = p.compile(&s).unwrap();
         assert!(p.eval(&row(3, "x", None)));
         assert!(p.eval(&row(4, "x", None)));
         assert!(!p.eval(&row(5, "x", None)));
@@ -629,17 +663,14 @@ mod tests {
     #[test]
     fn contains_and_or_not() {
         let s = schema();
-        let p = Predicate::Contains("name".into(), "web".into())
-            .or(Predicate::eq("id", 1i64))
-            .compile(&s)
-            .unwrap();
+        let p = Predicate::Contains("name".into(), "web".into()).or(Predicate::eq("id", 1i64));
+        let p = p.compile(&s).unwrap();
         assert!(p.eval(&row(9, "my web doc", None)));
         assert!(p.eval(&row(1, "zzz", None)));
         assert!(!p.eval(&row(2, "zzz", None)));
 
-        let p = Predicate::Not(Box::new(Predicate::eq("id", 1i64)))
-            .compile(&s)
-            .unwrap();
+        let p = Predicate::Not(Box::new(Predicate::eq("id", 1i64)));
+        let p = p.compile(&s).unwrap();
         assert!(p.eval(&row(2, "x", None)));
         assert!(!p.eval(&row(1, "x", None)));
     }
@@ -647,13 +678,14 @@ mod tests {
     #[test]
     fn null_semantics() {
         let s = schema();
-        let p = Predicate::eq("score", 5i64).compile(&s).unwrap();
+        let p = Predicate::eq("score", 5i64);
+        let p = p.compile(&s).unwrap();
         assert!(!p.eval(&row(1, "x", None))); // NULL = 5 is false
-        let p = Predicate::Ne("score".into(), Value::Int(5))
-            .compile(&s)
-            .unwrap();
+        let p = Predicate::Ne("score".into(), Value::Int(5));
+        let p = p.compile(&s).unwrap();
         assert!(!p.eval(&row(1, "x", None))); // NULL <> 5 is false too
-        let p = Predicate::IsNull("score".into()).compile(&s).unwrap();
+        let p = Predicate::IsNull("score".into());
+        let p = p.compile(&s).unwrap();
         assert!(p.eval(&row(1, "x", None)));
         assert!(!p.eval(&row(1, "x", Some(5))));
     }
@@ -668,13 +700,15 @@ mod tests {
     fn eq_bindings_from_and_chain() {
         let p = Predicate::eq("a", 1i64)
             .and(Predicate::eq("b", "x").and(Predicate::Gt("c".into(), Value::Int(0))));
-        let b = p.eq_bindings();
-        assert_eq!(b.len(), 2);
-        assert_eq!(b["a"], &Value::Int(1));
-        assert_eq!(b["b"], &Value::from("x"));
+        assert_eq!(p.eq_binding("a"), Some(&Value::Int(1)));
+        assert_eq!(p.eq_binding("b"), Some(&Value::from("x")));
+        assert_eq!(p.eq_binding("c"), None);
+        // The last of two bindings of one column counts.
+        let p = p.and(Predicate::eq("a", 2i64));
+        assert_eq!(p.eq_binding("a"), Some(&Value::Int(2)));
         // Or-branches contribute nothing.
         let p = Predicate::eq("a", 1i64).or(Predicate::eq("b", 2i64));
-        assert!(p.eq_bindings().is_empty());
+        assert_eq!((p.eq_binding("a"), p.eq_binding("b")), (None, None));
     }
 
     #[test]
@@ -683,31 +717,27 @@ mod tests {
         // Text comparand on an Int column: rank(Int) < rank(Text), so
         // `id < "z"` is true for every non-null id and `id > "z"` for
         // none; `id = "z"` never holds and `id <> "z"` always does.
-        let lt = Predicate::Lt("id".into(), Value::from("z"))
-            .compile(&s)
-            .unwrap();
-        let gt = Predicate::Gt("id".into(), Value::from("z"))
-            .compile(&s)
-            .unwrap();
-        let eq = Predicate::Eq("id".into(), Value::from("z"))
-            .compile(&s)
-            .unwrap();
-        let ne = Predicate::Ne("id".into(), Value::from("z"))
-            .compile(&s)
-            .unwrap();
+        let lt = Predicate::Lt("id".into(), Value::from("z"));
+        let lt = lt.compile(&s).unwrap();
+        let gt = Predicate::Gt("id".into(), Value::from("z"));
+        let gt = gt.compile(&s).unwrap();
+        let eq = Predicate::Eq("id".into(), Value::from("z"));
+        let eq = eq.compile(&s).unwrap();
+        let ne = Predicate::Ne("id".into(), Value::from("z"));
+        let ne = ne.compile(&s).unwrap();
         let r = row(1, "x", None);
         assert!(lt.eval(&r));
         assert!(!gt.eval(&r));
         assert!(!eq.eval(&r));
         assert!(ne.eval(&r));
         // On a nullable column the NULL check survives the fold.
-        let ne_null = Predicate::Ne("score".into(), Value::from("z"))
-            .compile(&s)
-            .unwrap();
+        let ne_null = Predicate::Ne("score".into(), Value::from("z"));
+        let ne_null = ne_null.compile(&s).unwrap();
         assert!(!ne_null.eval(&row(1, "x", None)));
         assert!(ne_null.eval(&row(1, "x", Some(3))));
         // NULL comparand folds to false outright.
-        let p = Predicate::Eq("id".into(), Value::Null).compile(&s).unwrap();
+        let p = Predicate::Eq("id".into(), Value::Null);
+        let p = p.compile(&s).unwrap();
         assert!(!p.eval(&row(1, "x", Some(1))));
     }
 
@@ -751,7 +781,8 @@ mod tests {
     #[test]
     fn matches_raw_rejects_short_rows() {
         let s = schema();
-        let c = Predicate::IsNull("score".into()).compile(&s).unwrap();
+        let c = Predicate::IsNull("score".into());
+        let c = c.compile(&s).unwrap();
         let short = encode_row(&[Value::Int(1)]);
         let mut scratch = RowScratch::default();
         assert!(c.matches_raw(&short, &mut scratch).is_err());
@@ -779,23 +810,22 @@ mod tests {
         assert_eq!(c.prune_covered(0, Some(&wide_lo), Some(&hi)), 1);
 
         // Strict bounds are never pruned: hulls are inclusive.
-        let mut c = Predicate::Gt("id".into(), Value::Int(3))
-            .compile(&s)
-            .unwrap();
+        let c = Predicate::Gt("id".into(), Value::Int(3));
+        let mut c = c.compile(&s).unwrap();
         assert_eq!(c.prune_covered(0, Some(&lo), None), 0);
         assert!(!c.eval(&row(3, "x", None)));
 
         // An Eq conjunct is covered only by a point hull.
-        let mut c = Predicate::eq("id", 4i64).compile(&s).unwrap();
+        let c = Predicate::eq("id", 4i64);
+        let mut c = c.compile(&s).unwrap();
         let point = Value::Int(4);
         assert_eq!(c.prune_covered(0, Some(&point), Some(&point)), 1);
         assert!(c.eval(&row(4, "x", None)));
 
         // A pruned conjunct on a nullable column still rejects NULLs
         // (matters when the scan's lower bound is unbounded).
-        let mut c = Predicate::Le("score".into(), Value::Int(9))
-            .compile(&s)
-            .unwrap();
+        let c = Predicate::Le("score".into(), Value::Int(9));
+        let mut c = c.compile(&s).unwrap();
         let h = Value::Int(9);
         assert_eq!(c.prune_covered(2, None, Some(&h)), 1);
         assert!(!c.eval(&row(1, "x", None)));

@@ -25,10 +25,12 @@
 //! this sits behind a `dyn` call on a per-row path.
 
 use crate::error::{Error, Result};
+use crate::pagestore::page::RowScratch;
 use crate::query::{ColRange, Predicate};
 use crate::schema::{FkAction, ForeignKey, IndexDef, TableSchema, PRIMARY_INDEX};
 use crate::table::{Index, Row, RowId};
 use crate::value::{Key, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Stable-sort `rows` by column `col` (ascending or descending, NULLs
@@ -318,8 +320,9 @@ pub(crate) fn key_predicate(cols: &[String], key: &Key) -> Predicate {
 
 /// How a read reaches the rows a predicate can match.
 pub(crate) enum AccessPath<'p> {
-    /// Every column of `indexes[ix]` is bound by equality: probe `key`.
-    IndexProbe { ix: usize, key: Key },
+    /// Every column of `indexes[ix]` is bound by equality: probe `key`
+    /// (borrowed from the predicate for a one-column index).
+    IndexProbe { ix: usize, key: Cow<'p, [Value]> },
     /// The first column of `indexes[ix]` is bounded: scan the inclusive
     /// hull `range` of that column.
     IndexRange { ix: usize, range: ColRange<'p> },
@@ -338,18 +341,23 @@ pub(crate) fn plan<'p>(
     indexes: &[Index],
     pred: &'p Predicate,
 ) -> AccessPath<'p> {
-    let name = |c: usize| schema.columns[c].name.as_str();
-    let bindings = pred.eq_bindings();
+    let bound = |c: usize| pred.eq_binding(&schema.columns[c].name);
     for (ix, index) in indexes.iter().enumerate() {
-        let cols = index.columns();
-        if cols.iter().all(|&c| bindings.contains_key(name(c))) {
-            let key = Key(cols.iter().map(|&c| bindings[name(c)].clone()).collect());
+        let key = match index.columns() {
+            &[c] => bound(c).map(|v| Cow::Borrowed(std::slice::from_ref(v))),
+            cols => cols
+                .iter()
+                .map(|&c| bound(c).cloned())
+                .collect::<Option<Vec<Value>>>()
+                .map(Cow::Owned),
+        };
+        if let Some(key) = key {
             return AccessPath::IndexProbe { ix, key };
         }
     }
-    let ranges = pred.range_bindings();
     for (ix, index) in indexes.iter().enumerate() {
-        if let Some(&range) = index.columns().first().and_then(|&c| ranges.get(name(c))) {
+        let first = index.columns().first();
+        if let Some(range) = first.and_then(|&c| pred.range_binding(&schema.columns[c].name)) {
             return AccessPath::IndexRange { ix, range };
         }
     }
@@ -357,16 +365,28 @@ pub(crate) fn plan<'p>(
 }
 
 impl AccessPath<'_> {
-    /// The row ids the path reaches in `indexes`, or `None` for a full
-    /// scan. Under MVCC an id may appear once per retained version key,
-    /// so callers that need a set sort and dedup.
-    pub(crate) fn candidates(&self, indexes: &[Index]) -> Option<Vec<RowId>> {
+    /// Fill `ids` with the row ids the path reaches in `indexes`, or
+    /// return `false` for a full scan. Under MVCC an id may appear once
+    /// per retained version key, so callers that need a set sort and
+    /// dedup.
+    pub(crate) fn candidates(&self, indexes: &[Index], ids: &mut Vec<RowId>) -> bool {
+        ids.clear();
         match self {
-            AccessPath::IndexProbe { ix, key } => Some(indexes[*ix].get(key)),
+            AccessPath::IndexProbe { ix, key } => ids.extend(indexes[*ix].ids(key)),
             AccessPath::IndexRange { ix, range } => {
-                Some(indexes[*ix].scan_first_column(range.lo, range.hi))
+                indexes[*ix].scan_first_column_into(range.lo, range.hi, ids);
             }
-            AccessPath::FullScan => None,
+            AccessPath::FullScan => return false,
         }
+        true
     }
+}
+
+/// What a read keeps from one scan to the next within a transaction,
+/// so a select allocates nothing beyond its result: the candidate ids
+/// and the field table of the row under test.
+#[derive(Debug, Default)]
+pub(crate) struct ScanBufs {
+    pub(crate) ids: Vec<RowId>,
+    pub(crate) scratch: RowScratch,
 }

@@ -80,10 +80,12 @@ impl Index {
     /// Row ids with exactly this key.
     #[must_use]
     pub fn get(&self, key: &Key) -> Vec<RowId> {
-        self.map
-            .get(key)
-            .map(|ids| ids.iter().collect())
-            .unwrap_or_default()
+        self.ids(&key.0).collect()
+    }
+
+    /// [`Index::get`] of a borrowed key, without collecting.
+    pub(crate) fn ids(&self, key: &[Value]) -> impl Iterator<Item = RowId> + '_ {
+        self.map.get(key).into_iter().flat_map(Ids::iter)
     }
 
     /// Row ids whose key lies in `[lo, hi]` (inclusive), in key order.
@@ -103,19 +105,31 @@ impl Index {
     /// `<`/`<=`/`>`/`>=` conjuncts.
     #[must_use]
     pub fn scan_first_column(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<RowId> {
+        let mut out = Vec::new();
+        self.scan_first_column_into(lo, hi, &mut out);
+        out
+    }
+
+    /// [`Index::scan_first_column`], appending to `out`.
+    pub(crate) fn scan_first_column_into(
+        &self,
+        lo: Option<&Value>,
+        hi: Option<&Value>,
+        out: &mut Vec<RowId>,
+    ) {
         use std::ops::Bound;
-        let start = match lo {
-            Some(v) => Bound::Included(Key(vec![v.clone()])),
-            None => Bound::Unbounded,
-        };
-        self.map
-            .range((start, Bound::Unbounded))
+        let start = lo.map_or(Bound::Unbounded, |v| {
+            Bound::Included(std::slice::from_ref(v))
+        });
+        let hits = self
+            .map
+            .range::<[Value], _>((start, Bound::Unbounded))
             .take_while(|(key, _)| match hi {
                 Some(h) => key.0.first().is_some_and(|first| first <= h),
                 None => true,
             })
-            .flat_map(|(_, ids)| ids.iter())
-            .collect()
+            .flat_map(|(_, ids)| ids.iter());
+        out.extend(hits);
     }
 
     /// True if inserting `key` would violate uniqueness (ignoring rows in
@@ -402,22 +416,12 @@ impl RowHeap {
     /// *page* rather than one per row.
     fn scan_encoded(&self, mut f: impl FnMut(RowId, &[u8]) -> Result<()>) -> Result<()> {
         let mut it = self.dir.iter().peekable();
-        let mut run: Vec<(RowId, u32)> = Vec::new();
-        while let Some((&id, addr)) = it.next() {
-            let pid = addr.page;
-            run.clear();
-            run.push((id, addr.slot));
-            while let Some((_, next)) = it.peek() {
-                if next.page != pid {
-                    break;
-                }
-                let (&nid, naddr) = it.next().expect("just peeked");
-                run.push((nid, naddr.slot));
-            }
+        while let Some(&(_, first)) = it.peek() {
+            let pid = first.page;
             let guard = self.pool.pin(pid)?;
             guard.with(|buf| {
-                for &(rid, slot) in &run {
-                    let bytes = page::get(buf, slot)
+                while let Some((&rid, addr)) = it.next_if(|(_, a)| a.page == pid) {
+                    let bytes = page::get(buf, addr.slot)
                         .ok_or_else(|| Error::Page(format!("row {rid:?} missing from {pid}")))?;
                     f(rid, bytes)?;
                 }

@@ -284,6 +284,14 @@ impl Key {
     }
 }
 
+/// A key looks up by its components: `Key`'s order is its vector's,
+/// which is the slice order.
+impl std::borrow::Borrow<[Value]> for Key {
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl From<Value> for Key {
     fn from(v: Value) -> Self {
         Key(vec![v])

@@ -382,4 +382,50 @@ proptest! {
             let _ = scratch.load(bytes, upto);
         }
     }
+
+    /// Hostile bytes through a row view: over arbitrary and bit-flipped
+    /// images, and over an image other than the one its scratch walked,
+    /// every accessor returns a value or a typed error — never a panic
+    /// — and a view of an image that decodes reads what `decode_row`
+    /// does.
+    #[test]
+    fn row_view_survives_hostile_bytes(
+        row in proptest::collection::vec(cell(), 0..8),
+        junk in proptest::collection::vec(any::<u8>(), 0..48),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+        upto in 0usize..10,
+    ) {
+        use relstore::pagestore::page::{decode_row, encode_row, RowRef, RowScratch};
+        fn read_all(view: RowRef<'_>, upto: usize) {
+            for i in 0..upto + 2 {
+                let _ = (view.is_null(i), view.text(i), view.bytes(i));
+                let _ = (view.int(i), view.timestamp(i), view.value(i));
+            }
+            let _ = view.to_row();
+        }
+        let image = encode_row(&row);
+        let mut scratch = RowScratch::default();
+        scratch.load(&image, row.len()).unwrap();
+        prop_assert_eq!(scratch.view(&image).to_row().unwrap(), row.clone());
+        prop_assert_eq!(RowRef::decoded(&row).to_row().unwrap(), row.clone());
+        read_all(RowRef::decoded(&row), row.len());
+
+        let mut flipped = image.clone();
+        for (at, bit) in flips {
+            let at = at % flipped.len();
+            flipped[at] ^= 1 << bit;
+        }
+        for bytes in [&junk, &flipped] {
+            // The walk of the image this scratch loaded, over other bytes.
+            scratch.load(&image, row.len()).unwrap();
+            read_all(scratch.view(bytes), row.len());
+            if scratch.load(bytes, upto).is_ok() {
+                read_all(scratch.view(bytes), upto);
+            }
+            if let Ok(decoded) = decode_row(bytes) {
+                scratch.load(bytes, decoded.len()).unwrap();
+                prop_assert_eq!(scratch.view(bytes).to_row().unwrap(), decoded);
+            }
+        }
+    }
 }
