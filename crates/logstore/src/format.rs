@@ -1,28 +1,25 @@
-//! On-disk framing for data segments and hint files.
+//! The payloads of data segments and hint files. Both are framed
+//! segment files ([`crate::segfile`] owns the header, the frame and the
+//! scan); only their magics and payloads are this module's.
 //!
-//! A **data segment** is an append-only file:
+//! A **data segment** (`seg-<id>.log`, magic `wdoclog0`) holds one frame
+//! per put or remove:
 //!
 //! ```text
-//! ┌──────────────────┬──────────────┬───────────────┬─────┐
-//! │ magic "wdoclog0" │ seg id u64LE │ frame │ frame │ ... │
-//! └──────────────────┴──────────────┴───────────────┴─────┘
-//! frame   = len u32 LE | crc u32 LE | payload (len B)
 //! payload = version u64 LE | flags u8 | klen u32 LE | key | value
 //! ```
 //!
-//! `crc` covers the payload. `version` is a store-wide monotone
-//! sequence number: wherever two records for the same key survive on
-//! disk (which merge and crash windows make routine), the higher
-//! version wins, so replay order never has to be trusted. `flags`
-//! bit 0 marks a tombstone (a delete; the value is empty).
+//! `version` is a store-wide monotone sequence number: wherever two
+//! records for the same key survive on disk (which merge and crash
+//! windows make routine), the higher version wins, so replay order never
+//! has to be trusted. `flags` bit 0 marks a tombstone (a delete; the
+//! value is empty).
 //!
-//! A **hint file** (`seg-N.hint` beside `seg-N.log`) replays a sealed
-//! segment's directory contribution without touching the (much larger)
-//! data file:
+//! A **hint file** (`seg-<id>.hint` beside `seg-<id>.log`, magic
+//! `wdochnt0`) replays a sealed segment's directory contribution without
+//! touching the (much larger) data file:
 //!
 //! ```text
-//! header  = magic "wdochnt0" | seg id u64 LE
-//! frame   = len u32 LE | crc u32 LE | payload
 //! payload = version u64 | flags u8 | off u64 | flen u32 | klen u32 | key
 //! ```
 //!
@@ -34,106 +31,17 @@
 //! cleanly at the last complete frame; a *complete* frame with a CRC
 //! mismatch in a data segment is corruption and surfaces as an error.
 
+use crate::segfile::{frame_buf, seal_frame, FRAME_HEADER};
 use crate::{LogError, Result};
 
 /// Data-segment file magic, version 0.
 pub const DATA_MAGIC: &[u8; 8] = b"wdoclog0";
 /// Hint-file magic, version 0.
 pub const HINT_MAGIC: &[u8; 8] = b"wdochnt0";
-/// Per-file header: magic + segment id.
-pub const FILE_HEADER: usize = 16;
-/// Per-frame header: length + CRC.
-pub const FRAME_HEADER: usize = 8;
 /// Smallest data frame: the header plus a payload's fixed fields.
 pub const MIN_DATA_FRAME: u32 = FRAME_HEADER as u32 + 13;
-/// Upper bound on one frame payload; a larger length in a header can
-/// only come from bit rot (a torn write cannot invent bytes).
-pub const MAX_FRAME: u32 = 1 << 30;
 
 const FLAG_TOMBSTONE: u8 = 0b0000_0001;
-
-/// Slicing-by-8 tables for the reflected CRC-32 polynomial (IEEE
-/// `0xEDB88320`, the zlib/PNG one): `TABLES[0]` is the classic
-/// byte-at-a-time table, and `TABLES[k][b]` is the CRC register after
-/// byte `b` followed by `k` zero bytes, so eight table lookups advance
-/// the register by one 8-byte word.
-static TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                0xEDB8_8320 ^ (crc >> 1)
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// CRC-32 of `bytes` (IEEE, reflected, init/final XOR `0xFFFFFFFF`):
-/// the checksum of every logstore frame and every WAL frame. Consumes
-/// eight bytes per step (slicing-by-8); the output is bit-identical to
-/// the byte-at-a-time table loop.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
-/// Encode a file header (data or hint).
-#[must_use]
-pub fn encode_header(magic: &[u8; 8], seg: u64) -> [u8; FILE_HEADER] {
-    let mut h = [0u8; FILE_HEADER];
-    h[..8].copy_from_slice(magic);
-    h[8..].copy_from_slice(&seg.to_le_bytes());
-    h
-}
-
-/// Check a file header; returns the segment id it names.
-pub fn decode_header(magic: &[u8; 8], bytes: &[u8]) -> Result<u64> {
-    if bytes.len() < FILE_HEADER || &bytes[..8] != magic {
-        return Err(LogError::Corrupt {
-            seg: 0,
-            off: 0,
-            reason: "bad or truncated file header".into(),
-        });
-    }
-    Ok(u64::from_le_bytes(bytes[8..16].try_into().expect("8B")))
-}
 
 /// One decoded data record (borrowing the frame payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,16 +57,15 @@ pub struct DataRecord<'a> {
 }
 
 /// Encode one data record as a complete frame (header + payload).
-#[must_use]
-pub fn encode_data(version: u64, tombstone: bool, key: &[u8], value: &[u8]) -> Vec<u8> {
+pub fn encode_data(version: u64, tombstone: bool, key: &[u8], value: &[u8]) -> Result<Vec<u8>> {
     let klen = u32::try_from(key.len()).expect("key < 4 GiB");
-    let mut payload = Vec::with_capacity(13 + key.len() + value.len());
-    payload.extend_from_slice(&version.to_le_bytes());
-    payload.push(if tombstone { FLAG_TOMBSTONE } else { 0 });
-    payload.extend_from_slice(&klen.to_le_bytes());
-    payload.extend_from_slice(key);
-    payload.extend_from_slice(value);
-    frame(payload)
+    let mut frame = frame_buf(13 + key.len() + value.len());
+    frame.extend_from_slice(&version.to_le_bytes());
+    frame.push(if tombstone { FLAG_TOMBSTONE } else { 0 });
+    frame.extend_from_slice(&klen.to_le_bytes());
+    frame.extend_from_slice(key);
+    frame.extend_from_slice(value);
+    sealed(frame)
 }
 
 /// Decode a data-frame payload.
@@ -196,17 +103,16 @@ pub struct HintRecord {
 }
 
 /// Encode one hint record as a complete frame.
-#[must_use]
-pub fn encode_hint(rec: &HintRecord) -> Vec<u8> {
+pub fn encode_hint(rec: &HintRecord) -> Result<Vec<u8>> {
     let klen = u32::try_from(rec.key.len()).expect("key < 4 GiB");
-    let mut payload = Vec::with_capacity(25 + rec.key.len());
-    payload.extend_from_slice(&rec.version.to_le_bytes());
-    payload.push(if rec.tombstone { FLAG_TOMBSTONE } else { 0 });
-    payload.extend_from_slice(&rec.off.to_le_bytes());
-    payload.extend_from_slice(&rec.frame_len.to_le_bytes());
-    payload.extend_from_slice(&klen.to_le_bytes());
-    payload.extend_from_slice(&rec.key);
-    frame(payload)
+    let mut frame = frame_buf(25 + rec.key.len());
+    frame.extend_from_slice(&rec.version.to_le_bytes());
+    frame.push(if rec.tombstone { FLAG_TOMBSTONE } else { 0 });
+    frame.extend_from_slice(&rec.off.to_le_bytes());
+    frame.extend_from_slice(&rec.frame_len.to_le_bytes());
+    frame.extend_from_slice(&klen.to_le_bytes());
+    frame.extend_from_slice(&rec.key);
+    sealed(frame)
 }
 
 /// Decode a hint-frame payload. Errors are advisory — the caller falls
@@ -232,16 +138,16 @@ pub fn decode_hint(payload: &[u8]) -> Result<HintRecord> {
     })
 }
 
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("frame < 4 GiB")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+/// `frame` with its header written; a record too large for one frame
+/// is refused before it reaches a file.
+fn sealed(mut frame: Vec<u8>) -> Result<Vec<u8>> {
+    seal_frame(&mut frame).map_err(|len| {
+        LogError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("a {len}-byte record exceeds the frame limit"),
+        ))
+    })?;
+    Ok(frame)
 }
 
 fn corrupt(seg: u64, off: u64, reason: &str) -> LogError {
@@ -252,75 +158,10 @@ fn corrupt(seg: u64, off: u64, reason: &str) -> LogError {
     }
 }
 
-/// Result of scanning one file's frames.
-#[derive(Debug)]
-pub struct FrameScan<'a> {
-    /// `(offset, payload)` of every complete, checksum-valid frame, in
-    /// file order. Offsets are file offsets (header included).
-    pub frames: Vec<(u64, &'a [u8])>,
-    /// File offset of the first byte of an incomplete final frame, if
-    /// the file ends mid-frame (the signature of a crash mid-append).
-    pub torn_at: Option<u64>,
-    /// Length of the valid prefix (header + complete frames).
-    pub valid_len: u64,
-}
-
-/// Walk the frames of `bytes` (one whole file, *after* its 16-byte
-/// header was validated). `strict` controls what a complete frame with
-/// a bad CRC means: in a data segment it is corruption (error); in a
-/// hint file the whole hint is simply distrusted, which the caller
-/// expresses by treating any error as "rescan the data file".
-pub fn scan_frames(seg: u64, bytes: &[u8]) -> Result<FrameScan<'_>> {
-    let mut frames = Vec::new();
-    let mut off = FILE_HEADER.min(bytes.len());
-    if off < FILE_HEADER {
-        return Ok(FrameScan {
-            frames,
-            torn_at: Some(0),
-            valid_len: 0,
-        });
-    }
-    loop {
-        if off == bytes.len() {
-            return Ok(FrameScan {
-                frames,
-                torn_at: None,
-                valid_len: off as u64,
-            });
-        }
-        if bytes.len() - off < FRAME_HEADER {
-            return Ok(FrameScan {
-                frames,
-                torn_at: Some(off as u64),
-                valid_len: off as u64,
-            });
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4B"));
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4B"));
-        if len > MAX_FRAME {
-            return Err(corrupt(seg, off as u64, "frame length exceeds limit"));
-        }
-        let start = off + FRAME_HEADER;
-        let end = start + len as usize;
-        if end > bytes.len() {
-            return Ok(FrameScan {
-                frames,
-                torn_at: Some(off as u64),
-                valid_len: off as u64,
-            });
-        }
-        let payload = &bytes[start..end];
-        if crc32(payload) != crc {
-            return Err(corrupt(seg, off as u64, "frame CRC mismatch"));
-        }
-        frames.push((off as u64, payload));
-        off = end;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segfile::{check_header, crc32, encode_header, scan, FILE_HEADER};
 
     #[test]
     fn crc_known_vectors() {
@@ -334,11 +175,15 @@ mod tests {
 
     #[test]
     fn data_frame_roundtrip() {
-        let frame = encode_data(42, false, b"key", b"value");
+        let frame = encode_data(42, false, b"key", b"value").unwrap();
         let mut file = encode_header(DATA_MAGIC, 7).to_vec();
         file.extend_from_slice(&frame);
-        assert_eq!(decode_header(DATA_MAGIC, &file).unwrap(), 7);
-        let scan = scan_frames(7, &file).unwrap();
+        let len = file.len() as u64;
+        assert_eq!(
+            check_header(DATA_MAGIC, 7, &file[..16], len, true),
+            Ok(true)
+        );
+        let scan = scan(&file[FILE_HEADER..], FILE_HEADER as u64).unwrap();
         assert_eq!(scan.torn_at, None);
         assert_eq!(scan.frames.len(), 1);
         let rec = decode_data(7, scan.frames[0].0, scan.frames[0].1).unwrap();
@@ -350,7 +195,7 @@ mod tests {
 
     #[test]
     fn tombstone_flag_survives() {
-        let frame = encode_data(9, true, b"gone", b"");
+        let frame = encode_data(9, true, b"gone", b"").unwrap();
         let rec = decode_data(0, 0, &frame[FRAME_HEADER..]).unwrap();
         assert!(rec.tombstone);
         assert!(rec.value.is_empty());
@@ -358,28 +203,24 @@ mod tests {
 
     #[test]
     fn torn_tail_at_every_cut_of_final_frame() {
-        let mut file = encode_header(DATA_MAGIC, 1).to_vec();
-        file.extend_from_slice(&encode_data(1, false, b"a", b"xx"));
-        let second_at = file.len() as u64;
-        file.extend_from_slice(&encode_data(2, false, b"b", b"yy"));
-        for cut in second_at as usize + 1..file.len() {
-            let scan = scan_frames(1, &file[..cut]).unwrap();
+        let mut file = encode_data(1, false, b"a", b"xx").unwrap();
+        let second = file.len();
+        let second_at = (FILE_HEADER + second) as u64;
+        file.extend_from_slice(&encode_data(2, false, b"b", b"yy").unwrap());
+        for cut in second + 1..file.len() {
+            let scan = scan(&file[..cut], FILE_HEADER as u64).unwrap();
             assert_eq!(scan.frames.len(), 1, "cut {cut}");
             assert_eq!(scan.torn_at, Some(second_at));
-            assert_eq!(scan.valid_len, second_at);
+            assert_eq!(scan.end, second_at);
         }
     }
 
     #[test]
     fn complete_frame_with_bad_crc_is_corruption() {
-        let mut file = encode_header(DATA_MAGIC, 1).to_vec();
-        file.extend_from_slice(&encode_data(1, false, b"a", b"xx"));
-        let i = FILE_HEADER + FRAME_HEADER + 2;
-        file[i] ^= 0x10;
-        assert!(matches!(
-            scan_frames(1, &file),
-            Err(LogError::Corrupt { .. })
-        ));
+        let mut frames = encode_data(1, false, b"a", b"xx").unwrap();
+        frames[FRAME_HEADER + 2] ^= 0x10;
+        let fault = scan(&frames, FILE_HEADER as u64).unwrap_err();
+        assert_eq!(fault.off, FILE_HEADER as u64);
     }
 
     #[test]
@@ -391,15 +232,15 @@ mod tests {
             frame_len: 77,
             key: b"some-key".to_vec(),
         };
-        let frame = encode_hint(&rec);
+        let frame = encode_hint(&rec).unwrap();
         let got = decode_hint(&frame[FRAME_HEADER..]).unwrap();
         assert_eq!(got, rec);
     }
 
     #[test]
     fn wrong_magic_rejected() {
-        let file = encode_header(HINT_MAGIC, 3).to_vec();
-        assert!(decode_header(DATA_MAGIC, &file).is_err());
-        assert_eq!(decode_header(HINT_MAGIC, &file).unwrap(), 3);
+        let file = encode_header(HINT_MAGIC, 3);
+        assert!(check_header(DATA_MAGIC, 3, &file, 20, false).is_err());
+        assert_eq!(check_header(HINT_MAGIC, 3, &file, 20, false), Ok(true));
     }
 }

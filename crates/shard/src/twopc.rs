@@ -191,7 +191,7 @@ fn read_records(dir: &Path) -> Result<(Vec<(Lsn, WalRecord)>, u64), WalError> {
     for &(lsn, payload) in &raw.frames {
         records.push((lsn, wal::record::decode(lsn, payload)?));
     }
-    Ok((records, raw.durable_len))
+    Ok((records, raw.end))
 }
 
 /// Rebuild a coordinator's decision table from its log directory:

@@ -10,7 +10,7 @@
 //! exactly what `tests/recovery_props.rs` and `tests/segments.rs` do.
 
 use crate::record::{scan, WalRecord, MAGIC};
-use crate::segments::{read_segments, SEG_HEADER};
+use crate::segments::{read_segments, NAMES, SEG_HEADER};
 use crate::Lsn;
 use std::path::Path;
 
@@ -38,19 +38,15 @@ pub fn read_log(dir: &Path) -> Vec<u8> {
 /// whether its (possibly torn) header made it to disk.
 pub fn cut_segments(src: &Path, dst: &Path, cut: Lsn) -> std::io::Result<()> {
     std::fs::create_dir_all(dst)?;
-    for stale in std::fs::read_dir(dst)? {
-        let stale = stale?.path();
-        if stale.extension().is_some_and(|e| e == "seg") {
-            std::fs::remove_file(stale)?;
-        }
+    for stale in NAMES.list(dst)? {
+        std::fs::remove_file(stale.path)?;
     }
-    for seg in read_segments(src).map_err(std::io::Error::other)?.segments {
-        if seg.base >= cut {
-            continue;
-        }
-        let to = dst.join(seg.path.file_name().expect("segment file name"));
+    for seg in NAMES.list(src)?.into_iter().filter(|s| s.id < cut) {
+        let to = NAMES.path(dst, seg.id);
         std::fs::copy(&seg.path, &to)?;
-        let keep = SEG_HEADER as u64 + (cut - seg.base).min(seg.len);
+        let keep = (cut - seg.id)
+            .saturating_add(SEG_HEADER as u64)
+            .min(seg.len);
         std::fs::OpenOptions::new()
             .write(true)
             .open(&to)?

@@ -1,19 +1,12 @@
-//! Log records and their on-disk framing.
+//! Log records and their encoding.
 //!
 //! The log's virtual byte stream is an 8-byte magic header followed by
-//! a sequence of *frames* (on disk the frames live in segment files,
-//! see [`crate::segments`]):
-//!
-//! ```text
-//! ┌─────────────┬─────────────┬───────────────────┐
-//! │ len: u32 LE │ crc: u32 LE │ payload (len B)   │
-//! └─────────────┴─────────────┴───────────────────┘
-//! ```
-//!
-//! `crc` is the CRC-32 ([`logstore::crc32`]) of the payload. An [`Lsn`]
-//! is simply the byte offset of a frame's first header byte —
-//! monotonic, stable across restarts, and directly usable to truncate
-//! or cut the log.
+//! a sequence of frames, `len u32 | crc u32 | payload`. On disk the
+//! frames live in segment files (see [`crate::segments`]), and
+//! [`logstore::segfile`] owns the frame format, its CRC-32 and its
+//! scan, as it does for the `logstore` files. An [`Lsn`] is simply the
+//! byte offset of a frame's first header byte — monotonic, stable
+//! across restarts, and directly usable to truncate or cut the log.
 //!
 //! The payload is one [`WalRecord`] in the page store's row codec: a
 //! tag byte naming the variant, then its fields in declaration order.
@@ -35,7 +28,8 @@
 //! reported as a hard error rather than silently applied or skipped.
 
 use crate::{Lsn, WalError};
-use logstore::crc32;
+use logstore::segfile::{self, frame_buf, seal_frame};
+pub use logstore::segfile::{FRAME_HEADER, MAX_FRAME};
 use relstore::lock::TxnId;
 use relstore::pagestore::page::{decode_row, encode_row_into};
 use relstore::{
@@ -52,14 +46,6 @@ pub const MAGIC: &[u8; 8] = b"wdocwal1";
 /// A log that starts with one is refused with
 /// [`WalError::UnsupportedFormat`], never misread or deleted.
 pub(crate) const OLD_MAGICS: [&[u8; 8]; 2] = [b"wdocwal0", b"wdocseg0"];
-
-/// Frame header size (`len` + `crc`).
-pub const FRAME_HEADER: usize = 8;
-
-/// Upper bound on a single frame payload; anything larger in a header
-/// is treated as corruption (a torn write cannot invent bytes, so an
-/// absurd length can only come from bit rot).
-pub const MAX_FRAME: u32 = 1 << 30;
 
 /// One logical log record.
 #[derive(Debug, Clone)]
@@ -277,8 +263,7 @@ struct Enc(Vec<u8>);
 
 impl Enc {
     fn new(tag: u8) -> Enc {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&[0; FRAME_HEADER]);
+        let mut buf = frame_buf(56);
         buf.push(tag);
         Enc(buf)
     }
@@ -346,17 +331,10 @@ impl Enc {
 
     fn finish(self) -> Result<Vec<u8>, WalError> {
         let mut frame = self.0;
-        let len = frame.len() - FRAME_HEADER;
-        let len = u32::try_from(len)
-            .ok()
-            .filter(|&l| l <= MAX_FRAME)
-            .ok_or_else(|| WalError::Corrupt {
-                lsn: 0,
-                reason: format!("a {len}-byte record exceeds the frame limit"),
-            })?;
-        let crc = crc32(&frame[FRAME_HEADER..]);
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        seal_frame(&mut frame).map_err(|len| WalError::Corrupt {
+            lsn: 0,
+            reason: format!("a {len}-byte record exceeds the frame limit"),
+        })?;
         Ok(frame)
     }
 }
@@ -634,28 +612,19 @@ pub struct Scan {
 }
 
 /// A checksum-verified but not-yet-decoded log: frame payloads are
-/// borrowed slices. Decoding is the expensive part of a scan, and
-/// recovery only needs it from the last checkpoint on — everything
-/// earlier is superseded by the checkpoint image.
-#[derive(Debug)]
-pub struct RawScan<'a> {
-    /// `(lsn, payload)` of every complete, checksum-valid frame.
-    pub frames: Vec<(Lsn, &'a [u8])>,
-    /// How the stream ended.
-    pub tail: Tail,
-    /// Length of the valid prefix (magic + complete frames).
-    pub durable_len: u64,
-}
+/// borrowed slices, offsets are LSNs, `end` is the length of the valid
+/// prefix. Decoding is the expensive part of a scan, and recovery only
+/// needs it from the last checkpoint on — everything earlier is
+/// superseded by the checkpoint image.
+pub type RawScan<'a> = segfile::Frames<'a>;
 
-impl RawScan<'_> {
-    /// Index into `frames` of the last checkpoint record, if any: the
-    /// payload's tag byte names it, so nothing is decoded.
-    #[must_use]
-    pub fn last_checkpoint(&self) -> Option<usize> {
-        self.frames
-            .iter()
-            .rposition(|(_, payload)| payload.first() == Some(&CHECKPOINT))
-    }
+/// Index into `frames` of the last checkpoint record, if any: the
+/// payload's tag byte names it, so nothing is decoded.
+#[must_use]
+pub fn last_checkpoint(frames: &[(Lsn, &[u8])]) -> Option<usize> {
+    frames
+        .iter()
+        .rposition(|(_, payload)| payload.first() == Some(&CHECKPOINT))
 }
 
 /// Check a stream or segment header's magic: an old format is refused
@@ -688,12 +657,8 @@ pub fn scan_raw(bytes: &[u8]) -> Result<RawScan<'_>, WalError> {
         // A crash before the header finished: an empty log.
         return Ok(RawScan {
             frames: Vec::new(),
-            tail: if bytes.is_empty() {
-                Tail::Clean
-            } else {
-                Tail::Torn { at: 0 }
-            },
-            durable_len: 0,
+            torn_at: (!bytes.is_empty()).then_some(0),
+            end: 0,
         });
     }
     check_magic(0, &bytes[..MAGIC.len()])?;
@@ -707,51 +672,10 @@ pub fn scan_raw(bytes: &[u8]) -> Result<RawScan<'_>, WalError> {
 /// per-file there, not part of the stream). `scan_raw` is the
 /// unpruned special case with `base = MAGIC.len()`.
 pub fn scan_raw_from(bytes: &[u8], base: Lsn) -> Result<RawScan<'_>, WalError> {
-    let mut frames = Vec::new();
-    let mut off = 0usize;
-    loop {
-        if off == bytes.len() {
-            return Ok(RawScan {
-                frames,
-                tail: Tail::Clean,
-                durable_len: base + off as u64,
-            });
-        }
-        let lsn = base + off as Lsn;
-        if bytes.len() - off < FRAME_HEADER {
-            return Ok(RawScan {
-                frames,
-                tail: Tail::Torn { at: lsn },
-                durable_len: lsn,
-            });
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes"));
-        if len > MAX_FRAME {
-            return Err(WalError::Corrupt {
-                lsn,
-                reason: format!("frame length {len} exceeds limit"),
-            });
-        }
-        let start = off + FRAME_HEADER;
-        let end = start.saturating_add(len as usize);
-        if end > bytes.len() {
-            return Ok(RawScan {
-                frames,
-                tail: Tail::Torn { at: lsn },
-                durable_len: lsn,
-            });
-        }
-        let payload = &bytes[start..end];
-        if crc32(payload) != crc {
-            return Err(WalError::Corrupt {
-                lsn,
-                reason: "CRC mismatch".into(),
-            });
-        }
-        frames.push((lsn, payload));
-        off = end;
-    }
+    segfile::scan(bytes, base).map_err(|f| WalError::Corrupt {
+        lsn: f.off,
+        reason: f.reason,
+    })
 }
 
 /// Walk `bytes` (a whole virtual log stream) and decode every frame: [`scan_raw`]
@@ -766,8 +690,8 @@ pub fn scan(bytes: &[u8]) -> Result<Scan, WalError> {
     }
     Ok(Scan {
         records,
-        tail: raw.tail,
-        durable_len: raw.durable_len,
+        tail: raw.torn_at.map_or(Tail::Clean, |at| Tail::Torn { at }),
+        durable_len: raw.end,
     })
 }
 
@@ -831,7 +755,7 @@ mod tests {
         log.extend_from_slice(&encode_frame(&WalRecord::Begin { txn: 1 }).unwrap());
         log.extend_from_slice(&encode_frame(&ckpt).unwrap());
         log.extend_from_slice(&encode_frame(&WalRecord::Commit { txn: 1 }).unwrap());
-        assert_eq!(scan_raw(&log).unwrap().last_checkpoint(), Some(1));
+        assert_eq!(last_checkpoint(&scan_raw(&log).unwrap().frames), Some(1));
     }
 
     #[test]

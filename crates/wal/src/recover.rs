@@ -33,7 +33,7 @@
 //! checksum failure anywhere else is surfaced as
 //! [`WalError::Corrupt`] — a corrupted record is *never* applied.
 
-use crate::record::{decode, scan_raw, RawScan, Tail, WalRecord, MAGIC};
+use crate::record::{decode, last_checkpoint, scan_raw, RawScan, WalRecord, MAGIC};
 use crate::{Lsn, WalError};
 use obs::Registry;
 use relstore::lock::TxnId;
@@ -124,11 +124,8 @@ pub fn recover_scan_any(
     let phase_start = Instant::now();
     let mut report = RecoveryReport {
         records_scanned: scanned.frames.len(),
-        torn_tail: match scanned.tail {
-            Tail::Clean => None,
-            Tail::Torn { at } => Some(at),
-        },
-        durable_len: scanned.durable_len,
+        torn_tail: scanned.torn_at,
+        durable_len: scanned.end,
         ..RecoveryReport::default()
     };
 
@@ -137,7 +134,7 @@ pub fn recover_scan_any(
     // Everything earlier stays checksum-verified but *undecoded*: the
     // checkpoint image supersedes it, which is what keeps recovery time
     // proportional to the checkpoint interval rather than to history.
-    let checkpoint_idx = scanned.last_checkpoint();
+    let checkpoint_idx = last_checkpoint(&scanned.frames);
     if checkpoint_idx.is_none() && base > MAGIC.len() as Lsn {
         return Err(WalError::Corrupt {
             lsn: base,
