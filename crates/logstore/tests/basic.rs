@@ -165,7 +165,6 @@ fn auto_compaction_policy_fires_on_churn() {
         segment_bytes: 512,
         dead_ratio_pct: 30,
         min_sealed_segments: 2,
-        sync_writes: false,
     };
     let store = LogStore::open(&dir, cfg).unwrap();
     for round in 0..60u32 {
