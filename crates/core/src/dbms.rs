@@ -368,10 +368,7 @@ impl WebDocDb {
     pub fn script(&self, name: &ScriptName) -> Result<Script> {
         let pred = Predicate::eq("name", name.as_str());
         self.first_as(Script::TABLE, &pred, Script::from_row)?
-            .ok_or_else(|| CoreError::NotFound {
-                kind: ObjectKind::Script,
-                name: name.to_string(),
-            })
+            .ok_or_else(|| CoreError::not_found(ObjectKind::Script, name))
     }
 
     /// Scripts belonging to one database.
@@ -421,10 +418,7 @@ impl WebDocDb {
         let renamed = match renamed {
             Ok(r) => r,
             Err(relstore::Error::NoSuchRow { .. }) => {
-                return Err(CoreError::NotFound {
-                    kind: ObjectKind::Script,
-                    name: name.to_string(),
-                });
+                return Err(CoreError::not_found(ObjectKind::Script, name));
             }
             Err(e) => return Err(e.into()),
         };
@@ -466,19 +460,7 @@ impl WebDocDb {
         kind: MediaKind,
         data: impl Into<Bytes>,
     ) -> Result<BlobMeta> {
-        let meta = self.blobs.store(kind, data);
-        let res = self.with_txn(|t| {
-            t.insert(
-                Script::RESOURCES,
-                tables::resource_row(name.as_str(), &meta),
-            )
-            .map(|_| ())
-        });
-        if let Err(e) = res {
-            self.blobs.release(meta.id);
-            return Err(e.into());
-        }
-        Ok(meta)
+        self.attach(Script::RESOURCES, name.as_str(), kind, data.into())
     }
 
     /// Detach one multimedia resource from a script: deletes its
@@ -500,10 +482,8 @@ impl WebDocDb {
             Ok(hit.is_some())
         })?;
         if !removed {
-            return Err(CoreError::NotFound {
-                kind: ObjectKind::MultimediaResource,
-                name: format!("{blob} on script {}", name.as_str()),
-            });
+            let name = format!("{blob} on script {}", name.as_str());
+            return Err(CoreError::not_found(ObjectKind::MultimediaResource, name));
         }
         self.blobs.release(id);
         Ok(())
@@ -554,10 +534,7 @@ impl WebDocDb {
     pub fn implementation(&self, url: &StartUrl) -> Result<Implementation> {
         let pred = Predicate::eq("url", url.as_str());
         self.first_as(Implementation::TABLE, &pred, Implementation::from_row)?
-            .ok_or_else(|| CoreError::NotFound {
-                kind: ObjectKind::Implementation,
-                name: url.to_string(),
-            })
+            .ok_or_else(|| CoreError::not_found(ObjectKind::Implementation, url))
     }
 
     /// Every implementation in the database (global testing scope).
@@ -594,15 +571,16 @@ impl WebDocDb {
         kind: MediaKind,
         data: impl Into<Bytes>,
     ) -> Result<BlobMeta> {
+        self.attach(Implementation::RESOURCES, url.as_str(), kind, data.into())
+    }
+
+    /// Store `data` in the BLOB layer, taking a reference, and record
+    /// its descriptor under `owner` in `table`; the reference is
+    /// dropped again if the row cannot be written.
+    fn attach(&self, table: &str, owner: &str, kind: MediaKind, data: Bytes) -> Result<BlobMeta> {
         let meta = self.blobs.store(kind, data);
-        let res = self.with_txn(|t| {
-            t.insert(
-                Implementation::RESOURCES,
-                tables::resource_row(url.as_str(), &meta),
-            )
-            .map(|_| ())
-        });
-        if let Err(e) = res {
+        let row = || tables::resource_row(owner, &meta);
+        if let Err(e) = self.with_txn(|t| t.insert(table, row()).map(|_| ())) {
             self.blobs.release(meta.id);
             return Err(e.into());
         }
@@ -635,10 +613,7 @@ impl WebDocDb {
     pub fn test_record(&self, name: &TestRecordName) -> Result<TestRecord> {
         let pred = Predicate::eq("name", name.as_str());
         self.first_as(TestRecord::TABLE, &pred, TestRecord::from_row)?
-            .ok_or_else(|| CoreError::NotFound {
-                kind: ObjectKind::TestRecord,
-                name: name.to_string(),
-            })
+            .ok_or_else(|| CoreError::not_found(ObjectKind::TestRecord, name))
     }
 
     /// File a bug report against a test record.
@@ -682,10 +657,7 @@ impl WebDocDb {
     pub fn annotation(&self, name: &AnnotationName) -> Result<Annotation> {
         let pred = Predicate::eq("name", name.as_str());
         self.first_as(Annotation::TABLE, &pred, Annotation::from_row)?
-            .ok_or_else(|| CoreError::NotFound {
-                kind: ObjectKind::Annotation,
-                name: name.to_string(),
-            })
+            .ok_or_else(|| CoreError::not_found(ObjectKind::Annotation, name))
     }
 
     /// Annotations over an implementation — "an implementation may have
@@ -706,47 +678,24 @@ impl WebDocDb {
     // ------------------------------------------------------------------
 
     /// Compute the alert set for an update of `(kind, name)`, resolving
-    /// actual children from the live database.
+    /// actual children from the live database: each level of the walk is
+    /// one committed read (none if no question of it reads a row), so
+    /// the set is not read at one cut, nor at the triggering update's.
     pub fn alerts_for(&self, kind: ObjectKind, name: &str) -> Result<Vec<Alert>> {
         let root = ObjectRef::new(kind, name);
         let mut failure: Option<CoreError> = None;
-        let alerts = self.diagram.propagate(&root, |obj, child_kind| {
-            match self.children_of(obj, child_kind) {
-                Ok(names) => names,
-                Err(e) => {
-                    failure.get_or_insert(e);
-                    Vec::new()
-                }
-            }
+        let alerts = self.diagram.propagate(&root, |level| {
+            let answers = if level.iter().any(|&(o, c)| child_rows(o.kind, c).is_some()) {
+                self.with_txn(|t| level.iter().map(|&(o, c)| children_of(t, o, c)).collect())
+            } else {
+                Ok(level.iter().map(|&(o, c)| named_children(o, c)).collect())
+            };
+            answers.unwrap_or_else(|e| {
+                failure.get_or_insert(e.into());
+                vec![Vec::new(); level.len()]
+            })
         });
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(alerts),
-        }
-    }
-
-    /// Names of `obj`'s children of kind `child`: one text column of the
-    /// child rows that reference `obj`, and nothing else of them read.
-    fn children_of(&self, obj: &ObjectRef, child: ObjectKind) -> Result<Vec<String>> {
-        use ObjectKind as K;
-        // (child table, column referencing the parent, column returned)
-        let (table, parent, name) = match (obj.kind, child) {
-            (K::Database, K::Script) => (Script::TABLE, "db", 0),
-            (K::Script, K::Implementation) => (Implementation::TABLE, "script", 0),
-            (K::Script, K::MultimediaResource) => (Script::RESOURCES, "owner", 1),
-            (K::Implementation, K::HtmlFile) => (HtmlFile::TABLE, "url", 1),
-            (K::Implementation, K::ProgramFile) => (ProgramFile::TABLE, "url", 1),
-            (K::Implementation, K::MultimediaResource) => (Implementation::RESOURCES, "owner", 1),
-            (K::Implementation, K::TestRecord) => (TestRecord::TABLE, "url", 0),
-            (K::TestRecord, K::BugReport) => (BugReport::TABLE, "test_record", 0),
-            (K::Implementation, K::Annotation) => (Annotation::TABLE, "url", 0),
-            (K::Annotation, K::AnnotationFile) => return Ok(vec![format!("{}.ann", obj.name)]),
-            _ => return Ok(Vec::new()),
-        };
-        let pred = Predicate::eq(parent, obj.name.as_str());
-        self.select_as(table, &pred, |row| {
-            Ok(tables::text(row, name, "name")?.to_owned())
-        })
+        failure.map_or(Ok(alerts), Err)
     }
 
     // ------------------------------------------------------------------
@@ -795,14 +744,9 @@ impl WebDocDb {
     /// Rebuild a workstation from a backup on the given engine.
     pub fn restore_on(backup: &StationBackup, kind: EngineKind) -> Result<WebDocDb> {
         let rel = AnyEngine::restore(kind, &backup.relational)?;
-        let blobs = BlobStore::new();
-        blobs.import(backup.blobs.iter().cloned());
-        Ok(WebDocDb {
-            store: Box::new(rel),
-            blobs,
-            diagram: IntegrityDiagram::paper_default(),
-            durable: None,
-        })
+        let db = Self::on_backend(Box::new(rel), false)?;
+        db.blobs.import(backup.blobs.iter().cloned());
+        Ok(db)
     }
 
     // ------------------------------------------------------------------
@@ -812,19 +756,8 @@ impl WebDocDb {
     /// Storage breakdown across document and BLOB layers.
     pub fn storage(&self) -> Result<StorageBreakdown> {
         let mut document_bytes = 0u64;
-        for table in [
-            "wdoc_database",
-            Script::TABLE,
-            Implementation::TABLE,
-            TestRecord::TABLE,
-            BugReport::TABLE,
-            Annotation::TABLE,
-            HtmlFile::TABLE,
-            ProgramFile::TABLE,
-            Script::RESOURCES,
-            Implementation::RESOURCES,
-        ] {
-            document_bytes += self.store.heap_bytes(table)? as u64;
+        for schema in Self::station_schemas() {
+            document_bytes += self.store.heap_bytes(&schema.name)? as u64;
         }
         let blob = self.blobs.stats();
         Ok(StorageBreakdown {
@@ -851,4 +784,46 @@ fn first_with<T>(
         Ok(())
     })?;
     Ok(first)
+}
+
+/// Where the children of kind `kind` of an `of` object are rows:
+/// (child table, column referencing the parent, column returned).
+fn child_rows(of: ObjectKind, kind: ObjectKind) -> Option<(&'static str, &'static str, usize)> {
+    use ObjectKind as K;
+    Some(match (of, kind) {
+        (K::Database, K::Script) => (Script::TABLE, "db", 0),
+        (K::Script, K::Implementation) => (Implementation::TABLE, "script", 0),
+        (K::Script, K::MultimediaResource) => (Script::RESOURCES, "owner", 1),
+        (K::Implementation, K::HtmlFile) => (HtmlFile::TABLE, "url", 1),
+        (K::Implementation, K::ProgramFile) => (ProgramFile::TABLE, "url", 1),
+        (K::Implementation, K::MultimediaResource) => (Implementation::RESOURCES, "owner", 1),
+        (K::Implementation, K::TestRecord) => (TestRecord::TABLE, "url", 0),
+        (K::TestRecord, K::BugReport) => (BugReport::TABLE, "test_record", 0),
+        (K::Implementation, K::Annotation) => (Annotation::TABLE, "url", 0),
+        _ => return None,
+    })
+}
+
+/// Names of `of`'s children of kind `kind`, read in `t`: one text
+/// column of the child rows that reference `of`, and nothing else of
+/// them read.
+fn children_of(t: &dyn DocTxn, of: &ObjectRef, kind: ObjectKind) -> relstore::Result<Vec<String>> {
+    let Some((table, parent, name)) = child_rows(of.kind, kind) else {
+        return Ok(named_children(of, kind));
+    };
+    let (pred, mut out) = (Predicate::eq(parent, of.name.as_str()), Vec::new());
+    t.select_with(table, &pred, &mut |_, row| {
+        out.push(tables::text(row, name, "name")?.to_owned());
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// `obj`'s children of kind `child` that are not rows: an annotation's
+/// file, named after it.
+fn named_children(obj: &ObjectRef, child: ObjectKind) -> Vec<String> {
+    match (obj.kind, child) {
+        (ObjectKind::Annotation, ObjectKind::AnnotationFile) => vec![format!("{}.ann", obj.name)],
+        _ => Vec::new(),
+    }
 }

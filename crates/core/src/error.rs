@@ -68,6 +68,14 @@ impl From<wal::WalError> for CoreError {
     }
 }
 
+impl CoreError {
+    /// A [`CoreError::NotFound`] for the `kind` object named `name`.
+    pub(crate) fn not_found(kind: ObjectKind, name: impl fmt::Display) -> Self {
+        let name = name.to_string();
+        CoreError::NotFound { kind, name }
+    }
+}
+
 /// Result alias for the core crate.
 pub type Result<T> = std::result::Result<T, CoreError>;
 

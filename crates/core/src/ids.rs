@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! name_id {
-    ($(#[$doc:meta])* $name:ident) => {
+    ($($(#[$doc:meta])* $name:ident)*) => {$(
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
         pub struct $name(pub String);
@@ -43,38 +43,24 @@ macro_rules! name_id {
                 $name(s)
             }
         }
-    };
+    )*};
 }
 
 name_id! {
     /// Unique name of a Web document database (database layer).
     DbName
-}
-name_id! {
     /// Unique name of a document script — the specification object.
     ScriptName
-}
-name_id! {
     /// Unique starting URL of an implementation.
     StartUrl
-}
-name_id! {
     /// Unique name of a test record.
     TestRecordName
-}
-name_id! {
     /// Unique name of a bug report.
     BugReportName
-}
-name_id! {
     /// Unique name of an annotation.
     AnnotationName
-}
-name_id! {
     /// A user of the system (instructor, student or administrator).
     UserId
-}
-name_id! {
     /// A course number/title used by the virtual library.
     CourseId
 }

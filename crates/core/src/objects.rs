@@ -139,20 +139,28 @@ impl ObjectManager {
     ) -> Result<&DocumentInstance> {
         let name = name.into();
         self.ensure_fresh(&name)?;
-        let blobs: Vec<BlobMeta> = payloads
+        Ok(self.install(name, structure, payloads))
+    }
+
+    /// Store `payloads` and file a classless instance under `name`.
+    fn install(
+        &mut self,
+        name: String,
+        structure: Sci,
+        payloads: Vec<(MediaKind, Bytes)>,
+    ) -> &DocumentInstance {
+        let blobs = payloads
             .into_iter()
             .map(|(kind, data)| self.store.store(kind, data))
             .collect();
-        self.instances.insert(
-            name.clone(),
-            DocumentInstance {
-                name: name.clone(),
-                structure,
-                blobs,
-                class: None,
-            },
-        );
-        Ok(&self.instances[&name])
+        let instance = DocumentInstance {
+            name: name.clone(),
+            structure,
+            blobs,
+            class: None,
+        };
+        self.instances.insert(name.clone(), instance);
+        &self.instances[&name]
     }
 
     /// Declare a class from an existing instance. The class takes
@@ -268,20 +276,7 @@ impl ObjectManager {
                 "no reference `{name}` to promote"
             )));
         }
-        let blobs: Vec<BlobMeta> = payloads
-            .into_iter()
-            .map(|(kind, data)| self.store.store(kind, data))
-            .collect();
-        self.instances.insert(
-            name.to_owned(),
-            DocumentInstance {
-                name: name.to_owned(),
-                structure,
-                blobs,
-                class: None,
-            },
-        );
-        Ok(&self.instances[name])
+        Ok(self.install(name.to_owned(), structure, payloads))
     }
 
     /// The form under which `name` is present here, if any.

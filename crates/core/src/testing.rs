@@ -65,10 +65,7 @@ pub fn black_box_test(
     let imp = db.implementation(url)?;
     let html = db.html_files(url)?;
     if html.is_empty() {
-        return Err(CoreError::NotFound {
-            kind: ObjectKind::HtmlFile,
-            name: url.to_string(),
-        });
+        return Err(CoreError::not_found(ObjectKind::HtmlFile, url));
     }
     let graph = PageGraph::build(&html);
     let start = start_page(&graph)?;
@@ -146,10 +143,7 @@ pub fn white_box_test(
     let imp = db.implementation(url)?;
     let html = db.html_files(url)?;
     if html.is_empty() {
-        return Err(CoreError::NotFound {
-            kind: ObjectKind::HtmlFile,
-            name: url.to_string(),
-        });
+        return Err(CoreError::not_found(ObjectKind::HtmlFile, url));
     }
     let programs = db.program_files(url)?;
     let resources = db.implementation_resources(url)?;

@@ -23,6 +23,13 @@ fn arb_tree(n: usize) -> impl Strategy<Value = DocTree> {
     })
 }
 
+/// A level resolver that answers each question with `f`.
+fn each(
+    mut f: impl FnMut(&ObjectRef, ObjectKind) -> Vec<String>,
+) -> impl FnMut(&[(&ObjectRef, ObjectKind)]) -> Vec<Vec<String>> {
+    move |level| level.iter().map(|&(obj, kind)| f(obj, kind)).collect()
+}
+
 proptest! {
     /// The grant-time invariant of the paper's table: a lock is granted
     /// only if it is compatible with every *earlier* lock of another
@@ -162,7 +169,7 @@ proptest! {
     fn propagation_unique_and_layered(impls in 1usize..5, html in 1usize..5, tests in 0usize..4) {
         let d = IntegrityDiagram::paper_default();
         let root = ObjectRef::new(ObjectKind::Script, "s");
-        let alerts = d.propagate(&root, |obj, kind| match (obj.kind, kind) {
+        let alerts = d.propagate(&root, each(|obj, kind| match (obj.kind, kind) {
             (ObjectKind::Script, ObjectKind::Implementation) => {
                 (0..impls).map(|i| format!("i{i}")).collect()
             }
@@ -174,7 +181,7 @@ proptest! {
                 (0..tests).map(|i| format!("{}-t{i}", obj.name)).collect()
             }
             _ => vec![],
-        });
+        }));
         let mut seen = std::collections::BTreeSet::new();
         for a in &alerts {
             prop_assert!(seen.insert(a.target.clone()), "duplicate alert");

@@ -9,9 +9,9 @@ use relstore::{AnyEngine, EngineKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use wdoc_core::dbms::{DatabaseInfo, WebDocDb};
-use wdoc_core::ids::{DbName, ScriptName, StartUrl, UserId};
+use wdoc_core::ids::{DbName, ScriptName, StartUrl, TestRecordName, UserId};
 use wdoc_core::tables::implementation::ProgramLang;
-use wdoc_core::tables::{HtmlFile, Implementation, ProgramFile, Script};
+use wdoc_core::tables::{HtmlFile, Implementation, ProgramFile, Script, TestRecord, TestScope};
 use wdoc_core::ObjectKind;
 
 struct Counting;
@@ -134,8 +134,8 @@ fn typed_reads_allocate_once_per_returned_field() {
     let name = ScriptName::new("s00021");
     let url = StartUrl::new("http://mmu/s00021/start.html");
     for (kind, most) in [
-        (EngineKind::TwoPl, [16, 140, 10, 13, 70, 103]),
-        (EngineKind::Mvcc, [14, 138, 8, 11, 56, 108]),
+        (EngineKind::TwoPl, [16, 140, 10, 13, 64, 97]),
+        (EngineKind::Mvcc, [14, 138, 8, 11, 54, 106]),
     ] {
         let db = station(kind);
         assert_eq!(
@@ -155,6 +155,47 @@ fn typed_reads_allocate_once_per_returned_field() {
         assert!(
             counts.iter().zip(most).all(|(n, most)| *n <= most),
             "{kind}: {counts:?}, at most {most:?}"
+        );
+    }
+}
+
+/// `alerts_for` of a script whose implementation has 20 test records:
+/// per alert at most six allocations — the alert's three strings (a
+/// copy of its source's name, its target's name read from the row, its
+/// message) and, for a test record, the read that asks for its bug
+/// reports — over a fixed base for the walk's levels, its alert list
+/// and visited set, and the script's other two alerts.
+#[test]
+fn alert_walk_allocates_a_constant_per_alert() {
+    const PER_ALERT: u64 = 6;
+    const BASE: u64 = 49;
+    for kind in [EngineKind::TwoPl, EngineKind::Mvcc] {
+        let db = station(kind);
+        let name = ScriptName::new("s00022");
+        let url = StartUrl::new("http://mmu/s00022/start.html");
+        for i in 0..20 {
+            db.add_test_record(&TestRecord {
+                name: TestRecordName::new(format!("s00022-t{i:02}")),
+                scope: TestScope::Local,
+                messages: vec![],
+                script: name.clone(),
+                url: Some(url.clone()),
+                created: 3_000 + i,
+            })
+            .unwrap();
+        }
+        let alerts = db.alerts_for(ObjectKind::Script, name.as_str()).unwrap();
+        assert_eq!(
+            alerts.len(),
+            22,
+            "implementation, HTML file, 20 test records"
+        );
+        let n = allocations(|| db.alerts_for(ObjectKind::Script, name.as_str()).unwrap());
+        let most = BASE + PER_ALERT * alerts.len() as u64;
+        assert!(
+            n <= most,
+            "{kind}: {n} allocations for {} alerts, at most {most}",
+            alerts.len()
         );
     }
 }

@@ -312,18 +312,13 @@ fn a_failed_merge_leaves_no_output_to_resurrect_a_key() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Best of five opens of `dir` with no hints (every byte is scanned),
-/// by the opening thread's own run time, with what the open found.
+/// One open of `dir` with no hints (every byte is scanned), by the
+/// opening thread's own run time, with what the open found.
 fn open_time(dir: &Path) -> (Duration, LogStats) {
-    let mut best = Duration::MAX;
-    let mut stats = LogStats::default();
-    for _ in 0..5 {
-        let (store, ran) = obs::time_on_cpu(|| LogStore::open(dir, cfg()).unwrap());
-        stats = store.stats();
-        assert_eq!(stats.hints_loaded, 0);
-        best = best.min(ran);
-    }
-    (best, stats)
+    let (store, ran) = obs::time_on_cpu(|| LogStore::open(dir, cfg()).unwrap());
+    let stats = store.stats();
+    assert_eq!(stats.hints_loaded, 0);
+    (ran, stats)
 }
 
 #[test]
@@ -343,7 +338,14 @@ fn opening_is_linear_in_the_scanned_bytes() {
         dir
     };
     let (n, two_n) = (make(20_000), make(40_000));
-    let ((t1, s1), (t2, s2)) = (open_time(&n), open_time(&two_n));
+    // Five opens of each, the n and 2n samples alternating, so a slow
+    // stretch of the host (a build beside the tests) lands on both
+    // sizes; the minimum of each is kept.
+    let ((mut t1, s1), (mut t2, s2)) = (open_time(&n), open_time(&two_n));
+    for _ in 1..5 {
+        t1 = t1.min(open_time(&n).0);
+        t2 = t2.min(open_time(&two_n).0);
+    }
     // Twice the records and twice the frame bytes over the same
     // segments: the input doubled exactly.
     assert_eq!(s1.segments_scanned, s2.segments_scanned);

@@ -189,13 +189,9 @@ fn forged_counts_are_refused_without_allocating() {
     }
 }
 
-/// Best of nine decodes of `payload`, by the decoding thread's own
-/// run time.
+/// One decode of `payload`, by the decoding thread's own run time.
 fn decode_time(payload: &[u8]) -> Duration {
-    (0..9)
-        .map(|_| obs::time_on_cpu(|| decode(8, payload).unwrap()).1)
-        .min()
-        .unwrap()
+    obs::time_on_cpu(|| decode(8, payload).unwrap()).1
 }
 
 #[test]
@@ -232,7 +228,14 @@ fn decoding_is_linear_in_the_payload() {
         (checkpoint(4_000), checkpoint(8_000)),
         (wide(400), wide(800)),
     ] {
-        let (t1, t2) = (decode_time(&n), decode_time(&two_n));
+        // Nine decodes of each, the n and 2n samples alternating, so a
+        // slow stretch of the host (a build beside the tests) lands on
+        // both sizes; the minimum of each is kept.
+        let (mut t1, mut t2) = (Duration::MAX, Duration::MAX);
+        for _ in 0..9 {
+            t1 = t1.min(decode_time(&n));
+            t2 = t2.min(decode_time(&two_n));
+        }
         assert!(
             t2 < t1 * 3,
             "{} B took {t2:?}, {} B took {t1:?}",
