@@ -23,7 +23,7 @@ use crate::schema::{ForeignKey, TableSchema};
 use crate::slots::{OwnLine, Slots};
 use crate::table::{Row, RowId, Table};
 use crate::value::{Key, Value};
-use crate::wal::{RowOp, WalSink};
+use crate::wal::{Prepared, RowOp, WalSink};
 use obs::{Counter, HistogramHandle, Registry};
 use parking_lot::{Mutex, RwLock};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -818,25 +818,37 @@ impl Txn {
         Ok(n)
     }
 
-    /// Commit: force the WAL (write-ahead rule: records durable before
-    /// any lock is released), then release all locks and discard the
-    /// undo log. A WAL flush failure turns the commit into a rollback.
+    /// Commit: [`Txn::prepare`], force the commit record (write-ahead
+    /// rule: records durable before any lock is released), then
+    /// [`Txn::publish`]. A WAL flush failure turns the commit into a
+    /// rollback.
     pub fn commit(self) -> Result<()> {
-        let logged = {
-            let st = self.state.lock();
-            if st.closed {
-                return Err(Error::TxnClosed);
-            }
-            st.logged
-        };
-        if logged {
-            if let Some(sink) = self.db.sink() {
-                if let Err(e) = sink.on_commit(self.id) {
-                    self.rollback_inner();
-                    return Err(e);
-                }
-            }
+        let prepared = self.prepare()?;
+        if let Err(e) = prepared.log_commit(self.id) {
+            self.abort(prepared);
+            return Err(e);
         }
+        self.publish(prepared);
+        Ok(())
+    }
+
+    /// First half of commit. Nothing to validate or log under strict
+    /// 2PL: every op was logged as it ran, under the locks it holds.
+    pub fn prepare(&self) -> Result<Prepared<'_>> {
+        let st = self.state.lock();
+        if st.closed {
+            return Err(Error::TxnClosed);
+        }
+        Ok(Prepared {
+            sink: st.logged.then(|| self.db.sink()).flatten(),
+            fence: None,
+        })
+    }
+
+    /// Second half of commit, once the commit record is durable:
+    /// discard the undo log and release every lock.
+    pub fn publish(&self, prepared: Prepared<'_>) {
+        drop(prepared);
         {
             let mut st = self.state.lock();
             st.closed = true;
@@ -848,7 +860,12 @@ impl Txn {
         let m = &self.db.txn_metrics;
         m.commits.inc();
         m.commit_us.observe(self.born.elapsed().as_micros() as u64);
-        Ok(())
+    }
+
+    /// Give up a prepared transaction: roll it back.
+    pub fn abort(&self, prepared: Prepared<'_>) {
+        self.rollback_inner();
+        drop(prepared);
     }
 
     /// Roll back explicitly (dropping the handle does the same).

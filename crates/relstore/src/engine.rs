@@ -47,7 +47,7 @@ use crate::schema::TableSchema;
 use crate::snapshot::Snapshot;
 use crate::table::{Row, RowId};
 use crate::value::Value;
-use crate::wal::WalSink;
+use crate::wal::{Prepared, WalSink};
 use obs::Registry;
 use std::sync::Arc;
 
@@ -555,6 +555,22 @@ impl AnyTxn {
             AnyTxn::TwoPl(t) => t.commit(),
             AnyTxn::Mvcc(t) => t.commit(),
         }
+    }
+
+    /// First half of commit (see [`crate::wal`]): validate and bring
+    /// the transaction's records into the log, publishing nothing.
+    pub fn prepare(&self) -> Result<Prepared<'_>> {
+        both!(self, t => t.prepare())
+    }
+
+    /// Second half of commit, once the commit record is durable.
+    pub fn publish(&self, prepared: Prepared<'_>) {
+        both!(self, t => t.publish(prepared));
+    }
+
+    /// Roll back a prepared transaction.
+    pub fn abort(&self, prepared: Prepared<'_>) {
+        both!(self, t => t.abort(prepared));
     }
 
     /// Roll back explicitly (dropping the handle does the same).

@@ -84,4 +84,4 @@ pub use schema::{ColumnDef, FkAction, ForeignKey, IndexDef, TableSchema};
 pub use snapshot::{Snapshot, TableSnapshot};
 pub use table::{Row, RowId, Table};
 pub use value::{ColumnType, Key, Value};
-pub use wal::{RowOp, WalSink};
+pub use wal::{Prepared, RowOp, WalSink};

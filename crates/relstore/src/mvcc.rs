@@ -68,7 +68,7 @@ use crate::schema::{ForeignKey, IndexDef, TableSchema, PRIMARY_INDEX};
 use crate::snapshot::{Snapshot, TableSnapshot};
 use crate::table::{Index, Row, RowId};
 use crate::value::{Key, Value};
-use crate::wal::{RowOp, WalSink};
+use crate::wal::{Prepared, RowOp, WalSink};
 use obs::{Counter, Registry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -771,6 +771,9 @@ struct MvccTxnState {
     /// Buffered mutations in execution order, appended to the WAL and
     /// applied to the version store at commit.
     log: Vec<LoggedOp>,
+    /// Whether `prepare` began appending `log` to the WAL sink (a
+    /// rollback from then on logs its abort).
+    logged: bool,
     /// Reused by every scan of the transaction.
     bufs: ScanBufs,
 }
@@ -1132,12 +1135,27 @@ impl MvccTxn {
         Ok(n)
     }
 
-    /// Commit: validate first-committer-wins under the commit fence,
-    /// append the buffered ops + commit record to the WAL (write-ahead
-    /// rule: durable before the versions publish), then install the new
-    /// versions at a fresh commit timestamp. Read-only transactions
-    /// commit without touching the fence, the clock, or the log.
+    /// Commit: [`MvccTxn::prepare`], force the commit record
+    /// (write-ahead rule: durable before the versions publish), then
+    /// [`MvccTxn::publish`]. Read-only transactions commit without
+    /// touching the fence, the clock, or the log.
     pub fn commit(self) -> Result<()> {
+        let prepared = self.prepare()?;
+        if let Err(e) = prepared.log_commit(self.id) {
+            self.abort(prepared);
+            return Err(e);
+        }
+        self.publish(prepared);
+        Ok(())
+    }
+
+    /// First half of commit: take the commit fence, validate
+    /// first-committer-wins, and append the buffered ops to the WAL
+    /// with no commit record. The fence stays held until
+    /// [`MvccTxn::publish`] or [`MvccTxn::abort`], so no other commit
+    /// of this engine can log or publish in between. A transaction that
+    /// fails here is rolled back.
+    pub fn prepare(&self) -> Result<Prepared<'_>> {
         let has_writes = {
             let st = self.state.lock();
             if st.closed {
@@ -1146,9 +1164,7 @@ impl MvccTxn {
             !st.log.is_empty()
         };
         if !has_writes {
-            self.close_and_release();
-            self.note_commit();
-            return Ok(());
+            return Ok(Prepared::default());
         }
         let fence = self.db.commit_lock.lock();
         if let Err(e) = self.validate() {
@@ -1157,12 +1173,29 @@ impl MvccTxn {
             self.rollback_inner();
             return Err(e);
         }
-        if let Some(sink) = self.db.sink() {
-            if let Err(e) = self.append_to_wal(&sink) {
-                drop(fence);
+        let sink = self.db.sink();
+        if let Some(sink) = &sink {
+            if let Err(e) = self.append_to_wal(sink) {
+                // Still under the fence: the abort lands before any
+                // later committer's records.
                 self.rollback_inner();
                 return Err(e);
             }
+        }
+        Ok(Prepared {
+            sink,
+            fence: Some(fence),
+        })
+    }
+
+    /// Second half of commit, once the commit record is durable:
+    /// install the new versions at a fresh commit timestamp, then drop
+    /// the fence.
+    pub fn publish(&self, prepared: Prepared<'_>) {
+        if prepared.fence.is_none() {
+            self.close_and_release();
+            self.note_commit();
+            return;
         }
         // Install at `clock + 1` first and publish the clock after: a
         // snapshot taken mid-install must not cover versions that are
@@ -1194,20 +1227,20 @@ impl MvccTxn {
         };
         self.db.clock.store(ts, Ordering::SeqCst);
         self.db.versions.fetch_add(added, Ordering::Relaxed);
-        {
-            let mut st = self.state.lock();
-            st.closed = true;
-            st.local.clear();
-            st.log.clear();
-        }
-        self.db.release_snapshot(self.snap);
-        drop(fence);
+        self.close_and_release();
+        drop(prepared);
         self.note_commit();
         self.db.publish_versions_gauge();
         if (self.db.commits.fetch_add(1, Ordering::Relaxed) + 1) % GC_EVERY == 0 {
             self.db.gc();
         }
-        Ok(())
+    }
+
+    /// Give up a prepared transaction: roll it back (logging its abort
+    /// when its ops reached the log), then drop the fence.
+    pub fn abort(&self, prepared: Prepared<'_>) {
+        self.rollback_inner();
+        drop(prepared);
     }
 
     /// First-committer-wins validation, under the commit fence:
@@ -1264,10 +1297,12 @@ impl MvccTxn {
         Ok(())
     }
 
-    /// Append the buffered ops and the commit record. Called under the
-    /// commit fence, so this transaction's records land contiguously.
+    /// Append the buffered ops, without the commit record. Called under
+    /// the commit fence, so this transaction's records land
+    /// contiguously.
     fn append_to_wal(&self, sink: &Arc<dyn WalSink>) -> Result<()> {
-        let st = self.state.lock();
+        let mut st = self.state.lock();
+        st.logged = true;
         for op in &st.log {
             let view = match op {
                 LoggedOp::Insert { table, id, after } => RowOp::Insert {
@@ -1294,7 +1329,7 @@ impl MvccTxn {
             };
             sink.on_op(self.id, view)?;
         }
-        sink.on_commit(self.id)
+        Ok(())
     }
 
     fn close_and_release(&self) {
@@ -1308,14 +1343,21 @@ impl MvccTxn {
 
     /// Roll back explicitly (dropping the handle does the same):
     /// buffered writes are simply discarded — nothing reached the
-    /// version store or the WAL.
+    /// version store, and the WAL only if `prepare` logged them.
     pub fn rollback(self) {
         self.rollback_inner();
     }
 
     fn rollback_inner(&self) {
-        if self.state.lock().closed {
-            return;
+        let logged = {
+            let st = self.state.lock();
+            if st.closed {
+                return;
+            }
+            st.logged
+        };
+        if let Some(sink) = logged.then(|| self.db.sink()).flatten() {
+            sink.on_abort(self.id);
         }
         self.close_and_release();
         let m = &self.db.txn_metrics;

@@ -26,10 +26,24 @@
 //!   the transaction's records. It must not fail.
 //! * [`WalSink::on_create_table`] is called for successful DDL, which
 //!   is auto-committed and should be made durable immediately.
+//!
+//! ## Commit in two halves
+//!
+//! Both engines commit in two halves with the log write between them:
+//! `prepare` validates and brings the transaction's records into the
+//! log (MVCC logs its buffered ops here, under its commit fence; 2PL
+//! has logged every op as it ran), the commit record is written, and
+//! `publish` makes the effects visible (MVCC installs its versions and
+//! drops the fence; 2PL releases its locks). A single engine's
+//! `commit` is exactly prepare → [`Prepared::log_commit`] → publish; a
+//! caller that commits several transactions as one unit prepares them
+//! all, logs one commit record naming them, then publishes them all.
 
 use crate::lock::TxnId;
 use crate::schema::TableSchema;
 use crate::table::{Row, RowId};
+use parking_lot::MutexGuard;
+use std::sync::Arc;
 
 /// One logical row mutation, with the images recovery needs.
 ///
@@ -103,4 +117,34 @@ pub trait WalSink: Send + Sync {
 
     /// A table was created (auto-committed DDL).
     fn on_create_table(&self, schema: &TableSchema) -> crate::error::Result<()>;
+}
+
+/// A transaction between the two halves of its commit (see the module
+/// docs): validated, its records in the log, nothing published. Hand it
+/// back to the same transaction's `publish` or `abort`.
+#[derive(Default)]
+pub struct Prepared<'a> {
+    /// The sink that holds this transaction's records, when it logged
+    /// any: its commit record is still owed.
+    pub(crate) sink: Option<Arc<dyn WalSink>>,
+    /// MVCC's commit fence, held from validation until publish or
+    /// abort, so no other commit of the engine runs in between.
+    pub(crate) fence: Option<MutexGuard<'a, ()>>,
+}
+
+impl Prepared<'_> {
+    /// Whether the transaction has log records, so a commit record
+    /// must follow before it publishes.
+    #[must_use]
+    pub fn logged(&self) -> bool {
+        self.sink.is_some()
+    }
+
+    /// Write transaction `txn`'s own commit record and wait until it is
+    /// durable; nothing to do when it logged nothing.
+    pub fn log_commit(&self, txn: TxnId) -> crate::error::Result<()> {
+        self.sink
+            .as_ref()
+            .map_or(Ok(()), |sink| sink.on_commit(txn))
+    }
 }
