@@ -14,4 +14,19 @@
 //! two traits. The contract every implementor must honour is
 //! `relstore::testkit::backend_contract`.
 
+//!
+//! A durable station on a backend of several engines hands
+//! [`WebDocDb::on_durable_backend`](crate::dbms::WebDocDb::on_durable_backend)
+//! a [`DurableBackend`]: the engines and the one station log they all
+//! write, which the facade checkpoints as it does a single engine's.
+
+use relstore::AnyEngine;
 pub use relstore::{DocBackend, DocTxn};
+use std::sync::Arc;
+
+/// A [`DocBackend`] whose engines share one station write-ahead log.
+pub trait DurableBackend: DocBackend {
+    /// The station log and the engines that write it, in shard order;
+    /// `None` when the backend runs in memory.
+    fn station_log(&self) -> Option<(&Arc<wal::Wal>, &[AnyEngine])>;
+}

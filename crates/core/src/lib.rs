@@ -80,7 +80,7 @@ pub mod tables;
 pub mod testing;
 pub mod tier;
 
-pub use backend::{DocBackend, DocTxn};
+pub use backend::{DocBackend, DocTxn, DurableBackend};
 pub use complexity::{ComplexityReport, PageGraph};
 pub use dbms::{DatabaseInfo, StationBackup, StorageBreakdown, WebDocDb};
 pub use error::{CoreError, Result};

@@ -1,7 +1,7 @@
 //! Durable station lifecycle: open → author → crash → reopen →
 //! checkpoint → reopen, through the typed `WebDocDb` API, on the one
 //! on-disk layout — unsharded (`wal.d/ blobs.d/`) and 3-shard
-//! (`shard-<i>.wal.d/ blobs.d/`), on both storage engines.
+//! (one `wal.d/` beside `blobs.d/`), on both storage engines.
 
 use blobstore::MediaKind;
 use relstore::EngineKind;
@@ -143,7 +143,7 @@ fn lifecycle(shards: u32, kind: EngineKind) {
     );
 
     let before = wal_dir_bytes(&dir);
-    assert_eq!(before.len(), shards as usize, "one log directory per shard");
+    assert_eq!(before.len(), 1, "one log directory per station");
     db.checkpoint().unwrap();
     let after = wal_dir_bytes(&dir);
     for ((name, before), (_, after)) in before.iter().zip(&after) {
@@ -166,19 +166,8 @@ fn lifecycle(shards: u32, kind: EngineKind) {
     assert!(dir.join("blobs.d").is_dir(), "blob log directory");
     assert!(!dir.join("blobs.json").exists(), "no JSON BLOB snapshot");
     let log_dirs: Vec<String> = after.into_iter().map(|(name, _)| name).collect();
-    if shards == 1 {
-        assert_eq!(log_dirs, ["wal.d"]);
-        assert!(db.wal().is_some());
-    } else {
-        assert_eq!(
-            log_dirs,
-            ["shard-0.wal.d", "shard-1.wal.d", "shard-2.wal.d"]
-        );
-        assert!(
-            db.wal().is_none(),
-            "a sharded station owns one log per shard"
-        );
-    }
+    assert_eq!(log_dirs, ["wal.d"], "one log per station, sharded or not");
+    assert!(db.wal().is_some());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -10,19 +10,17 @@
 //!   against the owning shard (single-shard fast path) or spans shards
 //!   with a distributed transaction, preserving single-engine
 //!   semantics exactly (proved by the sharded-vs-unsharded
-//!   differential tapes);
-//! * [`twopc`] — presumed-abort two-phase commit whose coordinator and
-//!   participant states are durable `wal` frames, recovered through
-//!   the ordinary analysis/redo/undo machinery;
+//!   differential tapes). A durable router's shards share the
+//!   station's one write-ahead log: a cross-shard commit is one joint
+//!   commit frame, so recovery sees it whole or not at all, with no
+//!   commit protocol;
 //! * [`wdoc`] — routing specs for the paper's document tables and a
 //!   sharded storage backend over them.
 
 pub mod map;
 pub mod router;
-pub mod twopc;
 pub mod wdoc;
 
 pub use map::{hash_bytes, ShardMap};
-pub use router::{CommitStage, DistTxn, Router, RoutingSpec, ShardNode, TableRoute};
-pub use twopc::{Coordinator, Decision, Gtid, InDoubt};
+pub use router::{DistTxn, Router, RoutingSpec, TableRoute};
 pub use wdoc::{routing_spec_for, ShardedBackend};

@@ -8,7 +8,8 @@
 //! * an **append-only binary log** ([`record`]) — length + CRC-32
 //!   framed records with byte-offset LSNs, payloads in the page store's
 //!   row codec: begin/commit/abort, insert/update/delete with
-//!   before+after images, DDL, checkpoints, 2PC frames;
+//!   before+after images, DDL, checkpoints, and the shard prefix and
+//!   joint commit that let several engines share one log;
 //! * **group commit** ([`log`]) — concurrent committers share one
 //!   write + fsync per batch instead of paying one each;
 //! * **segments** ([`segments`]) — the log is a directory of rotating
@@ -65,12 +66,12 @@ pub mod segments;
 
 pub use crate::log::{Wal, WalOptions, WalStats};
 pub use crate::record::{scan, Scan, Tail, WalRecord};
-pub use crate::recover::{recover_bytes_any, recover_scan_any, RecoveryReport};
+pub use crate::recover::{recover_bytes_any, recover_scan_any, recover_shards, RecoveryReport};
 /// The frame checksum: CRC-32 (IEEE 802.3, reflected, zlib/PNG), shared
 /// with every framed segment file.
 pub use logstore::crc32;
 
-use relstore::AnyEngine;
+use relstore::{AnyEngine, PoolConfig};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -101,6 +102,13 @@ pub enum WalError {
         /// The magic found.
         magic: String,
     },
+    /// The directory holds a log in an earlier on-disk layout (one
+    /// `shard-<i>.wal.d` log per shard, before a station kept one log);
+    /// it is refused, never rewritten or deleted.
+    UnsupportedLayout {
+        /// The old log directory found.
+        path: std::path::PathBuf,
+    },
     /// The storage engine refused a recovery operation.
     Store(relstore::Error),
     /// A previous I/O failure left the log tail unknown; the handle
@@ -119,6 +127,11 @@ impl std::fmt::Display for WalError {
                 f,
                 "log at LSN {lsn} is in the unsupported format {magic}; this build reads {}",
                 String::from_utf8_lossy(record::MAGIC)
+            ),
+            WalError::UnsupportedLayout { path } => write!(
+                f,
+                "{} is a per-shard log of an earlier layout; this build keeps one log per station in wal.d",
+                path.display()
             ),
             WalError::Store(e) => write!(f, "storage engine: {e}"),
             WalError::Poisoned => write!(f, "log poisoned by an earlier I/O failure"),
@@ -175,11 +188,35 @@ pub fn open_durable_any(
     dir: &Path,
     opts: WalOptions,
 ) -> Result<(AnyEngine, Arc<Wal>, RecoveryReport), WalError> {
+    let pool = opts.pool.clone();
+    let (mut engines, wal, mut reports) = open_durable_shards(dir, opts, &[pool])?;
+    match (engines.pop(), reports.pop()) {
+        (Some(db), Some(report)) => Ok((db, wal, report)),
+        _ => unreachable!("one pool, one engine"),
+    }
+}
+
+/// [`open_durable_any`] for a station whose engines share one log: one
+/// engine per entry of `pools` (engine `i` is shard `i`, on pool
+/// `pools[i]`; the rest of the configuration is `opts`). Recovery
+/// splits the log into one stream per engine ([`recover_shards`]);
+/// each engine then logs through its own shard of the log, and the
+/// log is every pool's flush gate. Returns the engines in shard order,
+/// the log, and one report per engine.
+#[allow(clippy::type_complexity)]
+pub fn open_durable_shards(
+    dir: &Path,
+    opts: WalOptions,
+    pools: &[PoolConfig],
+) -> Result<(Vec<AnyEngine>, Arc<Wal>, Vec<RecoveryReport>), WalError> {
     let scan = segments::read_segments(dir)?;
     let raw = record::scan_raw_from(&scan.bytes, scan.base)?;
-    let (db, report) = recover_scan_any(&raw, scan.base, &opts.metrics, &opts.pool, opts.engine)?;
-    let wal = Wal::open_at(dir, opts, report.durable_len)?;
-    db.set_wal_sink(Some(wal.clone()));
-    db.set_flush_gate(Some(wal.clone()));
-    Ok((db, wal, report))
+    let recovered = recover_shards(&raw, scan.base, &opts.metrics, pools, opts.engine)?;
+    let wal = Wal::open_at(dir, opts, raw.end)?;
+    let (engines, reports): (Vec<_>, Vec<_>) = recovered.into_iter().unzip();
+    for (shard, db) in engines.iter().enumerate() {
+        db.set_wal_sink(Some(wal.sink(shard)));
+        db.set_flush_gate(Some(wal.clone()));
+    }
+    Ok((engines, wal, reports))
 }
