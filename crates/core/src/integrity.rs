@@ -179,17 +179,21 @@ impl IntegrityDiagram {
         let (mut level, mut depth) = (0..1, 0);
         while !level.is_empty() {
             depth += 1;
-            let asked: Vec<(usize, &Link)> = level
-                .flat_map(|at| {
-                    self.links_from(alerts[at].target.kind)
-                        .map(move |l| (at, l))
-                })
-                .collect();
+            // Every object of a level asks at least one question or
+            // none; a level of test records asks one each.
+            let mut asked: Vec<(usize, &Link)> = Vec::with_capacity(level.len());
+            asked.extend(level.flat_map(|at| {
+                self.links_from(alerts[at].target.kind)
+                    .map(move |l| (at, l))
+            }));
             let questions: Vec<_> = asked
                 .iter()
                 .map(|&(at, l)| (&alerts[at].target, l.to))
                 .collect();
             let answers = children(&questions);
+            let found = answers.iter().map(Vec::len).sum();
+            alerts.reserve(found);
+            visited.reserve(found);
             let start = alerts.len();
             for ((at, link), names) in asked.into_iter().zip(answers) {
                 for name in names {

@@ -160,14 +160,15 @@ fn typed_reads_allocate_once_per_returned_field() {
 }
 
 /// `alerts_for` of a script whose implementation has 20 test records:
-/// per alert at most six allocations — the alert's three strings (a
+/// per alert at most four allocations — the alert's three strings (a
 /// copy of its source's name, its target's name read from the row, its
-/// message) and, for a test record, the read that asks for its bug
-/// reports — over a fixed base for the walk's levels, its alert list
-/// and visited set, and the script's other two alerts.
+/// message) and its share of the walk's growing lists; the reads that
+/// ask for each test record's bug reports share one predicate — over a
+/// fixed base for the walk's levels, its alert list and visited set,
+/// and the script's other two alerts.
 #[test]
 fn alert_walk_allocates_a_constant_per_alert() {
-    const PER_ALERT: u64 = 6;
+    const PER_ALERT: u64 = 4;
     const BASE: u64 = 49;
     for kind in [EngineKind::TwoPl, EngineKind::Mvcc] {
         let db = station(kind);
