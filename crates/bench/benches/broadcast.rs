@@ -1,12 +1,13 @@
 //! Criterion benches for the broadcast simulator (experiment E2/E3's
 //! microbenchmark companion): how fast the simulation itself runs, its
-//! event queue against the binary-heap baseline (on a hold workload and
-//! on a relay's tied times), the adaptive
+//! event queue against the binary-heap baseline `testkit::HeapQueue`
+//! (on a hold workload and on a relay's tied times), the adaptive
 //! controller's planning cost, and the demand simulator's replica
 //! tables at the lecture benchmark's size.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use netsim::{EventQueue, LinkSpec, Network, QueueKind, SimTime};
+use netsim::{EventQueue, LinkSpec, Network, SimTime};
+use testkit::{HeapQueue, Queue};
 use wdoc_dist::{
     broadcast_uniform, predict_completion, star_uniform, AccessEvent, AdaptiveController,
     BroadcastTree, DemandSim, DocSpec,
@@ -20,9 +21,9 @@ fn xorshift(x: &mut u64) -> u64 {
 }
 
 /// `pending` events at pseudo-random times within the wheel's first
-/// level, the same prefill for either queue kind.
-fn prefilled(kind: QueueKind, pending: u64) -> EventQueue<u64> {
-    let mut q = EventQueue::with_kind(kind);
+/// level, the same prefill for either queue.
+fn prefilled<Q: Queue<u64> + Default>(pending: u64) -> Q {
+    let mut q = Q::default();
     let mut x = 0x243F_6A88_85A3_08D3u64;
     for i in 0..pending {
         q.push(SimTime::from_micros(xorshift(&mut x) % (1 << 20)), i);
@@ -32,7 +33,7 @@ fn prefilled(kind: QueueKind, pending: u64) -> EventQueue<u64> {
 
 /// The simulator's steady state: pop the minimum, schedule a
 /// near-future successor. Returns a checksum of the popped stream.
-fn hold(q: &mut EventQueue<u64>, ops: u64) -> u64 {
+fn hold(q: &mut impl Queue<u64>, ops: u64) -> u64 {
     let mut sum = 0u64;
     for _ in 0..ops {
         let (at, item) = q.pop().expect("steady-state queue never empties");
@@ -51,12 +52,14 @@ fn hold(q: &mut EventQueue<u64>, ops: u64) -> u64 {
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue_hold_10k");
     for pending in [1_000u64, 100_000] {
-        for (name, kind) in [("wheel", QueueKind::Wheel), ("heap", QueueKind::Heap)] {
-            let mut q = prefilled(kind, pending);
-            g.bench_function(&format!("{name}/{pending}"), |b| {
-                b.iter(|| hold(&mut q, black_box(10_000)));
-            });
-        }
+        let mut q = prefilled::<EventQueue<u64>>(pending);
+        g.bench_function(&format!("wheel/{pending}"), |b| {
+            b.iter(|| hold(&mut q, black_box(10_000)));
+        });
+        let mut q = prefilled::<HeapQueue<u64>>(pending);
+        g.bench_function(&format!("heap/{pending}"), |b| {
+            b.iter(|| hold(&mut q, black_box(10_000)));
+        });
     }
     g.finish();
 }
@@ -67,18 +70,18 @@ fn bench_event_queue(c: &mut Criterion) {
 /// so only lane heads sit in the queue. Uniform links tie up to
 /// hundreds of arrivals on one microsecond. Returns a checksum of the
 /// popped stream.
-fn relay_replay(kind: QueueKind) -> u64 {
+fn relay_replay<Q: Queue<u64> + Default>() -> u64 {
     const STATIONS: u64 = 10_240;
     const M: u64 = 4;
     const SERIALIZE_US: u64 = 100_000;
     const LATENCY_US: u64 = 3_000;
-    let relay = |q: &mut EventQueue<u64>, pos: u64, now: u64| {
+    let relay = |q: &mut Q, pos: u64, now: u64| {
         for (i, child) in (M * (pos - 1) + 2..=(M * pos + 1).min(STATIONS)).enumerate() {
             let at = now + (i as u64 + 1) * SERIALIZE_US + LATENCY_US;
             q.push_lane(pos as usize, SimTime::from_micros(at), child);
         }
     };
-    let mut q = EventQueue::with_kind(kind);
+    let mut q = Q::default();
     relay(&mut q, 1, 0);
     let mut sum = 0u64;
     while let Some((at, pos)) = q.pop() {
@@ -91,11 +94,12 @@ fn relay_replay(kind: QueueKind) -> u64 {
 /// The wheel against the heap on the relay's heavily tied times.
 fn bench_event_queue_ties(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue_ties");
-    for (name, kind) in [("wheel", QueueKind::Wheel), ("heap", QueueKind::Heap)] {
-        g.bench_function(&format!("{name}/relay_10240"), |b| {
-            b.iter(|| relay_replay(black_box(kind)));
-        });
-    }
+    g.bench_function("wheel/relay_10240", |b| {
+        b.iter(relay_replay::<EventQueue<u64>>);
+    });
+    g.bench_function("heap/relay_10240", |b| {
+        b.iter(relay_replay::<HeapQueue<u64>>);
+    });
     g.finish();
 }
 

@@ -12,7 +12,7 @@
 //! through the same `Box<dyn DocBackend>`, and a decorator (the
 //! benchmark's tracing backend) wraps either by implementing the same
 //! two traits. The contract every implementor must honour is
-//! `relstore::testkit::backend_contract`.
+//! `backend_contract` in the dev-only `testkit` crate.
 
 //!
 //! A durable station on a backend of several engines hands

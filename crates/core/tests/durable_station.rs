@@ -206,14 +206,14 @@ fn half_installed_schema_is_completed_on_reopen() {
         )
     };
     drop(open_at(&dir).unwrap());
-    let log = wal::crash::read_log(&dir.join("wal.d"));
-    let frames = wal::crash::frames(&log);
+    let log = testkit::crash::read_log(&dir.join("wal.d"));
+    let frames = testkit::crash::frames(&log);
     assert_eq!(frames.len(), WebDocDb::station_schemas().len());
 
     let work = temp_dir("ddl-cut-work");
     for (installed, (_, end, _)) in frames.iter().enumerate() {
         let _ = std::fs::remove_dir_all(&work);
-        wal::crash::cut_segments(&dir.join("wal.d"), &work.join("wal.d"), *end).unwrap();
+        testkit::crash::cut_segments(&dir.join("wal.d"), &work.join("wal.d"), *end).unwrap();
         let (db, report) = open_at(&work).unwrap();
         assert_eq!(report.records_scanned, installed + 1);
         db.create_database(&course_db())

@@ -749,21 +749,6 @@ impl LogStore {
         out
     }
 
-    /// Order-independent FNV-1a fingerprint of live `(key, value)`
-    /// content (location-independent: merge must not change it).
-    pub fn fingerprint(&self) -> Result<u64> {
-        let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-        for (k, v) in self.entries()? {
-            let mut h: u64 = 0x6c62_272e_07bb_0142;
-            for &b in k.iter().chain([0xffu8].iter()).chain(v.iter()) {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            acc ^= h;
-        }
-        Ok(acc)
-    }
-
     /// Force everything appended so far onto disk (active segment
     /// sync).
     pub fn sync(&self) -> Result<()> {

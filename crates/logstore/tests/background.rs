@@ -3,6 +3,7 @@
 //! overwrites, and a second merge must not touch the sealed set.
 
 use logstore::{LogConfig, LogStore};
+use testkit::Fingerprint;
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("logstore-bg-{tag}-{}", std::process::id()));

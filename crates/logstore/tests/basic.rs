@@ -4,6 +4,7 @@
 use logstore::{LogConfig, LogStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use testkit::Fingerprint;
 
 fn scratch(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);

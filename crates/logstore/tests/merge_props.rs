@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use testkit::Fingerprint;
 
 #[derive(Debug, Clone)]
 enum Op {

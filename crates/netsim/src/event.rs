@@ -1,14 +1,14 @@
 //! Deterministic event queue: a hierarchical timing wheel ordered by
-//! (time, sequence), with the original binary heap kept as a selectable
-//! baseline.
+//! (time, sequence).
 //!
 //! Ties in time are broken by insertion order, so a simulation run is a
 //! pure function of its inputs — a property every experiment in the
-//! reproduction relies on. Both implementations produce the *same* pop
-//! sequence for the same push sequence; the wheel is simply faster on
-//! the simulator's hot path (near-future events, heavy time ties,
-//! per-uplink serialization chains). `tests/queue_equiv.rs` proves the
-//! equivalence by property test, with the heap as the oracle.
+//! reproduction relies on. The wheel pops the *same* sequence a plain
+//! binary heap on `(time, sequence)` would, only faster on the
+//! simulator's hot path (near-future events, heavy time ties,
+//! per-uplink serialization chains). `tests/queue_equiv.rs` proves it
+//! by property test, with the heap (`testkit`'s `HeapQueue`) as the
+//! oracle.
 //!
 //! ## The wheel
 //!
@@ -33,8 +33,8 @@
 //! in a per-lane `VecDeque` and are promoted (with their original
 //! sequence number, so ordering is untouched) when the head pops. A
 //! push that would violate the lane's time order falls back to a plain
-//! wheel push. `len()` counts parked followers, so queue-depth metrics
-//! are identical across implementations.
+//! wheel push. `len()` counts parked followers, so a queue's depth
+//! does not depend on which of its events ride a lane.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -91,21 +91,6 @@ impl<T> Ord for HeapEntry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         (other.0.at, other.0.seq).cmp(&(self.0.at, self.0.seq))
     }
-}
-
-/// Which implementation an [`EventQueue`] built by
-/// [`EventQueue::with_kind`] uses. Both are deterministic and produce
-/// identical pop sequences. The simulator always runs on `Wheel`;
-/// `Heap` is the reference `tests/queue_equiv.rs` compares the wheel
-/// against and the baseline of the `event_queue_hold_10k` Criterion
-/// group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Hierarchical timing wheel with overflow heap and lane fast path.
-    #[default]
-    Wheel,
-    /// The original `BinaryHeap<(time, seq)>`.
-    Heap,
 }
 
 struct Lane<T> {
@@ -339,16 +324,11 @@ impl<T> Wheel<T> {
     }
 }
 
-enum Imp<T> {
-    Wheel(Box<Wheel<T>>),
-    Heap(BinaryHeap<HeapEntry<T>>),
-}
-
 /// A time-ordered queue of simulation events.
 pub struct EventQueue<T> {
     seq: u64,
     len: usize,
-    imp: Imp<T>,
+    wheel: Box<Wheel<T>>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -358,31 +338,13 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// Create an empty queue (timing wheel).
+    /// Create an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::Wheel)
-    }
-
-    /// Create an empty queue with an explicit implementation.
-    #[must_use]
-    pub fn with_kind(kind: QueueKind) -> Self {
         EventQueue {
             seq: 0,
             len: 0,
-            imp: match kind {
-                QueueKind::Wheel => Imp::Wheel(Box::new(Wheel::new())),
-                QueueKind::Heap => Imp::Heap(BinaryHeap::new()),
-            },
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    #[must_use]
-    pub fn kind(&self) -> QueueKind {
-        match self.imp {
-            Imp::Wheel(_) => QueueKind::Wheel,
-            Imp::Heap(_) => QueueKind::Heap,
+            wheel: Box::new(Wheel::new()),
         }
     }
 
@@ -408,16 +370,12 @@ impl<T> EventQueue<T> {
     /// [`push`]: EventQueue::push
     pub fn push_keyed(&mut self, at: SimTime, key: u64, item: T) {
         self.len += 1;
-        let e = Entry {
+        self.wheel.place(Entry {
             at: at.as_micros(),
             seq: key,
             lane: LANE_NONE,
             item,
-        };
-        match &mut self.imp {
-            Imp::Wheel(w) => w.place(e),
-            Imp::Heap(h) => h.push(HeapEntry(e)),
-        }
+        });
     }
 
     /// Schedule `item` at time `at` on FIFO fast-path `lane` (netsim:
@@ -438,23 +396,12 @@ impl<T> EventQueue<T> {
     /// [`push_keyed`]: EventQueue::push_keyed
     pub fn push_lane_keyed(&mut self, lane: usize, at: SimTime, key: u64, item: T) {
         self.len += 1;
-        match &mut self.imp {
-            Imp::Wheel(w) => w.push_lane(lane, at.as_micros(), key, item),
-            Imp::Heap(h) => h.push(HeapEntry(Entry {
-                at: at.as_micros(),
-                seq: key,
-                lane: LANE_NONE,
-                item,
-            })),
-        }
+        self.wheel.push_lane(lane, at.as_micros(), key, item);
     }
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let e = match &mut self.imp {
-            Imp::Wheel(w) => w.pop(),
-            Imp::Heap(h) => h.pop().map(|e| e.0),
-        }?;
+        let e = self.wheel.pop()?;
         self.len -= 1;
         Some((SimTime::from_micros(e.at), e.item))
     }
@@ -462,10 +409,7 @@ impl<T> EventQueue<T> {
     /// Time of the next event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.imp {
-            Imp::Wheel(w) => w.peek_at().map(SimTime::from_micros),
-            Imp::Heap(h) => h.peek().map(|e| SimTime::from_micros(e.0.at)),
-        }
+        self.wheel.peek_at().map(SimTime::from_micros)
     }
 
     /// Number of pending events (including lane-parked followers).
@@ -485,47 +429,37 @@ impl<T> EventQueue<T> {
 mod tests {
     use super::*;
 
-    fn kinds() -> [QueueKind; 2] {
-        [QueueKind::Wheel, QueueKind::Heap]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(SimTime(30), "c");
-            q.push(SimTime(10), "a");
-            q.push(SimTime(20), "b");
-            assert_eq!(q.pop(), Some((SimTime(10), "a")));
-            assert_eq!(q.pop(), Some((SimTime(20), "b")));
-            assert_eq!(q.pop(), Some((SimTime(30), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime(30), "c");
+        q.push(SimTime(10), "a");
+        q.push(SimTime(20), "b");
+        assert_eq!(q.pop(), Some((SimTime(10), "a")));
+        assert_eq!(q.pop(), Some((SimTime(20), "b")));
+        assert_eq!(q.pop(), Some((SimTime(30), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..100 {
-                q.push(SimTime(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((SimTime(5), i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(SimTime(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((SimTime(5), i)));
         }
     }
 
     #[test]
     fn peek_and_len() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.push(SimTime(7), ());
-            assert_eq!(q.peek_time(), Some(SimTime(7)));
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(SimTime(7), ());
+        assert_eq!(q.peek_time(), Some(SimTime(7)));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -552,7 +486,7 @@ mod tests {
     #[test]
     fn push_behind_base_still_pops_first() {
         // The generic API allows pushing earlier than the last pop; the
-        // heap handles it naturally, the wheel via overflow.
+        // wheel files such an event in its overflow heap.
         let mut q = EventQueue::new();
         q.push(SimTime(100), "late");
         assert_eq!(q.pop(), Some((SimTime(100), "late")));
@@ -590,54 +524,5 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(40), "early")));
         assert_eq!(q.pop(), Some((SimTime(50), "head")));
         assert_eq!(q.pop(), Some((SimTime(60), "tail")));
-    }
-
-    #[test]
-    fn interleaved_hold_matches_heap() {
-        // A deterministic pseudo-random hold workload, cross-checked
-        // wheel vs heap (the full property test lives in
-        // tests/queue_equiv.rs).
-        let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
-        let mut state = 0x243F_6A88_85A3_08D3u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut t = 0u64;
-        for i in 0..2_000u64 {
-            let r = next();
-            if r % 3 == 0 && !wheel.is_empty() {
-                let a = wheel.pop().unwrap();
-                let b = heap.pop().unwrap();
-                assert_eq!(a, b);
-                t = a.0.as_micros();
-            } else {
-                // Mix near, tying, far-future and lane pushes.
-                let at = match r % 5 {
-                    0 => SimTime(t),
-                    1 => SimTime(t + r % 50),
-                    2 => SimTime(t + r % 100_000),
-                    3 => SimTime(t + (1 << 37) + r % 1000),
-                    _ => SimTime(t + r % 64),
-                };
-                if r % 7 < 3 {
-                    let lane = (r % 4) as usize;
-                    wheel.push_lane(lane, at, i);
-                    heap.push_lane(lane, at, i);
-                } else {
-                    wheel.push(at, i);
-                    heap.push(at, i);
-                }
-            }
-            assert_eq!(wheel.peek_time(), heap.peek_time());
-            assert_eq!(wheel.len(), heap.len());
-        }
-        while let Some(a) = wheel.pop() {
-            assert_eq!(Some(a), heap.pop());
-        }
-        assert!(heap.is_empty());
     }
 }

@@ -67,7 +67,7 @@ pub mod time;
 pub mod topology;
 
 pub use bytes::Bytes;
-pub use event::{EventQueue, QueueKind};
+pub use event::EventQueue;
 pub use fault::{Fault, FaultSchedule, SendError};
 pub use parallel::{IslandCtx, ParNet};
 pub use sim::{Message, NetCtx, Network};

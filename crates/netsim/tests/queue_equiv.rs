@@ -1,8 +1,8 @@
 //! Property: the timing wheel and the binary heap are observationally
 //! identical event queues.
 //!
-//! The heap is the pre-overhaul implementation and serves as the
-//! oracle: both queues replay the same random interleaving of `push`,
+//! The heap (`testkit::HeapQueue`) is the pre-overhaul implementation
+//! and serves as the oracle: both queues replay the same random interleaving of `push`,
 //! `push_lane`, and `pop`, and must agree on every popped `(time,
 //! item)` pair, every `peek_time`, and every `len` — i.e. exact
 //! `(time, seq)` FIFO-within-tick order. The time distribution
@@ -11,8 +11,9 @@
 //! horizon (overflow heap), and small times pushed after larger ones
 //! were popped (behind the advanced wheel base).
 
-use netsim::{EventQueue, QueueKind, SimTime};
+use netsim::{EventQueue, SimTime};
 use proptest::prelude::*;
+use testkit::{HeapQueue, Queue};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -57,8 +58,8 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 proptest! {
     #[test]
     fn wheel_matches_heap(ops in ops()) {
-        let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapQueue::new();
         let mut item = 0u64;
         for op in ops {
             match op {
@@ -107,8 +108,8 @@ enum KeyedOp {
 /// (`keyed`) or the queue's own push counter, and compare every pop,
 /// peek and length, then the whole remaining order.
 fn replay(ops: impl IntoIterator<Item = KeyedOp>, keyed: bool) {
-    let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
-    let mut heap = EventQueue::with_kind(QueueKind::Heap);
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapQueue::new();
     let (mut item, mut now) = (0u64, 0u64);
     for op in ops {
         let (lane, at, prefix) = match op {
@@ -127,7 +128,7 @@ fn replay(ops: impl IntoIterator<Item = KeyedOp>, keyed: bool) {
             KeyedOp::PushLane(l, t) => (Some(l), t, 150 * (l as u64 + 1)),
         };
         let (at, key) = (SimTime::from_micros(at), (prefix << 20) | item);
-        for q in [&mut wheel, &mut heap] {
+        for q in [&mut wheel as &mut dyn Queue<u64>, &mut heap] {
             match (lane, keyed) {
                 (None, true) => q.push_keyed(at, key, item),
                 (None, false) => q.push(at, item),

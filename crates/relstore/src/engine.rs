@@ -33,8 +33,10 @@
 //! [`EngineKind`] argument instead of at every call site. The rules
 //! both engines (and the router) must agree on are not restated per
 //! engine: they live in [`crate::rules`]. The cross-engine and
-//! cross-backend differentials in [`crate::testkit`] hold the
-//! implementations to identical observable behaviour.
+//! cross-backend differentials in the dev-only `testkit` crate hold
+//! the implementations to identical observable behaviour; its
+//! `backend_contract` runs on both engines here and on the router in
+//! `shard` (each crate's `tests/backend_contract.rs`).
 
 use crate::database::{Database, Txn};
 use crate::error::{Error, Result};
@@ -637,20 +639,5 @@ impl DocTxn for AnyTxn {
     }
     fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
         AnyTxn::count(self, table, pred)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn both_engines_honour_the_backend_contract() {
-        for kind in [EngineKind::TwoPl, EngineKind::Mvcc] {
-            let engine = AnyEngine::new(kind);
-            assert_eq!(DocBackend::engine_kind(&engine), kind);
-            assert!(engine.as_engine().is_some());
-            crate::testkit::backend_contract(&engine);
-        }
     }
 }

@@ -66,7 +66,6 @@ pub mod schema;
 mod slots;
 pub mod snapshot;
 pub mod table;
-pub mod testkit;
 pub mod value;
 pub mod wal;
 

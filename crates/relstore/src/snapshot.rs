@@ -20,8 +20,11 @@ use crate::value::Key;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Serialized form of one table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Serialized form of one table. Two snapshots are equal when their
+/// schemas, row ids and row values are: `Value`'s equality means one
+/// variant and one bit pattern, so `==` tells apart what their
+/// serialized bytes would.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TableSnapshot {
     /// The schema, verbatim.
     pub schema: TableSchema,
@@ -30,7 +33,7 @@ pub struct TableSnapshot {
 }
 
 /// Serialized form of a whole database.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct Snapshot {
     /// Tables, keyed by name.
     pub tables: BTreeMap<String, TableSnapshot>,

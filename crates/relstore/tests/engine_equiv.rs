@@ -3,12 +3,12 @@
 //! outcomes (results *and* errors, including row-id allocation) and
 //! identical committed state at every commit and abort point.
 //!
-//! The script generator lives in `relstore::testkit` and is driven by a
+//! The script generator lives in `testkit::differential` and is driven by a
 //! plain `Vec<u32>` of decisions, so proptest's built-in `Vec` shrinker
 //! minimises failures to short scripts automatically.
 
 use proptest::prelude::*;
-use relstore::testkit::{engine_pair, run_differential, run_tape};
+use testkit::{engine_pair, run_differential, run_tape};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]

@@ -38,7 +38,7 @@
 //! * `ByParent` chains are depth 1: a dragged dependent has no
 //!   dependents of its own.
 //!
-//! The testkit schemas used by the differential satisfy all three by
+//! The `testkit` schemas used by the differential satisfy all three by
 //! construction; [`crate::wdoc`] documents how the paper's tables do.
 //!
 //! # Reads go where the rows are
@@ -1739,7 +1739,7 @@ fn abort(parts: &[(usize, AnyTxn)], prepared: Vec<Prepared<'_>>) {
 }
 
 /// The router's transaction is the other [`DocTxn`] in the workspace
-/// (beside `AnyTxn`): the typed station and the testkit's op tapes both
+/// (beside `AnyTxn`): the typed station and `testkit`'s op tapes both
 /// drive it through the trait, the verbs themselves are the inherent
 /// methods above.
 impl DocTxn for DistTxn<'_> {
@@ -1789,23 +1789,6 @@ impl DocTxn for DistTxn<'_> {
     }
     fn count(&self, table: &str, pred: &Predicate) -> Result<usize> {
         DistTxn::count(self, table, pred)
-    }
-}
-
-/// The router plays the testkit's op tapes directly: this is what the
-/// sharded-vs-unsharded differential proof (`tests/router_equiv.rs`)
-/// runs on — the router's own semantics are the thing under test, so
-/// nothing is adapted here.
-impl relstore::testkit::TapeTarget for Router {
-    type Txn<'a> = DistTxn<'a>;
-    fn begin(&self) -> DistTxn<'_> {
-        Router::begin(self)
-    }
-    fn commit(&self, txn: DistTxn<'_>) -> Result<()> {
-        txn.commit()
-    }
-    fn rollback(&self, txn: DistTxn<'_>) {
-        txn.rollback();
     }
 }
 

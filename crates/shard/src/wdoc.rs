@@ -167,20 +167,3 @@ impl wdoc_core::DurableBackend for ShardedBackend {
         Some((self.router.wal()?, self.router.engines()))
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sharded_backend_honours_the_backend_contract() {
-        for kind in [EngineKind::TwoPl, EngineKind::Mvcc] {
-            for shards in [1, 3] {
-                let backend = ShardedBackend::new(kind, shards, Registry::new());
-                assert_eq!(backend.engine_kind(), kind);
-                assert_eq!(DocBackend::shards(&backend), shards as usize);
-                relstore::testkit::backend_contract(&backend);
-            }
-        }
-    }
-}

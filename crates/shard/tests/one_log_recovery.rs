@@ -11,7 +11,8 @@ use relstore::{ColumnType, EngineKind, Predicate, TableSchema, Value};
 use shard::{Router, RoutingSpec, ShardMap};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use wal::{crash, WalError, WalOptions, WalRecord};
+use testkit::crash;
+use wal::{WalError, WalOptions, WalRecord};
 
 const SHARDS: u32 = 2;
 const ENGINES: [EngineKind; 2] = [EngineKind::TwoPl, EngineKind::Mvcc];

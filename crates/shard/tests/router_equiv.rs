@@ -1,5 +1,5 @@
 //! Sharded-vs-unsharded differential equivalence: the same op tapes
-//! the cross-engine proof runs (see `relstore::testkit`) are replayed
+//! the cross-engine proof runs (see `testkit::differential`) are replayed
 //! against a single engine and a hash-partitioned [`Router`] in
 //! lockstep. Every per-op outcome must match — results, errors, *and
 //! allocated row ids* — and the committed state (full table contents,
@@ -10,9 +10,9 @@
 
 use obs::Registry;
 use proptest::prelude::*;
-use relstore::testkit::{run_tape, standard_schemas};
 use relstore::{AnyEngine, EngineKind, Predicate};
 use shard::{Router, RoutingSpec, ShardMap};
+use testkit::{run_tape, standard_schemas};
 
 /// Routing for the differential catalog: `parent` hashes on its own
 /// pk, `child` hashes on its FK column (co-located with its parent —
@@ -118,8 +118,8 @@ fn fixed_tapes_agree() {
 /// reads come from shard 0, and ids still match the single engine.
 #[test]
 fn global_tables_stay_identical() {
-    use relstore::testkit::TapeTarget;
     use relstore::{ColumnType, TableSchema, Value};
+    use testkit::TapeTarget;
     let schema = TableSchema::builder("hub")
         .column("id", ColumnType::Int)
         .column("name", ColumnType::Text)

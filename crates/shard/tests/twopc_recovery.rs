@@ -19,13 +19,13 @@
 //! Every case reopens what it recovered a second time and expects the
 //! same rows: recovery writes nothing that a reopen reads differently.
 
-use relstore::testkit::standard_schemas;
 use relstore::{AnyEngine, EngineKind, Predicate, RowId, Value};
 use shard::{Router, RoutingSpec, ShardMap};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use testkit::{crash, standard_schemas};
 use wal::segments::{encode_seg_header, read_segments, segment_path};
-use wal::{crash, WalOptions, WalRecord};
+use wal::{WalOptions, WalRecord};
 
 const SHARDS: u32 = 2;
 

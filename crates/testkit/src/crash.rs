@@ -7,12 +7,15 @@
 //! generated log — in memory over the virtual stream ([`read_log`],
 //! [`cut_at`]) or on disk across segment files ([`cut_segments`]) —
 //! and check recovery against a committed-prefix oracle, which is
-//! exactly what `tests/recovery_props.rs` and `tests/segments.rs` do.
+//! exactly what `wal`'s `tests/recovery_props.rs` and
+//! `tests/segments.rs` do ([`recover_bytes_any`] replays a cut stream).
 
-use crate::record::{scan, WalRecord, MAGIC};
-use crate::segments::{read_segments, NAMES, SEG_HEADER};
-use crate::Lsn;
+use obs::Registry;
+use relstore::{AnyEngine, EngineKind, PoolConfig};
 use std::path::Path;
+use wal::record::{decode, scan_raw, MAGIC};
+use wal::segments::{read_segments, NAMES, SEG_HEADER};
+use wal::{recover_shards, Lsn, RecoveryReport, WalError, WalRecord};
 
 /// The unpruned log under `dir` as its virtual byte stream: the magic
 /// header followed by every segment's payload, so a stream offset *is*
@@ -77,15 +80,34 @@ pub fn flip_bit(bytes: &mut [u8], offset: u64, bit: u8) {
 /// logs the caller just generated.
 #[must_use]
 pub fn frames(bytes: &[u8]) -> Vec<(Lsn, u64, WalRecord)> {
-    let scanned = scan(bytes).expect("generated log is valid");
-    let mut out = Vec::with_capacity(scanned.records.len());
-    for i in 0..scanned.records.len() {
-        let (lsn, ref rec) = scanned.records[i];
-        let end = scanned
-            .records
-            .get(i + 1)
-            .map_or(scanned.durable_len, |(next, _)| *next);
-        out.push((lsn, end, rec.clone()));
-    }
-    out
+    let scanned = scan_raw(bytes).expect("generated log is valid");
+    let ends = scanned.frames.iter().skip(1).map(|&(next, _)| next);
+    scanned
+        .frames
+        .iter()
+        .zip(ends.chain([scanned.end]))
+        .map(|(&(lsn, payload), end)| {
+            let rec = decode(lsn, payload).expect("generated log decodes");
+            (lsn, end, rec)
+        })
+        .collect()
+}
+
+/// Rebuild an [`AnyEngine`] of the requested kind, on a buffer pool
+/// configured by `cfg`, from a one-engine log's virtual byte stream
+/// (magic header + every frame since LSN 8 — what [`read_log`] returns,
+/// or a [`cut_at`] prefix of it). Recovery proper
+/// ([`recover_shards`]) runs on the scanned frames and records
+/// `wal.recover.*` metrics into `metrics`; the engine comes back with
+/// no WAL sink installed.
+pub fn recover_bytes_any(
+    bytes: &[u8],
+    metrics: &Registry,
+    cfg: &PoolConfig,
+    kind: EngineKind,
+) -> Result<(AnyEngine, RecoveryReport), WalError> {
+    let scanned = scan_raw(bytes)?;
+    let pools = std::slice::from_ref(cfg);
+    let mut engines = recover_shards(&scanned, MAGIC.len() as Lsn, metrics, pools, kind)?;
+    Ok(engines.pop().expect("one pool, one engine"))
 }

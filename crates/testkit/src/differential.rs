@@ -13,22 +13,24 @@
 //!   flat decision vector into an op script (insert / update /
 //!   update-cols / delete / select / count / sum / commit / abort) and
 //!   applies it to **both engines in lockstep**, comparing the outcome
-//!   of every single operation and the full committed state (snapshot
-//!   bytes, row counts, heap bytes, and a select battery) at every
-//!   commit and abort point.
+//!   of every single operation and the full committed state (snapshots,
+//!   row counts, heap bytes, and a select battery) at every commit and
+//!   abort point;
+//! * [`run_tape`] — the same idea over any two [`TapeTarget`]s, which
+//!   is how a [`Router`] is held to a single engine;
+//! * [`backend_contract`] — the clauses every [`DocBackend`] honours.
 //!
 //! The decision-vector encoding is what makes property tests shrink
 //! well: `proptest` shrinks the `Vec<u32>` and the interpreter maps any
 //! prefix/mutation of it to a valid (shorter) script — no custom
-//! shrinker needed. The module deliberately has no dev-dependency on
-//! `proptest`; unit tests drive it with hand-written vectors.
+//! shrinker needed. The crate deliberately has no dependency on
+//! `proptest`; its own tests drive it with hand-written vectors.
 
-use crate::engine::{AnyEngine, AnyTxn, DocBackend, DocTxn, EngineKind};
-use crate::error::{Error, Result};
-use crate::query::Predicate;
-use crate::schema::{FkAction, TableSchema};
-use crate::table::RowId;
-use crate::value::{ColumnType, Value};
+use relstore::{
+    AnyEngine, AnyTxn, ColumnType, DocBackend, DocTxn, EngineKind, Error, FkAction, Predicate,
+    Result, RowId, TableSchema, Value,
+};
+use shard::{DistTxn, Router};
 use std::collections::BTreeMap;
 
 /// The differential catalog: `parent` (unique nullable tag), `child`
@@ -172,8 +174,8 @@ fn expect_same<T: PartialEq + std::fmt::Debug>(
 }
 
 /// Compare every observable facet of the two engines' *committed*
-/// state: serialized snapshots (schemas, row ids, row values), per-table
-/// row counts and heap bytes, and a battery of predicate selects run
+/// state: snapshots (schemas, row ids, row values), per-table row
+/// counts and heap bytes, and a battery of predicate selects run
 /// through fresh read transactions.
 pub fn compare_committed(
     step: usize,
@@ -182,11 +184,9 @@ pub fn compare_committed(
 ) -> std::result::Result<(), String> {
     let sa = a.snapshot().map_err(|e| format!("2pl snapshot: {e}"))?;
     let sb = b.snapshot().map_err(|e| format!("mvcc snapshot: {e}"))?;
-    let ja = serde_json::to_string(&sa).expect("snapshot serializes");
-    let jb = serde_json::to_string(&sb).expect("snapshot serializes");
-    if ja != jb {
+    if sa != sb {
         return Err(format!(
-            "step {step}: committed snapshots diverged\n  2pl:  {ja}\n  mvcc: {jb}"
+            "step {step}: committed snapshots diverged\n  2pl:  {sa:?}\n  mvcc: {sb:?}"
         ));
     }
     for table in TABLES {
@@ -411,11 +411,10 @@ pub fn run_differential(decisions: &[u32]) -> std::result::Result<(), String> {
 
 /// One side of a tape differential: anything that hands out
 /// transactions speaking [`DocTxn`] over the standard catalog.
-/// [`AnyEngine`] implements it directly; the `shard` crate implements
-/// it for its router, which is how the sharded-vs-unsharded equivalence
-/// proof runs — same tape, one side a single engine, the other a
-/// hash-partitioned cluster, every outcome (including allocated row
-/// ids) compared op by op.
+/// [`AnyEngine`] and the `shard` crate's [`Router`] implement it, which
+/// is how the sharded-vs-unsharded equivalence proof runs — same tape,
+/// one side a single engine, the other a hash-partitioned cluster,
+/// every outcome (including allocated row ids) compared op by op.
 ///
 /// Implementations must present **global** row ids: the tape feeds ids
 /// returned by `insert` back into later ops and demands identical
@@ -442,6 +441,23 @@ impl TapeTarget for AnyEngine {
         txn.commit()
     }
     fn rollback(&self, txn: AnyTxn) {
+        txn.rollback();
+    }
+}
+
+/// The router plays the op tapes directly: this is what the
+/// sharded-vs-unsharded differential proof (`shard`'s
+/// `tests/router_equiv.rs`) runs on — the router's own semantics are
+/// the thing under test, so nothing is adapted here.
+impl TapeTarget for Router {
+    type Txn<'a> = DistTxn<'a>;
+    fn begin(&self) -> DistTxn<'_> {
+        Router::begin(self)
+    }
+    fn commit(&self, txn: DistTxn<'_>) -> Result<()> {
+        txn.commit()
+    }
+    fn rollback(&self, txn: DistTxn<'_>) {
         txn.rollback();
     }
 }

@@ -23,10 +23,11 @@
 //! * **crash recovery** ([`recover`]) — analysis → redo → undo over
 //!   the surviving prefix: repeat history, then roll dead transactions
 //!   back from their before images, yielding exactly the committed
-//!   prefix;
-//! * a **crash-point injector** ([`crash`]) — cut the log at any byte
-//!   offset (torn tails included, across segment files) or flip bits
-//!   to drive the recovery property tests.
+//!   prefix.
+//!
+//! The crash-point injector the recovery property tests run on (cut
+//! the log at any byte offset, torn tails included, across segment
+//! files, or flip bits) is test code: `testkit::crash`.
 //!
 //! ## Quick start
 //!
@@ -58,15 +59,14 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod crash;
 pub mod log;
 pub mod record;
 pub mod recover;
 pub mod segments;
 
 pub use crate::log::{Wal, WalOptions, WalStats};
-pub use crate::record::{scan, Scan, Tail, WalRecord};
-pub use crate::recover::{recover_bytes_any, recover_scan_any, recover_shards, RecoveryReport};
+pub use crate::record::WalRecord;
+pub use crate::recover::{recover_shards, RecoveryReport};
 /// The frame checksum: CRC-32 (IEEE 802.3, reflected, zlib/PNG), shared
 /// with every framed segment file.
 pub use logstore::crc32;

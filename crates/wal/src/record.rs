@@ -32,11 +32,13 @@
 //! shards ascending — which is never prefixed: it belongs to every
 //! shard it names.
 //!
-//! [`scan`] walks a byte slice and classifies the tail: a frame cut
+//! [`scan_raw`] walks a byte slice and classifies the tail: a frame cut
 //! short by the end of the file is a **torn tail** (the normal shape of
 //! a crash mid-write — replay stops there), while a *complete* frame
 //! whose CRC does not match is **corruption** (bit rot or a bug) and is
 //! reported as a hard error rather than silently applied or skipped.
+//! It leaves the payloads undecoded; [`decode`] turns one into a
+//! [`WalRecord`].
 
 use crate::{Lsn, WalError};
 use logstore::segfile::{self, frame_buf, seal_frame};
@@ -649,32 +651,6 @@ pub(crate) fn route(lsn: Lsn, payload: &[u8]) -> Result<Route<'_>, WalError> {
     Ok(Route::Shard(shard, d.0))
 }
 
-/// Why the scan stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tail {
-    /// The byte stream ended exactly on a frame boundary.
-    Clean,
-    /// The final frame (or the magic header) was cut short — the
-    /// normal signature of a crash mid-write. Replay stops at `at`;
-    /// everything before it is intact.
-    Torn {
-        /// Offset of the first byte of the incomplete frame.
-        at: Lsn,
-    },
-}
-
-/// Result of scanning a log byte stream.
-#[derive(Debug)]
-pub struct Scan {
-    /// Every complete, checksum-valid record with its LSN, in order.
-    pub records: Vec<(Lsn, WalRecord)>,
-    /// How the stream ended.
-    pub tail: Tail,
-    /// Length of the valid prefix (magic + complete frames) — the
-    /// offset a reopened log should be truncated to before appending.
-    pub durable_len: u64,
-}
-
 /// A checksum-verified but not-yet-decoded log: frame payloads are
 /// borrowed slices, offsets are LSNs, `end` is the length of the valid
 /// prefix. Decoding is the expensive part of a scan, and recovery only
@@ -749,23 +725,6 @@ pub fn scan_raw_from(bytes: &[u8], base: Lsn) -> Result<RawScan<'_>, WalError> {
     })
 }
 
-/// Walk `bytes` (a whole virtual log stream) and decode every frame: [`scan_raw`]
-/// plus full decoding. Recovery proper uses the raw scan and decodes
-/// only from the last checkpoint on; this is the convenience form for
-/// tools and tests.
-pub fn scan(bytes: &[u8]) -> Result<Scan, WalError> {
-    let raw = scan_raw(bytes)?;
-    let mut records = Vec::with_capacity(raw.frames.len());
-    for (lsn, payload) in raw.frames {
-        records.push((lsn, decode(lsn, payload)?));
-    }
-    Ok(Scan {
-        records,
-        tail: raw.torn_at.map_or(Tail::Clean, |at| Tail::Torn { at }),
-        durable_len: raw.end,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,12 +735,13 @@ mod tests {
         let frame = encode_frame(&rec).unwrap();
         let mut log = MAGIC.to_vec();
         log.extend_from_slice(&frame);
-        let scan = scan(&log).unwrap();
-        assert_eq!(scan.tail, Tail::Clean);
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.records[0].0, 8);
-        assert!(matches!(scan.records[0].1, WalRecord::Begin { txn: 7 }));
-        assert_eq!(scan.durable_len, log.len() as u64);
+        let scan = scan_raw(&log).unwrap();
+        assert_eq!(scan.torn_at, None);
+        assert_eq!(scan.frames.len(), 1);
+        assert_eq!(scan.frames[0].0, 8);
+        let rec = decode(8, scan.frames[0].1).unwrap();
+        assert!(matches!(rec, WalRecord::Begin { txn: 7 }));
+        assert_eq!(scan.end, log.len() as u64);
     }
 
     #[test]
@@ -793,10 +753,10 @@ mod tests {
         let second_lsn = log.len() as Lsn;
         log.extend_from_slice(&second);
         for cut in second_lsn as usize + 1..log.len() {
-            let scan = scan(&log[..cut]).unwrap();
-            assert_eq!(scan.records.len(), 1, "cut {cut}");
-            assert_eq!(scan.tail, Tail::Torn { at: second_lsn });
-            assert_eq!(scan.durable_len, second_lsn);
+            let scan = scan_raw(&log[..cut]).unwrap();
+            assert_eq!(scan.frames.len(), 1, "cut {cut}");
+            assert_eq!(scan.torn_at, Some(second_lsn));
+            assert_eq!(scan.end, second_lsn);
         }
     }
 
@@ -807,7 +767,7 @@ mod tests {
         log.extend_from_slice(&encode_frame(&WalRecord::Commit { txn: 1 }).unwrap());
         // Flip one payload byte of the first frame.
         log[MAGIC.len() + FRAME_HEADER + 1] ^= 0x40;
-        match scan(&log) {
+        match scan_raw(&log) {
             Err(WalError::Corrupt { lsn, .. }) => assert_eq!(lsn, MAGIC.len() as Lsn),
             other => panic!("expected corruption, got {other:?}"),
         }
@@ -837,7 +797,7 @@ mod tests {
         // error, not read as corruption or as an empty log.
         let mut log = b"wdocwal0".to_vec();
         log.extend_from_slice(&encode_frame(&WalRecord::Begin { txn: 1 }).unwrap());
-        match scan(&log) {
+        match scan_raw(&log) {
             Err(WalError::UnsupportedFormat { lsn: 0, magic }) => assert_eq!(magic, "wdocwal0"),
             other => panic!("expected an unsupported format, got {other:?}"),
         }
@@ -875,16 +835,12 @@ mod tests {
             assert_eq!(rec.txn(), None, "recovery splits them first");
             log.extend_from_slice(&encode_frame(rec).unwrap());
         }
-        let scan = scan(&log).unwrap();
-        assert_eq!(scan.tail, Tail::Clean);
-        assert_eq!(
-            format!("{:?}", scan.records[0].1),
-            format!("{:?}", records[0])
-        );
-        assert_eq!(
-            format!("{:?}", scan.records[1].1),
-            format!("{:?}", records[1])
-        );
+        let scan = scan_raw(&log).unwrap();
+        assert_eq!((scan.torn_at, scan.frames.len()), (None, records.len()));
+        for (&(lsn, payload), rec) in scan.frames.iter().zip(&records) {
+            let back = decode(lsn, payload).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{rec:?}"));
+        }
         // Engine 0's records carry no prefix, and a joint commit none.
         let bare = encode_frame(&WalRecord::Commit { txn: 9 }).unwrap();
         let zero = WalRecord::Shard {
@@ -899,6 +855,6 @@ mod tests {
     #[test]
     fn wrong_magic_rejected() {
         let log = b"notawal!".to_vec();
-        assert!(matches!(scan(&log), Err(WalError::Corrupt { .. })));
+        assert!(matches!(scan_raw(&log), Err(WalError::Corrupt { .. })));
     }
 }

@@ -4,7 +4,7 @@
 //! phases, adapted to `relstore`'s in-place + logical-log design:
 //!
 //! 1. **Analysis** — scan every complete, checksum-valid frame (the
-//!    [`scan`](crate::record::scan) step), locate the last complete
+//!    [`scan_raw`](crate::record::scan_raw) step), locate the last complete
 //!    checkpoint, and partition the transactions that appear after it
 //!    into *winners* (a `Commit` record made it to disk) and *losers*
 //!    (no commit — whether the transaction was still in flight at the
@@ -43,7 +43,7 @@
 //! sees it committed or none does.
 
 use crate::record::{
-    checkpoint_shard, decode, is_checkpoint, route, scan_raw, RawScan, Route, WalRecord, MAGIC,
+    checkpoint_shard, decode, is_checkpoint, route, RawScan, Route, WalRecord, MAGIC,
 };
 use crate::{Lsn, WalError};
 use obs::Registry;
@@ -90,58 +90,33 @@ pub struct RecoveryReport {
     pub durable_len: u64,
 }
 
-/// Rebuild an [`AnyEngine`] of the requested kind, on a buffer pool
-/// configured by `cfg`, from the log's virtual byte stream (magic
-/// header + every frame since LSN 8 — what
-/// [`crash::read_log`](crate::crash::read_log) returns for an unpruned
-/// directory). Records `wal.recover.*` metrics into `metrics`:
-/// per-phase wall-clock durations (gauges, outside the obs determinism
-/// contract) and exact counters mirroring the [`RecoveryReport`].
-///
-/// The returned engine has **no WAL sink installed** and recovery runs
-/// ungated (every record being replayed is, by definition, already
-/// durable); [`open_durable_any`](crate::open_durable_any) attaches
-/// the live log as sink and flush gate afterwards.
-///
-/// The log format is engine-agnostic — begin /
-/// mutation / commit / abort records with before+after images — so a
-/// log written under one engine replays onto the other. Redo repeats
-/// history through the engine's `redo_*` primitives (for MVCC each
-/// redo installs a fresh committed version; superseded ones are
-/// ordinary GC fodder afterwards), and undo inverts loser mutations
-/// from their before images exactly as on the 2PL engine.
-pub fn recover_bytes_any(
-    bytes: &[u8],
-    metrics: &Registry,
-    cfg: &PoolConfig,
-    kind: EngineKind,
-) -> Result<(AnyEngine, RecoveryReport), WalError> {
-    let scanned = scan_raw(bytes)?;
-    recover_scan_any(&scanned, MAGIC.len() as Lsn, metrics, cfg, kind)
-}
-
-/// Recovery over an already-scanned frame stream whose first byte sits
-/// at absolute LSN `base` — the entry point for a log directory, where
-/// checkpoint-driven truncation may have deleted the log's prefix. When `base` shows the prefix was pruned, the surviving
-/// stream **must** contain a checkpoint (pruning only ever deletes
-/// segments a checkpoint covers); its absence is corruption, never a
+/// Rebuild one [`AnyEngine`] of kind `kind` per entry of `pools`
+/// from an already-scanned frame stream whose first byte sits at
+/// absolute LSN `base`. The frames are split into one stream per
+/// engine (see the module docs) and each stream recovers onto its own
+/// engine, on its own pool, in shard order; a log of one engine is
+/// the one-pool case. A frame naming a shard the station does not have
+/// is corruption. When `base` shows that checkpoint-driven truncation
+/// pruned the log's prefix, each engine's surviving stream **must**
+/// contain its checkpoint (pruning only ever deletes segments a
+/// checkpoint covers); its absence is corruption, never a
 /// silently-empty database.
-pub fn recover_scan_any(
-    scanned: &RawScan<'_>,
-    base: Lsn,
-    metrics: &Registry,
-    cfg: &PoolConfig,
-    kind: EngineKind,
-) -> Result<(AnyEngine, RecoveryReport), WalError> {
-    let mut engines = recover_shards(scanned, base, metrics, std::slice::from_ref(cfg), kind)?;
-    Ok(engines.pop().expect("one pool, one engine"))
-}
-
-/// [`recover_scan_any`] for a station log that one engine per entry of
-/// `pools` shares: the frames are split into one stream per engine
-/// (see the module docs) and each stream recovers onto its own engine,
-/// on its own pool, in shard order. A frame naming a shard the station
-/// does not have is corruption.
+///
+/// Records `wal.recover.*` metrics into `metrics`: per-phase
+/// wall-clock durations (gauges, outside the obs determinism contract)
+/// and exact counters mirroring the [`RecoveryReport`]s. The engines
+/// come back with **no WAL sink installed** and recovery runs ungated
+/// (every record being replayed is, by definition, already durable);
+/// [`open_durable_shards`](crate::open_durable_shards) attaches the
+/// live log as sink and flush gate afterwards.
+///
+/// The log format is engine-agnostic — begin / mutation / commit /
+/// abort records with before+after images — so a log written under one
+/// engine replays onto the other. Redo repeats history through the
+/// engine's `redo_*` primitives (for MVCC each redo installs a fresh
+/// committed version; superseded ones are ordinary GC fodder
+/// afterwards), and undo inverts loser mutations from their before
+/// images exactly as on the 2PL engine.
 pub fn recover_shards(
     scanned: &RawScan<'_>,
     base: Lsn,

@@ -36,7 +36,10 @@ use std::path::{Path, PathBuf};
 pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
 
 /// Segment files are named by their base LSN: `wal-<base:016x>.seg`.
-pub(crate) const NAMES: SegNames = SegNames {
+/// Public for the one caller outside the log that lists its files:
+/// the crash injector in the `testkit` crate, which copies a log's
+/// segments as a crash at any LSN leaves them.
+pub const NAMES: SegNames = SegNames {
     name: |base| format!("wal-{base:016x}.seg"),
     parse: |name| Lsn::from_str_radix(name.strip_prefix("wal-")?.strip_suffix(".seg")?, 16).ok(),
 };

@@ -21,7 +21,8 @@ use relstore::{
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wal::{crash, open_durable_any, recover_bytes_any, WalOptions};
+use testkit::crash::{self, recover_bytes_any};
+use wal::{open_durable_any, WalOptions};
 
 static NEXT_FILE: AtomicU64 = AtomicU64::new(0);
 

@@ -23,7 +23,8 @@ use relstore::{
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wal::{crash, open_durable_any, recover_bytes_any, WalOptions};
+use testkit::crash::{self, recover_bytes_any};
+use wal::{open_durable_any, WalOptions};
 
 static NEXT_FILE: AtomicU64 = AtomicU64::new(0);
 
@@ -555,11 +556,9 @@ fn log_backed_pool_recovery_sweep_upholds_flush_rule() {
     // The last checkpoint of the scripted run was taken mid-workload on
     // a one-page pool: its dirty-page table should be non-trivial for
     // at least one checkpoint (the log records how far the pool lagged).
-    let scan = wal::scan(&bytes).unwrap();
-    let dirty_counts: Vec<usize> = scan
-        .records
+    let dirty_counts: Vec<usize> = crash::frames(&bytes)
         .iter()
-        .filter_map(|(_, r)| match r {
+        .filter_map(|(_, _, r)| match r {
             wal::WalRecord::Checkpoint { dirty_pages, .. } => Some(dirty_pages.len()),
             _ => None,
         })

@@ -7,8 +7,9 @@
 
 use relstore::{AnyEngine, ColumnType, EngineKind, TableSchema, Value};
 use std::path::{Path, PathBuf};
+use testkit::crash;
 use wal::segments::{encode_seg_header, read_segments, segment_path};
-use wal::{crash, open_durable_any, Lsn, WalError, WalOptions};
+use wal::{open_durable_any, Lsn, WalError, WalOptions};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wal-segments-{}-{tag}", std::process::id()));
