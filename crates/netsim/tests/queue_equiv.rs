@@ -1,8 +1,8 @@
 //! Property: the timing wheel and the binary heap are observationally
 //! identical event queues.
 //!
-//! The heap (`testkit::HeapQueue`) is the pre-overhaul implementation
-//! and serves as the oracle: both queues replay the same random interleaving of `push`,
+//! The heap is the pre-overhaul implementation and serves as the
+//! oracle: both queues replay the same random interleaving of `push`,
 //! `push_lane`, and `pop`, and must agree on every popped `(time,
 //! item)` pair, every `peek_time`, and every `len` — i.e. exact
 //! `(time, seq)` FIFO-within-tick order. The time distribution

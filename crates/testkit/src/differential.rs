@@ -24,7 +24,8 @@
 //! well: `proptest` shrinks the `Vec<u32>` and the interpreter maps any
 //! prefix/mutation of it to a valid (shorter) script — no custom
 //! shrinker needed. The crate deliberately has no dependency on
-//! `proptest`; its own tests drive it with hand-written vectors.
+//! `proptest`; `engine_equiv.rs`'s `fixed_scripts_agree` drives it
+//! with hand-written vectors.
 
 use relstore::{
     AnyEngine, AnyTxn, ColumnType, DocBackend, DocTxn, EngineKind, Error, FkAction, Predicate,
